@@ -1,59 +1,53 @@
-// E7 — "Adapting adaptivity" (paper §4.3): batching tuples and fixing
-// operators reduce per-tuple routing costs, at the price of slower reaction
-// to drift. The sweep crosses batch size with drift rate; the counters show
-// the paper's predicted knob behaviour: under slow change big batches win
-// (fewer routing decisions, same plan quality); under fast change they
-// lose plan quality (work_per_tuple rises).
+// E7 — "Adapting adaptivity" (paper §4.3): coarser routing lowers the
+// per-tuple routing cost at the price of slower reaction to drift. On the
+// shared eddy the lever is the ingest batch size: within one batch the
+// drain-scoped decision cache reuses a ranked slot for every envelope with
+// the same lineage, and batches of 4 rows or more run the grouped filters
+// as a columnar prefilter in slot order (no per-tuple routing at all). The
+// sweep crosses batch size with drift period; the counters show the
+// paper's predicted shape: decisions_per_tuple falls as batches grow, and
+// under drift work_per_tuple stops improving — the coarse plan cannot
+// follow the data.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "eddy/eddy.h"
-#include "operators/selection.h"
+#include "cacq/shared_eddy.h"
 
 namespace tcq {
 namespace {
 
-using bench::UniformStream;
+using bench::DriftStream;
+using bench::KVSchema;
 
 constexpr size_t kTuples = 20000;
-constexpr uint32_t kFilterCost = 300;
 
 // drift_period = 0 means a static environment.
-void RunKnob(benchmark::State& state, uint32_t batch, uint32_t fix,
-             size_t drift_period) {
-  auto stream = UniformStream(0, kTuples, 100, 7);
-  auto sel_a = MakeCompareConst({0, "k"}, CmpOp::kLt, Value::Int64(10));
-  auto perm_a = MakeCompareConst({0, "k"}, CmpOp::kLt, Value::Int64(90));
-  auto sel_b = MakeCompareConst({0, "v"}, CmpOp::kLt, Value::Int64(10));
-  auto perm_b = MakeCompareConst({0, "v"}, CmpOp::kLt, Value::Int64(90));
+void RunSweep(benchmark::State& state, size_t batch, size_t drift_period) {
+  auto stream = DriftStream(0, kTuples, drift_period, 7);
+  CQSpec spec;
+  spec.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(10)});
+  spec.filters.push_back({{0, "v"}, CmpOp::kLt, Value::Int64(10)});
 
   uint64_t invocations = 0, decisions = 0, tuples = 0;
   for (auto _ : state) {
-    Eddy eddy(MakeLotteryPolicy(19), Eddy::Options{batch, fix});
-    auto s1 = std::make_unique<Selection>("f1", sel_a, kFilterCost);
-    auto s2 = std::make_unique<Selection>("f2", perm_b, kFilterCost);
-    Selection* f1 = s1.get();
-    Selection* f2 = s2.get();
-    eddy.AddModule(std::move(s1));
-    eddy.AddModule(std::move(s2));
-    eddy.SetOutput([](const Tuple&) {});
-    bool phase = false;
-    for (size_t i = 0; i < stream.size(); ++i) {
-      if (drift_period != 0 && i != 0 && i % drift_period == 0) {
-        phase = !phase;
-        f1->ReplacePredicate(phase ? perm_a : sel_a);
-        f2->ReplacePredicate(phase ? sel_b : perm_b);
+    SharedEddy eddy(MakeLotteryPolicy(19));
+    eddy.RegisterStream(0, KVSchema(0));
+    (void)eddy.AddQuery(spec);
+    eddy.SetOutput([](QueryId, const Tuple&) {});
+    for (size_t i = 0; i < stream.size(); i += batch) {
+      TupleBatch b(0);
+      for (size_t j = i; j < std::min(stream.size(), i + batch); ++j) {
+        b.push_back(stream[j]);
       }
-      eddy.Ingest(0, stream[i]);
+      eddy.IngestBatch(b);
     }
     invocations += eddy.module_invocations();
     decisions += eddy.routing_decisions();
     tuples += stream.size();
   }
   state.SetItemsProcessed(static_cast<int64_t>(tuples));
-  state.counters["batch"] = batch;
-  state.counters["fix_len"] = fix;
+  state.counters["batch"] = static_cast<double>(batch);
   state.counters["drift_period"] = static_cast<double>(drift_period);
   state.counters["work_per_tuple"] =
       static_cast<double>(invocations) / static_cast<double>(tuples);
@@ -61,48 +55,27 @@ void RunKnob(benchmark::State& state, uint32_t batch, uint32_t fix,
       static_cast<double>(decisions) / static_cast<double>(tuples);
 }
 
-void BM_BatchSweepStatic(benchmark::State& state) {
-  RunKnob(state, static_cast<uint32_t>(state.range(0)), 1,
-          /*drift_period=*/0);
+void BatchArgs(benchmark::internal::Benchmark* b) {
+  for (int64_t batch : {1, 2, 3, 4, 16, 64, 256, 1024}) b->Arg(batch);
+  b->Unit(benchmark::kMillisecond);
 }
-BENCHMARK(BM_BatchSweepStatic)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
+
+void BM_BatchSweepStatic(benchmark::State& state) {
+  RunSweep(state, static_cast<size_t>(state.range(0)), /*drift_period=*/0);
+}
+BENCHMARK(BM_BatchSweepStatic)->Apply(BatchArgs);
+
+void BM_BatchSweepSlowDrift(benchmark::State& state) {
+  RunSweep(state, static_cast<size_t>(state.range(0)),
+           /*drift_period=*/5000);
+}
+BENCHMARK(BM_BatchSweepSlowDrift)->Apply(BatchArgs);
 
 void BM_BatchSweepFastDrift(benchmark::State& state) {
-  RunKnob(state, static_cast<uint32_t>(state.range(0)), 1,
-          /*drift_period=*/500);
+  RunSweep(state, static_cast<size_t>(state.range(0)),
+           /*drift_period=*/500);
 }
-BENCHMARK(BM_BatchSweepFastDrift)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FixLenSweep(benchmark::State& state) {
-  RunKnob(state, 1, static_cast<uint32_t>(state.range(0)),
-          /*drift_period=*/0);
-}
-BENCHMARK(BM_FixLenSweep)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
-
-void BM_BothKnobs(benchmark::State& state) {
-  RunKnob(state, static_cast<uint32_t>(state.range(0)),
-          static_cast<uint32_t>(state.range(1)), /*drift_period=*/2000);
-}
-BENCHMARK(BM_BothKnobs)
-    ->Args({1, 1})
-    ->Args({32, 1})
-    ->Args({32, 2})
-    ->Args({256, 2})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchSweepFastDrift)->Apply(BatchArgs);
 
 }  // namespace
 }  // namespace tcq

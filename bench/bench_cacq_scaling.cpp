@@ -1,7 +1,8 @@
 // E4 — CACQ shared execution vs query-at-a-time (paper §3.1): N similar
 // continuous queries (a shared join edge plus per-query range filters) run
 // either in ONE shared eddy (grouped filters + shared SteMs + lineage) or in
-// N independent eddies, each rebuilding its own join state and filters.
+// N independent one-query shared eddies, each rebuilding its own join state
+// and filters.
 // The shape: shared throughput degrades slowly with N; query-at-a-time
 // degrades linearly — the gap is the work sharing.
 
@@ -15,9 +16,7 @@
 
 #include "bench_common.h"
 #include "cacq/shared_eddy.h"
-#include "eddy/eddy.h"
 #include "exec/executor.h"
-#include "operators/selection.h"
 
 namespace tcq {
 namespace {
@@ -41,6 +40,22 @@ std::vector<QueryParams> MakeParams(size_t n) {
   return out;
 }
 
+CQSpec QuerySpec(const QueryParams& p) {
+  CQSpec spec;
+  spec.joins.push_back({{0, "k"}, {1, "k"}});
+  spec.filters.push_back({{0, "v"}, CmpOp::kGe, Value::Int64(p.lo)});
+  spec.filters.push_back({{0, "v"}, CmpOp::kLt, Value::Int64(p.lo + 30)});
+  return spec;
+}
+
+std::unique_ptr<SharedEddy> MakeEddy(uint64_t* deliveries) {
+  auto eddy = std::make_unique<SharedEddy>(MakeLotteryPolicy(3));
+  eddy->RegisterStream(0, KVSchema(0));
+  eddy->RegisterStream(1, KVSchema(1));
+  eddy->SetOutput([deliveries](QueryId, const Tuple&) { ++*deliveries; });
+  return eddy;
+}
+
 void BM_SharedCACQ(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   auto params = MakeParams(n);
@@ -49,20 +64,11 @@ void BM_SharedCACQ(benchmark::State& state) {
 
   uint64_t deliveries = 0, tuples = 0;
   for (auto _ : state) {
-    SharedEddy eddy(MakeLotteryPolicy(3));
-    eddy.RegisterStream(0, KVSchema(0));
-    eddy.RegisterStream(1, KVSchema(1));
-    eddy.SetOutput([&](QueryId, const Tuple&) { ++deliveries; });
-    for (const QueryParams& p : params) {
-      CQSpec spec;
-      spec.joins.push_back({{0, "k"}, {1, "k"}});
-      spec.filters.push_back({{0, "v"}, CmpOp::kGe, Value::Int64(p.lo)});
-      spec.filters.push_back({{0, "v"}, CmpOp::kLt, Value::Int64(p.lo + 30)});
-      (void)eddy.AddQuery(spec);
-    }
+    auto eddy = MakeEddy(&deliveries);
+    for (const QueryParams& p : params) (void)eddy->AddQuery(QuerySpec(p));
     for (size_t i = 0; i < s.size(); ++i) {
-      eddy.Ingest(0, s[i]);
-      eddy.Ingest(1, t[i]);
+      eddy->Ingest(0, s[i]);
+      eddy->Ingest(1, t[i]);
     }
     tuples += 2 * kTuplesPerSide;
   }
@@ -83,32 +89,12 @@ void BM_QueryAtATime(benchmark::State& state) {
 
   uint64_t deliveries = 0, tuples = 0;
   for (auto _ : state) {
-    // One full eddy (own SteMs, own filters) per query.
-    std::vector<std::unique_ptr<Eddy>> eddies;
-    std::vector<std::shared_ptr<SteM>> stems;
+    // One eddy (own SteMs, own filters) per query: the same router with a
+    // query set of one, so the gap to BM_SharedCACQ is the sharing alone.
+    std::vector<std::unique_ptr<SharedEddy>> eddies;
     for (const QueryParams& p : params) {
-      auto stem_s = std::make_shared<SteM>("s", 0, KVSchema(0),
-                                           StemOptions{.key_attr = "k"});
-      auto stem_t = std::make_shared<SteM>("t", 1, KVSchema(1),
-                                           StemOptions{.key_attr = "k"});
-      auto eddy = std::make_unique<Eddy>(MakeLotteryPolicy(3));
-      eddy->AttachSteM(stem_s);
-      eddy->AttachSteM(stem_t);
-      eddy->AddModule(std::make_unique<SteMProbe>(
-          "probeS", stem_s.get(),
-          JoinSpec{AttrRef{1, "k"}, AttrRef{0, "k"}, {}}));
-      eddy->AddModule(std::make_unique<SteMProbe>(
-          "probeT", stem_t.get(),
-          JoinSpec{AttrRef{0, "k"}, AttrRef{1, "k"}, {}}));
-      eddy->AddModule(std::make_unique<Selection>(
-          "flo", MakeCompareConst({0, "v"}, CmpOp::kGe, Value::Int64(p.lo))));
-      eddy->AddModule(std::make_unique<Selection>(
-          "fhi",
-          MakeCompareConst({0, "v"}, CmpOp::kLt, Value::Int64(p.lo + 30))));
-      eddy->SetOutput([&](const Tuple&) { ++deliveries; });
-      stems.push_back(stem_s);
-      stems.push_back(stem_t);
-      eddies.push_back(std::move(eddy));
+      eddies.push_back(MakeEddy(&deliveries));
+      (void)eddies.back()->AddQuery(QuerySpec(p));
     }
     for (size_t i = 0; i < s.size(); ++i) {
       for (auto& eddy : eddies) {

@@ -42,4 +42,23 @@ inline std::vector<Tuple> UniformStream(SourceId source, size_t n,
   return out;
 }
 
+/// Content drift for the adaptivity benches (E1, E7): with filters
+/// k < 10 and v < 10, phase A rows pass the k filter 10% of the time and
+/// the v filter ~91% (k uniform over [0, 100), v over [0, 10]); phase B
+/// swaps the two. Phases alternate every `period` rows; 0 = phase A only.
+inline std::vector<Tuple> DriftStream(SourceId source, size_t n, size_t period,
+                                      uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Tuple> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    int64_t wide = rng.UniformInt(0, 99);
+    int64_t narrow = rng.UniformInt(0, 10);
+    bool phase_b = period != 0 && (i / period) % 2 == 1;
+    out.push_back(KVRow(source, phase_b ? narrow : wide,
+                        phase_b ? wide : narrow, static_cast<Timestamp>(i)));
+  }
+  return out;
+}
+
 }  // namespace tcq::bench

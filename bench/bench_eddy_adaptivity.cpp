@@ -1,9 +1,12 @@
 // E1 — Eddy adaptivity vs static plans (paper §2.2; shape from Eddies
-// [AH00] Figs 6-9): two filters whose selectivities swap halfway through the
-// stream. A static plan is optimal for one phase and pessimal for the
-// other; the eddy re-learns the order online and tracks the better plan in
-// both phases. The `work_per_tuple` counter (module invocations / tuple) is
-// the cost the routing policy is minimizing.
+// [AH00] Figs 6-9): one query with two filters whose selectivities swap
+// halfway through the stream, run on the shared eddy the engine uses. The
+// data drifts, not the query: in the first half k < 10 keeps 10% of rows
+// and v < 10 keeps ~91%; in the second half the reverse. A static plan is
+// optimal for one phase and pessimal for the other; the eddy re-learns the
+// order online. The `work_per_tuple` counter (module invocations / tuple)
+// is the cost the routing policy is minimizing. Tuples are ingested one at
+// a time so every tuple gets its own routing decision.
 
 #include <benchmark/benchmark.h>
 
@@ -11,21 +14,20 @@
 #include <mutex>
 
 #include "bench_common.h"
+#include "cacq/shared_eddy.h"
 #include "common/metrics.h"
-#include "eddy/eddy.h"
 #include "eddy/routing_policy.h"
-#include "operators/selection.h"
 
 namespace tcq {
 namespace {
 
-using bench::UniformStream;
+using bench::DriftStream;
+using bench::KVSchema;
 
-// Filter predicates: phase 1 has f1 selective (10%) and f2 permissive
-// (90%); phase 2 swaps them. cost_loops makes each filter evaluation
-// genuinely expensive so routing quality dominates routing overhead.
-constexpr uint32_t kFilterCost = 500;
+constexpr size_t kTuples = 20000;
 
+// Grouped-filter slots follow attribute order: slot 0 filters k (f1),
+// slot 1 filters v (f2).
 std::unique_ptr<RoutingPolicy> PolicyFor(int id) {
   switch (id) {
     case 0:
@@ -56,51 +58,53 @@ const char* PolicyName(int id) {
   }
 }
 
+CQSpec TwoFilterQuery() {
+  CQSpec spec;
+  spec.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(10)});  // f1
+  spec.filters.push_back({{0, "v"}, CmpOp::kLt, Value::Int64(10)});  // f2
+  return spec;
+}
+
+struct RunTotals {
+  uint64_t invocations = 0, decisions = 0, outputs = 0, tuples = 0;
+};
+
+void RunOnce(int policy_id, const std::vector<Tuple>& stream,
+             const MetricsRegistryRef& metrics, RunTotals* totals) {
+  // Every run of one policy reports into the same labelled instruments, so
+  // this run's share is the difference across it.
+  SharedEddy eddy(PolicyFor(policy_id), metrics, PolicyName(policy_id));
+  const uint64_t invocations0 = eddy.module_invocations();
+  const uint64_t decisions0 = eddy.routing_decisions();
+  const uint64_t outputs0 = eddy.deliveries();
+  eddy.RegisterStream(0, KVSchema(0));
+  (void)eddy.AddQuery(TwoFilterQuery());
+  eddy.SetOutput([](QueryId, const Tuple&) {});
+  for (const Tuple& t : stream) eddy.Ingest(0, t);
+  totals->invocations += eddy.module_invocations() - invocations0;
+  totals->decisions += eddy.routing_decisions() - decisions0;
+  totals->outputs += eddy.deliveries() - outputs0;
+  totals->tuples += stream.size();
+}
+
+void Report(benchmark::State& state, int policy_id, const RunTotals& t) {
+  state.SetItemsProcessed(static_cast<int64_t>(t.tuples));
+  state.counters["work_per_tuple"] =
+      static_cast<double>(t.invocations) / static_cast<double>(t.tuples);
+  state.counters["decisions_per_tuple"] =
+      static_cast<double>(t.decisions) / static_cast<double>(t.tuples);
+  state.counters["selected_frac"] =
+      static_cast<double>(t.outputs) / static_cast<double>(t.tuples);
+  state.SetLabel(PolicyName(policy_id));
+}
+
 void BM_SelectivityDrift(benchmark::State& state) {
   const int policy_id = static_cast<int>(state.range(0));
-  const size_t kTuples = 20000;
-  auto stream = UniformStream(0, kTuples, 100, 42);
-
-  // Phase predicates over independent attributes.
-  auto f1_selective = MakeCompareConst({0, "k"}, CmpOp::kLt, Value::Int64(10));
-  auto f1_permissive = MakeCompareConst({0, "k"}, CmpOp::kLt, Value::Int64(90));
-  auto f2_selective = MakeCompareConst({0, "v"}, CmpOp::kLt, Value::Int64(10));
-  auto f2_permissive = MakeCompareConst({0, "v"}, CmpOp::kLt, Value::Int64(90));
-
+  auto stream = DriftStream(0, kTuples, kTuples / 2, 42);
   auto metrics = std::make_shared<MetricsRegistry>();
-  uint64_t invocations = 0, decisions = 0, outputs = 0, tuples = 0;
-  for (auto _ : state) {
-    Eddy eddy(PolicyFor(policy_id), Eddy::Options{}, metrics,
-              PolicyName(policy_id));
-    auto s1 = std::make_unique<Selection>("f1", f1_selective, kFilterCost);
-    auto s2 = std::make_unique<Selection>("f2", f2_permissive, kFilterCost);
-    Selection* f1 = s1.get();
-    Selection* f2 = s2.get();
-    eddy.AddModule(std::move(s1));
-    eddy.AddModule(std::move(s2));
-    eddy.SetOutput([](const Tuple&) {});
-
-    for (size_t i = 0; i < stream.size(); ++i) {
-      if (i == stream.size() / 2) {
-        // The environment drifts: selectivities swap.
-        f1->ReplacePredicate(f1_permissive);
-        f2->ReplacePredicate(f2_selective);
-      }
-      eddy.Ingest(0, stream[i]);
-    }
-    invocations += eddy.module_invocations();
-    decisions += eddy.routing_decisions();
-    outputs += eddy.tuples_output();
-    tuples += stream.size();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(tuples));
-  state.counters["work_per_tuple"] =
-      static_cast<double>(invocations) / static_cast<double>(tuples);
-  state.counters["decisions_per_tuple"] =
-      static_cast<double>(decisions) / static_cast<double>(tuples);
-  state.counters["selected_frac"] =
-      static_cast<double>(outputs) / static_cast<double>(tuples);
-  state.SetLabel(PolicyName(policy_id));
+  RunTotals totals;
+  for (auto _ : state) RunOnce(policy_id, stream, metrics, &totals);
+  Report(state, policy_id, totals);
   // One-shot text dump of the eddy's instruments (routing decisions,
   // per-module selectivity gauges, ...) so a bench run doubles as a smoke
   // test of the metrics exposition.
@@ -116,25 +120,11 @@ BENCHMARK(BM_SelectivityDrift)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 // plan, paying only its routing overhead [AH00 "does no harm" claim].
 void BM_StaticEnvironment(benchmark::State& state) {
   const int policy_id = static_cast<int>(state.range(0));
-  const size_t kTuples = 20000;
-  auto stream = UniformStream(0, kTuples, 100, 43);
-  auto f1 = MakeCompareConst({0, "k"}, CmpOp::kLt, Value::Int64(10));
-  auto f2 = MakeCompareConst({0, "v"}, CmpOp::kLt, Value::Int64(90));
-
-  uint64_t invocations = 0, tuples = 0;
-  for (auto _ : state) {
-    Eddy eddy(PolicyFor(policy_id));
-    eddy.AddModule(std::make_unique<Selection>("f1", f1, kFilterCost));
-    eddy.AddModule(std::make_unique<Selection>("f2", f2, kFilterCost));
-    eddy.SetOutput([](const Tuple&) {});
-    for (const Tuple& t : stream) eddy.Ingest(0, t);
-    invocations += eddy.module_invocations();
-    tuples += stream.size();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(tuples));
-  state.counters["work_per_tuple"] =
-      static_cast<double>(invocations) / static_cast<double>(tuples);
-  state.SetLabel(PolicyName(policy_id));
+  auto stream = DriftStream(0, kTuples, /*period=*/0, 43);
+  auto metrics = std::make_shared<MetricsRegistry>();
+  RunTotals totals;
+  for (auto _ : state) RunOnce(policy_id, stream, metrics, &totals);
+  Report(state, policy_id, totals);
 }
 BENCHMARK(BM_StaticEnvironment)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 

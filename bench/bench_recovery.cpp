@@ -38,15 +38,22 @@ TelegraphCQ::Options DurableOptions(const std::string& tag) {
   return o;
 }
 
+/// Pushes one (k, v) row at timestamp k as a batch of one.
+Status PushKV(TelegraphCQ* server, const std::string& stream, int64_t k,
+              int64_t v) {
+  Result<TelegraphCQ::BatchBuilder> batch = server->NewBatch(stream);
+  if (!batch.ok()) return batch.status();
+  TCQ_RETURN_IF_ERROR(batch->Append(k, {Value::Int64(k), Value::Int64(v)}));
+  return server->PushBuilt(std::move(*batch));
+}
+
 /// N rows per side, unique keys starting at `key0`: every row lands in a
 /// SteM, and each L/R key pair joins exactly once.
 void IngestJoinRows(TelegraphCQ* server, int64_t key0, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     const int64_t k = key0 + i;
-    benchmark::DoNotOptimize(
-        server->Push("L", {Value::Int64(k), Value::Int64(i)}, k));
-    benchmark::DoNotOptimize(
-        server->Push("R", {Value::Int64(k), Value::Int64(i)}, k));
+    benchmark::DoNotOptimize(PushKV(server, "L", k, i));
+    benchmark::DoNotOptimize(PushKV(server, "R", k, i));
   }
 }
 

@@ -27,10 +27,14 @@ TelegraphCQ::Options DurableOptions() {
 }
 
 bool PushDay(TelegraphCQ* server, Timestamp day, double price) {
-  Status s = server->Push(
-      "ClosingStockPrices",
-      {Value::TimestampVal(day), Value::String("MSFT"), Value::Double(price)},
-      day);
+  Result<TelegraphCQ::BatchBuilder> batch =
+      server->NewBatch("ClosingStockPrices");
+  Status s = batch.status();
+  if (s.ok()) {
+    s = batch->Append(day, {Value::TimestampVal(day), Value::String("MSFT"),
+                            Value::Double(price)});
+  }
+  if (s.ok()) s = server->PushBuilt(std::move(*batch));
   if (!s.ok()) std::fprintf(stderr, "Push: %s\n", s.ToString().c_str());
   return s.ok();
 }

@@ -12,13 +12,17 @@
 #      (exec, exec_lifecycle, exec_sharding, fjords, cacq, obs, window,
 #      plus the event-time server suite) — must be TSan-clean
 #   4. UBSan build running the trace/queue/routing suites (the seqlock ring
-#      and histogram interpolation are the prime UB suspects)
+#      and histogram interpolation are the prime UB suspects); the routing
+#      suite (eddy_test) runs the production SharedEddy under every routing
+#      policy
 #   5. bench smoke: batched-vs-per-tuple comparison -> BENCH_batching.json,
 #      class lifecycle (merge/GC/rebalance) -> BENCH_exec_lifecycle.json,
 #      tracing overhead -> BENCH_tracing.json,
 #      shard scaling (1/2/4/8 replicas) -> BENCH_cacq_scaling.json,
 #      event-time disorder latency/exactness sweep -> BENCH_disorder.json,
 #      checkpoint/restore cost sweep -> BENCH_recovery.json,
+#      a quick run of the routing microbenches on SharedEddy (E1 adaptivity,
+#      E2 hybrid join, E4 shared-vs-one-query eddies, E7 batch x drift),
 #      plus a quick 2-shard correctness smoke
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-ubsan] [--no-bench]
@@ -49,15 +53,15 @@ if [[ "$(uname -m)" == "x86_64" ]]; then
   rm -f "$VEC_OBJ"
   VEC_COUNT="$(grep -c "loop vectorized" <<<"$VEC_REPORT" || true)"
   # Distinct filter_kernels.h loop lines with a vectorized report == kernel
-  # families that vectorized (AccumBound, AccumRange, MaskCmp, MaskEq,
-  # MaskRange, AnyNaN — one for-loop each; instantiations share the line).
+  # families that vectorized (AccumBound, AccumRange, AnyNaN — one for-loop
+  # each; instantiations share the line).
   VEC_FAMILIES="$(grep "loop vectorized" <<<"$VEC_REPORT" \
     | grep -o "filter_kernels\.h:[0-9]*" | sort -u | wc -l)"
-  echo "vectorized-loop reports: $VEC_COUNT (floor 15);" \
-       "kernel families: $VEC_FAMILIES (need 6)"
+  echo "vectorized-loop reports: $VEC_COUNT (floor 8);" \
+       "kernel families: $VEC_FAMILIES (need 3)"
   FAIL=0
-  if (( VEC_COUNT < 15 )); then FAIL=1; fi
-  if (( VEC_FAMILIES < 6 )); then FAIL=1; fi
+  if (( VEC_COUNT < 8 )); then FAIL=1; fi
+  if (( VEC_FAMILIES < 3 )); then FAIL=1; fi
   if (( FAIL )); then
     echo "$VEC_REPORT" >&2
     echo "vectorize gate FAILED" >&2
@@ -126,6 +130,12 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   scripts/bench_disorder.sh build
   echo "== bench smoke: BENCH_recovery.json =="
   scripts/bench_recovery.sh build
+  echo "== routing microbench smoke: E1/E2/E4/E7 =="
+  ./build/bench/bench_eddy_adaptivity --benchmark_min_time=0.01
+  ./build/bench/bench_stem_hybrid_join --benchmark_min_time=0.01
+  ./build/bench/bench_cacq_scaling --benchmark_min_time=0.01 \
+    --benchmark_filter='BM_SharedCACQ/(1|4|16)$|BM_QueryAtATime/(1|4|16)$'
+  ./build/bench/bench_adaptivity_knobs --benchmark_min_time=0.01
   echo "== 2-shard correctness smoke =="
   ./build/tests/exec_sharding_test \
     --gtest_filter='ExecShardingTest.ShardedJoinMatchesSingleShardAndReference'

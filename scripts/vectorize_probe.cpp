@@ -5,8 +5,7 @@
 // and counts the compiler's "loop vectorized" reports. Each probe below
 // instantiates one (kernel family x lane/comparison type) combination
 // exactly as the engine dispatches it — grouped-filter count sweeps
-// (AccumBound/AccumRange), eddy selection prefilters (MaskCmp/MaskEq/
-// MaskRange), and the NaN-lane guard (AnyNaN). If the report count drops
+// (AccumBound/AccumRange) and the NaN-lane guard (AnyNaN). If the report count drops
 // below the expected floor, a kernel stopped auto-vectorizing and the
 // batch-probe speedups the benches gate on silently erode — the stage
 // fails the build instead.
@@ -42,34 +41,6 @@ void probe_accum_range_ii(uint8_t* c, const int64_t* v, size_t n, int64_t lo,
 void probe_accum_range_dd(uint8_t* c, const double* v, size_t n, double lo,
                           double hi) {
   AccumRange<double, double, false, true>(c, v, n, lo, hi);
-}
-
-// Eddy selection prefilter mask sweeps.
-void probe_mask_cmp_ii(uint8_t* m, const int64_t* v, size_t n, int64_t lit) {
-  MaskCmp<int64_t, int64_t, Cmp::kLe>(m, v, n, lit);
-}
-void probe_mask_cmp_id(uint8_t* m, const int64_t* v, size_t n, double lit) {
-  MaskCmp<int64_t, double, Cmp::kGe>(m, v, n, lit);
-}
-void probe_mask_cmp_dd(uint8_t* m, const double* v, size_t n, double lit) {
-  MaskCmp<double, double, Cmp::kNe>(m, v, n, lit);
-}
-void probe_mask_eq_ii(uint8_t* m, const int64_t* v, size_t n, int64_t lit) {
-  MaskEq<int64_t, int64_t>(m, v, n, lit);
-}
-void probe_mask_eq_id(uint8_t* m, const int64_t* v, size_t n, double lit) {
-  MaskEq<int64_t, double>(m, v, n, lit);
-}
-void probe_mask_eq_dd(uint8_t* m, const double* v, size_t n, double lit) {
-  MaskEq<double, double>(m, v, n, lit);
-}
-void probe_mask_range_ii(uint8_t* m, const int64_t* v, size_t n, int64_t lo,
-                         int64_t hi) {
-  MaskRange<int64_t, int64_t, true, false>(m, v, n, lo, hi);
-}
-void probe_mask_range_dd(uint8_t* m, const double* v, size_t n, double lo,
-                         double hi) {
-  MaskRange<double, double, true, true>(m, v, n, lo, hi);
 }
 
 // NaN-lane guard (kernel dispatch refuses lanes containing NaN because

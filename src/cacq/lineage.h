@@ -19,7 +19,9 @@ struct SharedEnvelope {
   Tuple tuple;
   /// Module slots this tuple has satisfied (shared eddies allow up to 64).
   uint64_t done = 0;
-  /// Exactly-once sequence bound, as in the single-query eddy.
+  /// Max global arrival sequence number among the base tuples this
+  /// (possibly intermediate) tuple spans: the exactly-once rule for SteM
+  /// probes, which retrieve only builds with a smaller seq.
   Timestamp seq_max = 0;
   /// Queries that may still be satisfied by (a descendant of) this tuple.
   QuerySet live;

@@ -1,16 +1,14 @@
-// EddyModule: the unit of adaptive routing. An eddy continuously routes
-// tuples among a set of commutative modules (paper §2.2); each module
+// Routing statistics shared by every eddy module. An eddy continuously
+// routes tuples among a set of commutative modules (paper §2.2); each module
 // consumes a tuple and either passes it, drops it, or expands it into
-// replacement tuples (e.g. join concatenations from a SteM probe).
+// replacement tuples (e.g. join concatenations from a SteM probe). The
+// CACQ shared eddy (cacq/shared_eddy.h) is the one router; its modules
+// expose these observations to the routing policies.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "common/clock.h"
-#include "tuple/tuple.h"
 
 namespace tcq {
 
@@ -22,24 +20,8 @@ enum class ModuleAction {
   kExpand,  ///< Tuple consumed; replacement tuples appended to the output.
 };
 
-/// A tuple plus the per-tuple routing state the paper requires ("the state
-/// must indicate the set of connected modules successfully visited").
-struct Envelope {
-  Tuple tuple;
-  /// Bitmask over eddy module slots this tuple has satisfied.
-  uint32_t done = 0;
-  /// Max global arrival sequence number among the base tuples this
-  /// (possibly intermediate) tuple spans. Used for the exactly-once match
-  /// rule in SteM probes: a probe retrieves only builds with a smaller seq.
-  Timestamp seq_max = 0;
-  /// Module invocations this tuple has absorbed, inherited (+1) by expand
-  /// children — the eddy hop count (routing-quality signal, DESIGN.md §9).
-  uint32_t hops = 0;
-};
-
-/// Per-module observations that drive routing policies. Both the
-/// single-query EddyModule and the CACQ SharedModule expose this view, so
-/// one set of policies (lottery, greedy, ...) serves both eddies.
+/// Per-module observations that drive routing policies (lottery, greedy,
+/// ...): policies see modules only through this view.
 class RoutableStats {
  public:
   virtual ~RoutableStats() = default;
@@ -60,31 +42,6 @@ class RoutableStats {
   uint64_t passed_ = 0;
   uint64_t dropped_ = 0;
   uint64_t expanded_out_ = 0;
-};
-
-class EddyModule : public RoutableStats {
- public:
-  using Action = ModuleAction;
-
-  explicit EddyModule(std::string name) : name_(std::move(name)) {}
-
-  const std::string& name() const { return name_; }
-
-  /// Must a tuple spanning `sources` be processed by this module (ignoring
-  /// whether it already has)? The eddy combines this with done-bits to form
-  /// the ready set.
-  virtual bool AppliesTo(SourceSet sources) const = 0;
-
-  /// Processes one tuple. For kExpand the module appends replacement
-  /// envelopes (tuple + seq_max) to `out`; the eddy patches their done bits.
-  virtual Action Process(const Envelope& env, std::vector<Envelope>* out) = 0;
-
-  /// Base sources this module implicates in the query footprint (used to
-  /// derive the output-completeness condition).
-  virtual SourceSet contributes() const { return 0; }
-
- private:
-  std::string name_;
 };
 
 }  // namespace tcq

@@ -2,8 +2,7 @@
 // tuple visits next (paper §2.2, §4.3). The Lottery policy is the
 // ticket-based scheme of Avnur & Hellerstein [AH00]; FixedOrder is the
 // static-plan baseline the adaptivity experiments compare against. Policies
-// see modules only through RoutableStats, so the same policies drive both
-// single-query eddies and the CACQ shared eddy.
+// see modules only through RoutableStats.
 
 #pragma once
 
@@ -23,8 +22,8 @@ class RoutingPolicy {
   virtual const char* name() const = 0;
 
   /// Orders the ready module slots by routing preference into `out`
-  /// (best first). `out` is pre-cleared by the eddy. The eddy applies the
-  /// first `fix_len` modules of the order per decision ("fixing operators").
+  /// (best first). `out` is pre-cleared by the eddy, which routes the tuple
+  /// to the first slot of the order.
   virtual void Rank(const std::vector<size_t>& ready,
                     const std::vector<const RoutableStats*>& modules,
                     std::vector<size_t>* out) = 0;

@@ -142,36 +142,6 @@ DispatchUnit::StepResult SharedCQDispatchUnit::Step() {
   return r;
 }
 
-// --- EddyDispatchUnit --------------------------------------------------------
-
-EddyDispatchUnit::EddyDispatchUnit(std::string name,
-                                   std::unique_ptr<Eddy> eddy, size_t quantum)
-    : DispatchUnit(std::move(name)),
-      eddy_(std::move(eddy)),
-      quantum_(quantum) {}
-
-void EddyDispatchUnit::AddInput(SourceId source, FjordConsumer consumer) {
-  inputs_.push_back(Input{source, std::move(consumer), false});
-}
-
-DispatchUnit::StepResult EddyDispatchUnit::Step() {
-  auto [consumed, exhausted] = PumpInputs(
-      inputs_, &next_input_, quantum_,
-      [&](SourceId source, const TupleBatch& b, int64_t enq_us) {
-        obs::TraceBatchScope scope(tracer_.get(), enq_us);
-        if (scope.sampled() && enq_us > 0) {
-          tracer_->Record(obs::SpanKind::kQueueWait, source, 0, enq_us,
-                          NowMicros() - enq_us);
-        }
-        eddy_->IngestBatch(b);
-      });
-  StepResult r = consumed > 0 ? StepResult::kProgress
-                 : exhausted  ? StepResult::kDone
-                              : StepResult::kIdle;
-  CountStep(r);
-  return r;
-}
-
 // --- WindowedQueryDispatchUnit -----------------------------------------------
 
 WindowedQueryDispatchUnit::WindowedQueryDispatchUnit(
@@ -202,9 +172,12 @@ DispatchUnit::StepResult WindowedQueryDispatchUnit::Step() {
     }
   }
   runner_.Poll([&](const WindowResult& r) { sink_(r); });
-  StepResult r = consumed > 0 ? StepResult::kProgress
-                 : (exhausted || runner_.Done()) ? StepResult::kDone
-                                                 : StepResult::kIdle;
+  // A finished loop is done at once: nothing it could still consume would
+  // ever be read again.
+  StepResult r = runner_.Done()  ? StepResult::kDone
+                 : consumed > 0 ? StepResult::kProgress
+                 : exhausted    ? StepResult::kDone
+                                : StepResult::kIdle;
   CountStep(r);
   return r;
 }

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cacq/shared_eddy.h"
-#include "eddy/eddy.h"
 #include "fjords/fjord.h"
 #include "obs/trace.h"
 #include "window/window_exec.h"
@@ -45,6 +44,9 @@ class DispatchUnit {
   uint64_t progress_steps() const {
     return progress_steps_.load(std::memory_order_relaxed);
   }
+  /// True once a Step() reported kDone (the EO stops stepping the DU then).
+  /// Safe to read from any thread.
+  bool done() const { return done_.load(); }
 
  protected:
   void CountStep(StepResult r) {
@@ -52,12 +54,14 @@ class DispatchUnit {
     if (r == StepResult::kProgress) {
       progress_steps_.fetch_add(1, std::memory_order_relaxed);
     }
+    if (r == StepResult::kDone) done_.store(true);
   }
 
  private:
   std::string name_;
   std::atomic<uint64_t> steps_{0};
   std::atomic<uint64_t> progress_steps_{0};
+  std::atomic<bool> done_{false};
 };
 
 /// The shared "continuous query" mode DU (paper §4.2.2 mode 3): one CACQ
@@ -147,34 +151,6 @@ class SharedCQDispatchUnit : public DispatchUnit {
   std::vector<Input> pending_inputs_;
   // DU-thread-only delivery table: local query id -> (global id, sink).
   std::map<QueryId, std::pair<uint64_t, GlobalSink>> sinks_;
-};
-
-/// A single-eddy DU (mode 2): one adaptive query plan with Fjord-style
-/// inputs, no cross-query sharing.
-class EddyDispatchUnit : public DispatchUnit {
- public:
-  EddyDispatchUnit(std::string name, std::unique_ptr<Eddy> eddy,
-                   size_t quantum = 64);
-
-  void AddInput(SourceId source, FjordConsumer consumer);
-
-  StepResult Step() override;
-
-  Eddy* eddy() { return eddy_.get(); }
-
-  void set_tracer(obs::TracerRef tracer) { tracer_ = std::move(tracer); }
-
- private:
-  std::unique_ptr<Eddy> eddy_;
-  obs::TracerRef tracer_;
-  size_t quantum_;
-  struct Input {
-    SourceId source;
-    FjordConsumer consumer;
-    bool exhausted = false;
-  };
-  std::vector<Input> inputs_;
-  size_t next_input_ = 0;
 };
 
 /// A windowed-query DU: drives an OnlineWindowRunner from stream inputs and

@@ -40,8 +40,8 @@ QueueOp FjordProducer::ProduceBatch(TupleBatch* batch) {
   QueueOp op = QueueOp::kOk;
   switch (fjord_->mode()) {
     case FjordMode::kPull: {
-      size_t pushed = fjord_->queue().PushBatchBlocking(batch->data(),
-                                                        batch->size());
+      size_t pushed = fjord_->queue().PushNBlocking(batch->data(),
+                                                    batch->size());
       // Uniform batch contract across modes: the unconsumed suffix stays in
       // the batch for the caller to account. (Clearing it here made
       // "before - batch.size()" callers count close-dropped tuples as
@@ -53,7 +53,7 @@ QueueOp FjordProducer::ProduceBatch(TupleBatch* batch) {
     case FjordMode::kPush:
     case FjordMode::kExchange: {
       size_t pushed =
-          fjord_->queue().TryPushBatch(batch->data(), batch->size(), &op);
+          fjord_->queue().TryPushN(batch->data(), batch->size(), &op);
       batch->DropFront(pushed);
       break;
     }

@@ -136,7 +136,7 @@ class BoundedQueue {
   /// everything fit, kWouldBlock on a partial/empty transfer (queue filled
   /// up), kClosed after Close() (remaining items are left with the caller,
   /// NOT destroyed — only the caller knows whether to drop or retry them).
-  size_t TryPushBatch(T* items, size_t n, QueueOp* op) {
+  size_t TryPushN(T* items, size_t n, QueueOp* op) {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) {
       *op = QueueOp::kClosed;
@@ -166,11 +166,11 @@ class BoundedQueue {
   /// items are enqueued or the queue closes. Returns the count enqueued
   /// (< n only on close). The un-pushed suffix items[pushed..n) is left
   /// with the caller, NOT destroyed and NOT counted in
-  /// dropped_on_close_count() — matching TryPushBatch. Only the caller
+  /// dropped_on_close_count() — matching TryPushN. Only the caller
   /// knows whether those items are lost or re-routable, so only the caller
   /// can account for them; counting them here too double-counted every
   /// batch drop a caller also tracked.
-  size_t PushBatchBlocking(T* items, size_t n) {
+  size_t PushNBlocking(T* items, size_t n) {
     size_t pushed = 0;
     while (pushed < n) {
       std::unique_lock<std::mutex> lock(mu_);

@@ -27,18 +27,9 @@ void SimulatedRemoteIndex::Lookup(const Value& key, std::vector<Tuple>* out) {
   out->insert(out->end(), it->second.begin(), it->second.end());
 }
 
-RemoteIndexProbe::RemoteIndexProbe(std::string name,
-                                   SimulatedRemoteIndex* index,
+RemoteIndexProbe::RemoteIndexProbe(SimulatedRemoteIndex* index,
                                    AttrRef probe_key, SteM* cache)
-    : EddyModule(std::move(name)),
-      index_(index),
-      probe_key_(std::move(probe_key)),
-      cache_(cache) {}
-
-bool RemoteIndexProbe::AppliesTo(SourceSet sources) const {
-  if (sources & SourceBit(index_->source())) return false;
-  return (sources & SourceBit(probe_key_.source)) != 0;
-}
+    : index_(index), probe_key_(std::move(probe_key)), cache_(cache) {}
 
 SchemaRef RemoteIndexProbe::ConcatSchemaFor(const SchemaRef& input) {
   const Schema* key = input.get();
@@ -50,37 +41,34 @@ SchemaRef RemoteIndexProbe::ConcatSchemaFor(const SchemaRef& input) {
   return out;
 }
 
-EddyModule::Action RemoteIndexProbe::Process(const Envelope& env,
-                                             std::vector<Envelope>* out) {
-  const Value* key = ResolveAttr(env.tuple, probe_key_);
+size_t RemoteIndexProbe::Probe(const Tuple& probe, std::vector<Tuple>* out) {
+  const Value* key = ResolveAttr(probe, probe_key_);
   assert(key != nullptr && "remote index probe key missing");
 
   std::vector<Tuple> matches;
-  bool known = fetched_keys_.contains(*key);
-  if (cache_ != nullptr && known) {
+  if (cache_ != nullptr && fetched_keys_.contains(*key)) {
     // Served from the lookup cache: no remote cost.
     ++cache_hits_;
     std::vector<const StemEntry*> cached;
     // Cache builds use seq 0 (the remote table is static and "always
-    // earlier" than any stream tuple), so every probe sees them.
-    cache_->ProbeEq(*key, /*seq_bound=*/env.seq_max, &cached);
+    // earlier" than any stream tuple), so a bound of 1 sees all of them.
+    cache_->ProbeEq(*key, /*seq_bound=*/1, &cached);
     matches.reserve(cached.size());
     for (const StemEntry* e : cached) matches.push_back(e->tuple);
   } else {
     index_->Lookup(*key, &matches);
-    fetched_keys_[*key] = true;
+    fetched_keys_.insert(*key);
     if (cache_ != nullptr) {
       for (const Tuple& t : matches) cache_->Build(t, /*seq=*/0);
     }
   }
 
-  if (matches.empty()) return Action::kDrop;
-  SchemaRef out_schema = ConcatSchemaFor(env.tuple.schema());
+  if (matches.empty()) return 0;
+  SchemaRef out_schema = ConcatSchemaFor(probe.schema());
   for (const Tuple& m : matches) {
-    out->push_back(Envelope{Tuple::Concat(env.tuple, m, out_schema), 0,
-                            env.seq_max});
+    out->push_back(Tuple::Concat(probe, m, out_schema));
   }
-  return Action::kExpand;
+  return matches.size();
 }
 
 }  // namespace tcq

@@ -4,16 +4,16 @@
 // virtual microseconds, so the E2 hybrid-join experiment can trade per-probe
 // latency against symmetric-hash state without wall-clock sleeps.
 //
-// RemoteIndexProbe is an eddy module implementing the asynchronous index
-// join of [GW00]: tuples probe the remote index; a SteM on the probing
-// stream acts as the rendezvous buffer and a SteM on the indexed table acts
-// as a cache of previous expensive lookups [HN96].
+// RemoteIndexProbe is the index-join operator of [GW00]: tuples probe the
+// remote index, and a SteM on the indexed table acts as a cache of previous
+// expensive lookups [HN96]. It is a plain operator, not an eddy module: a
+// plan with one module leaves an eddy no routing choice to make.
 
 #pragma once
 
 #include <unordered_map>
+#include <unordered_set>
 
-#include "eddy/module.h"
 #include "operators/predicate.h"
 #include "stem/stem.h"
 #include "tuple/value.h"
@@ -55,20 +55,18 @@ class SimulatedRemoteIndex {
   Timestamp cost_us_ = 0;
 };
 
-/// Eddy module: probe the remote index with an optional SteM cache. When the
-/// cache SteM is given, keys already fetched are answered locally (charging
-/// nothing), and fetched tuples are built into the cache — this is the
-/// "SteM on T as a cache of previous expensive T lookups" hybrid of §2.2.
-class RemoteIndexProbe : public EddyModule {
+/// Probes the remote index with an optional SteM cache. When the cache SteM
+/// is given, keys already fetched are answered locally (charging nothing),
+/// and fetched tuples are built into the cache — this is the "SteM on T as a
+/// cache of previous expensive T lookups" hybrid of §2.2.
+class RemoteIndexProbe {
  public:
-  RemoteIndexProbe(std::string name, SimulatedRemoteIndex* index,
-                   AttrRef probe_key, SteM* cache = nullptr);
+  RemoteIndexProbe(SimulatedRemoteIndex* index, AttrRef probe_key,
+                   SteM* cache = nullptr);
 
-  bool AppliesTo(SourceSet sources) const override;
-  Action Process(const Envelope& env, std::vector<Envelope>* out) override;
-  SourceSet contributes() const override {
-    return SourceBit(index_->source()) | SourceBit(probe_key_.source);
-  }
+  /// Appends the concatenation of `probe` with each matching index row to
+  /// `out`; returns the number of matches (0 means the probe drops).
+  size_t Probe(const Tuple& probe, std::vector<Tuple>* out);
 
   uint64_t cache_hits() const { return cache_hits_; }
 
@@ -78,10 +76,9 @@ class RemoteIndexProbe : public EddyModule {
   SimulatedRemoteIndex* index_;
   AttrRef probe_key_;
   SteM* cache_;
-  std::unordered_map<Value, bool, ValueHash> fetched_keys_;
+  std::unordered_set<Value, ValueHash> fetched_keys_;
   std::vector<std::pair<const Schema*, SchemaRef>> schema_cache_;
   uint64_t cache_hits_ = 0;
-  Timestamp next_seq_hint_ = 1;
 };
 
 }  // namespace tcq

@@ -26,13 +26,11 @@ std::string DupElim::KeyOf(const Tuple& tuple) const {
   return key;
 }
 
-EddyModule::Action DupElim::Process(const Envelope& env,
-                                    std::vector<Envelope>*) {
-  std::string key = KeyOf(env.tuple);
-  auto [it, inserted] = seen_.insert(std::move(key));
-  if (!inserted) return Action::kDrop;
-  if (opts_.window > 0) by_time_.emplace_back(env.tuple.timestamp(), *it);
-  return Action::kPass;
+bool DupElim::Admit(const Tuple& tuple) {
+  auto [it, inserted] = seen_.insert(KeyOf(tuple));
+  if (!inserted) return false;
+  if (opts_.window > 0) by_time_.emplace_back(tuple.timestamp(), *it);
+  return true;
 }
 
 void DupElim::AdvanceTime(Timestamp now) {

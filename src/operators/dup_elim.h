@@ -1,5 +1,5 @@
-// Duplicate elimination: a pipelined, non-blocking module (listed among the
-// Telegraph query modules in Fig. 1). Keeps a set of seen keys over the
+// Duplicate elimination: a pipelined, non-blocking operator (listed among
+// the Telegraph query modules in Fig. 1). Keeps a set of seen keys over the
 // configured attributes; over infinite streams the set can be bounded by a
 // window so state does not grow without limit.
 
@@ -10,12 +10,11 @@
 #include <deque>
 #include <vector>
 
-#include "eddy/module.h"
 #include "operators/predicate.h"
 
 namespace tcq {
 
-class DupElim : public EddyModule {
+class DupElim {
  public:
   struct Options {
     /// Attributes defining tuple identity; empty = all fields.
@@ -24,18 +23,11 @@ class DupElim : public EddyModule {
     Timestamp window = 0;
   };
 
-  DupElim(std::string name, Options opts)
-      : EddyModule(std::move(name)), opts_(std::move(opts)) {
-    for (const AttrRef& a : opts_.key_attrs) sources_ |= SourceBit(a.source);
-  }
+  explicit DupElim(Options opts) : opts_(std::move(opts)) {}
 
-  bool AppliesTo(SourceSet sources) const override {
-    return (sources_ & ~sources) == 0;
-  }
-
-  Action Process(const Envelope& env, std::vector<Envelope>* out) override;
-
-  SourceSet contributes() const override { return sources_; }
+  /// Records the tuple's key; true when it was not seen before (the tuple
+  /// passes), false for a duplicate (the tuple is dropped).
+  bool Admit(const Tuple& tuple);
 
   /// Expires remembered keys under the window policy.
   void AdvanceTime(Timestamp now);
@@ -46,7 +38,6 @@ class DupElim : public EddyModule {
   std::string KeyOf(const Tuple& tuple) const;
 
   Options opts_;
-  SourceSet sources_ = 0;
   std::unordered_set<std::string> seen_;
   std::deque<std::pair<Timestamp, std::string>> by_time_;
 };

@@ -1,7 +1,6 @@
 // Auto-vectorizable predicate kernels (DESIGN.md §11). Each kernel sweeps
 // one contiguous typed lane for ONE compiled factor, accumulating per-row
-// match counts (grouped filters) or narrowing a byte selection mask (eddy
-// selection prefilters). The loops are written to the vectorizer's taste:
+// match counts for the grouped filters. The loops are written to the vectorizer's taste:
 // no branches in the body, byte-sized accumulators, __restrict__ pointers,
 // comparison results used as 0/1 integers. scripts/check.sh compiles
 // scripts/vectorize_probe.cpp with -fopt-info-vec and fails the build if
@@ -53,46 +52,6 @@ inline void AccumRange(uint8_t* __restrict__ counts, const T* __restrict__ v,
   }
 }
 
-/// mask[i] &= (C(v[i]) OP lit): narrows a selection mask by one comparison
-/// (the eddy's Selection-module prefilter).
-template <typename T, typename C, Cmp Op>
-inline void MaskCmp(uint8_t* __restrict__ mask, const T* __restrict__ v,
-                    size_t n, C lit) {
-  for (size_t i = 0; i < n; ++i) {
-    C x = static_cast<C>(v[i]);
-    uint8_t keep = 0;
-    if constexpr (Op == Cmp::kGe) keep = static_cast<uint8_t>(x >= lit);
-    if constexpr (Op == Cmp::kGt) keep = static_cast<uint8_t>(x > lit);
-    if constexpr (Op == Cmp::kLe) keep = static_cast<uint8_t>(x <= lit);
-    if constexpr (Op == Cmp::kLt) keep = static_cast<uint8_t>(x < lit);
-    if constexpr (Op == Cmp::kNe) keep = static_cast<uint8_t>(x != lit);
-    mask[i] &= keep;
-  }
-}
-
-/// mask[i] &= (C(v[i]) == lit) (equality selections).
-template <typename T, typename C>
-inline void MaskEq(uint8_t* __restrict__ mask, const T* __restrict__ v,
-                   size_t n, C lit) {
-  for (size_t i = 0; i < n; ++i) {
-    mask[i] &= static_cast<uint8_t>(static_cast<C>(v[i]) == lit);
-  }
-}
-
-/// mask[i] &= (lo-side AND hi-side) for a two-sided range selection.
-template <typename T, typename C, bool LoIncl, bool HiIncl>
-inline void MaskRange(uint8_t* __restrict__ mask, const T* __restrict__ v,
-                      size_t n, C lo, C hi) {
-  for (size_t i = 0; i < n; ++i) {
-    C x = static_cast<C>(v[i]);
-    uint8_t in_lo = LoIncl ? static_cast<uint8_t>(x >= lo)
-                           : static_cast<uint8_t>(x > lo);
-    uint8_t in_hi = HiIncl ? static_cast<uint8_t>(x <= hi)
-                           : static_cast<uint8_t>(x < hi);
-    mask[i] &= static_cast<uint8_t>(in_lo & in_hi);
-  }
-}
-
 /// True when any lane value is NaN. Value::Compare's `(a>b)-(a<b)` form
 /// reports NaN as EQUAL to everything, which no IEEE comparison in the
 /// kernels above reproduces — callers must fall back to the scalar path for
@@ -138,43 +97,6 @@ inline void AccumRangeDyn(uint8_t* counts, const T* v, size_t n, C lo, C hi,
     AccumRange<T, C, false, true>(counts, v, n, lo, hi);
   } else {
     AccumRange<T, C, false, false>(counts, v, n, lo, hi);
-  }
-}
-
-/// Dispatch helper for MaskCmp.
-template <typename T, typename C>
-inline void MaskCmpDyn(uint8_t* mask, const T* v, size_t n, C lit, Cmp op) {
-  switch (op) {
-    case Cmp::kGe:
-      MaskCmp<T, C, Cmp::kGe>(mask, v, n, lit);
-      break;
-    case Cmp::kGt:
-      MaskCmp<T, C, Cmp::kGt>(mask, v, n, lit);
-      break;
-    case Cmp::kLe:
-      MaskCmp<T, C, Cmp::kLe>(mask, v, n, lit);
-      break;
-    case Cmp::kLt:
-      MaskCmp<T, C, Cmp::kLt>(mask, v, n, lit);
-      break;
-    case Cmp::kNe:
-      MaskCmp<T, C, Cmp::kNe>(mask, v, n, lit);
-      break;
-  }
-}
-
-/// Dispatch helper for MaskRange.
-template <typename T, typename C>
-inline void MaskRangeDyn(uint8_t* mask, const T* v, size_t n, C lo, C hi,
-                         bool lo_incl, bool hi_incl) {
-  if (lo_incl && hi_incl) {
-    MaskRange<T, C, true, true>(mask, v, n, lo, hi);
-  } else if (lo_incl) {
-    MaskRange<T, C, true, false>(mask, v, n, lo, hi);
-  } else if (hi_incl) {
-    MaskRange<T, C, false, true>(mask, v, n, lo, hi);
-  } else {
-    MaskRange<T, C, false, false>(mask, v, n, lo, hi);
   }
 }
 

@@ -1,7 +1,8 @@
 // Predicates: boolean factors over tuple attributes. Queries decompose into
-// single-variable factors (routed to grouped filters / selection modules) and
-// multi-variable factors (join predicates evaluated inside SteM probes) —
-// exactly the decomposition CACQ performs (paper §3.1).
+// single-variable factors (routed to grouped filters) and multi-variable
+// factors (equijoins executed by SteM probes, residuals checked once their
+// sources are spanned) — exactly the decomposition CACQ performs (paper
+// §3.1).
 
 #pragma once
 

@@ -1,7 +1,5 @@
 #include "operators/transitive_closure.h"
 
-#include <cassert>
-
 namespace tcq {
 
 bool TransitiveClosure::Insert(int64_t from, int64_t to) {
@@ -39,35 +37,6 @@ std::vector<std::pair<int64_t, int64_t>> TransitiveClosure::AddEdge(
 bool TransitiveClosure::Reaches(int64_t from, int64_t to) const {
   auto it = forward_.find(from);
   return it != forward_.end() && it->second.contains(to);
-}
-
-TransitiveClosureModule::TransitiveClosureModule(std::string name,
-                                                 AttrRef from_attr,
-                                                 AttrRef to_attr,
-                                                 SchemaRef out_schema)
-    : EddyModule(std::move(name)),
-      from_attr_(std::move(from_attr)),
-      to_attr_(std::move(to_attr)),
-      out_schema_(std::move(out_schema)) {
-  assert(out_schema_->num_fields() == 2 && "closure schema is (from, to)");
-  required_ = SourceBit(from_attr_.source) | SourceBit(to_attr_.source);
-}
-
-EddyModule::Action TransitiveClosureModule::Process(
-    const Envelope& env, std::vector<Envelope>* out) {
-  const Value* from = ResolveAttr(env.tuple, from_attr_);
-  const Value* to = ResolveAttr(env.tuple, to_attr_);
-  assert(from != nullptr && to != nullptr && "edge attributes missing");
-  auto fresh = closure_.AddEdge(from->AsInt64(), to->AsInt64());
-  if (fresh.empty()) return Action::kDrop;
-  out->reserve(fresh.size());
-  for (auto [x, y] : fresh) {
-    out->push_back(Envelope{
-        Tuple::Make(out_schema_, {Value::Int64(x), Value::Int64(y)},
-                    env.tuple.timestamp()),
-        0, env.seq_max});
-  }
-  return Action::kExpand;
 }
 
 }  // namespace tcq

@@ -6,15 +6,12 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
-
-#include "eddy/module.h"
-#include "operators/predicate.h"
-#include "tuple/tuple.h"
 
 namespace tcq {
 
@@ -39,35 +36,6 @@ class TransitiveClosure {
   uint64_t edges_ = 0;
 
   bool Insert(int64_t from, int64_t to);
-};
-
-/// Eddy module form: consumes edge tuples and expands each into the tuples
-/// of the newly derived closure pairs (same schema, with the module's
-/// source id). A pass-through for already-known pairs would re-derive
-/// results, so known pairs are dropped.
-class TransitiveClosureModule : public EddyModule {
- public:
-  /// `from_attr`/`to_attr` name the edge endpoints in the input schema; the
-  /// emitted tuples use `out_schema` (two int64 fields plus timestamp).
-  TransitiveClosureModule(std::string name, AttrRef from_attr,
-                          AttrRef to_attr, SchemaRef out_schema);
-
-  bool AppliesTo(SourceSet sources) const override {
-    return (required_ & ~sources) == 0;
-  }
-
-  Action Process(const Envelope& env, std::vector<Envelope>* out) override;
-
-  SourceSet contributes() const override { return required_; }
-
-  const TransitiveClosure& closure() const { return closure_; }
-
- private:
-  AttrRef from_attr_;
-  AttrRef to_attr_;
-  SchemaRef out_schema_;
-  SourceSet required_;
-  TransitiveClosure closure_;
 };
 
 }  // namespace tcq

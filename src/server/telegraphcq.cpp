@@ -366,54 +366,6 @@ Status TelegraphCQ::PushBuilt(BatchBuilder&& built) {
   return Status::OK();
 }
 
-Status TelegraphCQ::PushBatch(const std::string& stream_name,
-                              std::vector<TupleBatchRow> rows) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = streams_.find(stream_name);
-  if (it == streams_.end()) {
-    return Status::NotFound("no stream '" + stream_name + "'");
-  }
-  PhysicalStream& stream = it->second;
-  if (stream.closed) {
-    return Status::FailedPrecondition("stream '" + stream_name +
-                                      "' is closed");
-  }
-  // Atomic validation: reject the whole batch before any row is ingested.
-  for (size_t i = 0; i < rows.size(); ++i) {
-    Status s = stream.schema->Validate(rows[i].values);
-    if (!s.ok()) {
-      return Status::InvalidArgument("row " + std::to_string(i) + " of " +
-                                     std::to_string(rows.size()) + ": " +
-                                     s.message());
-    }
-  }
-  if (rows.empty()) return Status::OK();
-  // Row -> column transposition: PushBatch is a compat wrapper over the
-  // same columnar ingest path PushBuilt takes. Validation above guarantees
-  // every value fits its lane, so Finish() cannot go ragged.
-  ColumnStoreBuilder builder(stream.schema);
-  for (TupleBatchRow& row : rows) {
-    builder.AppendTimestamp(row.timestamp);
-    for (size_t c = 0; c < row.values.size(); ++c) {
-      bool ok = builder.Append(c, std::move(row.values[c]));
-      (void)ok;
-      assert(ok && "Schema::Validate admitted a value the lane rejects");
-    }
-  }
-  ColumnStore::Ref cols = builder.Finish();
-  assert(cols != nullptr);
-  TupleBatch batch(stream.canonical, std::move(cols));
-  RouteBatch(&stream, batch);
-  return Status::OK();
-}
-
-Status TelegraphCQ::Push(const std::string& stream_name,
-                         std::vector<Value> values, Timestamp timestamp) {
-  std::vector<TupleBatchRow> rows;
-  rows.push_back(TupleBatchRow{std::move(values), timestamp});
-  return PushBatch(stream_name, std::move(rows));
-}
-
 Status TelegraphCQ::CloseStream(const std::string& stream_name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = streams_.find(stream_name);
@@ -623,7 +575,9 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
       Counter* win_dropped = metrics_->GetCounter(
           MetricName("tcq_window_input_dropped_total", "window",
                      "w" + std::to_string(wid)));
-      sub.deliver = [producer, win_dropped](const TupleBatch& b) {
+      sub.deliver = [producer, win_dropped, du](const TupleBatch& b) {
+        // A finished loop reads nothing more: its input is not a drop.
+        if (du->done()) return;
         // Push mode: drop on overload (windowed clients are best-effort
         // under backpressure) — but count what was dropped; the unconsumed
         // suffix stays in the offered batch by the ProduceBatch contract.
@@ -699,6 +653,7 @@ Status PushWindowInput(FjordProducer* producer, DispatchUnit* du,
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (;;) {
+    if (du->done()) return Status::OK();  // a finished loop reads no more
     QueueOp op = producer->ProduceBatch(&batch);
     if (batch.empty() && batch.punctuations().empty()) return Status::OK();
     if (op == QueueOp::kClosed) {
@@ -738,7 +693,8 @@ Status TelegraphCQ::DrainWindowedLocked() {
   for (;;) {
     bool busy = false;
     for (auto& [id, client] : clients_) {
-      if (!client.windowed) continue;
+      // A finished loop counts as drained: its EO no longer steps it.
+      if (!client.windowed || client.window_du->done()) continue;
       bool pending = false;
       for (const ClientInfo::WindowInput& in : client.window_inputs) {
         if (in.fjord->queue().size() > 0) pending = true;
@@ -1417,7 +1373,7 @@ void TelegraphCQ::Stop() {
   // The checkpointer goes first: it takes mu_ and stops/starts EOs.
   checkpoint_stop_.store(true);
   if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
-  // Stop the publisher next: it pushes into streams_ via PushBatch.
+  // Stop the publisher next: it pushes into streams_ via PushBuilt.
   if (system_streams_ != nullptr) system_streams_->Stop();
   wrapper_.Stop();
   stop_.store(true);

@@ -63,13 +63,13 @@ class WindowResultBuffer {
 
 // Error contract of the server facade — ONE table shared by every public
 // entry point (DefineStream, AttachSource, NewBatch / BatchBuilder::Append /
-// PushBuilt, Push / PushBatch, CloseStream, Submit, ScanHistory, Cancel).
+// PushBuilt, CloseStream, Submit, ScanHistory, Cancel).
 // Failures are always surfaced as a typed Status; nothing is silently
 // dropped (engine-side sheds are counted and visible via Introspect()).
 //   * kNotFound            — the named stream / query id does not exist;
 //   * kInvalidArgument     — the request is malformed: schema mismatch
-//                            (arity or field type, from batch-builder /
-//                            push validation), unparsable SQL, bad plan,
+//                            (arity or field type, from
+//                            BatchBuilder::Append), unparsable SQL, bad plan,
 //                            reserved "tcq$" stream name;
 //   * kFailedPrecondition  — the request is well-formed but the engine is in
 //                            the wrong state for it (stream closed, sources
@@ -208,15 +208,7 @@ class TelegraphCQ {
     uint64_t restore_replay_tuples = 0;   ///< spool tuples replayed on restore
   };
 
-  /// One client-facing row of a PushBatch call. COMPAT shape for the
-  /// row-oriented wrappers below; new code should build batches column-wise
-  /// with NewBatch() / BatchBuilder / PushBuilt().
-  struct TupleBatchRow {
-    std::vector<Value> values;
-    Timestamp timestamp = 0;
-  };
-
-  /// Column-wise batch construction — the PRIMARY ingestion surface
+  /// Column-wise batch construction — the one push ingestion surface
   /// (DESIGN.md §11). Obtain one with NewBatch(), append rows, hand it back
   /// with PushBuilt(): values land directly in typed columnar lanes, so the
   /// batch enters the dataflow columnar-native and the vectorized filter
@@ -280,7 +272,7 @@ class TelegraphCQ {
   /// stream.
   Result<BatchBuilder> NewBatch(const std::string& stream);
 
-  /// PRIMARY push-server ingestion: ingests a built batch under one
+  /// Push-server ingestion: ingests a built batch under one
   /// lock/lookup, routed batch-at-a-time through the dataflow in columnar
   /// form. Every row was validated by BatchBuilder::Append, so ingestion is
   /// all-or-nothing by construction. Timestamps must be non-decreasing
@@ -288,19 +280,6 @@ class TelegraphCQ {
   /// kFailedPrecondition as for NewBatch (the stream may have closed in
   /// between).
   Status PushBuilt(BatchBuilder&& batch);
-
-  /// COMPAT row-oriented wrapper over the columnar ingest path: delivers a
-  /// whole batch of row-shaped TupleBatchRows. Validation is atomic: every
-  /// row is checked against the stream's schema before any is ingested, so
-  /// a kInvalidArgument return ("row i of n: ...") means NO row of the
-  /// batch entered the engine. Timestamps must be non-decreasing across
-  /// rows and calls. kNotFound for an unknown stream; kFailedPrecondition
-  /// for a closed stream.
-  Status PushBatch(const std::string& stream, std::vector<TupleBatchRow> rows);
-
-  /// COMPAT single-row convenience wrapper over PushBatch (a batch of one).
-  Status Push(const std::string& stream, std::vector<Value> values,
-              Timestamp timestamp);
 
   /// Declares a pushed stream finished (windowed queries over it can fire
   /// their remaining windows). Idempotent: closing a closed stream is OK.

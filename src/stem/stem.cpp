@@ -161,72 +161,4 @@ Status SteM::RestoreFrom(CheckpointReader* r) {
   return Status::OK();
 }
 
-SteMProbe::SteMProbe(std::string name, SteM* stem, JoinSpec spec)
-    : EddyModule(std::move(name)), stem_(stem), spec_(std::move(spec)) {
-  assert(spec_.probe_key.has_value() == spec_.build_key.has_value() &&
-         "probe_key and build_key must be set together");
-  if (spec_.build_key) stem_->EnsureIndex(spec_.build_key->name);
-  if (spec_.required_override != 0) {
-    required_ = spec_.required_override;
-  } else if (spec_.probe_key) {
-    required_ = SourceBit(spec_.probe_key->source);
-  } else {
-    // Scan join: require the probe-side sources of every predicate that
-    // touches the SteM's source.
-    required_ = 0;
-    for (const auto& p : spec_.predicates) {
-      if (p->sources() & SourceBit(stem_->source())) {
-        required_ |= p->sources() & ~SourceBit(stem_->source());
-      }
-    }
-  }
-}
-
-bool SteMProbe::AppliesTo(SourceSet sources) const {
-  // A tuple probes this SteM iff it does not yet span the SteM's source but
-  // does span everything the join predicate needs on the probe side.
-  if (sources & SourceBit(stem_->source())) return false;
-  return (required_ & ~sources) == 0;
-}
-
-SchemaRef SteMProbe::ConcatSchemaFor(const SchemaRef& input) {
-  const Schema* key = input.get();
-  for (const auto& [cached_key, cached] : schema_cache_) {
-    if (cached_key == key) return cached;
-  }
-  SchemaRef out = Schema::Concat(input, stem_->schema());
-  schema_cache_.emplace_back(key, out);
-  return out;
-}
-
-EddyModule::Action SteMProbe::Process(const Envelope& env,
-                                      std::vector<Envelope>* out) {
-  scratch_.clear();
-  if (spec_.probe_key) {
-    const Value* key = ResolveAttr(env.tuple, *spec_.probe_key);
-    assert(key != nullptr && "probe key attribute missing");
-    stem_->ProbeEq(spec_.build_key->name, *key, env.seq_max, &scratch_);
-  } else {
-    stem_->ProbeScan(env.seq_max, &scratch_);
-  }
-  if (scratch_.empty()) return Action::kDrop;
-  SchemaRef out_schema = ConcatSchemaFor(env.tuple.schema());
-  for (const StemEntry* e : scratch_) {
-    Tuple child = Tuple::Concat(env.tuple, e->tuple, out_schema);
-    // The hashed equality already holds; enforce every other predicate that
-    // just became evaluable on the concatenation.
-    bool ok = true;
-    for (const auto& p : spec_.predicates) {
-      if (p->CanEval(child) && !p->Eval(child)) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    out->push_back(
-        Envelope{std::move(child), 0, std::max(env.seq_max, e->seq)});
-  }
-  return Action::kExpand;
-}
-
 }  // namespace tcq

@@ -1,21 +1,18 @@
 // SteM (State Module): "a temporary repository of tuples, essentially
 // corresponding to half of a traditional join operator" (paper §2.2).
 // Supports insert (build), search (probe), and delete (eviction). A pair of
-// hash-indexed SteMs routed by an eddy implements an adaptive symmetric hash
-// join; a SteM can also act as a rendezvous buffer or a lookup cache for
-// asynchronous index joins.
+// hash-indexed SteMs probed through the shared eddy's SharedSteMProbe
+// modules implements an adaptive symmetric hash join; a SteM can also act as
+// a lookup cache for asynchronous index joins (ingress/remote_index.h).
 
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/metrics.h"
-#include "eddy/module.h"
-#include "operators/predicate.h"
 #include "stem/index.h"
 #include "storage/checkpoint.h"
 #include "tuple/tuple.h"
@@ -125,52 +122,6 @@ class SteM : public Checkpointable {
   Counter* matches_;
   Counter* evictions_;
   Gauge* live_entries_;
-};
-
-/// The join description a SteM probe enforces between the probing tuple and
-/// the SteM's stored source. Build one SteMProbe per join-predicate edge
-/// touching the SteM's source, so any tuple sharing a predicate with the
-/// source can probe it (the completeness requirement of §2.2).
-struct JoinSpec {
-  /// Equality pair: probe-side attribute (on an already-spanned source) and
-  /// build-side attribute (on the SteM's source). Unset => scan join.
-  std::optional<AttrRef> probe_key;
-  std::optional<AttrRef> build_key;
-  /// The query's join predicates; each is enforced on a concatenation as
-  /// soon as it becomes evaluable. (Re-checking ones an ancestor already
-  /// passed is harmless.)
-  std::vector<PredicateRef> predicates;
-  /// Sources the probing tuple must span before using this module. Zero =
-  /// derive automatically (probe_key's source, else predicate sources that
-  /// co-occur with the SteM's source).
-  SourceSet required_override = 0;
-};
-
-/// Eddy module that probes a SteM: consumes the probing tuple and emits its
-/// concatenations with matching builds (paper Fig. 2 dataflow).
-class SteMProbe : public EddyModule {
- public:
-  SteMProbe(std::string name, SteM* stem, JoinSpec spec);
-
-  bool AppliesTo(SourceSet sources) const override;
-
-  Action Process(const Envelope& env, std::vector<Envelope>* out) override;
-
-  SourceSet contributes() const override {
-    return SourceBit(stem_->source()) | required_;
-  }
-
-  SteM* stem() const { return stem_; }
-
- private:
-  SchemaRef ConcatSchemaFor(const SchemaRef& input);
-
-  SteM* stem_;
-  JoinSpec spec_;
-  /// Sources the probing tuple must already span.
-  SourceSet required_;
-  std::vector<std::pair<const Schema*, SchemaRef>> schema_cache_;
-  std::vector<const StemEntry*> scratch_;
 };
 
 }  // namespace tcq

@@ -145,16 +145,11 @@ void OnlineWindowRunner::Poll(const Callback& cb) {
   while (pending_.has_value()) {
     bool complete = true;
     for (const auto& [source, range] : pending_->ranges) {
+      // Right ends are inclusive: ts == r tuples may still arrive while
+      // W == r (under either time semantics), so completion needs W
+      // strictly past r (kMaxTimestamp == stream closed counts too).
       Timestamp w = watermarks_.WatermarkOf(source);
-      if (event) {
-        // Right ends are inclusive: ts == r tuples may still arrive while
-        // W == r, so completion needs W strictly past r (kMaxTimestamp ==
-        // stream closed counts too).
-        if (w <= range.second && w != kMaxTimestamp) {
-          complete = false;
-          break;
-        }
-      } else if (w < range.second) {
+      if (w <= range.second && w != kMaxTimestamp) {
         complete = false;
         break;
       }

@@ -85,15 +85,17 @@ std::vector<WindowResult> RunOverHistory(
 /// Online evaluation: fires windows as watermarks pass their right ends.
 ///
 /// Two time semantics (query.loop.semantics):
-///  * kArrival (legacy): each data tuple advances its stream's watermark; a
-///    window [l, r] fires once every watermark reaches r. Correct only for
-///    in-order streams.
+///  * kArrival (legacy): each data tuple advances its stream's watermark.
+///    Correct only for in-order streams.
 ///  * kEvent: watermarks advance ONLY on punctuations; the per-source
-///    history deque is the bounded-disorder reorder buffer, and a window
-///    [l, r] fires once every involved watermark strictly passes r (a
-///    watermark of W promises no future tuple with ts < W, so r is settled
-///    when W > r). Tuples older than their source's watermark are provably
-///    late — counted and dropped with a typed reason, never silently wrong.
+///    history deque is the bounded-disorder reorder buffer. Tuples older
+///    than their source's watermark are provably late — counted and dropped
+///    with a typed reason, never silently wrong.
+///
+/// One completion rule serves both: a window [l, r] fires once every
+/// involved watermark strictly passes r, or its stream has closed
+/// (kMaxTimestamp). Right ends are inclusive, so rows with ts == r may still
+/// arrive while a watermark equals r.
 ///
 /// Opt-in speculation (Options::speculate, kEvent only): Poll additionally
 /// emits early results for the head window as data arrives — kSpeculative

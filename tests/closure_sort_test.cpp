@@ -1,6 +1,6 @@
 // Tests for the remaining Fig.-1 query modules: Sort (windowed sort +
 // streaming top-K) and TransitiveClosure (incremental reachability),
-// including closure-vs-brute-force property checks and use inside an eddy.
+// including closure-vs-brute-force property checks.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,6 @@
 #include <set>
 
 #include "common/rng.h"
-#include "eddy/eddy.h"
-#include "operators/selection.h"
 #include "operators/sort.h"
 #include "operators/transitive_closure.h"
 
@@ -183,40 +181,6 @@ TEST(TransitiveClosureTest, MatchesBruteForceProperty) {
     EXPECT_EQ(incremental, BruteClosure(edges)) << "trial " << trial;
     EXPECT_EQ(tc.closure_size(), incremental.size());
   }
-}
-
-TEST(TransitiveClosureModuleTest, EmitsDerivedPairsThroughEddy) {
-  // Edge stream (source 0) -> closure module -> derived reachability stream
-  // (source 1) -> filter: "alert when node 0 can reach node 5". Modelling
-  // the closure output as its own derived source keeps the eddy's modules
-  // commutative: the alert filter cannot apply to raw edges, only to
-  // derived pairs.
-  SchemaRef edge_schema = Schema::Make({{"src", ValueType::kInt64, 0},
-                                        {"dst", ValueType::kInt64, 0}});
-  SchemaRef closure_schema = Schema::Make({{"src", ValueType::kInt64, 1},
-                                           {"dst", ValueType::kInt64, 1}});
-  Eddy eddy(MakeLotteryPolicy(1));
-  eddy.AddModule(std::make_unique<TransitiveClosureModule>(
-      "tc", AttrRef{0, "src"}, AttrRef{0, "dst"}, closure_schema));
-  eddy.AddModule(std::make_unique<Selection>(
-      "alert",
-      MakeAnd({MakeCompareConst({1, "src"}, CmpOp::kEq, Value::Int64(0)),
-               MakeCompareConst({1, "dst"}, CmpOp::kEq, Value::Int64(5))})));
-  eddy.SetRequiredSources(SourceBit(1));  // outputs are derived pairs
-  std::vector<Tuple> alerts;
-  eddy.SetOutput([&](const Tuple& t) { alerts.push_back(t); });
-
-  auto edge = [&](int64_t a, int64_t b, Timestamp ts) {
-    eddy.Ingest(0, Tuple::Make(edge_schema,
-                               {Value::Int64(a), Value::Int64(b)}, ts));
-  };
-  edge(0, 1, 1);
-  edge(2, 5, 2);
-  EXPECT_TRUE(alerts.empty());
-  edge(1, 2, 3);  // closes the path 0 -> 1 -> 2 -> 5
-  ASSERT_EQ(alerts.size(), 1u);
-  EXPECT_EQ(alerts[0].Get("src").AsInt64(), 0);
-  EXPECT_EQ(alerts[0].Get("dst").AsInt64(), 5);
 }
 
 }  // namespace

@@ -138,13 +138,37 @@ TEST(DispatchUnitTest, WindowedQueryFiresThroughDU) {
   }
   while (du.Step() == DispatchUnit::StepResult::kProgress) {
   }
-  EXPECT_EQ(fired.size(), 8u);  // windows ending 5..12
+  EXPECT_EQ(fired.size(), 7u);  // windows ending 5..11; 12 may still grow
   endpoints.producer.Close();
   while (du.Step() != DispatchUnit::StepResult::kDone) {
   }
   EXPECT_EQ(fired.size(), 16u);  // remaining windows fire at end of stream
   EXPECT_EQ(fired[7].tuples.size(), 5u);   // window [8, 12] is full
   EXPECT_EQ(fired.back().tuples.size(), 0u);  // [16, 20] is past the data
+}
+
+TEST(DispatchUnitTest, SameTimestampPushesAcrossStepsShareAWindow) {
+  // Two single-row pushes with the window's right-edge timestamp and a DU
+  // step in between: the first row must not close the window.
+  WindowedQuery wq;
+  wq.loop = ForLoopSpec::Sliding({0}, 5, 5, 5);
+  std::vector<WindowResult> fired;
+  WindowedQueryDispatchUnit du(
+      "win", wq, [&](const WindowResult& r) { fired.push_back(r); }, 8);
+  auto endpoints = Fjord::Make(FjordMode::kPush, 64);
+  du.AddInput(0, endpoints.consumer);
+
+  ASSERT_EQ(endpoints.producer.Produce(Row(0, 1, 2, 5)), QueueOp::kOk);
+  du.Step();
+  EXPECT_TRUE(fired.empty());
+  ASSERT_EQ(endpoints.producer.Produce(Row(0, 3, 4, 5)), QueueOp::kOk);
+  du.Step();
+  EXPECT_TRUE(fired.empty());
+  endpoints.producer.Close();
+  while (du.Step() != DispatchUnit::StepResult::kDone) {
+  }
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].tuples.size(), 2u);
 }
 
 // --- ExecutionObject ------------------------------------------------------------

@@ -140,7 +140,7 @@ TEST(BoundedQueueTest, MirrorsIntoRegistryInstruments) {
   EXPECT_EQ(wait->count, 1u);  // one enqueue->dequeue residence observed
 }
 
-TEST(BoundedQueueTest, PushBatchBlockingLeavesSuffixWithCallerOnClose) {
+TEST(BoundedQueueTest, PushNBlockingLeavesSuffixWithCallerOnClose) {
   // Regression: the un-pushed suffix of a batch interrupted by Close() must
   // stay with the caller — NOT destroyed and NOT counted in
   // dropped_on_close_count(). Counting it here double-counted every batch
@@ -154,7 +154,7 @@ TEST(BoundedQueueTest, PushBatchBlockingLeavesSuffixWithCallerOnClose) {
   });
   int items[8] = {0, 1, 2, 3, 4, 5, 6, 7};
   // Room for 2, then the producer blocks until the close wakes it.
-  size_t pushed = q.PushBatchBlocking(items, 8);
+  size_t pushed = q.PushNBlocking(items, 8);
   closer.join();
   EXPECT_EQ(pushed, 2u);
   EXPECT_EQ(q.dropped_on_close_count(), 0u);
@@ -215,13 +215,13 @@ TEST(BoundedQueueTest, MpmcMixedBatchAndSingleConservesItems) {
       while (off < static_cast<size_t>(n)) {
         size_t pushed;
         if (blocking) {
-          pushed = q.PushBatchBlocking(buf.data() + off,
-                                       static_cast<size_t>(n) - off);
+          pushed = q.PushNBlocking(buf.data() + off,
+                                   static_cast<size_t>(n) - off);
           op = pushed + off < static_cast<size_t>(n) ? QueueOp::kClosed
                                                      : QueueOp::kOk;
         } else {
-          pushed = q.TryPushBatch(buf.data() + off,
-                                  static_cast<size_t>(n) - off, &op);
+          pushed = q.TryPushN(buf.data() + off,
+                              static_cast<size_t>(n) - off, &op);
         }
         accepted.fetch_add(pushed);
         for (size_t j = off; j < off + pushed; ++j) {

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <set>
 
-#include "eddy/eddy.h"
 #include "ingress/generators.h"
 #include "ingress/rate.h"
 #include "ingress/remote_index.h"
@@ -212,56 +211,52 @@ TEST(RemoteIndexTest, LookupChargesSimulatedCost) {
 TEST(RemoteIndexTest, ProbeModuleEmitsJoins) {
   SimulatedRemoteIndex index(1, KV(1), "k", {});
   index.Insert(KVRow(1, 7, 70, 0));
-  RemoteIndexProbe probe("rip", &index, {0, "k"});
-  EXPECT_TRUE(probe.AppliesTo(SourceBit(0)));
-  EXPECT_FALSE(probe.AppliesTo(SourceBit(0) | SourceBit(1)));
+  RemoteIndexProbe probe(&index, {0, "k"});
 
-  std::vector<Envelope> out;
-  EXPECT_EQ(probe.Process({KVRow(0, 7, 1, 5), 0, 5}, &out),
-            ModuleAction::kExpand);
+  std::vector<Tuple> out;
+  EXPECT_EQ(probe.Probe(KVRow(0, 7, 1, 5), &out), 1u);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].tuple.sources(), SourceBit(0) | SourceBit(1));
-  EXPECT_EQ(probe.Process({KVRow(0, 9, 1, 6), 0, 6}, &out),
-            ModuleAction::kDrop);
+  EXPECT_EQ(out[0].sources(), SourceBit(0) | SourceBit(1));
+  EXPECT_EQ(probe.Probe(KVRow(0, 9, 1, 6), &out), 0u);  // no match: dropped
+  EXPECT_EQ(out.size(), 1u);
 }
 
 TEST(RemoteIndexTest, CacheAvoidsRepeatLookups) {
   SimulatedRemoteIndex index(1, KV(1), "k", {.lookup_cost_us = 1000});
   for (int64_t k = 0; k < 5; ++k) index.Insert(KVRow(1, k, k * 10, 0));
   SteM cache("cacheT", 1, KV(1), {.key_attr = "k"});
-  RemoteIndexProbe probe("rip", &index, {0, "k"}, &cache);
+  RemoteIndexProbe probe(&index, {0, "k"}, &cache);
 
-  std::vector<Envelope> out;
+  std::vector<Tuple> out;
   // Probe key 3 twice: the second is served from the cache.
-  probe.Process({KVRow(0, 3, 1, 5), 0, 5}, &out);
-  probe.Process({KVRow(0, 3, 2, 6), 0, 6}, &out);
+  probe.Probe(KVRow(0, 3, 1, 5), &out);
+  probe.Probe(KVRow(0, 3, 2, 6), &out);
   EXPECT_EQ(index.lookups(), 1u);
   EXPECT_EQ(probe.cache_hits(), 1u);
   ASSERT_EQ(out.size(), 2u);
   // The joined tuple has a "v" from each side; read the index side's.
-  const Value* v = ResolveAttr(out[1].tuple, {1, "v"});
+  const Value* v = ResolveAttr(out[1], {1, "v"});
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->AsInt64(), 30);
 }
 
-TEST(RemoteIndexTest, EndToEndIndexJoinInEddy) {
-  // The §2.2 scenario: stream S joins a remote index on T inside an eddy.
+TEST(RemoteIndexTest, EndToEndIndexJoinWithCache) {
+  // The §2.2 scenario: stream S joins a remote index on T, with a SteM on T
+  // caching earlier lookups.
   SimulatedRemoteIndex index(1, KV(1), "k", {.lookup_cost_us = 100});
   for (int64_t k = 0; k < 10; ++k) index.Insert(KVRow(1, k, k * 10, 0));
-  auto cache = std::make_shared<SteM>("cacheT", 1, KV(1),
-                                      StemOptions{.key_attr = "k"});
+  SteM cache("cacheT", 1, KV(1), {.key_attr = "k"});
+  RemoteIndexProbe probe(&index, AttrRef{0, "k"}, &cache);
 
-  Eddy eddy(MakeLotteryPolicy(3));
-  eddy.AddModule(std::make_unique<RemoteIndexProbe>("rip", &index,
-                                                    AttrRef{0, "k"},
-                                                    cache.get()));
-  size_t outputs = 0;
-  eddy.SetOutput([&](const Tuple&) { ++outputs; });
-  for (int64_t i = 0; i < 30; ++i) {
-    eddy.Ingest(0, KVRow(0, i % 10, i, i));
+  std::vector<Tuple> out;
+  for (int64_t i = 0; i < 30; ++i) probe.Probe(KVRow(0, i % 10, i, i), &out);
+  EXPECT_EQ(out.size(), 30u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(ResolveAttr(out[i], {1, "v"})->AsInt64(),
+              static_cast<int64_t>(i % 10) * 10);
   }
-  EXPECT_EQ(outputs, 30u);
   EXPECT_EQ(index.lookups(), 10u);  // each key fetched once, then cached
+  EXPECT_EQ(probe.cache_hits(), 20u);
 }
 
 }  // namespace

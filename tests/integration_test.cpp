@@ -9,6 +9,7 @@
 
 #include "ingress/generators.h"
 #include "psoup/psoup.h"
+#include "reference/push.h"
 #include "server/telegraphcq.h"
 
 namespace tcq {
@@ -23,17 +24,15 @@ std::vector<Field> StockFields() {
 // Deterministic two-symbol ticker: MSFT fixed at 50, AAPL alternating
 // (beats MSFT on even days).
 void PushDay(TelegraphCQ* server, Timestamp d) {
-  ASSERT_TRUE(server
-                  ->Push("Stocks",
-                         {Value::TimestampVal(d), Value::String("MSFT"),
-                          Value::Double(50.0)},
-                         d)
+  ASSERT_TRUE(testref::PushRows(server, "Stocks",
+                                {{d,
+                                  {Value::TimestampVal(d), Value::String("MSFT"),
+                                   Value::Double(50.0)}}})
                   .ok());
-  ASSERT_TRUE(server
-                  ->Push("Stocks",
-                         {Value::TimestampVal(d), Value::String("AAPL"),
-                          Value::Double(d % 2 == 0 ? 60.0 : 40.0)},
-                         d)
+  ASSERT_TRUE(testref::PushRows(server, "Stocks",
+                                {{d,
+                                  {Value::TimestampVal(d), Value::String("AAPL"),
+                                   Value::Double(d % 2 == 0 ? 60.0 : 40.0)}}})
                   .ok());
 }
 
@@ -182,7 +181,9 @@ TEST(IntegrationTest, PSoupOverGeneratorAgreesWithServerHistory) {
   Timestamp now = 0;
   while (gen.Next(&t)) {
     psoup.Ingest(0, t);
-    ASSERT_TRUE(server.Push("Sensors", t.values(), t.timestamp()).ok());
+    ASSERT_TRUE(testref::PushRows(&server, "Sensors",
+                                  {{t.timestamp(), t.values()}})
+                    .ok());
     now = std::max(now, t.timestamp());
   }
 

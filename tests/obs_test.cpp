@@ -13,6 +13,7 @@
 
 #include "obs/system_streams.h"
 #include "obs/trace.h"
+#include "reference/push.h"
 #include "server/telegraphcq.h"
 
 namespace tcq {
@@ -26,11 +27,11 @@ std::vector<Field> StockFields() {
 
 void PushStocks(TelegraphCQ* server, Timestamp from, Timestamp to) {
   for (Timestamp d = from; d <= to; ++d) {
-    ASSERT_TRUE(server
-                    ->Push("ClosingStockPrices",
-                           {Value::TimestampVal(d), Value::String("MSFT"),
-                            Value::Double(50.0)},
-                           d)
+    ASSERT_TRUE(testref::PushRows(server, "ClosingStockPrices",
+                                  {{d,
+                                    {Value::TimestampVal(d),
+                                     Value::String("MSFT"),
+                                     Value::Double(50.0)}}})
                     .ok());
   }
 }

@@ -259,30 +259,27 @@ TEST(AggregateTest, GroupedGlobalWindowed) {
 // --- DupElim ----------------------------------------------------------------
 
 TEST(DupElimTest, DropsExactDuplicates) {
-  DupElim de("dup", {});
-  std::vector<Envelope> out;
-  Envelope a{Row(1, 2, 1), 0, 1};
-  Envelope b{Row(1, 2, 2), 0, 2};  // same values, later timestamp
-  EXPECT_EQ(de.Process(a, &out), ModuleAction::kPass);
-  EXPECT_EQ(de.Process(a, &out), ModuleAction::kDrop);
-  EXPECT_EQ(de.Process(b, &out), ModuleAction::kPass);  // ts differs
+  DupElim de({});
+  Tuple a = Row(1, 2, 1);
+  Tuple b = Row(1, 2, 2);  // same values, later timestamp
+  EXPECT_TRUE(de.Admit(a));
+  EXPECT_FALSE(de.Admit(a));
+  EXPECT_TRUE(de.Admit(b));  // ts differs
 }
 
 TEST(DupElimTest, KeyAttrsRestrictIdentity) {
-  DupElim de("dup", {.key_attrs = {{0, "k"}}});
-  std::vector<Envelope> out;
-  EXPECT_EQ(de.Process({Row(1, 2, 1), 0, 1}, &out), ModuleAction::kPass);
-  EXPECT_EQ(de.Process({Row(1, 99, 2), 0, 2}, &out), ModuleAction::kDrop);
-  EXPECT_EQ(de.Process({Row(2, 2, 3), 0, 3}, &out), ModuleAction::kPass);
+  DupElim de({.key_attrs = {{0, "k"}}});
+  EXPECT_TRUE(de.Admit(Row(1, 2, 1)));
+  EXPECT_FALSE(de.Admit(Row(1, 99, 2)));
+  EXPECT_TRUE(de.Admit(Row(2, 2, 3)));
   EXPECT_EQ(de.distinct_seen(), 2u);
 }
 
 TEST(DupElimTest, WindowForgetsOldKeys) {
-  DupElim de("dup", {.key_attrs = {{0, "k"}}, .window = 10});
-  std::vector<Envelope> out;
-  EXPECT_EQ(de.Process({Row(1, 0, 1), 0, 1}, &out), ModuleAction::kPass);
+  DupElim de({.key_attrs = {{0, "k"}}, .window = 10});
+  EXPECT_TRUE(de.Admit(Row(1, 0, 1)));
   de.AdvanceTime(20);
-  EXPECT_EQ(de.Process({Row(1, 0, 21), 0, 2}, &out), ModuleAction::kPass);
+  EXPECT_TRUE(de.Admit(Row(1, 0, 21)));
 }
 
 // --- Juggle -----------------------------------------------------------------

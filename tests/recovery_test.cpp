@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "psoup/psoup.h"
+#include "reference/push.h"
 #include "server/telegraphcq.h"
 #include "storage/checkpoint.h"
 
@@ -34,9 +35,9 @@ std::vector<Field> KeyedFields() {
 
 Status PushKeyed(TelegraphCQ* server, const std::string& stream, int64_t k,
                  const std::string& tag, Timestamp ts) {
-  return server->Push(
-      stream, {Value::TimestampVal(ts), Value::Int64(k), Value::String(tag)},
-      ts);
+  return testref::PushRows(
+      server, stream,
+      {{ts, {Value::TimestampVal(ts), Value::Int64(k), Value::String(tag)}}});
 }
 
 /// Fresh spool + checkpoint directories for one test.
@@ -397,6 +398,43 @@ TEST(RecoveryTest, BackgroundCheckpointerWritesEpochs) {
   EXPECT_GE(epochs, 2u);
   EXPECT_TRUE(std::filesystem::exists(dirs.ckpt + "/ckpt-1"));
   EXPECT_TRUE(std::filesystem::exists(dirs.ckpt + "/ckpt-2"));
+}
+
+TEST(RecoveryTest, CheckpointAfterWindowedLoopFinishes) {
+  // A finished loop's DU is no longer stepped. Its input must neither stall
+  // the checkpoint's windowed drain nor count as dropped.
+  DurableDirs dirs("rec_finished_loop");
+  TelegraphCQ server(dirs.Options());
+  ASSERT_TRUE(server.DefineStream("S", KeyedFields()).ok());
+  auto h = server.Submit(
+      "SELECT k FROM S "
+      "for (t = 3; t <= 5; t += 1) { WindowIs(S, t - 2, t); }");
+  ASSERT_TRUE(h.ok()) << h.status();
+  server.Start();
+  for (int64_t ts = 1; ts <= 8; ++ts) {
+    ASSERT_TRUE(PushKeyed(&server, "S", ts, "d", ts).ok());
+  }
+  WindowResult wr;
+  size_t fired = 0;
+  for (int i = 0; i < 5000 && fired < 3; ++i) {
+    while (h->windows->Poll(&wr)) ++fired;
+    if (fired < 3) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fired, 3u);
+  // Rows past the loop's end, pushed after it finished.
+  for (int64_t ts = 9; ts <= 40; ++ts) {
+    ASSERT_TRUE(PushKeyed(&server, "S", ts, "d", ts).ok());
+  }
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto epoch = server.Checkpoint();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(epoch.ok()) << epoch.status();
+  EXPECT_LT(took, std::chrono::seconds(2));
+  server.Stop();
+  EXPECT_EQ(server.Introspect().metrics.CounterFamilySum(
+                "tcq_window_input_dropped_total"),
+            0u);
 }
 
 TEST(RecoveryTest, ErrorPaths) {

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "ingress/generators.h"
+#include "reference/push.h"
 #include "server/telegraphcq.h"
 
 namespace tcq {
@@ -94,11 +95,11 @@ TEST(RobustnessTest, SlowClientShedsInsteadOfStallingEngine) {
   server.Start();
   // Client never drains; push far more than the egress buffer holds.
   for (Timestamp d = 1; d <= 500; ++d) {
-    ASSERT_TRUE(server
-                    .Push("ClosingStockPrices",
-                          {Value::TimestampVal(d), Value::String("MSFT"),
-                           Value::Double(50.0)},
-                          d)
+    ASSERT_TRUE(testref::PushRows(&server, "ClosingStockPrices",
+                                  {{d,
+                                    {Value::TimestampVal(d),
+                                     Value::String("MSFT"),
+                                     Value::Double(50.0)}}})
                     .ok());
   }
   // Engine kept running: deliveries continued, extra results were shed.
@@ -124,11 +125,11 @@ TEST(RobustnessTest, BackgroundSpoolingMakesHistoryScannable) {
   ASSERT_TRUE(server.DefineStream("ClosingStockPrices", StockFields()).ok());
   server.Start();
   for (Timestamp d = 1; d <= 300; ++d) {
-    ASSERT_TRUE(server
-                    .Push("ClosingStockPrices",
-                          {Value::TimestampVal(d), Value::String("MSFT"),
-                           Value::Double(50.0 + double(d))},
-                          d)
+    ASSERT_TRUE(testref::PushRows(&server, "ClosingStockPrices",
+                                  {{d,
+                                    {Value::TimestampVal(d),
+                                     Value::String("MSFT"),
+                                     Value::Double(50.0 + double(d))}}})
                     .ok());
   }
   // Historical window scan over the spool, while the stream stays live.

@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "ingress/generators.h"
+#include "reference/push.h"
 #include "server/telegraphcq.h"
 
 namespace tcq {
@@ -28,18 +29,18 @@ std::vector<Field> StockFields() {
 // 40/60 (beats MSFT on even days).
 void PushStocks(TelegraphCQ* server, Timestamp days) {
   for (Timestamp d = 1; d <= days; ++d) {
-    ASSERT_TRUE(server
-                    ->Push("ClosingStockPrices",
-                           {Value::TimestampVal(d), Value::String("MSFT"),
-                            Value::Double(50.0)},
-                           d)
+    ASSERT_TRUE(testref::PushRows(server, "ClosingStockPrices",
+                                  {{d,
+                                    {Value::TimestampVal(d),
+                                     Value::String("MSFT"),
+                                     Value::Double(50.0)}}})
                     .ok());
     double aapl = d % 2 == 0 ? 60.0 : 40.0;
-    ASSERT_TRUE(server
-                    ->Push("ClosingStockPrices",
-                           {Value::TimestampVal(d), Value::String("AAPL"),
-                            Value::Double(aapl)},
-                           d)
+    ASSERT_TRUE(testref::PushRows(server, "ClosingStockPrices",
+                                  {{d,
+                                    {Value::TimestampVal(d),
+                                     Value::String("AAPL"),
+                                     Value::Double(aapl)}}})
                     .ok());
   }
 }
@@ -306,25 +307,26 @@ TEST(ServerTest, ErrorPaths) {
               StatusCode::kAlreadyExists);
   EXPECT_TRUE(server.Submit("SELECT * FROM Nope").status().IsNotFound());
   EXPECT_FALSE(server.Submit("garbage !!").ok());
-  EXPECT_TRUE(server
-                  .Push("Nope", {Value::TimestampVal(1), Value::String("x"),
-                                 Value::Double(1.0)},
-                        1)
+  EXPECT_TRUE(testref::PushRows(&server, "Nope",
+                                {{1,
+                                  {Value::TimestampVal(1), Value::String("x"),
+                                   Value::Double(1.0)}}})
                   .IsNotFound());
   // Arity mismatch caught by schema validation.
-  EXPECT_TRUE(server.Push("S", {Value::TimestampVal(1)}, 1)
-                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      testref::PushRows(&server, "S", {{1, {Value::TimestampVal(1)}}})
+          .IsInvalidArgument());
 }
 
 // --- Event time & punctuations (DESIGN.md §12) ---------------------------
 
 /// One MSFT row per day, price 50 + d.
 void PushDay(TelegraphCQ* server, Timestamp d) {
-  ASSERT_TRUE(server
-                  ->Push("ClosingStockPrices",
-                         {Value::TimestampVal(d), Value::String("MSFT"),
-                          Value::Double(50.0 + static_cast<double>(d))},
-                         d)
+  ASSERT_TRUE(testref::PushRows(
+                  server, "ClosingStockPrices",
+                  {{d,
+                    {Value::TimestampVal(d), Value::String("MSFT"),
+                     Value::Double(50.0 + static_cast<double>(d))}}})
                   .ok());
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cacq/shared_eddy.h"
 #include "stem/stem.h"
 
 namespace tcq {
@@ -146,18 +147,30 @@ TEST(HashIndexTest, VacuumDropsDeadBuckets) {
   EXPECT_EQ(index.num_buckets(), 0u);
 }
 
-// --- SteMProbe as an eddy module -------------------------------------------
+// --- SharedSteMProbe: the eddy's join module -------------------------------
+
+SharedEnvelope Env(Tuple tuple, Timestamp seq, QueryId live) {
+  SharedEnvelope env;
+  env.tuple = std::move(tuple);
+  env.seq_max = seq;
+  env.live.Add(live);
+  return env;
+}
 
 TEST(SteMProbeTest, AppliesOnlyToTuplesMissingTheSource) {
   SteM stem("stemT", 1, Sch(1), {.key_attr = "k"});
-  SteMProbe probe("probeT", &stem,
-                  {.probe_key = AttrRef{0, "k"}, .build_key = AttrRef{1, "k"},
-                   .predicates = {}});
-  EXPECT_TRUE(probe.AppliesTo(SourceBit(0)));
-  EXPECT_FALSE(probe.AppliesTo(SourceBit(1)));
-  EXPECT_FALSE(probe.AppliesTo(SourceBit(0) | SourceBit(1)));
+  SharedSteMProbe probe("probeT", &stem, AttrRef{0, "k"}, AttrRef{1, "k"});
+  probe.Subscribe(0);
+  Tuple s = Row(0, 10, "s", 1);
+  Tuple t = Row(1, 10, "t", 2);
+  EXPECT_TRUE(probe.AppliesTo(Env(s, 1, 0)));
+  EXPECT_FALSE(probe.AppliesTo(Env(t, 2, 0)));
+  Tuple st = Tuple::Concat(s, t, Schema::Concat(Sch(0), Sch(1)));
+  EXPECT_FALSE(probe.AppliesTo(Env(st, 2, 0)));
   // A tuple that doesn't span the probe-key source can't probe yet.
-  EXPECT_FALSE(probe.AppliesTo(SourceBit(2)));
+  EXPECT_FALSE(probe.AppliesTo(Env(Row(2, 10, "u", 3), 3, 0)));
+  // Nor can one whose live queries do not subscribe to the edge.
+  EXPECT_FALSE(probe.AppliesTo(Env(s, 1, 1)));
 }
 
 TEST(SteMProbeTest, ProbeEmitsConcatenations) {
@@ -166,62 +179,64 @@ TEST(SteMProbeTest, ProbeEmitsConcatenations) {
   stem.Build(Row(1, 11, "nomatch", 2), 2);
   stem.Build(Row(1, 10, "match2", 3), 3);
 
-  SteMProbe probe("probeT", &stem,
-                  {.probe_key = AttrRef{0, "k"}, .build_key = AttrRef{1, "k"},
-                   .predicates = {}});
-  Envelope env{Row(0, 10, "probe", 4), 0, 4};
-  std::vector<Envelope> out;
-  EXPECT_EQ(probe.Process(env, &out), EddyModule::Action::kExpand);
+  SharedSteMProbe probe("probeT", &stem, AttrRef{0, "k"}, AttrRef{1, "k"});
+  probe.Subscribe(0);
+  SharedEnvelope env = Env(Row(0, 10, "probe", 4), 4, 0);
+  std::vector<SharedEnvelope> out;
+  // The parent keeps routing: it may still satisfy narrower queries.
+  EXPECT_EQ(probe.Process(&env, &out), ModuleAction::kPass);
   ASSERT_EQ(out.size(), 2u);
-  for (const Envelope& child : out) {
+  for (const SharedEnvelope& child : out) {
     EXPECT_EQ(child.tuple.sources(), SourceBit(0) | SourceBit(1));
     EXPECT_EQ(child.tuple.num_fields(), 4u);
+    EXPECT_TRUE(child.live.Contains(0));
   }
   EXPECT_EQ(out[0].seq_max, 4);  // max(probe seq 4, build seq 1)
 }
 
-TEST(SteMProbeTest, ZeroMatchesDropsTuple) {
+TEST(SteMProbeTest, ZeroMatchesEmitNoChildren) {
   SteM stem("stemT", 1, Sch(1), {.key_attr = "k"});
-  SteMProbe probe("probeT", &stem,
-                  {.probe_key = AttrRef{0, "k"}, .build_key = AttrRef{1, "k"},
-                   .predicates = {}});
-  Envelope env{Row(0, 10, "probe", 4), 0, 4};
-  std::vector<Envelope> out;
-  EXPECT_EQ(probe.Process(env, &out), EddyModule::Action::kDrop);
+  SharedSteMProbe probe("probeT", &stem, AttrRef{0, "k"}, AttrRef{1, "k"});
+  probe.Subscribe(0);
+  SharedEnvelope env = Env(Row(0, 10, "probe", 4), 4, 0);
+  std::vector<SharedEnvelope> out;
+  EXPECT_EQ(probe.Process(&env, &out), ModuleAction::kPass);
   EXPECT_TRUE(out.empty());
 }
 
 TEST(SteMProbeTest, ResidualPredicateFiltersMatches) {
+  // The probe emits every key match; the query's residual (applied by the
+  // eddy's ResidualFilterModule over the joined span) keeps only those the
+  // predicate admits.
   SteM stem("stemT", 1, Sch(1), {.key_attr = "k"});
   stem.Build(Row(1, 10, "aaa", 1), 1);
   stem.Build(Row(1, 10, "zzz", 2), 2);
+  SharedSteMProbe probe("probeT", &stem, AttrRef{0, "k"}, AttrRef{1, "k"});
+  probe.Subscribe(0);
 
   // Residual: build payload must be lexicographically above probe payload.
-  auto residual =
-      MakeCompareAttrs({1, "payload"}, CmpOp::kGt, {0, "payload"});
-  SteMProbe probe("probeT", &stem,
-                  {.probe_key = AttrRef{0, "k"}, .build_key = AttrRef{1, "k"},
-                   .predicates = {residual}});
-  Envelope env{Row(0, 10, "mmm", 5), 0, 5};
-  std::vector<Envelope> out;
-  EXPECT_EQ(probe.Process(env, &out), EddyModule::Action::kExpand);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].tuple.Get("payload").AsString(), "mmm");  // first occurrence
-}
+  ResidualFilterModule residual("residual", SourceBit(0) | SourceBit(1));
+  residual.AddResidual(
+      0, MakeCompareAttrs({1, "payload"}, CmpOp::kGt, {0, "payload"}));
 
-TEST(SteMProbeTest, ScanJoinSupportsNonEquiPredicates) {
-  SteM stem("stemT", 1, Sch(1), {});  // no hash index
-  stem.Build(Row(1, 5, "a", 1), 1);
-  stem.Build(Row(1, 50, "b", 2), 2);
+  SharedEnvelope env = Env(Row(0, 10, "mmm", 5), 5, 0);
+  std::vector<SharedEnvelope> matches;
+  EXPECT_EQ(probe.Process(&env, &matches), ModuleAction::kPass);
+  ASSERT_EQ(matches.size(), 2u);
+  EXPECT_FALSE(residual.AppliesTo(env));  // the probe tuple lacks source 1
 
-  auto residual = MakeCompareAttrs({1, "k"}, CmpOp::kGt, {0, "k"});
-  SteMProbe probe("probeT", &stem,
-                  {.probe_key = std::nullopt, .build_key = std::nullopt,
-                   .predicates = {residual}});
-  Envelope env{Row(0, 10, "probe", 5), 0, 5};
-  std::vector<Envelope> out;
-  EXPECT_EQ(probe.Process(env, &out), EddyModule::Action::kExpand);
-  ASSERT_EQ(out.size(), 1u);  // only k=50 > 10
+  std::vector<SharedEnvelope> kept;
+  for (SharedEnvelope& child : matches) {
+    ASSERT_TRUE(residual.AppliesTo(child));
+    std::vector<SharedEnvelope> none;
+    if (residual.Process(&child, &none) == ModuleAction::kPass) {
+      kept.push_back(child);
+    }
+    EXPECT_TRUE(none.empty());
+  }
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].tuple.Get("payload").AsString(), "mmm");  // first occurrence
+  EXPECT_EQ(kept[0].tuple.at(3).AsString(), "zzz");
 }
 
 }  // namespace

@@ -271,14 +271,19 @@ TEST(OnlineWindowTest, FiresOnlyWhenWatermarkPasses) {
     runner.Ingest(0, Stock(0, d, "MSFT", 50.0));
   }
   runner.Poll(cb);
-  // Watermark at 4: windows ending at 3 and 4 fired.
-  ASSERT_EQ(fired.size(), 2u);
+  // Watermark at 4: the window ending at 3 fired; the one ending at 4 waits,
+  // since more rows with ts == 4 may still arrive.
+  ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].t, 3);
   EXPECT_EQ(fired[0].tuples.size(), 3u);
 
   for (Timestamp d = 5; d <= 9; ++d) {
     runner.Ingest(0, Stock(0, d, "MSFT", 50.0));
   }
+  runner.Poll(cb);
+  EXPECT_EQ(fired.size(), 6u);  // windows ending 3..8
+  EXPECT_FALSE(runner.Done());
+  runner.AdvanceWatermark(0, kMaxTimestamp);  // stream closed
   runner.Poll(cb);
   EXPECT_EQ(fired.size(), 7u);
   EXPECT_TRUE(runner.Done());
@@ -303,10 +308,15 @@ TEST(OnlineWindowTest, JoinWaitsForSlowestStream) {
 
   runner.Ingest(1, Stock(1, 1, "MSFT", 50.0));
   runner.Ingest(1, Stock(1, 2, "MSFT", 50.0));
+  runner.Ingest(1, Stock(1, 3, "MSFT", 50.0));
   runner.Poll(cb);
   EXPECT_EQ(fired, 1u);  // window [1,2] complete on both streams
 
-  runner.AdvanceWatermark(1, 4);  // heartbeat: stream 1 is quiet but current
+  runner.AdvanceWatermark(1, 5);  // heartbeat: stream 1 is quiet but current
+  runner.Poll(cb);
+  EXPECT_EQ(fired, 2u);  // [3,4] now waits for stream 0 to pass 4
+
+  runner.AdvanceWatermark(0, 5);
   runner.Poll(cb);
   EXPECT_EQ(fired, 3u);
 }
