@@ -10,7 +10,9 @@
 #   2. AddressSanitizer configure + build + ctest in a separate build dir
 #   3. ThreadSanitizer build running the concurrency-heavy suites
 #      (exec, exec_lifecycle, exec_sharding, fjords, cacq, obs, window,
-#      plus the event-time server suite) — must be TSan-clean
+#      recovery, plus the whole server suite: windowed DUs share the
+#      executor's EO threads with class DUs, and Checkpoint detaches them
+#      while those threads run) — must be TSan-clean
 #   4. UBSan build running the trace/queue/routing suites (the seqlock ring
 #      and histogram interpolation are the prime UB suspects); the routing
 #      suite (eddy_test) runs the production SharedEddy under every routing
@@ -95,16 +97,16 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DTCQ_SANITIZE=thread
   cmake --build build-tsan -j --target \
     exec_test exec_lifecycle_test exec_sharding_test fjords_test cacq_test \
-    obs_test window_test server_test
+    obs_test window_test server_test recovery_test
+  # server_test: punctuations flow source -> fjord -> class -> window ->
+  # egress across threads, and windowed DUs run beside class DUs on the
+  # shared EOs; recovery_test detaches and re-attaches those DUs on every
+  # checkpoint while the EO threads run.
   for t in exec_test exec_lifecycle_test exec_sharding_test fjords_test \
-           cacq_test obs_test window_test; do
+           cacq_test obs_test window_test server_test recovery_test; do
     echo "-- tsan: $t"
     ./build-tsan/tests/"$t"
   done
-  # Punctuations flow source -> fjord -> class -> window -> egress across
-  # threads; the event-time server suite pins that end-to-end under TSan.
-  echo "-- tsan: server_test (event-time suite)"
-  ./build-tsan/tests/server_test --gtest_filter='EventTimeServerTest.*'
 fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then

@@ -1,5 +1,7 @@
 #include "exec/dispatch_unit.h"
 
+#include <utility>
+
 namespace tcq {
 
 namespace {
@@ -179,6 +181,7 @@ DispatchUnit::StepResult WindowedQueryDispatchUnit::Step() {
                  : exhausted    ? StepResult::kDone
                                 : StepResult::kIdle;
   CountStep(r);
+  if (r == StepResult::kDone && on_done_) std::exchange(on_done_, nullptr)();
   return r;
 }
 

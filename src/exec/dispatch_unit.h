@@ -44,7 +44,7 @@ class DispatchUnit {
   uint64_t progress_steps() const {
     return progress_steps_.load(std::memory_order_relaxed);
   }
-  /// True once a Step() reported kDone (the EO stops stepping the DU then).
+  /// True once a Step() reported kDone (the EO retires the DU then).
   /// Safe to read from any thread.
   bool done() const { return done_.load(); }
 
@@ -166,17 +166,24 @@ class WindowedQueryDispatchUnit : public DispatchUnit {
 
   void AddInput(SourceId source, FjordConsumer consumer);
 
+  /// Invoked once, from the step that reports kDone (the loop finished or
+  /// every input closed), after that step's windows reached the sink. Call
+  /// before the DU runs.
+  void set_on_done(std::function<void()> on_done) {
+    on_done_ = std::move(on_done);
+  }
+
   StepResult Step() override;
 
+  /// Durable state (DESIGN.md §13): checkpoint export/restore reads the
+  /// runner. Only safe while no EO steps the DU (detached, or pre-Start).
   const OnlineWindowRunner& runner() const { return runner_; }
-
-  /// Durable state (DESIGN.md §13): checkpoint export/restore needs the
-  /// runner itself. Only safe while the DU's EO is stopped (quiescent).
   OnlineWindowRunner* mutable_runner() { return &runner_; }
 
  private:
   OnlineWindowRunner runner_;
   WindowSink sink_;
+  std::function<void()> on_done_;
   size_t quantum_;
   struct Input {
     SourceId source;

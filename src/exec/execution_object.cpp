@@ -40,13 +40,16 @@ bool ExecutionObject::RemoveDispatchUnit(const std::shared_ptr<DispatchUnit>& du
   // Re-find: the vector may have shifted while we waited.
   it = std::find(dus_.begin(), dus_.end(), du);
   if (it == dus_.end()) return false;
-  size_t idx = static_cast<size_t>(it - dus_.begin());
+  EraseLocked(static_cast<size_t>(it - dus_.begin()));
+  return true;
+}
+
+void ExecutionObject::EraseLocked(size_t idx) {
   dus_.erase(dus_.begin() + idx);
   infos_.erase(infos_.begin() + idx);
   du_quanta_.erase(du_quanta_.begin() + idx);
   du_progress_.erase(du_progress_.begin() + idx);
   num_dus_gauge_->Set(static_cast<int64_t>(dus_.size()));
-  return true;
 }
 
 size_t ExecutionObject::num_dus() const {
@@ -73,13 +76,9 @@ void ExecutionObject::Run() {
       }
     }
     if (du == nullptr) {
-      if (persistent_ || num_dus() == 0) {
-        // No runnable DU right now: a persistent EO (or one with no DUs
-        // yet) waits for work to be added or migrated in.
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      break;  // every DU is done
+      // No runnable DU right now: wait for work to be added or migrated in.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
     }
     DispatchUnit::StepResult result = du->Step();
     quanta_->Inc();
@@ -95,11 +94,13 @@ void ExecutionObject::Run() {
         double progressed =
             result == DispatchUnit::StepResult::kProgress ? 1.0 : 0.0;
         info.recent_progress = 0.8 * info.recent_progress + 0.2 * progressed;
-        if (result == DispatchUnit::StepResult::kDone) info.done = true;
         du_quanta_[idx]->Inc();
         if (result == DispatchUnit::StepResult::kProgress) {
           du_progress_[idx]->Inc();
         }
+        // Retire a finished DU: it is never stepped again, and keeping it
+        // would inflate the idle-round threshold below.
+        if (result == DispatchUnit::StepResult::kDone) EraseLocked(idx);
       }
     }
     step_done_.notify_all();
@@ -118,11 +119,6 @@ void ExecutionObject::Run() {
 
 void ExecutionObject::Stop() {
   stop_.store(true);
-  if (thread_.joinable()) thread_.join();
-  running_.store(false);
-}
-
-void ExecutionObject::Join() {
   if (thread_.joinable()) thread_.join();
   running_.store(false);
 }

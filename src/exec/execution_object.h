@@ -2,7 +2,9 @@
 // describe the threads of control in the TelegraphCQ executor. Each EO is
 // mapped to a single system thread." An EO repeatedly asks its scheduler
 // for the next Dispatch Unit and runs one non-preemptive quantum; when all
-// DUs idle it backs off briefly instead of spinning.
+// DUs idle it backs off briefly instead of spinning. A DU that reports kDone
+// retires from the EO; an EO with no runnable DU idles until Stop(), so it
+// can receive DUs added or migrated in later.
 
 #pragma once
 
@@ -34,25 +36,16 @@ class ExecutionObject {
   /// Thread-safe: adds a DU (picked up on the next scheduling round).
   void AddDispatchUnit(std::shared_ptr<DispatchUnit> du);
 
-  /// Persistent EOs idle when every DU is done instead of exiting the run
-  /// loop, so they can receive DUs added or migrated in later (the
-  /// executor's EOs are persistent; Join() then only returns via Stop()).
-  /// Call before Start().
-  void set_persistent(bool persistent) { persistent_ = persistent; }
-
   /// Thread-safe quiesce point: removes a DU, BLOCKING until any in-flight
   /// quantum of it finishes (DU quanta are non-preemptive; this waits out
   /// the current one rather than interrupting it). After a true return the
   /// caller owns the DU exclusively — no EO thread will step it again — so
   /// it can be mutated, migrated to another EO, or dropped. Returns false if
-  /// the DU is not hosted here.
+  /// the DU is not hosted here (never added, or retired after kDone).
   bool RemoveDispatchUnit(const std::shared_ptr<DispatchUnit>& du);
 
   void Start();
   void Stop();
-
-  /// Blocks until every DU reported kDone (or Stop() was called).
-  void Join();
 
   bool running() const { return running_.load(); }
   uint64_t quanta_run() const { return quanta_->Value(); }
@@ -60,6 +53,8 @@ class ExecutionObject {
 
  private:
   void Run();
+  /// Drops the DU at `idx` and its parallel bookkeeping (caller holds mu_).
+  void EraseLocked(size_t idx);
 
   std::string name_;
   std::unique_ptr<Scheduler> scheduler_;
@@ -74,7 +69,6 @@ class ExecutionObject {
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
-  bool persistent_ = false;
 
   MetricsRegistryRef metrics_;
   Counter* quanta_;

@@ -31,9 +31,6 @@ Executor::Executor(Options opts, MetricsRegistryRef metrics,
                      : MakeRoundRobinScheduler();
     eos_.push_back(std::make_unique<ExecutionObject>(
         "eo" + std::to_string(i), std::move(sched), metrics_));
-    // Executor EOs never self-exit: a drained EO must stay schedulable for
-    // classes created later or migrated in by the rebalance pass.
-    eos_.back()->set_persistent(true);
   }
 }
 
@@ -132,6 +129,14 @@ void Executor::GcClass(size_t cls) {
   classes_gauge_->Set(static_cast<int64_t>(CountLiveClasses()));
 }
 
+size_t Executor::LeastLoadedEo() const {
+  size_t best = 0;
+  for (size_t e = 1; e < eos_.size(); ++e) {
+    if (eos_[e]->num_dus() < eos_[best]->num_dus()) best = e;
+  }
+  return best;
+}
+
 Result<size_t> Executor::ClassFor(SourceSet footprint) {
   // Which live classes does the footprint touch?
   std::vector<size_t> touching;
@@ -143,15 +148,8 @@ Result<size_t> Executor::ClassFor(SourceSet footprint) {
 
   size_t class_idx;
   if (touching.empty()) {
-    // New class, placed on the EO hosting the fewest shard DUs (the
-    // rebalance pass revisits this later).
-    std::vector<size_t> hosted(eos_.size(), 0);
-    for (const QueryClass& qc : classes_) {
-      if (!qc.live) continue;
-      for (size_t k = 0; k < qc.sc->num_shards(); ++k) {
-        ++hosted[qc.sc->shard_eo(k)];
-      }
-    }
+    // New class, placed on the least-loaded EO (the rebalance pass revisits
+    // this later).
     size_t label = next_class_label_++;
     ShardedClass::Options sc_opts;
     sc_opts.shards = opts_.shards;
@@ -169,8 +167,7 @@ Result<size_t> Executor::ClassFor(SourceSet footprint) {
         "class" + std::to_string(label), sc_opts, std::move(eo_ptrs),
         metrics_, tracer_);
     qc.live = true;
-    size_t eo = static_cast<size_t>(
-        std::min_element(hosted.begin(), hosted.end()) - hosted.begin());
+    size_t eo = LeastLoadedEo();
     qc.sc->set_shard_eo(0, eo);
     classes_.push_back(std::move(qc));
     class_idx = classes_.size() - 1;
@@ -241,8 +238,24 @@ Result<GlobalQueryId> Executor::SubmitQuery(const CQSpec& spec, Sink sink) {
     if (!any && classes_[class_idx].live) GcClass(class_idx);
     return local.status();
   }
-  queries_[gid] = QueryInfo{class_idx, *local};
+  queries_[gid] = QueryInfo{class_idx, *local, nullptr};
   return gid;
+}
+
+Result<GlobalQueryId> Executor::HostQuery(const DuFactory& build,
+                                          GlobalQueryId id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (id == 0) id = next_query_id_;
+  if (queries_.contains(id)) {
+    return Status::AlreadyExists("query id " + std::to_string(id) +
+                                 " is taken");
+  }
+  next_query_id_ = std::max(next_query_id_, id + 1);
+  std::shared_ptr<DispatchUnit> du = build(id);
+  // A finished DU keeps its id but is placed nowhere: it would only retire.
+  if (!du->done()) eos_[LeastLoadedEo()]->AddDispatchUnit(du);
+  queries_[id] = QueryInfo{SIZE_MAX, 0, std::move(du)};
+  return id;
 }
 
 Status Executor::RemoveQuery(GlobalQueryId id) {
@@ -250,6 +263,15 @@ Status Executor::RemoveQuery(GlobalQueryId id) {
   auto it = queries_.find(id);
   if (it == queries_.end()) {
     return Status::NotFound("no query " + std::to_string(id));
+  }
+  if (std::shared_ptr<DispatchUnit> du = std::move(it->second.du)) {
+    queries_.erase(it);
+    // The quiesce point: once detached no EO steps the DU again. A DU that
+    // already retired (kDone) is hosted nowhere, so every EO says no.
+    for (auto& eo : eos_) {
+      if (eo->RemoveDispatchUnit(du)) break;
+    }
+    return Status::OK();
   }
   size_t cls = it->second.query_class;
   QueryId local = it->second.local_id;
@@ -538,7 +560,7 @@ Status Executor::RestoreClass(CheckpointReader* r, const SinkFactory& sinks,
         spec, gid, std::move(sink), started_,
         [&](const ShardedClass::RemapMap& m) { ApplyRemap(cls, m); });
     if (!local.ok()) return local.status();
-    queries_[gid] = QueryInfo{cls, *local};
+    queries_[gid] = QueryInfo{cls, *local, nullptr};
     restored.insert(cls);
   }
 
@@ -644,6 +666,11 @@ void Executor::Stop() {
   rebalance_stop_.store(true);
   if (rebalance_thread_.joinable()) rebalance_thread_.join();
   for (auto& eo : eos_) eo->Stop();
+}
+
+bool Executor::running() const {
+  return std::any_of(eos_.begin(), eos_.end(),
+                     [](const auto& eo) { return eo->running(); });
 }
 
 size_t Executor::num_classes() const {

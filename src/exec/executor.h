@@ -23,6 +23,8 @@
 //     N shared-eddy replicas partitioned Flux-style on the class's derived
 //     join keys, pumped in parallel by per-shard DUs, with online skew
 //     re-partitioning (see exec/sharded_class.h).
+// Windowed queries are not classes: each is one caller-built DU hosted on
+// the same EOs under the same query ids (HostQuery).
 
 #pragma once
 
@@ -126,10 +128,19 @@ class Executor {
   /// per query but not across queries.
   Result<GlobalQueryId> SubmitQuery(const CQSpec& spec, Sink sink);
 
-  /// Removes a query at the next quantum boundary. Removing a class's LAST
-  /// query garbage-collects the class synchronously: the DUs detach from
-  /// their EOs, the class fjords close, and stream ownership is released (a
-  /// later query re-claims the streams with fresh fjords).
+  /// Hosts the DU `build(id)` returns (called once, under the executor lock)
+  /// as one query outside the class system, on the least-loaded EO. `id` 0
+  /// takes the next id from SubmitQuery's space; restore and checkpoint
+  /// re-attach pass a recorded id (kAlreadyExists when live). A DU that
+  /// reports kDone retires from its EO but keeps its id until RemoveQuery.
+  using DuFactory = std::function<std::shared_ptr<DispatchUnit>(GlobalQueryId)>;
+  Result<GlobalQueryId> HostQuery(const DuFactory& build, GlobalQueryId id = 0);
+
+  /// Removes a query at the next quantum boundary; a hosted DU detaches from
+  /// its EO, blocking until its in-flight quantum ends. Removing a class's
+  /// LAST query garbage-collects the class synchronously: the DUs detach
+  /// from their EOs, the class fjords close, and stream ownership is
+  /// released (a later query re-claims the streams with fresh fjords).
   Status RemoveQuery(GlobalQueryId id);
 
   /// Runs one rebalance pass immediately (also what the background thread
@@ -165,6 +176,8 @@ class Executor {
 
   void Start();
   void Stop();
+  /// True while any EO thread runs: DUs must not be stepped inline then.
+  bool running() const;
 
   /// Live query classes only (merged-away and GC'd classes are excluded).
   size_t num_classes() const;
@@ -211,8 +224,9 @@ class Executor {
   };
 
   struct QueryInfo {
-    size_t query_class = SIZE_MAX;
+    size_t query_class = SIZE_MAX;  ///< SIZE_MAX for a hosted DU
     QueryId local_id = 0;
+    std::shared_ptr<DispatchUnit> du;  ///< hosted queries only (HostQuery)
   };
 
   /// Finds or creates the class covering `footprint`, merging every touched
@@ -232,6 +246,7 @@ class Executor {
   Status RestoreClass(CheckpointReader* r, const SinkFactory& sinks,
                       uint64_t* replayed);
   size_t CountLiveClasses() const;  // caller holds mu_
+  size_t LeastLoadedEo() const;     // EO hosting the fewest DUs
   bool RebalanceLocked();           // caller holds mu_
   bool SkewLocked();                // caller holds mu_
   void RebalanceLoop();

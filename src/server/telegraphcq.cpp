@@ -408,6 +408,64 @@ Status TelegraphCQ::SubscribeContinuous(const std::string& physical,
   return Status::OK();
 }
 
+void TelegraphCQ::ClientInfo::Record(const std::string& query_sql,
+                                     const PlannedQuery& plan) {
+  sql = query_sql;
+  for (const auto& [alias, entry] : plan.bindings) {
+    bindings.emplace_back(alias, entry.source);
+    // Self-joins bind one physical stream under several aliases; count it
+    // once per query.
+    if (std::find(streams.begin(), streams.end(), entry.name) ==
+        streams.end()) {
+      streams.push_back(entry.name);
+    }
+  }
+}
+
+std::shared_ptr<PushEgress> TelegraphCQ::NewEgressLocked() {
+  return std::make_shared<PushEgress>(
+      PushEgress::Options{opts_.egress_capacity, opts_.egress_shed}, metrics_,
+      "client" + std::to_string(next_client_label_++));
+}
+
+namespace {
+
+/// A continuous client's delivery sink: projects data tuples into `egress`.
+Executor::Sink EgressSink(std::shared_ptr<PushEgress> egress,
+                          std::optional<Projection> projection) {
+  return [egress, projection](GlobalQueryId id, const Tuple& t) {
+    // Punctuations (the class's merged watermark reaching the client) have
+    // no columns to project; they pass through as-is.
+    if (!projection.has_value() || !t.IsData()) {
+      egress->Offer(Delivery{id, t});
+      return;
+    }
+    auto p = projection->Apply(t);
+    if (p.ok()) egress->Offer(Delivery{id, std::move(*p)});
+  };
+}
+
+/// Re-plans checkpointed query `id` with its recorded alias bindings pinned;
+/// kIOError unless the plan reproduces them.
+Result<PlannedQuery> Replan(Catalog* catalog, GlobalQueryId id,
+                            const std::string& sql,
+                            const std::map<std::string, SourceId>& pinned) {
+  TCQ_ASSIGN_OR_RETURN(ast::SelectStatement stmt, ParseQuery(sql));
+  TCQ_ASSIGN_OR_RETURN(PlannedQuery plan, PlanQuery(stmt, catalog, &pinned));
+  for (const auto& [alias, entry] : plan.bindings) {
+    auto pin = pinned.find(alias);
+    if (pin == pinned.end() || pin->second != entry.source) {
+      return Status::IOError("restored plan for query " + std::to_string(id) +
+                             " bound alias '" + alias +
+                             "' to a different source than the checkpoint "
+                             "recorded");
+    }
+  }
+  return plan;
+}
+
+}  // namespace
+
 Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
                                                       SubmitOptions sub_opts) {
   TCQ_ASSIGN_OR_RETURN(ast::SelectStatement stmt, ParseQuery(sql));
@@ -416,9 +474,7 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
   TCQ_ASSIGN_OR_RETURN(PlannedQuery plan, PlanQuery(stmt, &catalog_));
 
   // Map each binding back to its physical stream.
-  std::vector<std::pair<std::string, Catalog::StreamEntry>> bindings =
-      plan.bindings;
-  for (const auto& [alias, entry] : bindings) {
+  for (const auto& [alias, entry] : plan.bindings) {
     if (!streams_.contains(entry.name)) {
       return Status::NotFound("stream '" + entry.name +
                               "' is not backed by a physical stream");
@@ -431,7 +487,7 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
     if (sub_opts.history_reach != 0) {
       // Validate spooling up front so a failed backfill can only mean an
       // I/O or back-pressure fault, not a predictable misuse.
-      for (const auto& [alias, entry] : bindings) {
+      for (const auto& [alias, entry] : plan.bindings) {
         if (streams_[entry.name].spool == nullptr) {
           return Status::FailedPrecondition(
               "history_reach requires spooled streams (set "
@@ -440,24 +496,28 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
         }
       }
     }
-    GlobalQueryId wid = next_window_query_id_++;
-    TCQ_ASSIGN_OR_RETURN(handle, AdmitWindowedLocked(plan, sql, sub_opts, wid));
+    TCQ_ASSIGN_OR_RETURN(handle, AdmitWindowedLocked(plan, sql, sub_opts, 0));
+    ClientInfo& client = clients_[handle.id];
     if (sub_opts.history_reach != 0) {
-      Status backfill =
-          BackfillWindowedLocked(&clients_[wid], sub_opts.history_reach);
+      Status backfill = BackfillWindowedLocked(&client, sub_opts.history_reach);
       if (!backfill.ok()) {
         // Roll the admission back: a failed backfill must not leave a
         // half-primed query running.
-        ClientInfo& client = clients_[wid];
-        if (client.window_eo != nullptr) client.window_eo->Stop();
         for (auto& [name, stream] : streams_) {
-          std::erase_if(stream.subs, [wid](const Subscription& s) {
-            return s.owner == wid;
+          std::erase_if(stream.subs, [&](const Subscription& s) {
+            return s.owner == handle.id;
           });
         }
-        clients_.erase(wid);
+        clients_.erase(handle.id);
+        (void)executor_.RemoveQuery(handle.id);
         return backfill;
       }
+    }
+    // A stream that closed before this query existed will never deliver
+    // end-of-stream to it: close those inputs now — after the backfill, so
+    // a finished, spooled stream fires over its archive and then finishes.
+    for (const ClientInfo::WindowInput& in : client.window_inputs) {
+      if (streams_[in.stream].closed) in.producer->Close();
     }
     return handle;
   }
@@ -468,24 +528,11 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
   }
 
   // Continuous query through the shared executor.
-  for (const auto& [alias, entry] : bindings) {
+  for (const auto& [alias, entry] : plan.bindings) {
     TCQ_RETURN_IF_ERROR(SubscribeContinuous(entry.name, entry));
   }
-  auto egress = std::make_shared<PushEgress>(
-      PushEgress::Options{opts_.egress_capacity, opts_.egress_shed}, metrics_,
-      "client" + std::to_string(next_client_label_++));
-  auto projection = plan.projection;
-  Executor::Sink sink = [egress, projection](GlobalQueryId id,
-                                             const Tuple& t) {
-    // Punctuations (the class's merged watermark reaching the client) have
-    // no columns to project; they pass through as-is.
-    if (!projection.has_value() || !t.IsData()) {
-      egress->Offer(Delivery{id, t});
-      return;
-    }
-    auto p = projection->Apply(t);
-    if (p.ok()) egress->Offer(Delivery{id, std::move(*p)});
-  };
+  std::shared_ptr<PushEgress> egress = NewEgressLocked();
+  Executor::Sink sink = EgressSink(egress, plan.projection);
   lock.unlock();  // SubmitQuery blocks on admission; don't hold the mutex
   TCQ_ASSIGN_OR_RETURN(GlobalQueryId id,
                        executor_.SubmitQuery(plan.spec, std::move(sink)));
@@ -495,27 +542,37 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
     std::lock_guard<std::mutex> relock(mu_);
     ClientInfo& client = clients_[id];
     client.egress = egress;
-    client.sql = sql;
-    for (const auto& [alias, entry] : bindings) {
-      client.bindings.emplace_back(alias, entry.source);
-      if (std::find(client.streams.begin(), client.streams.end(),
-                    entry.name) == client.streams.end()) {
-        client.streams.push_back(entry.name);
-      }
-    }
+    client.Record(sql, plan);
   }
   return handle;
 }
 
 Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
     const PlannedQuery& plan, const std::string& sql,
-    const SubmitOptions& sub_opts, GlobalQueryId wid) {
-  const std::vector<std::pair<std::string, Catalog::StreamEntry>>& bindings =
-      plan.bindings;
-  ClientHandle handle;
-  {
-    // Windowed query: its own DU fed by dedicated fjords.
-    auto buffer = std::make_shared<WindowResultBuffer>();
+    const SubmitOptions& sub_opts, GlobalQueryId id) {
+  auto buffer = std::make_shared<WindowResultBuffer>();
+  auto projection = plan.projection;
+  WindowedQuery wq;
+  wq.loop = *plan.window_loop;
+  wq.predicates = plan.all_predicates;
+  // The query runs on event time when every bound stream punctuates:
+  // watermarks then drive window firing and arrival order stops
+  // mattering (up to each stream's disorder bound). A non-punctuating
+  // stream has no watermark, so mixing would stall the loop forever.
+  bool all_punctuate = true;
+  for (const auto& [alias, entry] : plan.bindings) {
+    if (!streams_[entry.name].event_time.punctuate) all_punctuate = false;
+  }
+  if (all_punctuate) wq.loop.semantics = TimeSemantics::kEvent;
+  OnlineWindowRunner::Options runner_opts;
+  runner_opts.speculate = sub_opts.speculate && all_punctuate;
+
+  // One DU fed by dedicated fjords, hosted on the executor's EOs under an
+  // id from its query id space. Everything is wired before the DU is
+  // hosted: once on an EO it is stepped concurrently.
+  std::shared_ptr<WindowedQueryDispatchUnit> du;
+  std::vector<ClientInfo::WindowInput> inputs;
+  auto build = [&](GlobalQueryId wid) {
     std::string qlabel = "q" + std::to_string(wid);
     buffer->AttachMetrics(
         metrics_->GetCounter(
@@ -524,22 +581,7 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
             MetricName("tcq_window_tuples_total", "query", qlabel)),
         metrics_->GetCounter(
             MetricName("tcq_window_retractions_total", "query", qlabel)));
-    auto projection = plan.projection;
-    WindowedQuery wq;
-    wq.loop = *plan.window_loop;
-    wq.predicates = plan.all_predicates;
-    // The query runs on event time when every bound stream punctuates:
-    // watermarks then drive window firing and arrival order stops
-    // mattering (up to each stream's disorder bound). A non-punctuating
-    // stream has no watermark, so mixing would stall the loop forever.
-    bool all_punctuate = true;
-    for (const auto& [alias, entry] : bindings) {
-      if (!streams_[entry.name].event_time.punctuate) all_punctuate = false;
-    }
-    if (all_punctuate) wq.loop.semantics = TimeSemantics::kEvent;
-    OnlineWindowRunner::Options runner_opts;
-    runner_opts.speculate = sub_opts.speculate && all_punctuate;
-    auto du = std::make_shared<WindowedQueryDispatchUnit>(
+    du = std::make_shared<WindowedQueryDispatchUnit>(
         "windowed" + std::to_string(wid), std::move(wq),
         [buffer, projection](const WindowResult& r) {
           if (!projection.has_value()) {
@@ -561,20 +603,19 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
           buffer->Push(std::move(projected));
         },
         /*quantum=*/64, runner_opts);
-    std::vector<ClientInfo::WindowInput> inputs;
-    for (const auto& [alias, entry] : bindings) {
+    // A completed loop finishes its client's buffer.
+    du->set_on_done([buffer] { buffer->MarkFinished(); });
+    Counter* win_dropped = metrics_->GetCounter(
+        MetricName("tcq_window_input_dropped_total", "query", qlabel));
+    for (const auto& [alias, entry] : plan.bindings) {
       auto endpoints = Fjord::Make(FjordMode::kPush, opts_.egress_capacity,
                                    "win:" + alias, metrics_.get());
       du->AddInput(entry.source, endpoints.consumer);
-      PhysicalStream& stream = streams_[entry.name];
       Subscription sub;
       sub.logical = entry.source;
       sub.schema = entry.schema;
       sub.owner = wid;
       auto producer = std::make_shared<FjordProducer>(endpoints.producer);
-      Counter* win_dropped = metrics_->GetCounter(
-          MetricName("tcq_window_input_dropped_total", "window",
-                     "w" + std::to_string(wid)));
       sub.deliver = [producer, win_dropped, du](const TupleBatch& b) {
         // A finished loop reads nothing more: its input is not a drop.
         if (du->done()) return;
@@ -588,37 +629,24 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
       // CloseStream closes the input fjord so the DU sees end-of-stream and
       // fires the windows it is still holding open.
       sub.close = [producer] { producer->Close(); };
-      stream.subs.push_back(std::move(sub));
+      streams_[entry.name].subs.push_back(std::move(sub));
       inputs.push_back(ClientInfo::WindowInput{entry.source, entry.name,
                                                entry.schema, endpoints.fjord,
                                                producer});
     }
-    // Host the windowed DU on its own EO so it cannot starve classes.
-    auto eo = std::make_unique<ExecutionObject>(
-        "win-eo" + std::to_string(wid), MakeRoundRobinScheduler(), metrics_);
-    eo->AddDispatchUnit(du);
-    if (started_) eo->Start();
-    handle.id = wid;
-    handle.windows = buffer;
-    ClientInfo& client = clients_[handle.id];
-    client.windowed = true;
-    client.windows = buffer;
-    client.window_du = du;
-    client.window_eo = std::move(eo);
-    client.sql = sql;
-    client.speculate = sub_opts.speculate;
-    client.window_inputs = std::move(inputs);
-    for (const auto& [alias, entry] : bindings) {
-      client.bindings.emplace_back(alias, entry.source);
-      // Self-joins bind one physical stream under several aliases; count it
-      // once per query.
-      if (std::find(client.streams.begin(), client.streams.end(),
-                    entry.name) == client.streams.end()) {
-        client.streams.push_back(entry.name);
-      }
-    }
-    return handle;
-  }
+    return du;
+  };
+  TCQ_ASSIGN_OR_RETURN(GlobalQueryId wid, executor_.HostQuery(build, id));
+  ClientHandle handle;
+  handle.id = wid;
+  handle.windows = buffer;
+  ClientInfo& client = clients_[wid];
+  client.windows = buffer;
+  client.window_du = du;
+  client.speculate = sub_opts.speculate;
+  client.window_inputs = std::move(inputs);
+  client.Record(sql, plan);
+  return handle;
 }
 
 Result<std::vector<Tuple>> TelegraphCQ::ScanHistory(const std::string& name,
@@ -643,9 +671,31 @@ Result<std::vector<Tuple>> TelegraphCQ::ScanHistory(const std::string& name,
 
 namespace {
 
+/// A query's recorded (alias -> source id) bindings, as Checkpoint() writes
+/// them and Restore() pins them.
+void PutBindings(CheckpointWriter* w,
+                 const std::vector<std::pair<std::string, SourceId>>& b) {
+  w->PutU32(static_cast<uint32_t>(b.size()));
+  for (const auto& [alias, source] : b) {
+    w->PutString(alias);
+    w->PutU32(static_cast<uint32_t>(source));
+  }
+}
+
+Result<std::map<std::string, SourceId>> GetBindings(CheckpointReader* r) {
+  std::map<std::string, SourceId> pinned;
+  TCQ_ASSIGN_OR_RETURN(uint32_t n, r->GetU32());
+  for (uint32_t b = 0; b < n; ++b) {
+    TCQ_ASSIGN_OR_RETURN(std::string alias, r->GetString());
+    TCQ_ASSIGN_OR_RETURN(uint32_t source, r->GetU32());
+    pinned[alias] = source;
+  }
+  return pinned;
+}
+
 /// Pushes a batch into a windowed query's input fjord with bounded retry.
-/// With an EO running the fjord drains concurrently, so the push just waits
-/// for space; before Start() nothing drains, so the DU is stepped inline
+/// With the EOs running the fjord drains concurrently, so the push just
+/// waits for space; otherwise nothing drains, so the DU is stepped inline
 /// between attempts. The unconsumed suffix (rows, then punctuations) stays
 /// in the batch across retries by the ProduceBatch contract.
 Status PushWindowInput(FjordProducer* producer, DispatchUnit* du,
@@ -690,26 +740,24 @@ Status TelegraphCQ::FlushSpools() {
 Status TelegraphCQ::DrainWindowedLocked() {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto pending = [](const ClientInfo& client) {
+    for (const ClientInfo::WindowInput& in : client.window_inputs) {
+      if (in.fjord->queue().size() > 0) return true;
+    }
+    return false;
+  };
   for (;;) {
     bool busy = false;
     for (auto& [id, client] : clients_) {
-      // A finished loop counts as drained: its EO no longer steps it.
-      if (!client.windowed || client.window_du->done()) continue;
-      bool pending = false;
-      for (const ClientInfo::WindowInput& in : client.window_inputs) {
-        if (in.fjord->queue().size() > 0) pending = true;
-      }
-      if (pending && !started_) {
-        // Nothing drains before Start(): step the DU inline.
+      // A finished loop counts as drained: it retired from its EO.
+      if (!client.windowed() || client.window_du->done()) continue;
+      if (pending(client) && !executor_.running()) {
+        // No EO thread drains: step the DU inline.
         while (client.window_du->Step() ==
                DispatchUnit::StepResult::kProgress) {
         }
-        pending = false;
-        for (const ClientInfo::WindowInput& in : client.window_inputs) {
-          if (in.fjord->queue().size() > 0) pending = true;
-        }
       }
-      busy = busy || pending;
+      busy = busy || pending(client);
     }
     if (!busy) return Status::OK();
     if (std::chrono::steady_clock::now() > deadline) {
@@ -734,7 +782,7 @@ Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
     if (reach != kMaxTimestamp && latest > kMinTimestamp + reach) {
       lo = latest - reach + 1;
     }
-    const bool eo_running = started_;
+    const bool eo_running = executor_.running();
     size_t i = 0;
     while (i < archive.size()) {
       TupleBatch chunk;
@@ -815,30 +863,22 @@ Result<uint64_t> TelegraphCQ::Checkpoint() {
   }
   uint32_t ncont = 0, nwin = 0;
   for (const auto& [id, client] : clients_) {
-    (client.windowed ? nwin : ncont) += 1;
+    (client.windowed() ? nwin : ncont) += 1;
   }
   w.PutU32(ncont);
   for (const auto& [id, client] : clients_) {
-    if (client.windowed) continue;
+    if (client.windowed()) continue;
     w.PutU64(id);
     w.PutString(client.sql);
-    w.PutU32(static_cast<uint32_t>(client.bindings.size()));
-    for (const auto& [alias, source] : client.bindings) {
-      w.PutString(alias);
-      w.PutU32(static_cast<uint32_t>(source));
-    }
+    PutBindings(&w, client.bindings);
   }
   w.PutU32(nwin);
   for (const auto& [id, client] : clients_) {
-    if (!client.windowed) continue;
+    if (!client.windowed()) continue;
     w.PutU64(id);
     w.PutString(client.sql);
     w.PutBool(client.speculate);
-    w.PutU32(static_cast<uint32_t>(client.bindings.size()));
-    for (const auto& [alias, source] : client.bindings) {
-      w.PutString(alias);
-      w.PutU32(static_cast<uint32_t>(source));
-    }
+    PutBindings(&w, client.bindings);
   }
   w.EndSection();
 
@@ -847,13 +887,15 @@ Result<uint64_t> TelegraphCQ::Checkpoint() {
   TCQ_RETURN_IF_ERROR(executor_.CheckpointTo(&w));
 
   // Windowed runners, in query-id order (restore reads them back in the
-  // same order). A runner is only safely readable with its EO stopped.
+  // same order). Each DU detaches from its EO at a quantum boundary, its
+  // runner exports, and it re-attaches under the same id.
   for (auto& [id, client] : clients_) {
-    if (!client.windowed) continue;
-    if (client.window_eo != nullptr) client.window_eo->Stop();
-    auto* du = static_cast<WindowedQueryDispatchUnit*>(client.window_du.get());
-    WriteCheckpointSection(&w, du->runner());
-    if (client.window_eo != nullptr && started_) client.window_eo->Start();
+    if (!client.windowed()) continue;
+    TCQ_RETURN_IF_ERROR(executor_.RemoveQuery(id));
+    WriteCheckpointSection(&w, client.window_du->runner());
+    TCQ_RETURN_IF_ERROR(
+        executor_.HostQuery([&](GlobalQueryId) { return client.window_du; }, id)
+            .status());
   }
 
   const std::string path =
@@ -1012,51 +1054,17 @@ Result<uint64_t> TelegraphCQ::Restore() {
   for (uint32_t i = 0; i < ncont; ++i) {
     TCQ_ASSIGN_OR_RETURN(uint64_t gid, r->GetU64());
     TCQ_ASSIGN_OR_RETURN(std::string sql, r->GetString());
-    TCQ_ASSIGN_OR_RETURN(uint32_t nbind, r->GetU32());
-    std::map<std::string, SourceId> pinned;
-    std::vector<std::pair<std::string, SourceId>> recorded;
-    for (uint32_t b = 0; b < nbind; ++b) {
-      TCQ_ASSIGN_OR_RETURN(std::string alias, r->GetString());
-      TCQ_ASSIGN_OR_RETURN(uint32_t source, r->GetU32());
-      pinned[alias] = source;
-      recorded.emplace_back(alias, source);
-    }
-    TCQ_ASSIGN_OR_RETURN(ast::SelectStatement stmt, ParseQuery(sql));
+    TCQ_ASSIGN_OR_RETURN(auto pinned, GetBindings(r.get()));
     std::lock_guard<std::mutex> lock(mu_);
-    TCQ_ASSIGN_OR_RETURN(PlannedQuery plan,
-                         PlanQuery(stmt, &catalog_, &pinned));
+    TCQ_ASSIGN_OR_RETURN(PlannedQuery plan, Replan(&catalog_, gid, sql, pinned));
     for (const auto& [alias, entry] : plan.bindings) {
-      auto pin = pinned.find(alias);
-      if (pin == pinned.end() || pin->second != entry.source) {
-        return Status::IOError("restored plan for query " +
-                               std::to_string(gid) + " bound alias '" +
-                               alias + "' to a different source than the "
-                               "checkpoint recorded");
-      }
       TCQ_RETURN_IF_ERROR(SubscribeContinuous(entry.name, entry));
     }
-    auto egress = std::make_shared<PushEgress>(
-        PushEgress::Options{opts_.egress_capacity, opts_.egress_shed},
-        metrics_, "client" + std::to_string(next_client_label_++));
-    auto projection = plan.projection;
-    sinks[gid] = [egress, projection](GlobalQueryId qid, const Tuple& t) {
-      if (!projection.has_value() || !t.IsData()) {
-        egress->Offer(Delivery{qid, t});
-        return;
-      }
-      auto p = projection->Apply(t);
-      if (p.ok()) egress->Offer(Delivery{qid, std::move(*p)});
-    };
+    std::shared_ptr<PushEgress> egress = NewEgressLocked();
+    sinks[gid] = EgressSink(egress, plan.projection);
     ClientInfo& client = clients_[gid];
     client.egress = egress;
-    client.sql = sql;
-    client.bindings = std::move(recorded);
-    for (const auto& [alias, entry] : plan.bindings) {
-      if (std::find(client.streams.begin(), client.streams.end(),
-                    entry.name) == client.streams.end()) {
-        client.streams.push_back(entry.name);
-      }
-    }
+    client.Record(sql, plan);
   }
 
   // 4. Windowed client metadata (their runner sections come after the
@@ -1066,7 +1074,6 @@ Result<uint64_t> TelegraphCQ::Restore() {
     std::string sql;
     bool speculate = false;
     std::map<std::string, SourceId> pinned;
-    std::vector<std::pair<std::string, SourceId>> recorded;
   };
   std::vector<WinRec> wins;
   TCQ_ASSIGN_OR_RETURN(uint32_t nwin, r->GetU32());
@@ -1075,13 +1082,7 @@ Result<uint64_t> TelegraphCQ::Restore() {
     TCQ_ASSIGN_OR_RETURN(rec.wid, r->GetU64());
     TCQ_ASSIGN_OR_RETURN(rec.sql, r->GetString());
     TCQ_ASSIGN_OR_RETURN(rec.speculate, r->GetBool());
-    TCQ_ASSIGN_OR_RETURN(uint32_t nbind, r->GetU32());
-    for (uint32_t b = 0; b < nbind; ++b) {
-      TCQ_ASSIGN_OR_RETURN(std::string alias, r->GetString());
-      TCQ_ASSIGN_OR_RETURN(uint32_t source, r->GetU32());
-      rec.pinned[alias] = source;
-      rec.recorded.emplace_back(alias, source);
-    }
+    TCQ_ASSIGN_OR_RETURN(rec.pinned, GetBindings(r.get()));
     wins.push_back(std::move(rec));
   }
   TCQ_RETURN_IF_ERROR(r->EndSection());
@@ -1099,54 +1100,30 @@ Result<uint64_t> TelegraphCQ::Restore() {
   // 6. Windowed queries: re-admit under recorded ids (pinned re-planning),
   // then import each runner's snapshot.
   for (WinRec& rec : wins) {
-    TCQ_ASSIGN_OR_RETURN(ast::SelectStatement stmt, ParseQuery(rec.sql));
-    ClientInfo* client = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      TCQ_ASSIGN_OR_RETURN(PlannedQuery plan,
-                           PlanQuery(stmt, &catalog_, &rec.pinned));
-      for (const auto& [alias, entry] : plan.bindings) {
-        auto pin = rec.pinned.find(alias);
-        if (pin == rec.pinned.end() || pin->second != entry.source) {
-          return Status::IOError("restored plan for query " +
-                                 std::to_string(rec.wid) + " bound alias '" +
-                                 alias + "' to a different source than the "
-                                 "checkpoint recorded");
-        }
-      }
-      SubmitOptions so;
-      so.speculate = rec.speculate;
-      TCQ_ASSIGN_OR_RETURN(ClientHandle handle,
-                           AdmitWindowedLocked(plan, rec.sql, so, rec.wid));
-      (void)handle;
-      if (rec.wid + 1 > next_window_query_id_) {
-        next_window_query_id_ = rec.wid + 1;
-      }
-      auto it = clients_.find(rec.wid);
-      it->second.bindings = rec.recorded;
-      client = &it->second;
-    }
-    auto* du = static_cast<WindowedQueryDispatchUnit*>(client->window_du.get());
-    TCQ_RETURN_IF_ERROR(ReadCheckpointSection(r.get(), du->mutable_runner()));
+    std::lock_guard<std::mutex> lock(mu_);
+    TCQ_ASSIGN_OR_RETURN(PlannedQuery plan,
+                         Replan(&catalog_, rec.wid, rec.sql, rec.pinned));
+    TCQ_ASSIGN_OR_RETURN(
+        ClientHandle handle,
+        AdmitWindowedLocked(plan, rec.sql, {.speculate = rec.speculate},
+                            rec.wid));
+    // The EOs start in step 7, so nothing steps the DU yet.
+    TCQ_RETURN_IF_ERROR(ReadCheckpointSection(
+        r.get(), clients_[handle.id].window_du->mutable_runner()));
   }
 
   // 7. Bring the dataflow up for the replay (the fjords must drain or the
-  // chunks below would overflow them). Start() later re-invokes both —
+  // chunks below would overflow them). Start() later re-invokes it —
   // idempotent.
   executor_.Start();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, client] : clients_) {
-      if (client.window_eo != nullptr) client.window_eo->Start();
-    }
-  }
 
   // 8. Replay each stream's archived suffix past its snapshot high-water
-  // mark, spool-bypassing (the tuples are already archived). Chunks yield
-  // between pushes so windowed fjords keep headroom.
+  // mark, spool-bypassing (the tuples are already archived). The windowed
+  // inputs drain after each chunk so their fjords never overflow; a drain
+  // that stalls is not fatal (overflow is then counted as input drops).
   uint64_t replayed = 0;
   for (const auto& [name, pos] : replay) {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     auto it = streams_.find(name);
     if (it == streams_.end() || it->second.spool == nullptr) continue;
     PhysicalStream& stream = it->second;
@@ -1161,26 +1138,7 @@ Result<uint64_t> TelegraphCQ::Restore() {
       }
       replayed += chunk.size();
       RouteBatch(&stream, chunk, /*spool=*/false);
-      lock.unlock();
-      const auto bp_deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      for (;;) {
-        bool full = false;
-        {
-          std::lock_guard<std::mutex> g(mu_);
-          for (auto& [id, client] : clients_) {
-            if (!client.windowed) continue;
-            for (const ClientInfo::WindowInput& in : client.window_inputs) {
-              if (in.fjord->queue().size() > opts_.egress_capacity / 2) {
-                full = true;
-              }
-            }
-          }
-        }
-        if (!full || std::chrono::steady_clock::now() > bp_deadline) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-      lock.lock();
+      (void)DrainWindowedLocked();
     }
   }
 
@@ -1232,33 +1190,25 @@ void TelegraphCQ::CheckpointLoop() {
 
 Status TelegraphCQ::Cancel(GlobalQueryId id) {
   std::shared_ptr<WindowResultBuffer> windows;
-  std::unique_ptr<ExecutionObject> eo;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = clients_.find(id);
     if (it == clients_.end()) {
       return Status::NotFound("no query " + std::to_string(id));
     }
-    if (it->second.windowed) {
-      windows = it->second.windows;
-      eo = std::move(it->second.window_eo);
-      // Detach the query's subscriptions so its fjords stop filling.
-      for (auto& [name, stream] : streams_) {
-        std::erase_if(stream.subs, [id](const Subscription& s) {
-          return s.owner == id;
-        });
-      }
+    windows = it->second.windows;
+    // Detach a windowed query's subscriptions so its fjords stop filling
+    // (continuous subscriptions are shared and have no owner).
+    for (auto& [name, stream] : streams_) {
+      std::erase_if(stream.subs,
+                    [id](const Subscription& s) { return s.owner == id; });
     }
     clients_.erase(it);
   }
-  if (windows != nullptr) {
-    // Windowed queries never entered the executor: stop their dedicated EO
-    // (outside mu_ — Stop joins the EO thread) and finish the buffer.
-    if (eo != nullptr) eo->Stop();
-    windows->MarkFinished();
-    return Status::OK();
-  }
-  return executor_.RemoveQuery(id);
+  // Outside mu_: removal waits out the query's in-flight quantum.
+  Status removed = executor_.RemoveQuery(id);
+  if (windows != nullptr) windows->MarkFinished();
+  return removed;
 }
 
 TelegraphCQ::Introspection TelegraphCQ::Introspect() const {
@@ -1269,7 +1219,7 @@ TelegraphCQ::Introspection TelegraphCQ::Introspect() const {
   for (const auto& [id, client] : clients_) {
     QueryStats qs;
     qs.id = id;
-    qs.windowed = client.windowed;
+    qs.windowed = client.windowed();
     for (const std::string& name : client.streams) {
       auto it = streams_.find(name);
       if (it != streams_.end()) qs.tuples_in += it->second.ingested->Value();
@@ -1318,12 +1268,6 @@ void TelegraphCQ::Start() {
     started_ = true;
   }
   executor_.Start();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, client] : clients_) {
-      if (client.window_eo != nullptr) client.window_eo->Start();
-    }
-  }
   wrapper_.Start();
   stop_.store(false);
   pump_thread_ = std::thread([this] { PumpLoop(); });
@@ -1370,7 +1314,7 @@ void TelegraphCQ::Stop() {
     if (!started_) return;
     started_ = false;
   }
-  // The checkpointer goes first: it takes mu_ and stops/starts EOs.
+  // The checkpointer goes first: it takes mu_ and detaches windowed DUs.
   checkpoint_stop_.store(true);
   if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
   // Stop the publisher next: it pushes into streams_ via PushBuilt.
@@ -1378,12 +1322,6 @@ void TelegraphCQ::Stop() {
   wrapper_.Stop();
   stop_.store(true);
   if (pump_thread_.joinable()) pump_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, client] : clients_) {
-      if (client.window_eo != nullptr) client.window_eo->Stop();
-    }
-  }
   executor_.Stop();
 }
 

@@ -32,7 +32,8 @@ class WindowResultBuffer {
   void Push(WindowResult result);
   /// Non-blocking: pops the oldest fired window.
   bool Poll(WindowResult* out);
-  /// True once the query's loop finished and the buffer drained.
+  /// True once the buffer drained and the query is over: its loop finished
+  /// (or every input stream closed), or it was cancelled.
   bool Finished() const;
   void MarkFinished();
   size_t pending() const;
@@ -197,8 +198,8 @@ class TelegraphCQ {
     uint64_t tuples_ingested = 0;
     std::vector<QueryStats> queries;
     std::vector<StreamStats> streams;
-    /// Live query classes (continuous queries only; windowed queries run on
-    /// their own dedicated EOs outside the class system).
+    /// Live query classes (continuous queries only; each windowed query is
+    /// one DU hosted on the same EOs outside the class system).
     std::vector<Executor::ClassInfo> classes;
     uint64_t class_merges = 0;      ///< bridging-query class merges so far
     uint64_t class_migrations = 0;  ///< rebalance DU migrations so far
@@ -330,10 +331,10 @@ class TelegraphCQ {
   /// reconnects to its egress / window buffer after Restore().
   std::vector<ClientHandle> Handles() const;
 
-  /// Cancels a query — continuous or windowed. For a windowed query the
-  /// dedicated execution object is stopped, its subscriptions are detached,
-  /// and the client's window buffer is marked finished. kNotFound for an
-  /// id no live query owns (including double-cancel).
+  /// Cancels a query — continuous or windowed — on one path: its own
+  /// subscriptions detach, the executor removes it, and a windowed client's
+  /// buffer is marked finished. kNotFound for an id no live query owns
+  /// (including double-cancel).
   Status Cancel(GlobalQueryId id);
 
   void Start();
@@ -389,14 +390,13 @@ class TelegraphCQ {
     Counter* late = nullptr;
   };
   /// What Introspect() and Cancel() need to remember about a submitted
-  /// query. Windowed queries own their dispatch unit and execution object.
+  /// query. A windowed query keeps its DU (the executor hosts it).
   struct ClientInfo {
-    bool windowed = false;
+    bool windowed() const { return window_du != nullptr; }
     std::vector<std::string> streams;  // physical stream names it reads
     std::shared_ptr<PushEgress> egress;
     std::shared_ptr<WindowResultBuffer> windows;
-    std::shared_ptr<DispatchUnit> window_du;
-    std::unique_ptr<ExecutionObject> window_eo;
+    std::shared_ptr<WindowedQueryDispatchUnit> window_du;
     /// Checkpoint record: the submitted SQL plus the (alias -> source id)
     /// bindings its plan resolved, so a restore can re-plan with the ids
     /// pinned (self-join aliases are allocated at plan time and would
@@ -417,6 +417,8 @@ class TelegraphCQ {
       std::shared_ptr<FjordProducer> producer;
     };
     std::vector<WindowInput> window_inputs;
+    /// Records sql, bindings and streams from the query's plan.
+    void Record(const std::string& query_sql, const PlannedQuery& plan);
   };
 
   /// Routes a whole physical batch to every logical subscription (re-tagged
@@ -432,21 +434,24 @@ class TelegraphCQ {
   Result<SourceId> DefineStreamInternal(const std::string& name,
                                         const std::vector<Field>& fields,
                                         bool reopen_spool = false);
+  /// A new continuous client's egress. Caller holds mu_.
+  std::shared_ptr<PushEgress> NewEgressLocked();
   /// Ensures the executor knows `entry` and tuples reach it.
   Status SubscribeContinuous(const std::string& physical,
                              const Catalog::StreamEntry& entry);
-  /// The windowed half of Submit(), callable with an explicit query id
-  /// (restore re-admits under recorded ids). Caller holds mu_.
+  /// The windowed half of Submit(): hosts the query's DU on the executor
+  /// under `id` (0 = next free; restore passes recorded ids). Caller holds
+  /// mu_.
   Result<ClientHandle> AdmitWindowedLocked(const PlannedQuery& plan,
                                            const std::string& sql,
                                            const SubmitOptions& sub_opts,
-                                           GlobalQueryId wid);
+                                           GlobalQueryId id);
   /// Primes a freshly admitted windowed query's fjords with the archived
   /// suffix reaching `reach` back (SubmitOptions::history_reach). Caller
   /// holds mu_, so live routing is blocked and the splice is exact.
   Status BackfillWindowedLocked(ClientInfo* client, Timestamp reach);
-  /// Waits until every windowed query's input fjords are empty (their EOs
-  /// drain them; pre-Start the DUs are stepped inline). Caller holds mu_.
+  /// Waits until every windowed query's input fjords are empty (the EOs
+  /// drain them; while none runs the DUs step inline). Caller holds mu_.
   Status DrainWindowedLocked();
   void CheckpointLoop();
   void PumpLoop();
@@ -468,7 +473,6 @@ class TelegraphCQ {
   std::atomic<bool> stop_{false};
   Counter* ingested_;
   bool started_ = false;
-  GlobalQueryId next_window_query_id_ = 1u << 20;  // distinct id space
   uint64_t next_client_label_ = 0;  // egress labels (gid unknown pre-admit)
   // Durable-state instruments and checkpointer state (DESIGN.md §13).
   Counter* ckpt_epochs_;

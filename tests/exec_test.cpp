@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 
 #include "common/rng.h"
@@ -173,38 +174,48 @@ TEST(DispatchUnitTest, SameTimestampPushesAcrossStepsShareAWindow) {
 
 // --- ExecutionObject ------------------------------------------------------------
 
+/// Runs `quanta` progress steps, then reports kDone and counts `finished`
+/// down.
 class CountdownDU : public DispatchUnit {
  public:
-  CountdownDU(std::string name, int quanta, std::atomic<int>* counter)
-      : DispatchUnit(std::move(name)), remaining_(quanta), counter_(counter) {}
+  CountdownDU(std::string name, int quanta, std::atomic<int>* counter,
+              std::latch* finished)
+      : DispatchUnit(std::move(name)),
+        remaining_(quanta),
+        counter_(counter),
+        finished_(finished) {}
 
   StepResult Step() override {
-    if (remaining_ <= 0) {
-      CountStep(StepResult::kDone);
-      return StepResult::kDone;
-    }
     --remaining_;
     counter_->fetch_add(1);
     StepResult r =
         remaining_ == 0 ? StepResult::kDone : StepResult::kProgress;
     CountStep(r);
+    if (r == StepResult::kDone) finished_->count_down();
     return r;
   }
 
  private:
   int remaining_;
   std::atomic<int>* counter_;
+  std::latch* finished_;
 };
 
 TEST(ExecutionObjectTest, RunsAllDusToCompletion) {
   ExecutionObject eo("eo", MakeRoundRobinScheduler());
   std::atomic<int> counter{0};
-  eo.AddDispatchUnit(std::make_shared<CountdownDU>("a", 50, &counter));
-  eo.AddDispatchUnit(std::make_shared<CountdownDU>("b", 70, &counter));
+  std::latch finished(2);
+  eo.AddDispatchUnit(
+      std::make_shared<CountdownDU>("a", 50, &counter, &finished));
+  eo.AddDispatchUnit(
+      std::make_shared<CountdownDU>("b", 70, &counter, &finished));
   eo.Start();
-  eo.Join();
+  finished.wait();
+  eo.Stop();
   EXPECT_EQ(counter.load(), 120);
-  EXPECT_GE(eo.quanta_run(), 120u);
+  EXPECT_EQ(eo.quanta_run(), 120u);
+  // A DU that reported kDone retired from the EO: never stepped again.
+  EXPECT_EQ(eo.num_dus(), 0u);
 }
 
 // --- Executor (query classes, admission, end to end) ----------------------------

@@ -334,6 +334,50 @@ TEST(RecoveryTest, HistoryReachBackfillsFromArchive) {
                   .IsFailedPrecondition());
 }
 
+TEST(RecoveryTest, HistoryReachOverClosedStreamFiresAndFinishes) {
+  // A windowed query submitted after its stream closed: end-of-stream was
+  // delivered before the query existed, so admission must close its inputs
+  // itself — after the backfill, so it fires over the archive and finishes.
+  DurableDirs dirs("rec_closed_hist");
+  TelegraphCQ server(dirs.Options());
+  auto source = server.DefineStream("S", KeyedFields());
+  ASSERT_TRUE(source.ok());
+  server.Start();
+  for (Timestamp d = 1; d <= 5; ++d) {
+    ASSERT_TRUE(PushKeyed(&server, "S", d, "d", d).ok());
+  }
+  ASSERT_TRUE(server.CloseStream("S").ok());
+  ASSERT_TRUE(server.FlushSpools().ok());
+
+  auto h = server.Submit(
+      "SELECT * FROM S for (t = 3; t <= 6; t += 1) { WindowIs(S, t - 2, t); }",
+      {.history_reach = kMaxTimestamp});
+  ASSERT_TRUE(h.ok()) << h.status();
+  std::map<Timestamp, std::multiset<Timestamp>> fired;
+  for (int i = 0; i < 5000 && !h->windows->Finished(); ++i) {
+    WindowResult wr;
+    while (h->windows->Poll(&wr)) {
+      for (const Tuple& t : wr.tuples) fired[wr.t].insert(t.timestamp());
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.Stop();
+  EXPECT_TRUE(h->windows->Finished());
+
+  auto archived = server.ScanHistory("S", kMinTimestamp, kMaxTimestamp);
+  ASSERT_TRUE(archived.ok()) << archived.status();
+  StreamHistory history;
+  for (const Tuple& t : *archived) history.Append(t);
+  WindowedQuery ref;
+  ref.loop = ForLoopSpec::Sliding({*source}, 3, 3, 6);
+  std::map<Timestamp, std::multiset<Timestamp>> want;
+  for (const WindowResult& r : RunOverHistory(ref, {{*source, history}})) {
+    for (const Tuple& t : r.tuples) want[r.t].insert(t.timestamp());
+  }
+  ASSERT_EQ(want.size(), 4u);
+  EXPECT_EQ(fired, want);
+}
+
 TEST(RecoveryTest, PSoupRoundTripsThroughCheckpoint) {
   SchemaRef sch = Schema::Make({
       {"k", ValueType::kInt64, 0},

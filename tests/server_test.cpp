@@ -219,6 +219,137 @@ TEST(ServerTest, WindowedSlidingSelfJoin) {
   }
 }
 
+std::vector<Field> KeyedFields() {
+  return {{"ts", ValueType::kTimestamp, 0}, {"k", ValueType::kInt64, 0}};
+}
+
+/// Pushes rows ts = first..last with k = ts % 10, `per_batch` rows a batch.
+void PushKeyed(TelegraphCQ* server, const std::string& stream,
+               Timestamp first, Timestamp last, size_t per_batch) {
+  std::vector<testref::PushRow> rows;
+  for (Timestamp ts = first; ts <= last; ++ts) {
+    rows.push_back({ts, {Value::TimestampVal(ts), Value::Int64(ts % 10)}});
+    if (rows.size() == per_batch || ts == last) {
+      ASSERT_TRUE(testref::PushRows(server, stream, std::move(rows)).ok());
+      rows.clear();
+    }
+  }
+}
+
+/// Per fired window: its right end -> the multiset of its rows' timestamps.
+using WindowContents = std::map<Timestamp, std::multiset<Timestamp>>;
+
+WindowContents Contents(const std::vector<WindowResult>& results) {
+  WindowContents out;
+  for (const WindowResult& r : results) {
+    std::multiset<Timestamp>& rows = out[r.t];
+    for (const Tuple& t : r.tuples) rows.insert(t.timestamp());
+  }
+  return out;
+}
+
+TEST(ServerTest, CompletedWindowLoopFinishesItsBuffer) {
+  // Regression: a loop that runs to its end finishes its client's buffer
+  // and leaves its EO, without a Cancel.
+  TelegraphCQ server;
+  ASSERT_TRUE(server.DefineStream("S", KeyedFields()).ok());
+  auto handle = server.Submit(
+      "SELECT * FROM S for (t = 3; t <= 5; t += 1) { WindowIs(S, t - 2, t); }");
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  server.Start();
+  PushKeyed(&server, "S", 1, 5, 1);
+  ASSERT_TRUE(server.CloseStream("S").ok());
+
+  std::vector<WindowResult> fired;
+  for (int i = 0; i < 3000 && !handle->windows->Finished(); ++i) {
+    WindowResult wr;
+    while (handle->windows->Poll(&wr)) fired.push_back(wr);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(handle->windows->Finished());
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired.back().t, 5);
+  server.Stop();  // joins the EO threads: the retirement has happened
+  auto view = server.Introspect();
+  int64_t dus = 0;
+  for (size_t e = 0; e < server.executor().num_eos(); ++e) {
+    dus += view.metrics.GaugeValue("tcq_eo_dus{eo=\"eo" + std::to_string(e) +
+                                   "\"}");
+  }
+  EXPECT_EQ(dus, 0);  // the finished DU retired from its EO
+  EXPECT_TRUE(server.Cancel(handle->id).ok());  // its id stays cancellable
+}
+
+TEST(ServerTest, WindowedQueriesShareTheExecutorEos) {
+  // 64 windowed queries and one continuous filter on a single EO: the
+  // windowed DUs run beside the class DU (no thread of their own), every
+  // one matches the offline reference, and the filter is not starved.
+  TelegraphCQ::Options opts;
+  opts.executor.num_eos = 1;
+  TelegraphCQ server(opts);
+  auto source = server.DefineStream("S", KeyedFields());
+  ASSERT_TRUE(source.ok());
+  auto filter = server.Submit("SELECT * FROM S WHERE k < 5");
+  ASSERT_TRUE(filter.ok()) << filter.status();
+  struct Windowed {
+    Timestamp width, hop;
+    TelegraphCQ::ClientHandle handle;
+  };
+  std::vector<Windowed> queries;
+  for (Timestamp i = 0; i < 64; ++i) {
+    Timestamp width = 1 + i % 8, hop = 1 + (i / 8) % 4;
+    // The loop outlives the pushed rows, so no DU finishes (and retires).
+    auto h = server.Submit("SELECT * FROM S for (t = " + std::to_string(width) +
+                           "; t <= 1000; t += " + std::to_string(hop) +
+                           ") { WindowIs(S, t - " + std::to_string(width - 1) +
+                           ", t); }");
+    ASSERT_TRUE(h.ok()) << h.status();
+    queries.push_back({width, hop, *h});
+  }
+  server.Start();
+  PushKeyed(&server, "S", 1, 40, 8);
+
+  // Arrival time: the last row (ts 40) seals every window ending before it.
+  StreamHistory history;
+  for (Timestamp ts = 1; ts <= 40; ++ts) {
+    history.Append(Tuple::Make(server.catalog().Lookup("S")->schema,
+                               {Value::TimestampVal(ts), Value::Int64(ts % 10)},
+                               ts));
+  }
+  for (const Windowed& q : queries) {
+    WindowedQuery ref;
+    ref.loop = ForLoopSpec::Sliding({*source}, q.width, q.width, 39, q.hop);
+    WindowContents want = Contents(RunOverHistory(ref, {{*source, history}}));
+    std::vector<WindowResult> fired;
+    for (int i = 0; i < 3000 && fired.size() < want.size(); ++i) {
+      WindowResult wr;
+      while (q.handle.windows->Poll(&wr)) fired.push_back(wr);
+      if (fired.size() < want.size()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    EXPECT_EQ(Contents(fired), want)
+        << "width " << q.width << " hop " << q.hop;
+  }
+  EXPECT_EQ(DrainCount(filter->results.get(), 20, 2000), 20u);
+
+  MetricsSnapshot m = server.Introspect().metrics;
+  for (const auto& [name, value] : m.gauges) {
+    EXPECT_EQ(name.find("eo=\"win-eo"), std::string::npos) << name;
+  }
+  for (const auto& [name, value] : m.counters) {
+    EXPECT_EQ(name.find("eo=\"win-eo"), std::string::npos) << name;
+  }
+  const std::string dus = "tcq_eo_dus{eo=\"eo0\"}";
+  EXPECT_EQ(m.GaugeValue(dus), 1 + 64);  // the class + every windowed DU
+  for (const Windowed& q : queries) {
+    ASSERT_TRUE(server.Cancel(q.handle.id).ok());
+    EXPECT_TRUE(q.handle.windows->Finished());
+  }
+  EXPECT_EQ(server.Introspect().metrics.GaugeValue(dus), 1);
+  server.Stop();
+}
+
 TEST(ServerTest, WrapperSourceFeedsQueries) {
   TelegraphCQ server;
   ASSERT_TRUE(server.DefineStream("ClosingStockPrices", StockFields()).ok());
