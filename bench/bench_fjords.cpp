@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <iostream>
 #include <mutex>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "bench_common.h"
 #include "common/metrics.h"
 #include "fjords/fjord.h"
+#include "tuple/column_store.h"
 
 namespace tcq {
 namespace {
@@ -144,6 +146,45 @@ void BM_QueueBatchTransfer(benchmark::State& state) {
   state.counters["batch_size"] = static_cast<double>(batch_size);
 }
 BENCHMARK(BM_QueueBatchTransfer)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
+
+// The PushBuilt shape: 64-row columnar batches through a push fjord with
+// metrics attached, as the server's executor and windowed-input fjords are.
+// Reports ns/row (wall time, producer and consumer on one thread) and
+// `columns_kept`, the share of batches that reached the consumer still
+// sharing the producer's ColumnStore (1 = nothing was materialized).
+void BM_ColumnarSegmentTransfer(benchmark::State& state) {
+  constexpr int64_t kRows = 64;
+  auto metrics = std::make_shared<MetricsRegistry>();
+  auto endpoints =
+      Fjord::Make(FjordMode::kPush, 4096, "bench:columnar", metrics.get());
+  ColumnStoreBuilder builder(bench::KVSchema(0));
+  for (int64_t i = 0; i < kRows; ++i) {
+    builder.AppendTimestamp(i);
+    (void)builder.Append(0, Value::Int64(i));
+    (void)builder.Append(1, Value::Int64(i * 3));
+  }
+  ColumnStore::Ref cols = builder.Finish();
+  TupleBatch out;
+  uint64_t batches = 0, kept = 0;
+  auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    TupleBatch b(0, cols);
+    (void)endpoints.producer.ProduceBatch(&b);
+    out.clear();
+    QueueOp op;
+    (void)endpoints.consumer.ConsumeBatch(&out, kRows, &op);
+    kept += out.columns().get() == cols.get() ? 1 : 0;
+    ++batches;
+  }
+  double ns = std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  state.SetItemsProcessed(static_cast<int64_t>(batches) * kRows);
+  state.counters["ns_per_row"] = ns / static_cast<double>(batches * kRows);
+  state.counters["columns_kept"] =
+      static_cast<double>(kept) / static_cast<double>(batches);
+}
+BENCHMARK(BM_ColumnarSegmentTransfer);
 
 }  // namespace
 }  // namespace tcq

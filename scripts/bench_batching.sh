@@ -5,7 +5,9 @@
 # vs per-row scalar probes) and merges the results into BENCH_batching.json
 # at the repo root, including the speedup ratios the acceptance criteria
 # read (>= 2x batch-64-vs-1 on fjords/cacq, >= 5x columnar-vs-scalar on the
-# grouped filter at 256 queries).
+# grouped filter at 256 queries). It also records (ungated) the ns/row of
+# 64-row columnar batches through a metered push fjord, and whether they
+# arrive with their ColumnStore intact.
 #
 # Usage: scripts/bench_batching.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -28,6 +30,11 @@ trap 'rm -rf "$TMP"' EXIT
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_format=json >"$TMP/fjords.json"
 
+"$BUILD/bench/bench_fjords" \
+  --benchmark_filter='BM_ColumnarSegmentTransfer' \
+  --benchmark_min_time="$MIN_TIME" \
+  --benchmark_format=json >"$TMP/segment.json"
+
 "$BUILD/bench/bench_cacq_scaling" \
   --benchmark_filter='BM_SharedCACQBatchedIngest' \
   --benchmark_min_time="$MIN_TIME" \
@@ -38,7 +45,8 @@ trap 'rm -rf "$TMP"' EXIT
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_format=json >"$TMP/gf.json"
 
-python3 - "$TMP/fjords.json" "$TMP/cacq.json" "$TMP/gf.json" <<'PY'
+python3 - "$TMP/fjords.json" "$TMP/cacq.json" "$TMP/gf.json" \
+  "$TMP/segment.json" <<'PY'
 import json, sys
 
 def load(path, prefix):
@@ -91,8 +99,19 @@ def load_grouped_filter(path):
         out["speedup_columnar_vs_scalar_peak"] = max(ratios)
     return out
 
+def load_segment(path):
+    with open(path) as f:
+        doc = json.load(f)
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type") != "aggregate":
+            return {"name": b["name"], "rows_per_batch": 64,
+                    "ns_per_row": b.get("ns_per_row"),
+                    "columns_kept": b.get("columns_kept")}
+    return {}
+
 report = {
     "fjords_queue_batch_transfer": load(sys.argv[1], "fjords"),
+    "fjords_columnar_segment_transfer": load_segment(sys.argv[4]),
     "cacq_batched_ingest": load(sys.argv[2], "cacq"),
     "grouped_filter_batch_probe": load_grouped_filter(sys.argv[3]),
 }
@@ -113,6 +132,10 @@ status = "n/a" if gf_ratio is None else f"{gf_ratio:.2f}x"
 print(f"grouped_filter_batch_probe: columnar vs scalar peak = {status}")
 if gf_ratio is None or gf_ratio < 5.0:
     ok = False
+seg = report["fjords_columnar_segment_transfer"]
+if seg.get("ns_per_row") is not None:
+    print(f"fjords_columnar_segment_transfer: {seg['ns_per_row']:.2f} ns/row, "
+          f"columns kept {seg['columns_kept']:.2f}")
 print("wrote BENCH_batching.json")
 sys.exit(0 if ok else 1)
 PY

@@ -10,9 +10,11 @@
 #   2. AddressSanitizer configure + build + ctest in a separate build dir
 #   3. ThreadSanitizer build running the concurrency-heavy suites
 #      (exec, exec_lifecycle, exec_sharding, fjords, cacq, obs, window,
-#      recovery, plus the whole server suite: windowed DUs share the
-#      executor's EO threads with class DUs, and Checkpoint detaches them
-#      while those threads run) — must be TSan-clean
+#      recovery, batch — its MPMC queue and fjord segment tests — ingress —
+#      wrapper threads produce into fjords — plus the whole server suite:
+#      windowed DUs share the executor's EO threads with class DUs, and
+#      Checkpoint detaches them while those threads run) — must be
+#      TSan-clean
 #   4. UBSan build running the trace/queue/routing suites (the seqlock ring
 #      and histogram interpolation are the prime UB suspects); the routing
 #      suite (eddy_test) runs the production SharedEddy under every routing
@@ -97,13 +99,15 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DTCQ_SANITIZE=thread
   cmake --build build-tsan -j --target \
     exec_test exec_lifecycle_test exec_sharding_test fjords_test cacq_test \
-    obs_test window_test server_test recovery_test
+    obs_test window_test server_test recovery_test batch_test ingress_test
   # server_test: punctuations flow source -> fjord -> class -> window ->
   # egress across threads, and windowed DUs run beside class DUs on the
   # shared EOs; recovery_test detaches and re-attaches those DUs on every
-  # checkpoint while the EO threads run.
+  # checkpoint while the EO threads run; batch_test and ingress_test move
+  # whole batch segments between producer and consumer threads.
   for t in exec_test exec_lifecycle_test exec_sharding_test fjords_test \
-           cacq_test obs_test window_test server_test recovery_test; do
+           cacq_test obs_test window_test server_test recovery_test \
+           batch_test ingress_test; do
     echo "-- tsan: $t"
     ./build-tsan/tests/"$t"
   done

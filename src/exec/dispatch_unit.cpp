@@ -6,11 +6,14 @@ namespace tcq {
 
 namespace {
 
-/// Pulls up to `quantum` tuples round-robin from push-mode inputs, draining
-/// each visited input in whole batches (one queue lock per batch instead of
-/// one per tuple) and invoking `deliver(source, batch, first_enq_us)`, where
-/// first_enq_us is the enqueue time of the batch's oldest tuple (0 when the
-/// queue keeps no timestamps). Returns (consumed, all_exhausted).
+/// Pulls about `quantum` tuples round-robin from push-mode inputs, draining
+/// each visited input in whole batches (one queue lock per pop) and invoking
+/// `deliver(source, batch, first_enq_us)`, where first_enq_us is the enqueue
+/// time of the batch's oldest segment (0 when the queue keeps no
+/// timestamps). Every pop may take a full quantum, so a queued batch of up
+/// to `quantum` rows arrives whole, columns intact, however the step's
+/// earlier pops went; the step ends once a quantum has been consumed.
+/// Returns (consumed, all_exhausted).
 template <typename InputVec, typename Fn>
 std::pair<size_t, bool> PumpInputs(InputVec& inputs, size_t* next_input,
                                    size_t quantum, Fn&& deliver) {
@@ -29,8 +32,7 @@ std::pair<size_t, bool> PumpInputs(InputVec& inputs, size_t* next_input,
     batch.set_source(input.source);
     QueueOp op;
     int64_t enq_us = 0;
-    size_t got =
-        input.consumer.ConsumeBatch(&batch, quantum - consumed, &op, &enq_us);
+    size_t got = input.consumer.ConsumeBatch(&batch, quantum, &op, &enq_us);
     if (op == QueueOp::kClosed) input.exhausted = true;
     if (got > 0) {
       deliver(input.source, batch, enq_us);

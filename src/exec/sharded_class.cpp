@@ -599,6 +599,9 @@ ShardedClass::RouteResult ShardedClass::RouteBatchLocked(Route* r,
   for (size_t k = 0; k < n; ++k) {
     scratch[k].clear();
     scratch[k].set_source(batch->source());
+    // A delivered partition leaves with its row storage (one fjord slot),
+    // so size the next one once instead of growing it row by row.
+    scratch[k].reserve(2 * batch->size() / n + 1);
   }
   const bool keyed = !r->key_attr.empty();
   Tuple* data = batch->data();
@@ -678,7 +681,7 @@ void ShardedClass::UpdateOccupancy() {
     int64_t depth = 0;
     for (const auto& [source, r] : routes_) {
       if (k < r.fjords.size()) {
-        depth += static_cast<int64_t>(r.fjords[k]->queue().size());
+        depth += static_cast<int64_t>(r.fjords[k]->size());
       }
     }
     shards_[k].occupancy->Set(depth);
@@ -707,7 +710,7 @@ Status ShardedClass::CheckpointTo(CheckpointWriter* w) {
     {
       std::shared_lock<std::shared_mutex> lock(route_mu_);
       for (const auto& [source, r] : routes_) {
-        for (const auto& f : r.fjords) queued += f->queue().size();
+        for (const auto& f : r.fjords) queued += f->size();
       }
     }
     if (queued == 0) break;

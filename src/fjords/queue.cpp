@@ -2,8 +2,8 @@
 
 namespace tcq {
 
-// Header-only template; explicit instantiation for the common case keeps
+// Header-only template; explicit instantiation of the fjord transport keeps
 // compile times down for the rest of the tree.
-template class BoundedQueue<Tuple>;
+template class BoundedQueue<TupleBatch>;
 
 }  // namespace tcq

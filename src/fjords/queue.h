@@ -3,10 +3,16 @@
 // (paper §2.3). A pull-queue blocks the consumer when empty; a push-queue
 // returns control so the consumer can do other work or yield; Exchange
 // semantics combine a blocking dequeue with a non-blocking enqueue.
+//
+// Capacity is counted in weight units (QueueItemTraits): one per item by
+// default. A fjord queues whole TupleBatch "segments" whose weight is their
+// row count plus their control-lane entries, so one slot, one lock and one
+// set of metric updates move a whole batch — columns included.
 
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -58,7 +64,55 @@ struct QueueMetrics {
   }
 };
 
-/// A bounded MPMC queue. All operations are thread-safe.
+/// How a BoundedQueue weighs, cuts and merges its items. The default suits
+/// any value type: an item weighs one capacity unit (so it never needs
+/// cutting) and a batch pop appends items to a container with push_back.
+template <typename T>
+struct QueueItemTraits {
+  static size_t Weight(const T&) { return 1; }
+  /// Moves the leading `units` (0 < units < Weight(*item)) of *item into a
+  /// new item; the rest stays in *item. Unreachable for unit weights.
+  static T TakeFront(T* item, size_t /*units*/) {
+    assert(false && "unit-weight items are never cut");
+    return std::move(*item);
+  }
+  /// Whether `next` may follow what one batch pop already put in `out`.
+  template <typename Out>
+  static bool Joins(const Out& /*out*/, const T& /*next*/) {
+    return true;
+  }
+  template <typename Out>
+  static void Append(Out* out, T&& item) {
+    out->push_back(std::move(item));
+  }
+};
+
+/// A fjord segment: rows and control-lane entries weigh one unit each. A
+/// segment larger than the free room is cut rows first, its lane travelling
+/// with the last cut (the lane applies after the rows). A pop that has room
+/// for the head segment hands it over whole — a columnar one keeps its
+/// ColumnStore — and coalesces further row-shaped segments behind it.
+template <>
+struct QueueItemTraits<TupleBatch> {
+  static size_t Weight(const TupleBatch& b) {
+    return b.size() + b.punctuations().size();
+  }
+  static TupleBatch TakeFront(TupleBatch* b, size_t units) {
+    return b->TakeFront(units);
+  }
+  static bool Joins(const TupleBatch& out, const TupleBatch& next) {
+    // Appending to a columnar batch would materialize its rows, and rows
+    // appended after a popped lane entry would be applied before it.
+    return !out.columnar_only() && !next.columnar_only() &&
+           (out.punctuations().empty() || next.empty());
+  }
+  static void Append(TupleBatch* out, TupleBatch&& b) {
+    out->Append(std::move(b));
+  }
+};
+
+/// A bounded MPMC queue; capacity and size() are in weight units. All
+/// operations are thread-safe.
 template <typename T>
 class BoundedQueue {
  public:
@@ -70,51 +124,47 @@ class BoundedQueue {
     metrics_ = metrics;
   }
 
-  /// Non-blocking enqueue: fails with kWouldBlock when full, kClosed after
-  /// Close(). On kClosed the item is destroyed; the loss is counted in
-  /// dropped_on_close_count().
+  /// Non-blocking enqueue of a whole item: fails with kWouldBlock when it
+  /// does not fit the free room, kClosed after Close(). On kClosed the item
+  /// is destroyed; its weight is counted in dropped_on_close_count().
   QueueOp TryEnqueue(T item) {
+    const size_t w = Traits::Weight(item);
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) {
-      CountDroppedOnClose();
+      CountDroppedOnClose(w);
       return QueueOp::kClosed;
     }
-    if (items_.size() >= capacity_) {
-      ++enqueue_blocked_;
-      if (metrics_.enqueue_blocked != nullptr) metrics_.enqueue_blocked->Inc();
+    if (w > RoomLocked()) {
+      CountEnqueueBlocked();
       return QueueOp::kWouldBlock;
     }
-    PushLocked(std::move(item));
+    PushLocked(std::move(item), w);
     not_empty_.notify_one();
     return QueueOp::kOk;
   }
 
-  /// Blocking enqueue; returns false if the queue was closed. A false
-  /// return means the in-flight item was destroyed — the loss is counted in
+  /// Blocking enqueue of a whole item (which must fit the capacity);
+  /// returns false if the queue was closed. A false return means the
+  /// in-flight item was destroyed — the loss is counted in
   /// dropped_on_close_count() so callers (and the metrics layer) can see it.
   bool EnqueueBlocking(T item) {
+    const size_t w = Traits::Weight(item);
     std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [&] { return closed_ || items_.size() < capacity_; });
+    not_full_.wait(lock, [&] { return closed_ || w <= RoomLocked(); });
     if (closed_) {
-      CountDroppedOnClose();
+      CountDroppedOnClose(w);
       return false;
     }
-    PushLocked(std::move(item));
+    PushLocked(std::move(item), w);
     not_empty_.notify_one();
     return true;
   }
 
-  /// Non-blocking dequeue.
+  /// Non-blocking dequeue of the whole head item.
   QueueOp TryDequeue(T* out) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) {
-      if (closed_) return QueueOp::kClosed;
-      ++dequeue_blocked_;
-      if (metrics_.dequeue_blocked != nullptr) metrics_.dequeue_blocked->Inc();
-      return QueueOp::kWouldBlock;
-    }
-    PopLocked(out);
+    if (items_.empty()) return EmptyOpLocked();
+    *out = PopLocked();
     not_full_.notify_one();
     return QueueOp::kOk;
   }
@@ -124,125 +174,88 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return false;
-    PopLocked(out);
+    *out = PopLocked();
     not_full_.notify_one();
     return true;
   }
 
   // --- Batch operations (one lock acquisition per whole batch) --------------
 
-  /// Non-blocking batch enqueue: moves as many of items[0..n) as fit under
-  /// ONE lock acquisition. Returns the count moved; `*op` is kOk when
-  /// everything fit, kWouldBlock on a partial/empty transfer (queue filled
-  /// up), kClosed after Close() (remaining items are left with the caller,
-  /// NOT destroyed — only the caller knows whether to drop or retry them).
+  /// Non-blocking batch enqueue under ONE lock acquisition: moves
+  /// items[0..n) in order while each fits whole; the first one that does
+  /// not is cut, its leading part filling the free room and the rest
+  /// staying in place. Returns the count of items moved whole; `*op` is kOk
+  /// when everything fit, kWouldBlock on a partial/empty transfer (queue
+  /// filled up), kClosed after Close() (remaining items are left with the
+  /// caller, NOT destroyed — only the caller knows whether to drop or retry
+  /// them).
   size_t TryPushN(T* items, size_t n, QueueOp* op) {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) {
       *op = QueueOp::kClosed;
       return 0;
     }
-    size_t room = capacity_ > items_.size() ? capacity_ - items_.size() : 0;
-    size_t take = std::min(room, n);
-    for (size_t i = 0; i < take; ++i) PushLocked(std::move(items[i]));
-    if (take > 0) {
-      if (take == 1) {
-        not_empty_.notify_one();
-      } else {
-        not_empty_.notify_all();
-      }
-    }
-    if (take < n) {
-      ++enqueue_blocked_;
-      if (metrics_.enqueue_blocked != nullptr) metrics_.enqueue_blocked->Inc();
+    size_t pushed = PushSomeLocked(items, n);
+    if (pushed < n) {
+      CountEnqueueBlocked();
       *op = QueueOp::kWouldBlock;
     } else {
       *op = QueueOp::kOk;
     }
-    return take;
+    return pushed;
   }
 
-  /// Blocking batch enqueue: waits for space and moves chunks until all n
-  /// items are enqueued or the queue closes. Returns the count enqueued
-  /// (< n only on close). The un-pushed suffix items[pushed..n) is left
-  /// with the caller, NOT destroyed and NOT counted in
-  /// dropped_on_close_count() — matching TryPushN. Only the caller
-  /// knows whether those items are lost or re-routable, so only the caller
-  /// can account for them; counting them here too double-counted every
-  /// batch drop a caller also tracked.
+  /// Blocking batch enqueue: waits for room and moves (cutting as
+  /// TryPushN does) until all n items are enqueued or the queue closes.
+  /// Returns the count enqueued whole (< n only on close). The un-pushed
+  /// suffix items[pushed..n) is left with the caller, NOT destroyed and NOT
+  /// counted in dropped_on_close_count() — matching TryPushN. Only the
+  /// caller knows whether those items are lost or re-routable, so only the
+  /// caller can account for them; counting them here too double-counted
+  /// every batch drop a caller also tracked.
   size_t PushNBlocking(T* items, size_t n) {
     size_t pushed = 0;
     while (pushed < n) {
       std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock,
-                     [&] { return closed_ || items_.size() < capacity_; });
+      not_full_.wait(lock, [&] { return closed_ || RoomLocked() > 0; });
       if (closed_) return pushed;
-      while (pushed < n && items_.size() < capacity_) {
-        PushLocked(std::move(items[pushed++]));
-      }
-      not_empty_.notify_all();
+      pushed += PushSomeLocked(items + pushed, n - pushed);
     }
     return pushed;
   }
 
-  /// Non-blocking batch dequeue: appends up to `max` items to `*out` (any
-  /// container with push_back) under ONE lock acquisition. Returns the count
-  /// popped; `*op` is kOk when anything was popped, kClosed when the queue
-  /// is closed and drained, kWouldBlock when it is just empty. When
-  /// `first_enq_us` is non-null it receives the enqueue timestamp of the
-  /// oldest popped item (0 when timestamps are off, i.e. no wait_us metric
-  /// attached) — the tracing layer's queue-wait anchor.
-  template <typename OutContainer>
-  size_t TryPopBatch(OutContainer* out, size_t max, QueueOp* op,
+  /// Non-blocking batch dequeue under ONE lock acquisition: appends the
+  /// head item to `*out`, then further items while Traits::Joins admits
+  /// them, up to `max` units in all — the last item taken is cut to fit.
+  /// Returns the units popped; `*op` is kOk when anything was
+  /// popped, kClosed when the queue is closed and drained, kWouldBlock when
+  /// it is just empty. When `first_enq_us` is non-null it receives the
+  /// enqueue timestamp of the head item (0 when timestamps are off, i.e. no
+  /// wait_us metric attached) — the tracing layer's queue-wait anchor.
+  template <typename Out>
+  size_t TryPopBatch(Out* out, size_t max, QueueOp* op,
                      int64_t* first_enq_us = nullptr) {
     std::lock_guard<std::mutex> lock(mu_);
     if (items_.empty()) {
-      if (closed_) {
-        *op = QueueOp::kClosed;
-      } else {
-        ++dequeue_blocked_;
-        if (metrics_.dequeue_blocked != nullptr) {
-          metrics_.dequeue_blocked->Inc();
-        }
-        *op = QueueOp::kWouldBlock;
-      }
+      *op = EmptyOpLocked();
       return 0;
     }
     if (first_enq_us != nullptr) *first_enq_us = items_.front().enq_us;
-    size_t take = std::min(items_.size(), max);
-    T item;
-    for (size_t i = 0; i < take; ++i) {
-      PopLocked(&item);
-      out->push_back(std::move(item));
-    }
-    if (take == 1) {
-      not_full_.notify_one();
-    } else {
-      not_full_.notify_all();
-    }
     *op = QueueOp::kOk;
-    return take;
+    return PopSomeLocked(out, max);
   }
 
   /// Blocking batch dequeue: waits for at least one item (or close), then
-  /// appends up to `max` to `*out` under the same lock. Returns the count
+  /// pops as TryPopBatch does under the same lock. Returns the units popped
   /// (0 iff closed and drained). `first_enq_us` as in TryPopBatch.
-  template <typename OutContainer>
-  size_t PopBatchBlocking(OutContainer* out, size_t max,
+  template <typename Out>
+  size_t PopBatchBlocking(Out* out, size_t max,
                           int64_t* first_enq_us = nullptr) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (first_enq_us != nullptr && !items_.empty()) {
-      *first_enq_us = items_.front().enq_us;
-    }
-    size_t take = std::min(items_.size(), max);
-    T item;
-    for (size_t i = 0; i < take; ++i) {
-      PopLocked(&item);
-      out->push_back(std::move(item));
-    }
-    if (take > 0) not_full_.notify_all();
-    return take;
+    if (items_.empty()) return 0;
+    if (first_enq_us != nullptr) *first_enq_us = items_.front().enq_us;
+    return PopSomeLocked(out, max);
   }
 
   /// Marks end-of-stream. Pending items remain dequeuable; blocked callers
@@ -265,9 +278,10 @@ class BoundedQueue {
     return closed_ && items_.empty();
   }
 
+  /// Queued weight units.
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
+    return used_;
   }
   size_t capacity() const { return capacity_; }
 
@@ -280,40 +294,112 @@ class BoundedQueue {
     std::lock_guard<std::mutex> lock(mu_);
     return dequeue_blocked_;
   }
-  /// Items destroyed because they were offered to a closed queue.
+  /// Units destroyed because they were offered to a closed queue.
   uint64_t dropped_on_close_count() const {
     std::lock_guard<std::mutex> lock(mu_);
     return dropped_on_close_;
   }
 
  private:
+  using Traits = QueueItemTraits<T>;
+
   struct Slot {
     T item;
+    size_t weight;
     int64_t enq_us;
   };
 
-  void PushLocked(T item) {
-    int64_t now = metrics_.wait_us != nullptr ? NowMicros() : 0;
-    items_.push_back(Slot{std::move(item), now});
-    if (metrics_.depth != nullptr) metrics_.depth->Add(1);
-    if (metrics_.enqueued != nullptr) metrics_.enqueued->Inc();
+  size_t RoomLocked() const {
+    return capacity_ > used_ ? capacity_ - used_ : 0;
   }
 
-  void PopLocked(T* out) {
+  /// One enqueue: one timestamp and one set of metric updates per item.
+  void PushLocked(T item, size_t w) {
+    int64_t now = metrics_.wait_us != nullptr ? NowMicros() : 0;
+    items_.push_back(Slot{std::move(item), w, now});
+    used_ += w;
+    if (metrics_.depth != nullptr) {
+      metrics_.depth->Add(static_cast<int64_t>(w));
+    }
+    if (metrics_.enqueued != nullptr) metrics_.enqueued->Inc(w);
+  }
+
+  /// TryPushN's transfer; wakes consumers when anything moved.
+  size_t PushSomeLocked(T* items, size_t n) {
+    const size_t before = used_;
+    size_t i = 0;
+    for (; i < n; ++i) {
+      const size_t w = Traits::Weight(items[i]);
+      const size_t room = RoomLocked();
+      if (w > room) {
+        if (room > 0) PushLocked(Traits::TakeFront(&items[i], room), room);
+        break;
+      }
+      PushLocked(std::move(items[i]), w);
+    }
+    if (used_ != before) not_empty_.notify_all();
+    return i;
+  }
+
+  /// Removes the head item; its wait is observed once, as it leaves.
+  T PopLocked() {
     Slot& front = items_.front();
-    *out = std::move(front.item);
+    T out = std::move(front.item);
     if (metrics_.wait_us != nullptr) {
       int64_t waited = NowMicros() - front.enq_us;
       metrics_.wait_us->Observe(waited > 0 ? static_cast<uint64_t>(waited)
                                            : 0);
     }
+    ReleaseLocked(front.weight);
     items_.pop_front();
-    if (metrics_.depth != nullptr) metrics_.depth->Add(-1);
+    return out;
   }
 
-  void CountDroppedOnClose() {
-    ++dropped_on_close_;
-    if (metrics_.dropped_on_close != nullptr) metrics_.dropped_on_close->Inc();
+  /// TryPopBatch's transfer; wakes producers when anything moved.
+  template <typename Out>
+  size_t PopSomeLocked(Out* out, size_t max) {
+    size_t got = 0;
+    while (!items_.empty() && got < max) {
+      Slot& head = items_.front();
+      if (got > 0 && !Traits::Joins(*out, head.item)) break;
+      if (head.weight > max - got) {
+        // The last item is cut to fill the pop exactly.
+        const size_t cut = max - got;
+        Traits::Append(out, Traits::TakeFront(&head.item, cut));
+        head.weight -= cut;
+        ReleaseLocked(cut);
+        got = max;
+        break;
+      }
+      got += head.weight;
+      Traits::Append(out, PopLocked());
+    }
+    if (got > 0) not_full_.notify_all();
+    return got;
+  }
+
+  void ReleaseLocked(size_t w) {
+    used_ -= w;
+    if (metrics_.depth != nullptr) {
+      metrics_.depth->Add(-static_cast<int64_t>(w));
+    }
+  }
+
+  QueueOp EmptyOpLocked() {
+    if (closed_) return QueueOp::kClosed;
+    ++dequeue_blocked_;
+    if (metrics_.dequeue_blocked != nullptr) metrics_.dequeue_blocked->Inc();
+    return QueueOp::kWouldBlock;
+  }
+
+  void CountEnqueueBlocked() {
+    ++enqueue_blocked_;
+    if (metrics_.enqueue_blocked != nullptr) metrics_.enqueue_blocked->Inc();
+  }
+
+  void CountDroppedOnClose(size_t w) {
+    dropped_on_close_ += w;
+    if (metrics_.dropped_on_close != nullptr) metrics_.dropped_on_close->Inc(w);
   }
 
   const size_t capacity_;
@@ -321,6 +407,7 @@ class BoundedQueue {
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::deque<Slot> items_;
+  size_t used_ = 0;  ///< summed weight of items_
   bool closed_ = false;
   uint64_t enqueue_blocked_ = 0;
   uint64_t dequeue_blocked_ = 0;
@@ -328,6 +415,7 @@ class BoundedQueue {
   QueueMetrics metrics_;
 };
 
-using TupleQueue = BoundedQueue<Tuple>;
+/// The fjord transport: one slot per TupleBatch segment.
+using SegmentQueue = BoundedQueue<TupleBatch>;
 
 }  // namespace tcq

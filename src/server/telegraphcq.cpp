@@ -742,7 +742,7 @@ Status TelegraphCQ::DrainWindowedLocked() {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   auto pending = [](const ClientInfo& client) {
     for (const ClientInfo::WindowInput& in : client.window_inputs) {
-      if (in.fjord->queue().size() > 0) return true;
+      if (in.fjord->size() > 0) return true;
     }
     return false;
   };

@@ -1,5 +1,7 @@
 #include "tuple/tuple_batch.h"
 
+#include <iterator>
+
 namespace tcq {
 
 void TupleBatch::EnsureRows() const {
@@ -24,6 +26,43 @@ const ColumnStore::Ref& TupleBatch::columns() const {
     return kNull;
   }
   return cols_;
+}
+
+void TupleBatch::Append(TupleBatch&& other) {
+  if (empty() && puncts_.empty() && other.cols_ != nullptr) {
+    SourceId source = source_;
+    *this = std::move(other);
+    source_ = source;
+    return;
+  }
+  if (!other.empty()) {
+    other.EnsureRows();
+    EnsureRows();
+    InvalidateColumns();
+    rows_.insert(rows_.end(), std::make_move_iterator(other.rows_.begin()),
+                 std::make_move_iterator(other.rows_.end()));
+  }
+  puncts_.insert(puncts_.end(), other.puncts_.begin(), other.puncts_.end());
+  other.ResetToEmpty();
+}
+
+TupleBatch TupleBatch::TakeFront(size_t units) {
+  TupleBatch front(source_);
+  if (units >= size()) {
+    const size_t lane = units - size();
+    assert(lane <= puncts_.size());
+    front = std::move(*this);
+    puncts_.assign(front.puncts_.begin() + static_cast<ptrdiff_t>(lane),
+                   front.puncts_.end());
+    front.puncts_.resize(lane);
+    return front;
+  }
+  EnsureRows();
+  front.rows_.assign(
+      std::make_move_iterator(rows_.begin()),
+      std::make_move_iterator(rows_.begin() + static_cast<ptrdiff_t>(units)));
+  DropFront(units);
+  return front;
 }
 
 TupleBatch TupleBatch::Filter(const SelectionVector& sel) const {

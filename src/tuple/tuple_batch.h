@@ -83,7 +83,7 @@ class TupleBatch {
 
   void push_back(Tuple t) {
     // In-band control tuples divert onto the control lane, so any path that
-    // pops tuples into a batch (e.g. BoundedQueue::TryPopBatch) is
+    // collects tuples into a batch (e.g. FjordProducer::Produce) is
     // automatically lane-aware without knowing about punctuations.
     if (t.valid() && t.IsPunctuation()) {
       puncts_.push_back(t.AsPunctuation());
@@ -161,12 +161,6 @@ class TupleBatch {
   void AddPunctuation(const Punctuation& p) { puncts_.push_back(p); }
   void ClearPunctuations() { puncts_.clear(); }
 
-  /// Drops the first `n` lane entries (after a partial control flush).
-  void DropFrontPunctuations(size_t n) {
-    assert(n <= puncts_.size());
-    puncts_.erase(puncts_.begin(), puncts_.begin() + static_cast<ptrdiff_t>(n));
-  }
-
   void clear() {
     rows_.clear();
     rows_valid_ = true;
@@ -180,7 +174,23 @@ class TupleBatch {
     rows_.reserve(n);
   }
 
-  /// Drops the first `n` tuples (used after a partial batch enqueue).
+  /// True when the batch holds only the column-major representation (rows
+  /// would have to be materialized to append to or mutate it).
+  bool columnar_only() const { return !rows_valid_; }
+
+  /// Appends `other`'s rows, then its lane behind this batch's lane. Into
+  /// an empty batch a batch with columns moves whole, columns intact (the
+  /// source tag stays this batch's); row-only batches append their rows, so
+  /// this batch's row storage is reused.
+  void Append(TupleBatch&& other);
+
+  /// Moves the leading `units` out into a new batch with the same source,
+  /// counting rows first and then lane entries: the lane goes only once
+  /// every row has gone (it applies after them). Taking every row moves
+  /// the columns along; taking fewer materializes the rows.
+  TupleBatch TakeFront(size_t units);
+
+  /// Drops the first `n` tuples.
   void DropFront(size_t n) {
     assert(n <= size());
     if (n == 0) return;

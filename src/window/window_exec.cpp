@@ -41,40 +41,96 @@ SourceSet WindowedQuery::Sources() const {
 
 namespace {
 
-// Joins the per-source window contents with early predicate pruning.
-void JoinWindows(const std::vector<SourceId>& order,
-                 const std::vector<std::vector<Tuple>>& contents,
-                 const std::vector<PredicateRef>& predicates, size_t depth,
-                 const Tuple& acc, std::vector<Tuple>* out) {
-  if (depth == contents.size()) {
-    out->push_back(acc);
-    return;
+/// Joins one window instance's per-source contents depth-first, in the
+/// nested-loop output order. Each predicate runs once per candidate, at the
+/// first depth whose span covers it: predicates one tuple covers filter
+/// their source's contents up front, the rest run on the concatenated
+/// candidate. A predicate no depth covers (its source is not bound by the
+/// loop) never runs. Concatenated schemas are built once per depth.
+class InstanceJoin {
+ public:
+  InstanceJoin(std::vector<std::vector<Tuple>> contents,
+               const std::vector<PredicateRef>& predicates)
+      : contents_(std::move(contents)), schemas_(contents_.size()) {
+    for (const PredicateRef& p : predicates) {
+      predicates_.emplace_back(p->sources(), p.get());
+    }
   }
-  for (const Tuple& t : contents[depth]) {
-    Tuple next =
-        depth == 0
-            ? t
-            : Tuple::Concat(acc, t, Schema::Concat(acc.schema(), t.schema()));
-    bool viable = true;
-    for (const auto& p : predicates) {
-      if (p->CanEval(next) && !p->Eval(next)) {
-        viable = false;
-        break;
+
+  void Run(std::vector<Tuple>* out) {
+    for (std::vector<Tuple>& tuples : contents_) {
+      std::erase_if(tuples, [&](const Tuple& t) { return !Admits(t); });
+      if (tuples.empty()) return;  // empty join input
+    }
+    out_ = out;
+    for (const Tuple& t : contents_[0]) Extend(1, t);
+  }
+
+ private:
+  static bool Covers(SourceSet span, SourceSet needed) {
+    return (needed & ~span) == 0;
+  }
+
+  /// The prefilter: every predicate `t` alone covers.
+  bool Admits(const Tuple& t) const {
+    for (const auto& [needed, p] : predicates_) {
+      if (Covers(t.sources(), needed) && !p->Eval(t)) return false;
+    }
+    return true;
+  }
+
+  /// The predicates `acc` and `t` cover together but neither alone, on
+  /// their concatenation `joined`.
+  bool Matches(SourceSet acc, SourceSet t, const Tuple& joined) const {
+    for (const auto& [needed, p] : predicates_) {
+      if (Covers(acc | t, needed) && !Covers(acc, needed) &&
+          !Covers(t, needed) && !p->Eval(joined)) {
+        return false;
       }
     }
-    if (viable) JoinWindows(order, contents, predicates, depth + 1, next, out);
+    return true;
   }
-}
+
+  void Extend(size_t depth, const Tuple& acc) {
+    if (depth == contents_.size()) {
+      out_->push_back(acc);
+      return;
+    }
+    for (const Tuple& t : contents_[depth]) {
+      Tuple next = Tuple::Concat(acc, t, ConcatSchema(depth, acc, t));
+      if (Matches(acc.sources(), t.sources(), next)) Extend(depth + 1, next);
+    }
+  }
+
+  const SchemaRef& ConcatSchema(size_t depth, const Tuple& acc,
+                                const Tuple& t) {
+    CachedSchema& c = schemas_[depth];
+    if (c.left != acc.schema() || c.right != t.schema()) {
+      c.left = acc.schema();
+      c.right = t.schema();
+      c.out = Schema::Concat(c.left, c.right);
+    }
+    return c.out;
+  }
+
+  /// Holding the inputs keeps their addresses from being reused.
+  struct CachedSchema {
+    SchemaRef left, right, out;
+  };
+
+  std::vector<std::vector<Tuple>> contents_;
+  std::vector<std::pair<SourceSet, const Predicate*>> predicates_;
+  std::vector<CachedSchema> schemas_;
+  std::vector<Tuple>* out_ = nullptr;
+};
 
 WindowResult EvaluateInstance(const WindowedQuery& query,
                               const WindowInstance& inst,
                               const std::map<SourceId, StreamHistory>& hist) {
   WindowResult result;
   result.t = inst.t;
-  std::vector<SourceId> order;
   std::vector<std::vector<Tuple>> contents;
   for (const auto& [source, range] : inst.ranges) {
-    order.push_back(source);
     contents.emplace_back();
     auto it = hist.find(source);
     if (it != hist.end()) {
@@ -82,7 +138,7 @@ WindowResult EvaluateInstance(const WindowedQuery& query,
     }
     if (contents.back().empty()) return result;  // empty join input
   }
-  JoinWindows(order, contents, query.predicates, 0, Tuple(), &result.tuples);
+  InstanceJoin(std::move(contents), query.predicates).Run(&result.tuples);
   return result;
 }
 

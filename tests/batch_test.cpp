@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -14,6 +15,8 @@
 #include "cacq/shared_eddy.h"
 #include "common/rng.h"
 #include "exec/executor.h"
+#include "exec/scheduler.h"
+#include "exec/sharded_class.h"
 #include "fjords/fjord.h"
 #include "operators/grouped_filter.h"
 #include "operators/predicate.h"
@@ -682,6 +685,83 @@ TEST(ColumnarBatchTest, ColumnarConstructedBatchReadsBackBuilderInput) {
     EXPECT_EQ(t.Get("v").AsInt64(), static_cast<int64_t>(r) * 7);
     EXPECT_EQ(t.timestamp(), static_cast<Timestamp>(r));
   }
+}
+
+// A PushBuilt-shaped batch: n rows (k = i % 16, v = i, ts = i) as columns.
+ColumnStore::Ref KvColumns(int64_t n) {
+  ColumnStoreBuilder builder(Sch(0));
+  for (int64_t i = 0; i < n; ++i) {
+    builder.AppendTimestamp(i);
+    EXPECT_TRUE(builder.Append(0, Value::Int64(i % 16)));
+    EXPECT_TRUE(builder.Append(1, Value::Int64(i)));
+  }
+  return builder.Finish();
+}
+
+TEST(ColumnarBatchTest, ColumnsSurviveAPushFjord) {
+  ColumnStore::Ref cols = KvColumns(64);
+  auto endpoints = Fjord::Make(FjordMode::kPush, 4096, "cols");
+  TupleBatch batch(0, cols);
+  batch.AddPunctuation(Punctuation{0, 63});
+  ASSERT_EQ(endpoints.producer.ProduceBatch(&batch), QueueOp::kOk);
+  EXPECT_TRUE(batch.empty() && batch.punctuations().empty());
+  EXPECT_EQ(endpoints.consumer.Pending(), 65u);  // 64 rows + one lane entry
+
+  TupleBatch out(0);
+  QueueOp op;
+  ASSERT_EQ(endpoints.consumer.ConsumeBatch(&out, 4096, &op), 65u);
+  EXPECT_EQ(out.columns().get(), cols.get());  // the same store, unmaterialized
+  ASSERT_EQ(out.punctuations().size(), 1u);
+  EXPECT_EQ(out.punctuations()[0].low_watermark, 63);
+}
+
+TEST(ColumnarBatchTest, ColumnsSurviveExecutorIngestIntoOneShardClass) {
+  Executor exec({.num_eos = 1});
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  CQSpec q;
+  q.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(2)});
+  std::atomic<int> delivered{0};
+  ASSERT_TRUE(
+      exec.SubmitQuery(q, [&](GlobalQueryId, const Tuple&) { ++delivered; })
+          .ok());
+  ColumnStore::Ref cols = KvColumns(64);
+  ASSERT_TRUE(exec.IngestBatch(TupleBatch(0, cols)).ok());
+  // No EO runs yet: the batch waits in the class's shard fjord, still
+  // sharing the store — neither materialized into rows nor copied.
+  EXPECT_EQ(cols.use_count(), 2);
+
+  exec.Start();
+  for (int i = 0; i < 2000 && delivered.load() < 8; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  exec.Stop();
+  EXPECT_EQ(delivered.load(), 8);  // k in {0, 1}: 4 rows each
+}
+
+TEST(ColumnarBatchTest, ColumnsComeOutOfAOneShardClassUnchanged) {
+  // The class Executor::IngestBatch routes into, read at its shard DU's
+  // input: the consumer receives the very store the producer built.
+  ExecutionObject eo("eo", std::make_unique<RoundRobinScheduler>());
+  ShardedClass sc("c", ShardedClass::Options{}, {&eo}, nullptr, nullptr);
+  sc.ClaimStream(0, Sch(0), StemOptions{});
+  CQSpec q;
+  q.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(2)});
+  ASSERT_TRUE(sc.AdmitQuery(q, 1, [](uint64_t, const Tuple&) {},
+                            /*started=*/false,
+                            [](const ShardedClass::RemapMap&) {})
+                  .ok());
+  ASSERT_EQ(sc.num_shards(), 1u);
+  ColumnStore::Ref cols = KvColumns(64);
+  TupleBatch batch(0, cols);
+  ASSERT_EQ(sc.RouteBatch(&batch), ShardedClass::RouteResult::kOk);
+
+  auto inputs = sc.shard_du(0)->DetachInputs();
+  ASSERT_EQ(inputs.size(), 1u);
+  TupleBatch out(0);
+  QueueOp op;
+  ASSERT_EQ(inputs[0].second.ConsumeBatch(&out, 64, &op), 64u);
+  EXPECT_EQ(out.columns().get(), cols.get());
+  sc.Shutdown();
 }
 
 TEST(ColumnarBatchTest, FilterSelectsExactRowMultisetOnBothBackings) {

@@ -354,7 +354,9 @@ TEST(FjordTest, PullModeProduceBatchRetainsSuffixOnClose) {
   // Regression: pull-mode ProduceBatch used to clear the whole batch on
   // close, so "before - batch.size()" callers counted close-dropped tuples
   // as forwarded. The unconsumed suffix must survive in the batch.
-  auto [producer, consumer, fjord] = Fjord::Make(FjordMode::kPull, 2);
+  MetricsRegistry registry;
+  auto [producer, consumer, fjord] =
+      Fjord::Make(FjordMode::kPull, 2, "pull", &registry);
   auto closer_producer = producer;
   std::thread closer([p = std::move(closer_producer)]() mutable {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -369,7 +371,11 @@ TEST(FjordTest, PullModeProduceBatchRetainsSuffixOnClose) {
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch.data()[i].at(0).AsInt64(), static_cast<int64_t>(i) + 2);
   }
-  EXPECT_EQ(fjord->queue().dropped_on_close_count(), 0u);
+  // Two rows queued, three retained: nothing destroyed or counted as lost.
+  EXPECT_EQ(fjord->size(), 2u);
+  EXPECT_EQ(registry.Snapshot().CounterValue(
+                "tcq_queue_dropped_on_close_total{queue=\"pull\"}"),
+            0u);
   // Re-offering the suffix after close keeps it with the caller too.
   EXPECT_EQ(producer.ProduceBatch(&batch), QueueOp::kClosed);
   EXPECT_EQ(batch.size(), 3u);

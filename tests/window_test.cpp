@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "reference/reference.h"
 #include "window/time.h"
 #include "window/window_exec.h"
 #include "window/window_spec.h"
@@ -225,6 +226,136 @@ TEST(WindowExecTest, PaperExample5SlidingSelfJoin) {
     for (const Tuple& m : r.tuples) {
       EXPECT_EQ(m.Get("stockSymbol").AsString(), "MSFT");
     }
+  }
+}
+
+// Renders a tuple with its fields in schema order, so join outputs compare
+// in layout as well as content.
+std::string Ordered(const Tuple& t) {
+  std::string out = std::to_string(t.timestamp()) + ":";
+  for (size_t i = 0; i < t.num_fields(); ++i) {
+    const Field& f = t.schema()->field(i);
+    out += " s" + std::to_string(f.source) + "." + f.name + "=" +
+           t.at(i).ToString();
+  }
+  return out;
+}
+
+// Every window of RunOverHistory equals the brute-force join of that
+// window's contents, tuple for tuple and in order. `unbound` predicates
+// reference a source the loop does not bind: they must stay ignored.
+void ExpectWindowsMatchNaiveJoin(const WindowedQuery& q,
+                                 const std::map<SourceId, StreamHistory>& hist,
+                                 const std::vector<PredicateRef>& unbound) {
+  WindowedQuery with_unbound = q;
+  for (const PredicateRef& p : unbound) with_unbound.predicates.push_back(p);
+  auto results = RunOverHistory(with_unbound, hist);
+  WindowIterator iter(q.loop);
+  size_t nonempty = 0;
+  for (const WindowResult& r : results) {
+    ASSERT_TRUE(iter.HasNext());
+    WindowInstance inst = iter.Next();
+    ASSERT_EQ(r.t, inst.t);
+    std::vector<std::vector<Tuple>> streams;
+    for (const auto& [source, range] : inst.ranges) {
+      streams.emplace_back();
+      auto it = hist.find(source);
+      if (it != hist.end()) {
+        it->second.Range(range.first, range.second, &streams.back());
+      }
+    }
+    std::vector<Tuple> want = testref::NaiveJoin(streams, q.predicates);
+    ASSERT_EQ(r.tuples.size(), want.size()) << "window t=" << r.t;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(Ordered(r.tuples[i]), Ordered(want[i])) << "window t=" << r.t;
+    }
+    if (!want.empty()) ++nonempty;
+  }
+  EXPECT_FALSE(iter.HasNext());
+  EXPECT_GT(nonempty, 0u);  // the inputs must exercise the join
+}
+
+SchemaRef KvSchema(SourceId source) {
+  return Schema::Make({{"k", ValueType::kInt64, source},
+                       {"v", ValueType::kInt64, source}});
+}
+
+// `n` random rows at timestamps 1..horizon, in timestamp order.
+std::vector<std::pair<Timestamp, std::pair<int64_t, int64_t>>> RandomRows(
+    Rng* rng, Timestamp horizon, int n) {
+  std::vector<std::pair<Timestamp, std::pair<int64_t, int64_t>>> rows;
+  for (int i = 0; i < n; ++i) {
+    rows.push_back({rng->UniformInt(1, horizon),
+                    {rng->UniformInt(0, 5), rng->UniformInt(0, 99)}});
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+StreamHistory HistoryOf(
+    SourceId source,
+    const std::vector<std::pair<Timestamp, std::pair<int64_t, int64_t>>>&
+        rows) {
+  StreamHistory h;
+  for (const auto& [ts, kv] : rows) {
+    h.Append(Tuple::Make(KvSchema(source),
+                         {Value::Int64(kv.first), Value::Int64(kv.second)},
+                         ts));
+  }
+  return h;
+}
+
+TEST(WindowExecTest, TwoWayAndSelfJoinWindowsMatchNaiveJoin) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const Timestamp width = rng.UniformInt(3, 9);
+    const Timestamp hop = rng.UniformInt(1, 6);
+    auto left = RandomRows(&rng, 60, 90);
+    // Odd seeds self-join: one physical stream bound under two aliases.
+    auto right = seed % 2 == 1 ? left : RandomRows(&rng, 60, 90);
+    std::map<SourceId, StreamHistory> hist;
+    hist[0] = HistoryOf(0, left);
+    hist[1] = HistoryOf(1, right);
+    WindowedQuery q;
+    q.loop = ForLoopSpec::Sliding({0, 1}, width, width, 60, hop);
+    q.predicates = {
+        MakeCompareAttrs({0, "k"}, CmpOp::kEq, {1, "k"}),
+        MakeCompareConst({0, "v"}, CmpOp::kLt, Value::Int64(70)),
+        MakeCompareConst({1, "v"}, CmpOp::kGe, Value::Int64(10)),
+        // Residual: a multi-source factor that is not an equi-join.
+        MakeOr({MakeCompareAttrs({0, "v"}, CmpOp::kLt, {1, "v"}),
+                MakeCompareConst({1, "k"}, CmpOp::kEq, Value::Int64(0))}),
+    };
+    std::vector<PredicateRef> unbound = {
+        MakeCompareConst({7, "v"}, CmpOp::kLt, Value::Int64(0)),
+        MakeCompareAttrs({0, "k"}, CmpOp::kNe, {7, "k"}),
+    };
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectWindowsMatchNaiveJoin(q, hist, unbound);
+  }
+}
+
+TEST(WindowExecTest, ThreeWayWindowsMatchNaiveJoin) {
+  for (uint64_t seed = 11; seed <= 16; ++seed) {
+    Rng rng(seed);
+    std::map<SourceId, StreamHistory> hist;
+    for (SourceId s = 0; s < 3; ++s) {
+      hist[s] = HistoryOf(s, RandomRows(&rng, 40, 50));
+    }
+    WindowedQuery q;
+    q.loop = ForLoopSpec::Sliding({0, 1, 2}, rng.UniformInt(3, 7), 7, 40,
+                                  rng.UniformInt(1, 4));
+    q.predicates = {
+        MakeCompareAttrs({0, "k"}, CmpOp::kEq, {1, "k"}),
+        MakeCompareAttrs({2, "v"}, CmpOp::kGt, {0, "v"}),
+        MakeCompareConst({2, "k"}, CmpOp::kLe, Value::Int64(3)),
+        // Covered only at the last depth, by all three sources at once.
+        MakeOr({MakeCompareAttrs({0, "v"}, CmpOp::kLt, {1, "v"}),
+                MakeCompareAttrs({1, "k"}, CmpOp::kEq, {2, "k"})}),
+    };
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectWindowsMatchNaiveJoin(
+        q, hist, {MakeCompareAttrs({1, "v"}, CmpOp::kEq, {9, "v"})});
   }
 }
 
