@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <thread>
 
 #include "bench_common.h"
 #include "cacq/shared_eddy.h"
@@ -291,13 +290,11 @@ void BM_ShardedExecutor(benchmark::State& state) {
     }
     (void)exec.CloseStream(0);
     (void)exec.CloseStream(1);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (delivered.load(std::memory_order_relaxed) < expected &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    drained = drained && delivered.load() == expected;
+    drained = drained &&
+              exec.WaitQuiescent(std::chrono::steady_clock::now() +
+                                 std::chrono::seconds(60))
+                  .ok() &&
+              delivered.load() == expected;
     exec.Stop();
     tuples += 2 * kSide;
   }

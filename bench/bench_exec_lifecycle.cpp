@@ -1,18 +1,25 @@
-// E11: query-class lifecycle costs. Three experiments:
+// E11: query-class lifecycle costs, plus the idle-wake latency. Four
+// experiments:
 //   * BM_MergePause — how long a bridging-query submission stalls while two
 //     classes (with N SteM entries per stream) merge into one;
 //   * BM_PostGcIngest — ingest cost on a stream whose class was GC'd (fast
 //     FailedPrecondition) vs a live routed stream;
 //   * BM_RebalanceGain — time to drain a skewed workload on 2 EOs (two hot
-//     classes pinned to one EO) with the rebalance pass off vs on.
+//     classes pinned to one EO) with the rebalance pass off vs on;
+//   * BM_IdleWake — one row pushed into a drained server that then sat idle
+//     for 1 ms (its EOs parked) until a spinning Poll sees the result,
+//     p50/p99 over 1k rows.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "exec/executor.h"
+#include "server/telegraphcq.h"
 
 namespace tcq {
 namespace {
@@ -40,12 +47,10 @@ CQSpec FilterSpec(SourceId s) {
   return spec;
 }
 
-bool WaitFor(const std::atomic<size_t>& count, size_t n) {
-  for (int i = 0; i < 20000; ++i) {
-    if (count.load() >= n) return true;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  return false;
+/// The quiescence barrier: every ingested tuple processed and delivered.
+void Drain(Executor* exec) {
+  (void)exec->WaitQuiescent(std::chrono::steady_clock::now() +
+                            std::chrono::seconds(30));
 }
 
 /// Merge pause: two 2-stream join classes, N tuples per stream already
@@ -74,8 +79,7 @@ void BM_MergePause(benchmark::State& state) {
             s, Row(s, static_cast<int64_t>(i), 0, ts++));
       }
     }
-    WaitFor(q01, n);
-    WaitFor(q23, n);
+    Drain(&exec);
 
     auto t0 = std::chrono::steady_clock::now();
     (void)exec.SubmitQuery(JoinSpec(1, 2), [](GlobalQueryId, const Tuple&) {});
@@ -151,7 +155,7 @@ void BM_RebalanceGain(benchmark::State& state) {
 
     auto t0 = std::chrono::steady_clock::now();
     exec.Start();
-    WaitFor(delivered, 2 * kHot + kCold);
+    Drain(&exec);
     auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     state.counters["migrations"] = static_cast<double>(exec.class_migrations());
@@ -165,6 +169,45 @@ BENCHMARK(BM_RebalanceGain)
     ->Iterations(8)  // each iteration drains a full 40k-tuple workload
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+/// Idle wake: a server whose EOs are parked (Drain() returned, then 1 ms of
+/// quiet) gets one row; the sample is PushBuilt's start until a spinning
+/// Poll returns the result. Reports p50/p99 over kSamples rows (counters,
+/// microseconds).
+void BM_IdleWake(benchmark::State& state) {
+  constexpr int kSamples = 1000;
+  for (auto _ : state) {
+    TelegraphCQ server;
+    (void)server.DefineStream("S", {{"k", ValueType::kInt64, 0}});
+    auto handle = server.Submit("SELECT * FROM S");
+    if (!handle.ok()) {
+      state.SkipWithError(handle.status().ToString().c_str());
+      return;
+    }
+    server.Start();
+    std::vector<double> us;
+    us.reserve(kSamples);
+    Delivery d;
+    for (int i = 0; i < kSamples; ++i) {
+      (void)server.Drain();
+      // Models sparse arrivals: the server sits idle before each row.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      auto batch = server.NewBatch("S");
+      (void)batch->Append(i, {Value::Int64(i)});
+      auto t0 = std::chrono::steady_clock::now();
+      (void)server.PushBuilt(std::move(*batch));
+      while (!handle->results->Poll(&d)) {
+      }
+      auto t1 = std::chrono::steady_clock::now();
+      us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
+    server.Stop();
+    std::sort(us.begin(), us.end());
+    state.counters["p50_us"] = us[us.size() / 2];
+    state.counters["p99_us"] = us[us.size() * 99 / 100];
+  }
+}
+BENCHMARK(BM_IdleWake)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace tcq

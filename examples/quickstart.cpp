@@ -65,14 +65,16 @@ int main() {
   Status s = server.PushBuilt(std::move(*batch));
   if (!s.ok()) std::fprintf(stderr, "PushBuilt: %s\n", s.ToString().c_str());
 
-  // 4. Consume results. Two MSFT days exceed $50.
+  // 4. Consume results. Two MSFT days exceed $50. Ingest is asynchronous;
+  //    Drain() returns once everything pushed so far has been delivered.
+  if (Status d = server.Drain(); !d.ok()) {
+    std::fprintf(stderr, "Drain: %s\n", d.ToString().c_str());
+    return 1;
+  }
   std::printf("results:\n");
-  for (int received = 0; received < 2;) {
-    Delivery d;
-    if (handle->results->Poll(&d)) {
-      std::printf("  %s\n", d.tuple.ToString().c_str());
-      ++received;
-    }
+  Delivery d;
+  while (handle->results->Poll(&d)) {
+    std::printf("  %s\n", d.tuple.ToString().c_str());
   }
 
   server.Stop();

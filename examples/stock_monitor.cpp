@@ -18,24 +18,21 @@ void Fail(const char* what, const Status& s) {
   std::exit(1);
 }
 
-// Drains a windowed query's buffer, printing up to `max_windows` windows.
+// Prints up to `max_windows` of a windowed query's fired windows (call
+// after Drain(): the buffer then holds every window the stream fired).
 void PrintWindows(const char* title, TelegraphCQ::ClientHandle* handle,
                   size_t max_windows) {
   std::printf("\n== %s ==\n", title);
   size_t shown = 0;
-  for (int patience = 0; patience < 3000 && shown < max_windows;
-       ++patience) {
-    WindowResult wr;
-    while (shown < max_windows && handle->windows->Poll(&wr)) {
-      std::printf("  t=%lld: %zu rows\n", static_cast<long long>(wr.t),
-                  wr.tuples.size());
-      for (size_t i = 0; i < wr.tuples.size() && i < 3; ++i) {
-        std::printf("    %s\n", wr.tuples[i].ToString().c_str());
-      }
-      if (wr.tuples.size() > 3) std::printf("    ...\n");
-      ++shown;
+  WindowResult wr;
+  while (shown < max_windows && handle->windows->Poll(&wr)) {
+    std::printf("  t=%lld: %zu rows\n", static_cast<long long>(wr.t),
+                wr.tuples.size());
+    for (size_t i = 0; i < wr.tuples.size() && i < 3; ++i) {
+      std::printf("    %s\n", wr.tuples[i].ToString().c_str());
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (wr.tuples.size() > 3) std::printf("    ...\n");
+    ++shown;
   }
 }
 
@@ -104,6 +101,9 @@ int main() {
   if (!cq.ok()) Fail("cq", cq.status());
 
   server.Start();
+  // The generator is finite: Drain() waits for it to end and for every
+  // result it caused to reach the buffers below.
+  if (Status s = server.Drain(); !s.ok()) Fail("Drain", s);
 
   PrintWindows("Example 1: snapshot, MSFT days 1-5", &*snapshot, 1);
   PrintWindows("Example 2: landmark, MSFT > $50 from day 21", &*landmark, 5);
@@ -113,13 +113,10 @@ int main() {
 
   std::printf("\n== continuous query: ticks over $55 ==\n");
   size_t shown = 0;
-  for (int patience = 0; patience < 2000 && shown < 8; ++patience) {
-    Delivery d;
-    while (shown < 8 && cq->results->Poll(&d)) {
-      std::printf("  %s\n", d.tuple.ToString().c_str());
-      ++shown;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Delivery d;
+  while (shown < 8 && cq->results->Poll(&d)) {
+    std::printf("  %s\n", d.tuple.ToString().c_str());
+    ++shown;
   }
 
   server.Stop();

@@ -4,7 +4,10 @@
 #   * the bridging-merge pause (ms) at 1k and 10k SteM entries per stream,
 #   * post-GC vs routed ingest cost,
 #   * the rebalance gain on the skewed 2-EO workload (drain-time ratio,
-#     acceptance: rebalance on must migrate and must not be slower).
+#     acceptance: rebalance on must migrate and must not be slower),
+#   * the idle-wake latency: one row into a drained server with parked EOs
+#     until a spinning Poll sees it, p50/p99 over 1k rows (recorded, not
+#     gated).
 #
 # Usage: scripts/bench_exec_lifecycle.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -29,7 +32,7 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 
-merge, post_gc, rebalance = [], {}, {}
+merge, post_gc, rebalance, idle_wake = [], {}, {}, {}
 for b in doc.get("benchmarks", []):
     if b.get("run_type") == "aggregate":
         continue
@@ -45,6 +48,9 @@ for b in doc.get("benchmarks", []):
             "batch_us": b["real_time"],
             "items_per_second": b.get("items_per_second"),
         }
+    elif name.startswith("BM_IdleWake"):
+        idle_wake = {"p50_us": b["p50_us"], "p99_us": b["p99_us"],
+                     "samples": 1000}
     elif name.startswith("BM_RebalanceGain"):
         key = "rebalance_on" if b.get("rebalance") else "rebalance_off"
         rebalance[key] = {
@@ -56,6 +62,7 @@ report = {
     "merge_pause": sorted(merge, key=lambda r: r["stem_entries_per_stream"]),
     "post_gc_ingest": post_gc,
     "rebalance_skewed_2eo": rebalance,
+    "idle_wake": idle_wake,
 }
 ok = True
 if "rebalance_on" in rebalance and "rebalance_off" in rebalance:
@@ -71,6 +78,9 @@ if "rebalance_on" in rebalance and "rebalance_off" in rebalance:
         ok = False
 else:
     ok = False
+if idle_wake:
+    print(f"idle wake p50 = {idle_wake['p50_us']:.1f} us, "
+          f"p99 = {idle_wake['p99_us']:.1f} us")
 for row in report["merge_pause"]:
     print(f"merge pause @ {row['stem_entries_per_stream']} entries/stream "
           f"= {row['pause_ms']:.3f} ms")

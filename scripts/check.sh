@@ -3,13 +3,18 @@
 #   0. vectorize: compile scripts/vectorize_probe.cpp with
 #      -O3 -march=x86-64-v3 -fopt-info-vec-optimized and fail if any filter
 #      kernel family (operators/filter_kernels.h) stops auto-vectorizing
-#   1. tier-1 verify: configure + build + full ctest (ROADMAP.md)
+#   1. tier-1 verify: configure + build + full ctest (ROADMAP.md), run once:
+#      the suites wait for the engine through TelegraphCQ::Drain() /
+#      Executor::WaitQuiescent() instead of sleeping, so a failure is a
+#      failure, never retried
 #   1b. crash-recovery: the checkpoint/restore suite standalone — the
 #       crash-sim multiset-equality pins (DESIGN.md §13) must hold without
 #       the parallel-suite CPU noise ctest adds
 #   2. AddressSanitizer configure + build + ctest in a separate build dir
 #   3. ThreadSanitizer build running the concurrency-heavy suites
-#      (exec, exec_lifecycle, exec_sharding, fjords, cacq, obs, window,
+#      (exec — including the wake-path tests: parked EOs, signals across DU
+#      moves, the quiescence barrier — exec_lifecycle, exec_sharding,
+#      fjords, cacq, obs, window,
 #      recovery, batch — its MPMC queue and fjord segment tests — ingress —
 #      wrapper threads produce into fjords — plus the whole server suite:
 #      windowed DUs share the executor's EO threads with class DUs, and
@@ -78,11 +83,7 @@ fi
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S .
 cmake --build build -j
-# until-pass:2 — the full-stack integration test is sensitive to CPU
-# starvation when the whole suite runs in parallel on a small host (window
-# audits observe a late arrival); a deterministic failure still fails twice.
-# NOTE: --repeat must precede bare -j, which would swallow it as its value.
-ctest --test-dir build --output-on-failure --repeat until-pass:2 -j
+ctest --test-dir build --output-on-failure -j
 
 echo "== crash-recovery: checkpoint/restore suite =="
 ./build/tests/recovery_test
@@ -91,7 +92,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   echo "== asan: configure + build + ctest =="
   cmake -B build-asan -S . -DTCQ_SANITIZE=address
   cmake --build build-asan -j
-  ctest --test-dir build-asan --output-on-failure --repeat until-pass:2 -j
+  ctest --test-dir build-asan --output-on-failure -j
 fi
 
 if [[ "$RUN_TSAN" == 1 ]]; then

@@ -5,7 +5,9 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <stop_token>
 
 namespace tcq {
 
@@ -56,5 +58,11 @@ class SequenceCounter {
  private:
   std::atomic<Timestamp> next_;
 };
+
+/// Blocks until `deadline` or until `stop` is requested, whichever comes
+/// first; true when stopped. The wait of a periodic background loop, so
+/// that stopping it returns at once instead of after a polling slice.
+bool WaitUntilOrStopped(std::stop_token stop,
+                        std::chrono::steady_clock::time_point deadline);
 
 }  // namespace tcq

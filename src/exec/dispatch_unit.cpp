@@ -81,12 +81,23 @@ void SharedCQDispatchUnit::UnbindSink(QueryId local) { sinks_.erase(local); }
 
 void SharedCQDispatchUnit::AddInput(SourceId source, FjordConsumer consumer) {
   std::lock_guard<std::mutex> lock(plan_mu_);
+  consumer.SetWake(wake_);
   pending_inputs_.push_back(Input{source, std::move(consumer), false});
+  if (wake_ != nullptr) wake_->Notify();
 }
 
 void SharedCQDispatchUnit::SubmitTask(std::function<void(SharedEddy*)> task) {
   std::lock_guard<std::mutex> lock(plan_mu_);
   pending_tasks_.push_back(std::move(task));
+  if (wake_ != nullptr) wake_->Notify();
+}
+
+void SharedCQDispatchUnit::BindWake(WakeTarget* wake) {
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  wake_ = wake;
+  // No EO steps the DU now, so the DU-thread-only inputs_ are ours too.
+  for (Input& input : inputs_) input.consumer.SetWake(wake);
+  for (Input& input : pending_inputs_) input.consumer.SetWake(wake);
 }
 
 void SharedCQDispatchUnit::Quiesce() { DrainPlanQueue(); }
@@ -159,6 +170,10 @@ WindowedQueryDispatchUnit::WindowedQueryDispatchUnit(
 void WindowedQueryDispatchUnit::AddInput(SourceId source,
                                          FjordConsumer consumer) {
   inputs_.push_back(Input{source, std::move(consumer), false});
+}
+
+void WindowedQueryDispatchUnit::BindWake(WakeTarget* wake) {
+  for (Input& input : inputs_) input.consumer.SetWake(wake);
 }
 
 DispatchUnit::StepResult WindowedQueryDispatchUnit::Step() {

@@ -3,7 +3,9 @@
 // that represent entities that perform work in the system. DUs are
 // responsible for maintaining their own state." A DU runs as a state
 // machine: each Step() performs a bounded quantum of work and reports
-// whether it progressed, idled, or finished.
+// whether it progressed, idled, or finished. A DU that idles is stepped
+// again only after something it consumes signals its EO's wake target
+// (BindWake), so all of a DU's work must arrive through bound inputs.
 
 #pragma once
 
@@ -37,6 +39,12 @@ class DispatchUnit {
 
   /// Performs one bounded, non-preemptive quantum of work.
   virtual StepResult Step() = 0;
+
+  /// Binds (nullptr: unbinds) the wake target the DU's inputs signal when
+  /// they gain work — the hosting EO's. Called by ExecutionObject's
+  /// Add/RemoveDispatchUnit only while no EO steps the DU. The default suits
+  /// a DU with no inputs, which never idles waiting for one.
+  virtual void BindWake(WakeTarget* /*wake*/) {}
 
   /// Step counters are atomics: the owning EO updates them from its thread
   /// while the executor's rebalance pass reads them to estimate per-DU load.
@@ -79,13 +87,16 @@ class SharedCQDispatchUnit : public DispatchUnit {
                        Options opts);
 
   /// Thread-safe: attaches a stream input (consumed round-robin from the
-  /// next quantum on).
+  /// next quantum on) and binds it to the DU's wake target.
   void AddInput(SourceId source, FjordConsumer consumer);
 
   /// Thread-safe: enqueues an admission task executed against the eddy at
   /// the next quantum boundary (the QPQueue analog). Used for query
-  /// add/remove and for registering streams a new query introduces.
+  /// add/remove and for registering streams a new query introduces. Both
+  /// calls signal the wake target, so a parked EO runs the quantum.
   void SubmitTask(std::function<void(SharedEddy*)> task);
+
+  void BindWake(WakeTarget* wake) override;
 
   /// Routes a local query id's deliveries to a client sink under a global
   /// id. Must be called from a submitted task (DU thread).
@@ -147,6 +158,7 @@ class SharedCQDispatchUnit : public DispatchUnit {
   size_t next_input_ = 0;
 
   std::mutex plan_mu_;
+  WakeTarget* wake_ = nullptr;  // guarded by plan_mu_
   std::deque<std::function<void(SharedEddy*)>> pending_tasks_;
   std::vector<Input> pending_inputs_;
   // DU-thread-only delivery table: local query id -> (global id, sink).
@@ -164,7 +176,10 @@ class WindowedQueryDispatchUnit : public DispatchUnit {
       size_t quantum = 64,
       OnlineWindowRunner::Options runner_opts = OnlineWindowRunner::Options());
 
+  /// Not thread-safe: call before the DU is hosted.
   void AddInput(SourceId source, FjordConsumer consumer);
+
+  void BindWake(WakeTarget* wake) override;
 
   /// Invoked once, from the step that reports kDone (the loop finished or
   /// every input closed), after that step's windows reached the sink. Call

@@ -30,7 +30,7 @@ Executor::Executor(Options opts, MetricsRegistryRef metrics,
                      ? MakeTicketScheduler(opts_.seed + i)
                      : MakeRoundRobinScheduler();
     eos_.push_back(std::make_unique<ExecutionObject>(
-        "eo" + std::to_string(i), std::move(sched), metrics_));
+        "eo" + std::to_string(i), std::move(sched), metrics_, &parked_));
   }
 }
 
@@ -494,7 +494,46 @@ uint64_t Executor::class_repartitions() const {
   return n;
 }
 
+bool Executor::Quiescent() {
+  std::vector<uint64_t> seqs(eos_.size());
+  for (size_t e = 0; e < eos_.size(); ++e) {
+    if (!eos_[e]->running()) {
+      // mu_ serializes this with every other inline stepper (pre-start
+      // admission steps DUs under it too).
+      std::lock_guard<std::mutex> lock(mu_);
+      eos_[e]->StepUntilIdle();
+    } else if (!eos_[e]->Parked(&seqs[e])) {
+      return false;
+    }
+  }
+  // Second look: an EO signalled (and maybe re-parked) after the first one
+  // shows a moved sequence.
+  for (size_t e = 0; e < eos_.size(); ++e) {
+    uint64_t seq = 0;
+    if (eos_[e]->running() && (!eos_[e]->Parked(&seq) || seq != seqs[e])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Status Executor::WaitQuiescent(std::chrono::steady_clock::time_point deadline) {
+  // Every EO signals parked_ as it parks or stops, so each re-check follows
+  // a change of state, never a timer.
+  if (parked_.AwaitUntil([this] { return Quiescent(); }, deadline)) {
+    return Status::OK();
+  }
+  return Status::TimedOut(
+      "executor did not quiesce before the deadline (a DU is still running; "
+      "egress back-pressure?)");
+}
+
 Status Executor::CheckpointTo(CheckpointWriter* w) {
+  // Queued tuples sit BELOW the spool's recorded replay position, so a
+  // snapshot taken while any is queued would lose it: drain first. Ingest
+  // is blocked by the caller, so only a back-pressured egress can stall it.
+  TCQ_RETURN_IF_ERROR(WaitQuiescent(std::chrono::steady_clock::now() +
+                                    std::chrono::seconds(10)));
   std::lock_guard<std::mutex> lock(mu_);
   w->BeginSection("executor", 1);
   w->PutU32(static_cast<uint32_t>(CountLiveClasses()));
@@ -631,14 +670,9 @@ Result<uint64_t> Executor::RestoreFrom(CheckpointReader* r,
   return replayed;
 }
 
-void Executor::RebalanceLoop() {
+void Executor::RebalanceLoop(std::stop_token stop) {
   const auto interval = std::chrono::milliseconds(opts_.rebalance_interval_ms);
-  auto next = std::chrono::steady_clock::now() + interval;
-  while (!rebalance_stop_.load(std::memory_order_relaxed)) {
-    // Short chunks keep Stop() responsive and honor small intervals.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (std::chrono::steady_clock::now() < next) continue;
-    next = std::chrono::steady_clock::now() + interval;
+  while (!WaitUntilOrStopped(stop, std::chrono::steady_clock::now() + interval)) {
     std::lock_guard<std::mutex> lock(mu_);
     (void)RebalanceLocked();
     (void)SkewLocked();
@@ -653,8 +687,8 @@ void Executor::Start() {
   }
   for (auto& eo : eos_) eo->Start();
   if (opts_.rebalance && eos_.size() > 1) {
-    rebalance_stop_.store(false);
-    rebalance_thread_ = std::thread([this] { RebalanceLoop(); });
+    rebalance_thread_ =
+        std::jthread([this](std::stop_token stop) { RebalanceLoop(stop); });
   }
 }
 
@@ -663,7 +697,7 @@ void Executor::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     started_ = false;
   }
-  rebalance_stop_.store(true);
+  rebalance_thread_.request_stop();
   if (rebalance_thread_.joinable()) rebalance_thread_.join();
   for (auto& eo : eos_) eo->Stop();
 }

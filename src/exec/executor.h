@@ -25,14 +25,18 @@
 //     re-partitioning (see exec/sharded_class.h).
 // Windowed queries are not classes: each is one caller-built DU hosted on
 // the same EOs under the same query ids (HostQuery).
+//
+// EOs park when their DUs idle and wake when a fjord they consume gains
+// work, so "everything pushed so far has been processed" is observable:
+// WaitQuiescent returns once every EO is parked with nothing signalled.
 
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stop_token>
 #include <thread>
 
 #include "common/metrics.h"
@@ -154,11 +158,20 @@ class Executor {
 
   // --- Durable state (DESIGN.md §13) -----------------------------------------
 
+  /// The quiescence barrier: returns OK once every EO is parked with an
+  /// unchanged wake sequence — every DU reported idle and no fjord, plan
+  /// queue or DU move signalled since — so every batch ingested before the
+  /// call has been processed and delivered to its sinks. An EO whose thread
+  /// is not running has its DUs stepped on the calling thread instead.
+  /// kTimedOut when `deadline` passes first (e.g. a DU blocked on a full
+  /// kBlock egress never parks). Blocks without polling; thread-safe.
+  Status WaitQuiescent(std::chrono::steady_clock::time_point deadline);
+
   /// Snapshots every live query class into the writer: one "executor"
   /// section (the class count) followed by one "class" section per class
   /// (queries + partition map + SteM state, via ShardedClass::CheckpointTo).
-  /// The caller must have blocked ingestion for the duration; EO threads
-  /// keep running (they drain the class fjords and service the quiesce).
+  /// The caller must have blocked ingestion for the duration; the class
+  /// fjords drain first (WaitQuiescent, kTimedOut after 10s).
   Status CheckpointTo(CheckpointWriter* w);
 
   /// Builds the delivery sink for one restored query, from its recorded
@@ -249,7 +262,10 @@ class Executor {
   size_t LeastLoadedEo() const;     // EO hosting the fewest DUs
   bool RebalanceLocked();           // caller holds mu_
   bool SkewLocked();                // caller holds mu_
-  void RebalanceLoop();
+  /// Every running EO parked, twice over with equal wake sequences;
+  /// stopped EOs have their DUs stepped inline first.
+  bool Quiescent();
+  void RebalanceLoop(std::stop_token stop);
 
   Options opts_;
   mutable std::mutex mu_;
@@ -258,6 +274,9 @@ class Executor {
   std::map<GlobalQueryId, QueryInfo> queries_;
   GlobalQueryId next_query_id_ = 1;
   size_t next_class_label_ = 0;  // DU/eddy labels stay unique across GC
+  /// Signalled by every EO that parks or stops (WaitQuiescent waits on it).
+  /// Declared before eos_, which point at it.
+  WakeTarget parked_;
   std::vector<std::unique_ptr<ExecutionObject>> eos_;
   MetricsRegistryRef metrics_;
   obs::TracerRef tracer_;
@@ -268,8 +287,7 @@ class Executor {
   Counter* gcs_;
   Gauge* classes_gauge_;
   bool started_ = false;
-  std::thread rebalance_thread_;
-  std::atomic<bool> rebalance_stop_{false};
+  std::jthread rebalance_thread_;
 };
 
 }  // namespace tcq

@@ -18,6 +18,9 @@ struct DuSchedInfo {
   bool done = false;
   /// Progress quanta out of the last few steps (EWMA in [0,1]).
   double recent_progress = 1.0;
+  /// The EO's idle round in which this DU last reported idle; the EO parks
+  /// once every DU's equals the current round.
+  uint64_t idle_round = 0;
 };
 
 class Scheduler {

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
-#include <thread>
 #include <utility>
 
 #include "cacq/spec_codec.h"
@@ -697,31 +695,9 @@ uint64_t ShardedClass::TakeProgressDelta(size_t shard) {
 }
 
 Status ShardedClass::CheckpointTo(CheckpointWriter* w) {
-  // Drain first: tuples sitting in shard fjords are BELOW the spool's
-  // recorded replay position, so a snapshot taken while they are queued
-  // would lose them (replay starts after them). Ingest is blocked by the
-  // caller, EO threads keep pumping, so the queues empty — unless a
-  // member query's egress is back-pressured with a kBlock policy, which
-  // the bounded wait surfaces as a typed error instead of a hang.
-  constexpr int64_t kDrainTimeoutUs = 10'000'000;
-  int64_t deadline = NowMicros() + kDrainTimeoutUs;
-  for (;;) {
-    size_t queued = 0;
-    {
-      std::shared_lock<std::shared_mutex> lock(route_mu_);
-      for (const auto& [source, r] : routes_) {
-        for (const auto& f : r.fjords) queued += f->size();
-      }
-    }
-    if (queued == 0) break;
-    if (NowMicros() > deadline) {
-      return Status::TimedOut("checkpoint drain stalled on class " + label_ +
-                              " (" + std::to_string(queued) +
-                              " tuples queued; egress back-pressure?)");
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-
+  // The executor drained the shard fjords first (WaitQuiescent): tuples
+  // still queued would sit below the spool's recorded replay position and
+  // be lost to the snapshot.
   std::unique_lock<std::shared_mutex> lock(route_mu_);
   // Pause: quiesce every shard at a quantum boundary. With ingest blocked
   // and the fjords empty, the replicas are fully quiescent afterwards.

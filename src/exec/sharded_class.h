@@ -135,10 +135,9 @@ class ShardedClass {
   /// Snapshots the class as one "class" checkpoint section: member queries
   /// (gid + spec, admission order), the Flux bucket->shard map, every
   /// shard's SteM entries with original seqs, and the max seq horizon.
-  /// Rides the quiesce protocol: waits (bounded) for the shard fjords to
-  /// drain — the caller must have blocked ingest; EO threads do the
-  /// draining — then detaches + quiesces each shard DU, serializes, and
-  /// re-attaches. Event-time merge state is NOT exported: like a
+  /// Rides the quiesce protocol: the caller must have blocked ingest and
+  /// drained the shard fjords (Executor::WaitQuiescent); this detaches +
+  /// quiesces each shard DU, serializes, and re-attaches. Event-time merge state is NOT exported: like a
   /// re-partition, a restored class re-earns watermarks from the next
   /// punctuation broadcast (conservative, can only delay firing).
   Status CheckpointTo(CheckpointWriter* w);

@@ -53,6 +53,14 @@ QueueOp FjordProducer::ProduceBatch(TupleBatch* batch) {
   return QueueOp::kClosed;
 }
 
+QueueOp FjordProducer::ProduceBatchUntil(
+    TupleBatch* batch, std::chrono::steady_clock::time_point deadline) {
+  if (batch->empty() && batch->punctuations().empty()) return QueueOp::kOk;
+  QueueOp op;
+  fjord_->queue_.PushNUntil(batch, 1, deadline, &op);
+  return op;
+}
+
 void FjordProducer::Close() { fjord_->queue_.Close(); }
 
 QueueOp FjordConsumer::Consume(Tuple* out) {
@@ -87,5 +95,7 @@ size_t FjordConsumer::ConsumeBatch(TupleBatch* out, size_t max, QueueOp* op,
 bool FjordConsumer::Exhausted() const { return fjord_->queue_.exhausted(); }
 
 size_t FjordConsumer::Pending() const { return fjord_->queue_.size(); }
+
+void FjordConsumer::SetWake(WakeTarget* wake) { fjord_->queue_.SetWake(wake); }
 
 }  // namespace tcq

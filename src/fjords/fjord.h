@@ -7,9 +7,14 @@
 // lane intact, and a consumer receives it as it was produced. Capacity is
 // still counted in rows (plus one per lane entry). The per-tuple endpoints
 // are batch-of-one wrappers over the same transport.
+//
+// The enqueue never blocks in push mode; instead the consumer binds a wake
+// target (wake.h) that the fjord signals when it gains work or closes, so
+// an idle consumer parks until then rather than sleeping on a timer.
 
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <string>
 
@@ -56,6 +61,12 @@ class FjordProducer {
   /// Produce on a closed queue).
   QueueOp ProduceBatch(TupleBatch* batch);
 
+  /// ProduceBatch that waits on the queue's not-full condition, in any
+  /// mode, until the whole batch is in or `deadline` passes: kOk, kClosed,
+  /// or kWouldBlock on the deadline (the suffix stays in `*batch`).
+  QueueOp ProduceBatchUntil(TupleBatch* batch,
+                            std::chrono::steady_clock::time_point deadline);
+
   /// Signals end of stream.
   void Close();
 
@@ -89,6 +100,11 @@ class FjordConsumer {
   bool Exhausted() const;
 
   size_t Pending() const;
+
+  /// Binds (nullptr: unbinds) the wake target this fjord signals when it
+  /// goes from empty to non-empty or closes — the consuming EO's, bound by
+  /// ExecutionObject::AddDispatchUnit. Thread-safe.
+  void SetWake(WakeTarget* wake);
 
  private:
   std::shared_ptr<Fjord> fjord_;

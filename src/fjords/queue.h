@@ -8,19 +8,26 @@
 // default. A fjord queues whole TupleBatch "segments" whose weight is their
 // row count plus their control-lane entries, so one slot, one lock and one
 // set of metric updates move a whole batch — columns included.
+//
+// A queue may carry its consumer's wake target (wake.h): it is signalled
+// when the queue goes from empty to non-empty and when it closes, so a
+// consumer that found every queue empty can park instead of sleeping.
 
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/metrics.h"
+#include "fjords/wake.h"
 #include "tuple/tuple.h"
 #include "tuple/tuple_batch.h"
 
@@ -124,12 +131,26 @@ class BoundedQueue {
     metrics_ = metrics;
   }
 
+  /// Sets (nullptr: clears) the consumer's wake target, signalled on every
+  /// empty -> non-empty transition and on Close. Thread-safe. Signals are
+  /// raised just after the queue lock is released, so a push racing this
+  /// call may still signal the previous target once — a harmless spurious
+  /// wake, as long as every target outlives the pushes into queues it was
+  /// bound to. A queue that already holds items signals the new target at
+  /// once, so a consumer moved onto it never misses work queued before.
+  void SetWake(WakeTarget* wake) {
+    std::unique_lock<std::mutex> lock(mu_);
+    wake_ = wake;
+    if (closed_ || !items_.empty()) pending_wake_ = wake_;
+    UnlockAndSignal(lock);
+  }
+
   /// Non-blocking enqueue of a whole item: fails with kWouldBlock when it
   /// does not fit the free room, kClosed after Close(). On kClosed the item
   /// is destroyed; its weight is counted in dropped_on_close_count().
   QueueOp TryEnqueue(T item) {
     const size_t w = Traits::Weight(item);
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (closed_) {
       CountDroppedOnClose(w);
       return QueueOp::kClosed;
@@ -140,6 +161,7 @@ class BoundedQueue {
     }
     PushLocked(std::move(item), w);
     not_empty_.notify_one();
+    UnlockAndSignal(lock);
     return QueueOp::kOk;
   }
 
@@ -157,6 +179,7 @@ class BoundedQueue {
     }
     PushLocked(std::move(item), w);
     not_empty_.notify_one();
+    UnlockAndSignal(lock);
     return true;
   }
 
@@ -190,7 +213,7 @@ class BoundedQueue {
   /// caller, NOT destroyed — only the caller knows whether to drop or retry
   /// them).
   size_t TryPushN(T* items, size_t n, QueueOp* op) {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     if (closed_) {
       *op = QueueOp::kClosed;
       return 0;
@@ -202,6 +225,7 @@ class BoundedQueue {
     } else {
       *op = QueueOp::kOk;
     }
+    UnlockAndSignal(lock);
     return pushed;
   }
 
@@ -214,12 +238,34 @@ class BoundedQueue {
   /// caller can account for them; counting them here too double-counted
   /// every batch drop a caller also tracked.
   size_t PushNBlocking(T* items, size_t n) {
+    QueueOp op;
+    return PushNUntil(items, n, std::nullopt, &op);
+  }
+
+  /// PushNBlocking that gives up at `deadline` (nullopt: never). `*op` is
+  /// kOk when all n items went in, kClosed after Close(), kWouldBlock when
+  /// the deadline passed first; the un-pushed suffix stays with the caller
+  /// as in PushNBlocking.
+  size_t PushNUntil(T* items, size_t n,
+                    std::optional<std::chrono::steady_clock::time_point> deadline,
+                    QueueOp* op) {
     size_t pushed = 0;
+    *op = QueueOp::kOk;
+    auto has_room = [&] { return closed_ || RoomLocked() > 0; };
     while (pushed < n) {
       std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock, [&] { return closed_ || RoomLocked() > 0; });
-      if (closed_) return pushed;
+      if (!deadline.has_value()) {
+        not_full_.wait(lock, has_room);
+      } else if (!not_full_.wait_until(lock, *deadline, has_room)) {
+        *op = QueueOp::kWouldBlock;
+        return pushed;
+      }
+      if (closed_) {
+        *op = QueueOp::kClosed;
+        return pushed;
+      }
       pushed += PushSomeLocked(items + pushed, n - pushed);
+      UnlockAndSignal(lock);
     }
     return pushed;
   }
@@ -261,10 +307,12 @@ class BoundedQueue {
   /// Marks end-of-stream. Pending items remain dequeuable; blocked callers
   /// wake up.
   void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     closed_ = true;
     not_empty_.notify_all();
     not_full_.notify_all();
+    pending_wake_ = wake_;
+    UnlockAndSignal(lock);
   }
 
   bool closed() const {
@@ -314,8 +362,10 @@ class BoundedQueue {
   }
 
   /// One enqueue: one timestamp and one set of metric updates per item.
+  /// The first item into an empty queue arms the consumer's wake signal.
   void PushLocked(T item, size_t w) {
     int64_t now = metrics_.wait_us != nullptr ? NowMicros() : 0;
+    if (items_.empty()) pending_wake_ = wake_;
     items_.push_back(Slot{std::move(item), w, now});
     used_ += w;
     if (metrics_.depth != nullptr) {
@@ -378,6 +428,15 @@ class BoundedQueue {
     return got;
   }
 
+  /// Releases the lock, then raises the wake signal armed under it —
+  /// outside the lock, so the woken consumer does not queue up behind the
+  /// producer on it.
+  void UnlockAndSignal(std::unique_lock<std::mutex>& lock) {
+    WakeTarget* wake = std::exchange(pending_wake_, nullptr);
+    lock.unlock();
+    if (wake != nullptr) wake->Notify();
+  }
+
   void ReleaseLocked(size_t w) {
     used_ -= w;
     if (metrics_.depth != nullptr) {
@@ -409,6 +468,9 @@ class BoundedQueue {
   std::deque<Slot> items_;
   size_t used_ = 0;  ///< summed weight of items_
   bool closed_ = false;
+  WakeTarget* wake_ = nullptr;  ///< consumer's wake target (may be null)
+  /// The target to signal once the current push releases the lock.
+  WakeTarget* pending_wake_ = nullptr;
   uint64_t enqueue_blocked_ = 0;
   uint64_t dequeue_blocked_ = 0;
   uint64_t dropped_on_close_ = 0;

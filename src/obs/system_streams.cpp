@@ -86,27 +86,24 @@ SystemStreamSource::~SystemStreamSource() { Stop(); }
 
 void SystemStreamSource::Start() {
   if (running_.exchange(true)) return;
-  publisher_ = std::thread([this] { Run(); });
+  publisher_ = std::jthread([this](std::stop_token stop) { Run(stop); });
 }
 
 void SystemStreamSource::Stop() {
   if (!running_.exchange(false)) return;
+  publisher_.request_stop();
   if (publisher_.joinable()) publisher_.join();
 }
 
-void SystemStreamSource::Run() {
-  // Sleep in 1ms slices so Stop() is prompt even with long intervals.
+void SystemStreamSource::Run(std::stop_token stop) {
+  // Fixed-rate rounds; Stop() ends the wait between them at once.
   const auto interval = std::chrono::milliseconds(
       opts_.publish_interval_ms < 1 ? 1 : opts_.publish_interval_ms);
   auto next = std::chrono::steady_clock::now();
-  while (running_.load(std::memory_order_relaxed)) {
+  do {
     PublishOnce();
     next += interval;
-    while (running_.load(std::memory_order_relaxed) &&
-           std::chrono::steady_clock::now() < next) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
+  } while (!WaitUntilOrStopped(stop, next));
 }
 
 void SystemStreamSource::PublishOnce() {

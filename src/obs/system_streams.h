@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <functional>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,7 +89,7 @@ class SystemStreamSource {
   }
 
  private:
-  void Run();
+  void Run(std::stop_token stop);
 
   SystemStreamOptions opts_;
   MetricsRegistryRef metrics_;
@@ -96,7 +97,7 @@ class SystemStreamSource {
   PushFn push_;
   std::atomic<uint64_t> ticks_{0};
   std::atomic<bool> running_{false};
-  std::thread publisher_;
+  std::jthread publisher_;
 };
 
 }  // namespace tcq::obs

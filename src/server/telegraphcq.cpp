@@ -204,6 +204,7 @@ Status TelegraphCQ::AttachSource(const std::string& stream_name,
   }
   FjordConsumer feed =
       wrapper_.HostPullSource(std::move(source), std::move(arrivals));
+  feed.SetWake(&pump_wake_);
   it->second.wrapper_feeds.push_back(std::move(feed));
   return Status::OK();
 }
@@ -603,8 +604,6 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
           buffer->Push(std::move(projected));
         },
         /*quantum=*/64, runner_opts);
-    // A completed loop finishes its client's buffer.
-    du->set_on_done([buffer] { buffer->MarkFinished(); });
     Counter* win_dropped = metrics_->GetCounter(
         MetricName("tcq_window_input_dropped_total", "query", qlabel));
     for (const auto& [alias, entry] : plan.bindings) {
@@ -631,9 +630,19 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
       sub.close = [producer] { producer->Close(); };
       streams_[entry.name].subs.push_back(std::move(sub));
       inputs.push_back(ClientInfo::WindowInput{entry.source, entry.name,
-                                               entry.schema, endpoints.fjord,
-                                               producer});
+                                               entry.schema, producer});
     }
+    // A completed loop finishes its client's buffer and closes its inputs:
+    // it reads nothing more, and a producer waiting for room must not wait
+    // on it.
+    std::vector<std::shared_ptr<FjordProducer>> producers;
+    for (const ClientInfo::WindowInput& in : inputs) {
+      producers.push_back(in.producer);
+    }
+    du->set_on_done([buffer, producers] {
+      buffer->MarkFinished();
+      for (const auto& p : producers) p->Close();
+    });
     return du;
   };
   TCQ_ASSIGN_OR_RETURN(GlobalQueryId wid, executor_.HostQuery(build, id));
@@ -693,33 +702,32 @@ Result<std::map<std::string, SourceId>> GetBindings(CheckpointReader* r) {
   return pinned;
 }
 
-/// Pushes a batch into a windowed query's input fjord with bounded retry.
-/// With the EOs running the fjord drains concurrently, so the push just
-/// waits for space; otherwise nothing drains, so the DU is stepped inline
-/// between attempts. The unconsumed suffix (rows, then punctuations) stays
-/// in the batch across retries by the ProduceBatch contract.
+/// Pushes a batch into a windowed query's input fjord, waiting up to 10s
+/// for room. With the EOs running the fjord drains concurrently, so the
+/// push waits on the queue's not-full condition; before Start() nothing
+/// drains, so the executor's barrier steps the DUs inline between attempts.
+/// The unconsumed suffix (rows, then punctuations) stays in the batch
+/// across attempts by the ProduceBatch contract.
 Status PushWindowInput(FjordProducer* producer, DispatchUnit* du,
-                       bool eo_running, TupleBatch batch) {
+                       Executor* executor, TupleBatch batch) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (;;) {
-    if (du->done()) return Status::OK();  // a finished loop reads no more
-    QueueOp op = producer->ProduceBatch(&batch);
+    const bool eo_running = executor->running();
+    QueueOp op = eo_running ? producer->ProduceBatchUntil(&batch, deadline)
+                            : producer->ProduceBatch(&batch);
     if (batch.empty() && batch.punctuations().empty()) return Status::OK();
+    // A finished loop closed its inputs: what it will not read is no loss.
+    if (du->done()) return Status::OK();
     if (op == QueueOp::kClosed) {
       return Status::FailedPrecondition(
           "window input fjord closed during backfill/replay");
     }
-    if (eo_running) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    } else {
-      while (du->Step() == DispatchUnit::StepResult::kProgress) {
-      }
-    }
-    if (std::chrono::steady_clock::now() > deadline) {
+    if (eo_running || std::chrono::steady_clock::now() > deadline) {
       return Status::ResourceExhausted(
           "window input fjord stayed full during backfill/replay");
     }
+    TCQ_RETURN_IF_ERROR(executor->WaitQuiescent(deadline));
   }
 }
 
@@ -737,35 +745,18 @@ Status TelegraphCQ::FlushSpools() {
   return Status::OK();
 }
 
-Status TelegraphCQ::DrainWindowedLocked() {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  auto pending = [](const ClientInfo& client) {
-    for (const ClientInfo::WindowInput& in : client.window_inputs) {
-      if (in.fjord->size() > 0) return true;
-    }
-    return false;
-  };
-  for (;;) {
-    bool busy = false;
-    for (auto& [id, client] : clients_) {
-      // A finished loop counts as drained: it retired from its EO.
-      if (!client.windowed() || client.window_du->done()) continue;
-      if (pending(client) && !executor_.running()) {
-        // No EO thread drains: step the DU inline.
-        while (client.window_du->Step() ==
-               DispatchUnit::StepResult::kProgress) {
-        }
-      }
-      busy = busy || pending(client);
-    }
-    if (!busy) return Status::OK();
-    if (std::chrono::steady_clock::now() > deadline) {
-      return Status::TimedOut(
-          "windowed query inputs did not drain (egress back-pressure?)");
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+Status TelegraphCQ::Drain(std::chrono::steady_clock::time_point deadline) {
+  bool started;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    started = started_;
   }
+  // Attached sources first: each must end and the pump route all it made.
+  if (started && !sources_wake_.AwaitUntil(
+                     [this] { return sources_ended_.load(); }, deadline)) {
+    return Status::TimedOut("an attached source has not ended");
+  }
+  return executor_.WaitQuiescent(deadline);
 }
 
 Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
@@ -782,7 +773,6 @@ Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
     if (reach != kMaxTimestamp && latest > kMinTimestamp + reach) {
       lo = latest - reach + 1;
     }
-    const bool eo_running = executor_.running();
     size_t i = 0;
     while (i < archive.size()) {
       TupleBatch chunk;
@@ -796,7 +786,7 @@ Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
                                           t.timestamp()));
       }
       TCQ_RETURN_IF_ERROR(PushWindowInput(in.producer.get(),
-                                          client->window_du.get(), eo_running,
+                                          client->window_du.get(), &executor_,
                                           std::move(chunk)));
     }
     if (stream.event_time.punctuate && stream.last_punct != kMinTimestamp) {
@@ -807,7 +797,7 @@ Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
       punct.set_source(in.source);
       punct.AddPunctuation(Punctuation{in.source, stream.last_punct});
       TCQ_RETURN_IF_ERROR(PushWindowInput(in.producer.get(),
-                                          client->window_du.get(), eo_running,
+                                          client->window_du.get(), &executor_,
                                           std::move(punct)));
     }
   }
@@ -823,12 +813,13 @@ Result<uint64_t> TelegraphCQ::Checkpoint() {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t epoch = last_epoch_ + 1;
   // Quiesce: holding mu_ blocks every ingest path; the spools flush so the
-  // replay positions recorded below are durable; the windowed inputs drain
-  // so every runner parks at a quantum boundary.
+  // replay positions recorded below are durable; the barrier drains every
+  // fjord, so each runner and class replica rests at a quantum boundary.
   for (auto& [name, stream] : streams_) {
     if (stream.spool != nullptr) TCQ_RETURN_IF_ERROR(stream.spool->Flush());
   }
-  TCQ_RETURN_IF_ERROR(DrainWindowedLocked());
+  TCQ_RETURN_IF_ERROR(executor_.WaitQuiescent(
+      std::chrono::steady_clock::now() + std::chrono::seconds(10)));
 
   CheckpointWriter w(epoch);
   w.BeginSection("server", 1);
@@ -1118,10 +1109,12 @@ Result<uint64_t> TelegraphCQ::Restore() {
   executor_.Start();
 
   // 8. Replay each stream's archived suffix past its snapshot high-water
-  // mark, spool-bypassing (the tuples are already archived). The windowed
-  // inputs drain after each chunk so their fjords never overflow; a drain
-  // that stalls is not fatal (overflow is then counted as input drops).
+  // mark, spool-bypassing (the tuples are already archived). The fjords
+  // drain after each chunk so they never overflow. A drain that stalls (a
+  // kBlock egress no client can poll yet) is not fatal: the replay stops
+  // waiting, and overflow is then counted as drops.
   uint64_t replayed = 0;
+  bool draining = true;
   for (const auto& [name, pos] : replay) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = streams_.find(name);
@@ -1138,7 +1131,11 @@ Result<uint64_t> TelegraphCQ::Restore() {
       }
       replayed += chunk.size();
       RouteBatch(&stream, chunk, /*spool=*/false);
-      (void)DrainWindowedLocked();
+      draining = draining &&
+                 executor_
+                     .WaitQuiescent(std::chrono::steady_clock::now() +
+                                    std::chrono::seconds(10))
+                     .ok();
     }
   }
 
@@ -1176,14 +1173,10 @@ std::vector<TelegraphCQ::ClientHandle> TelegraphCQ::Handles() const {
   return out;
 }
 
-void TelegraphCQ::CheckpointLoop() {
+void TelegraphCQ::CheckpointLoop(std::stop_token stop) {
   const auto interval =
       std::chrono::milliseconds(opts_.checkpoint_interval_ms);
-  auto next = std::chrono::steady_clock::now() + interval;
-  while (!checkpoint_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (std::chrono::steady_clock::now() < next) continue;
-    next = std::chrono::steady_clock::now() + interval;
+  while (!WaitUntilOrStopped(stop, std::chrono::steady_clock::now() + interval)) {
     if (!Checkpoint().ok()) ckpt_failures_->Inc();
   }
 }
@@ -1273,16 +1266,22 @@ void TelegraphCQ::Start() {
   pump_thread_ = std::thread([this] { PumpLoop(); });
   if (system_streams_ != nullptr) system_streams_->Start();
   if (!opts_.checkpoint_dir.empty() && opts_.checkpoint_interval_ms > 0) {
-    checkpoint_stop_.store(false);
-    checkpoint_thread_ = std::thread([this] { CheckpointLoop(); });
+    checkpoint_thread_ = std::jthread(
+        [this](std::stop_token stop) { CheckpointLoop(stop); });
   }
 }
 
 void TelegraphCQ::PumpLoop() {
-  // Drains wrapper feeds into the routing fabric.
-  while (!stop_.load(std::memory_order_relaxed)) {
+  // Drains wrapper feeds into the routing fabric. When a pass finds every
+  // feed empty it arms pump_wake_ (bound to every feed) and looks once
+  // more; a second empty pass parks until a feed gains work or closes, or
+  // Stop() signals.
+  bool armed = false;
+  uint64_t epoch = 0;
+  while (!stop_.load()) {
     bool any = false;
     bool all_closed = true;
+    bool feeds_ended = true;
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto& [name, stream] : streams_) {
@@ -1296,16 +1295,26 @@ void TelegraphCQ::PumpLoop() {
             any = true;
           }
           if (op == QueueOp::kWouldBlock) all_closed = false;
-          if (!feed.Exhausted()) all_closed = false;
+          if (!feed.Exhausted()) all_closed = feeds_ended = false;
         }
         if (stream.wrapper_feeds.empty()) all_closed = false;
       }
     }
-    if (!any) {
-      if (all_closed) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (feeds_ended && !sources_ended_.exchange(true)) sources_wake_.Notify();
+    if (any) {
+      if (armed) pump_wake_.Disarm();
+      armed = false;
+    } else if (all_closed) {
+      break;
+    } else if (!armed) {
+      epoch = pump_wake_.Arm();
+      armed = true;
+    } else {
+      pump_wake_.Park(epoch);
+      armed = false;
     }
   }
+  if (armed) pump_wake_.Disarm();
 }
 
 void TelegraphCQ::Stop() {
@@ -1315,12 +1324,13 @@ void TelegraphCQ::Stop() {
     started_ = false;
   }
   // The checkpointer goes first: it takes mu_ and detaches windowed DUs.
-  checkpoint_stop_.store(true);
+  checkpoint_thread_.request_stop();
   if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
   // Stop the publisher next: it pushes into streams_ via PushBuilt.
   if (system_streams_ != nullptr) system_streams_->Stop();
   wrapper_.Stop();
   stop_.store(true);
+  pump_wake_.Notify();
   if (pump_thread_.joinable()) pump_thread_.join();
   executor_.Stop();
 }

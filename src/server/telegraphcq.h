@@ -6,9 +6,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stop_token>
 #include <thread>
 
 #include "egress/egress.h"
@@ -82,8 +84,9 @@ class WindowResultBuffer {
 //                            checksum, or names state the current engine
 //                            configuration cannot reproduce (Checkpoint /
 //                            Restore only);
-//   * kTimedOut            — the engine could not quiesce within the
-//                            checkpoint drain budget (Checkpoint only).
+//   * kTimedOut            — the engine could not quiesce before the
+//                            deadline (Drain, and Checkpoint's 10s drain
+//                            budget).
 // Methods state only the codes they add beyond this contract.
 class TelegraphCQ {
  public:
@@ -311,9 +314,10 @@ class TelegraphCQ {
   /// partition maps, per-stream event-time marks and spool positions — into
   /// checkpoint_dir/ckpt-<epoch>, riding the quiesce protocol: ingest is
   /// blocked, fjords drain, spools flush, then state exports section by
-  /// section. Returns the epoch. The server must be Start()ed (or have
-  /// empty queues): draining relies on the execution objects. kTimedOut if
-  /// the engine cannot quiesce; kFailedPrecondition without checkpoint_dir.
+  /// section. Returns the epoch. The fjords drain through the Drain()
+  /// barrier (before Start() the DUs step on the calling thread). kTimedOut
+  /// if the engine cannot quiesce within 10s; kFailedPrecondition without
+  /// checkpoint_dir.
   Result<uint64_t> Checkpoint();
 
   /// Rebuilds the engine from the latest ckpt-<N> under checkpoint_dir plus
@@ -330,6 +334,19 @@ class TelegraphCQ {
   /// Handles of every live query, restored ones included — the way a client
   /// reconnects to its egress / window buffer after Restore().
   std::vector<ClientHandle> Handles() const;
+
+  /// The quiescence barrier (Executor::WaitQuiescent): returns OK once
+  /// every batch pushed before the call has been processed and its results
+  /// delivered to their egress or window buffer, so a Poll right after sees
+  /// them all. After Start() it first waits for every attached source to
+  /// end and for all it produced to be routed. Call it instead of sleeping
+  /// whenever a test or client needs "everything so far is out" — before
+  /// asserting counts, after Cancel. Before Start() the DUs are stepped on
+  /// the calling thread. kTimedOut when `deadline` passes first — e.g.
+  /// while a kBlock egress is full and unpolled, or an attached source
+  /// never ends.
+  Status Drain(std::chrono::steady_clock::time_point deadline =
+                   std::chrono::steady_clock::now() + std::chrono::seconds(10));
 
   /// Cancels a query — continuous or windowed — on one path: its own
   /// subscriptions detach, the executor removes it, and a windowed client's
@@ -405,15 +422,13 @@ class TelegraphCQ {
     bool speculate = false;
     std::vector<std::pair<std::string, SourceId>> bindings;
     /// Windowed queries: one injection point per FROM binding — the "win:"
-    /// fjord producer plus the fjord itself (for drain probes) and the
-    /// binding's logical schema (for alias re-tagging). History backfill and
-    /// restore replay push through these instead of the drop-on-overload
-    /// subscription path, with bounded retry.
+    /// fjord producer plus the binding's logical schema (for alias
+    /// re-tagging). History backfill pushes through these instead of the
+    /// drop-on-overload subscription path, waiting for room.
     struct WindowInput {
       SourceId source = 0;
       std::string stream;  // physical stream name
       SchemaRef schema;
-      std::shared_ptr<Fjord> fjord;
       std::shared_ptr<FjordProducer> producer;
     };
     std::vector<WindowInput> window_inputs;
@@ -450,10 +465,7 @@ class TelegraphCQ {
   /// suffix reaching `reach` back (SubmitOptions::history_reach). Caller
   /// holds mu_, so live routing is blocked and the splice is exact.
   Status BackfillWindowedLocked(ClientInfo* client, Timestamp reach);
-  /// Waits until every windowed query's input fjords are empty (the EOs
-  /// drain them; while none runs the DUs step inline). Caller holds mu_.
-  Status DrainWindowedLocked();
-  void CheckpointLoop();
+  void CheckpointLoop(std::stop_token stop);
   void PumpLoop();
 
   Options opts_;
@@ -461,6 +473,12 @@ class TelegraphCQ {
   MetricsRegistryRef metrics_;
   // Likewise before executor_/wrapper_ (both hold a reference).
   obs::TracerRef tracer_;
+  // Before wrapper_, whose feed fjords signal it: PumpLoop parks on it.
+  WakeTarget pump_wake_;
+  /// Set by PumpLoop once every attached source ended and all it produced
+  /// was routed; Drain() waits for it on sources_wake_.
+  std::atomic<bool> sources_ended_{false};
+  WakeTarget sources_wake_;
   Catalog catalog_;
   Executor executor_;
   Wrapper wrapper_;
@@ -482,8 +500,7 @@ class TelegraphCQ {
   Counter* restore_replayed_;
   Gauge* restore_duration_us_;
   uint64_t last_epoch_ = 0;  // guarded by mu_
-  std::thread checkpoint_thread_;
-  std::atomic<bool> checkpoint_stop_{false};
+  std::jthread checkpoint_thread_;
 };
 
 }  // namespace tcq

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <thread>
@@ -21,6 +20,7 @@
 #include "operators/grouped_filter.h"
 #include "operators/predicate.h"
 #include "psoup/psoup.h"
+#include "reference/drain.h"
 #include "reference/push.h"
 #include "reference/reference.h"
 #include "server/telegraphcq.h"
@@ -367,16 +367,6 @@ PushRow StockRow(Timestamp day, const char* symbol, double price) {
            Value::Double(price)}};
 }
 
-size_t DrainCount(PushEgress* egress, size_t expected, int patience_ms) {
-  size_t got = 0;
-  Delivery d;
-  for (int waited = 0; waited < patience_ms; ++waited) {
-    while (egress->Poll(&d)) ++got;
-    if (got >= expected) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return got;
-}
 
 // The three ServerBatchTest cases below keep the names they had when the
 // server also took row-shaped batches; the batch they push is
@@ -395,7 +385,8 @@ size_t RunMsftQuery(PushFn push) {
   if (!handle.ok()) return 0;
   server.Start();
   push(&server);
-  size_t got = DrainCount(handle->results.get(), 30, 2000);
+  EXPECT_TRUE(server.Drain().ok());
+  size_t got = testref::PollAll(handle->results.get());
   server.Stop();
   return got;
 }
@@ -459,16 +450,11 @@ TEST(ServerBatchTest, BatchedPushBuiltFeedsWindowedQuery) {
   std::vector<PushRow> rows;
   for (Timestamp d = 1; d <= 10; ++d) rows.push_back(StockRow(d, "MSFT", 50.0));
   ASSERT_TRUE(PushRows(&server, "ClosingStockPrices", std::move(rows)).ok());
-
-  WindowResult wr;
-  bool fired = false;
-  for (int i = 0; i < 2000 && !fired; ++i) {
-    fired = handle->windows->Poll(&wr);
-    if (!fired) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(server.Drain().ok());
+  std::vector<WindowResult> fired = testref::PollWindows(handle->windows.get());
   server.Stop();
-  ASSERT_TRUE(fired);
-  EXPECT_EQ(wr.tuples.size(), 5u);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].tuples.size(), 5u);
 }
 
 TEST(ServerBatchTest, PushBatchValidationIsAtomic) {
@@ -489,7 +475,7 @@ TEST(ServerBatchTest, PushBatchValidationIsAtomic) {
   EXPECT_TRUE(s.IsInvalidArgument()) << s;
   EXPECT_NE(s.message().find("row 1"), std::string::npos) << s;
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  ASSERT_TRUE(server.Drain().ok());
   EXPECT_EQ(server.tuples_ingested(), 0u);
   Delivery d;
   EXPECT_FALSE(handle->results->Poll(&d));
@@ -521,15 +507,11 @@ TEST(ServerBatchTest, CloseStreamMidBatchSequenceIsOrderly) {
   EXPECT_TRUE(s.code() == StatusCode::kFailedPrecondition) << s;
   EXPECT_TRUE(server.CloseStream("Nope").IsNotFound());
 
-  WindowResult wr;
-  bool fired = false;
-  for (int i = 0; i < 2000 && !fired; ++i) {
-    fired = handle->windows->Poll(&wr);
-    if (!fired) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(server.Drain().ok());
+  std::vector<WindowResult> fired = testref::PollWindows(handle->windows.get());
   server.Stop();
-  ASSERT_TRUE(fired);
-  EXPECT_EQ(wr.tuples.size(), 4u);  // days 1..4 only; late batch kept out
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].tuples.size(), 4u);  // days 1..4; late batch kept out
   EXPECT_EQ(server.tuples_ingested(), 4u);
 }
 
@@ -588,7 +570,8 @@ TEST(ServerBatchTest, IntrospectReportsPerStreamStats) {
   std::vector<PushRow> rows;
   for (Timestamp d = 1; d <= 8; ++d) rows.push_back(StockRow(d, "MSFT", 50.0));
   ASSERT_TRUE(PushRows(&server, "ClosingStockPrices", std::move(rows)).ok());
-  ASSERT_EQ(DrainCount(handle->results.get(), 8, 2000), 8u);
+  ASSERT_TRUE(server.Drain().ok());
+  ASSERT_EQ(testref::PollAll(handle->results.get()), 8u);
   server.Stop();
 
   TelegraphCQ::Introspection view = server.Introspect();
@@ -731,9 +714,7 @@ TEST(ColumnarBatchTest, ColumnsSurviveExecutorIngestIntoOneShardClass) {
   EXPECT_EQ(cols.use_count(), 2);
 
   exec.Start();
-  for (int i = 0; i < 2000 && delivered.load() < 8; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(testref::Drain(&exec).ok());
   exec.Stop();
   EXPECT_EQ(delivered.load(), 8);  // k in {0, 1}: 4 rows each
 }

@@ -56,6 +56,7 @@ TEST(PushEgressTest, BlockAppliesBackpressure) {
   PushEgress egress({.capacity = 1, .shed = ShedPolicy::kBlock});
   ASSERT_TRUE(egress.Offer(D(1, 1, 1)));
   std::thread producer([&] { EXPECT_TRUE(egress.Offer(D(1, 2, 2))); });
+  // Paces the consumer: the producer should be blocked in Offer by then.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   Delivery d;
   ASSERT_TRUE(egress.Receive(&d));
@@ -71,6 +72,7 @@ TEST(PushEgressTest, CloseWakesReceivers) {
     Delivery d;
     EXPECT_FALSE(egress.Receive(&d));
   });
+  // Paces the close: the client should be blocked in Receive by then.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   egress.Close();
   client.join();

@@ -7,20 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "exec/executor.h"
 #include "operators/predicate.h"
+#include "reference/drain.h"
 #include "reference/reference.h"
 
 namespace tcq {
 namespace {
 
 using testref::CanonicalMultiset;
+using testref::Drain;
 using testref::NaiveJoin;
 
 SchemaRef Sch(SourceId source) {
@@ -64,13 +64,6 @@ class Collector {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = results_.find(key);
     return it == results_.end() ? std::vector<Tuple>{} : it->second;
-  }
-  bool WaitFor(const std::string& key, size_t n, int timeout_ms = 5000) const {
-    for (int waited = 0; waited < timeout_ms; waited += 2) {
-      if (Count(key) >= n) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return Count(key) >= n;
   }
 
  private:
@@ -127,10 +120,11 @@ void RunMergeProtocol(bool preplant, int P, int S, MergeRun* run) {
     }
   };
   ingest(P);
-  // Barrier: once q01 and q23 saw every prefix pair, every prefix tuple of
-  // all four streams has been absorbed into its class's SteMs.
-  ASSERT_TRUE(run->got.WaitFor("q01", static_cast<size_t>(P) * P));
-  ASSERT_TRUE(run->got.WaitFor("q23", static_cast<size_t>(P) * P));
+  // Barrier: every prefix tuple of all four streams has been absorbed into
+  // its class's SteMs, so q01 and q23 saw every prefix pair.
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(run->got.Count("q01"), static_cast<size_t>(P) * P);
+  ASSERT_EQ(run->got.Count("q23"), static_cast<size_t>(P) * P);
   run->s1_prefix = run->s1_all;
   run->s2_prefix = run->s2_all;
 
@@ -145,10 +139,10 @@ void RunMergeProtocol(bool preplant, int P, int S, MergeRun* run) {
     ASSERT_TRUE(exec.CloseStream(s).ok());
   }
   size_t total = static_cast<size_t>(P + S) * (P + S);
-  ASSERT_TRUE(run->got.WaitFor("q01", total));
-  ASSERT_TRUE(run->got.WaitFor("q23", total));
-  ASSERT_TRUE(
-      run->got.WaitFor("bridge", total - static_cast<size_t>(P) * P));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(run->got.Count("q01"), total);
+  ASSERT_EQ(run->got.Count("q23"), total);
+  ASSERT_EQ(run->got.Count("bridge"), total - static_cast<size_t>(P) * P);
   exec.Stop();
 }
 
@@ -214,8 +208,7 @@ TEST(ExecLifecycleTest, QueuedTuplesSurviveMerge) {
   exec.Start();
   ASSERT_TRUE(exec.CloseStream(0).ok());
   ASSERT_TRUE(exec.CloseStream(1).ok());
-  ASSERT_TRUE(got.WaitFor("bridge", static_cast<size_t>(K) * K));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // no overshoot
+  ASSERT_TRUE(Drain(&exec).ok());
   exec.Stop();
   // Exact counts: the bridge was admitted before any queued tuple was
   // processed, so every 0x1 pair joins exactly once; the filters see every
@@ -238,7 +231,8 @@ TEST(ExecLifecycleTest, GcFreesStreamsForReownership) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(exec.IngestTuple(0, Row(0, 1, i, i + 1)).ok());
   }
-  ASSERT_TRUE(got.WaitFor("gen1", 50));
+  ASSERT_TRUE(Drain(&exec).ok());
+  EXPECT_EQ(got.Count("gen1"), 50u);
 
   // Removing the class's only query retires the whole class...
   ASSERT_TRUE(exec.RemoveQuery(*id1).ok());
@@ -254,7 +248,7 @@ TEST(ExecLifecycleTest, GcFreesStreamsForReownership) {
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(exec.IngestTuple(0, Row(0, 1, i, 100 + i)).ok());
   }
-  ASSERT_TRUE(got.WaitFor("gen2", 30));
+  ASSERT_TRUE(Drain(&exec).ok());
   exec.Stop();
   EXPECT_EQ(got.Count("gen1"), 50u);
   EXPECT_EQ(got.Count("gen2"), 30u);
@@ -286,8 +280,9 @@ TEST(ExecLifecycleTest, MigrationLosesNoDeliveries) {
     ASSERT_TRUE(exec.IngestTuple(2, Row(2, 1, i, ts)).ok());
     ++ts;
   }
-  ASSERT_TRUE(got.WaitFor("q0", kPhase1));
-  ASSERT_TRUE(got.WaitFor("q2", kPhase1));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("q0"), static_cast<size_t>(kPhase1));
+  ASSERT_EQ(got.Count("q2"), static_cast<size_t>(kPhase1));
   // eo0's progress dwarfs eo1's; one pass must move a DU.
   EXPECT_TRUE(exec.RebalanceOnce());
   EXPECT_EQ(exec.class_migrations(), 1u);
@@ -308,10 +303,7 @@ TEST(ExecLifecycleTest, MigrationLosesNoDeliveries) {
   for (SourceId s = 0; s < 3; ++s) {
     ASSERT_TRUE(exec.CloseStream(s).ok());
   }
-  ASSERT_TRUE(got.WaitFor("q0", kPhase1 + kPhase2));
-  ASSERT_TRUE(got.WaitFor("q1", kPhase2));
-  ASSERT_TRUE(got.WaitFor("q2", kPhase1 + kPhase2));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // no overshoot
+  ASSERT_TRUE(Drain(&exec).ok());
   exec.Stop();
   EXPECT_EQ(got.Count("q0"), static_cast<size_t>(kPhase1 + kPhase2));
   EXPECT_EQ(got.Count("q1"), static_cast<size_t>(kPhase2));

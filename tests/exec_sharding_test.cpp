@@ -7,22 +7,22 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "exec/executor.h"
 #include "operators/predicate.h"
+#include "reference/drain.h"
 #include "reference/reference.h"
 
 namespace tcq {
 namespace {
 
 using testref::CanonicalMultiset;
+using testref::Drain;
 using testref::NaiveFilter;
 using testref::NaiveJoin;
 
@@ -67,13 +67,6 @@ class Collector {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = results_.find(key);
     return it == results_.end() ? std::vector<Tuple>{} : it->second;
-  }
-  bool WaitFor(const std::string& key, size_t n, int timeout_ms = 10000) const {
-    for (int waited = 0; waited < timeout_ms; waited += 2) {
-      if (Count(key) >= n) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return Count(key) >= n;
   }
 
  private:
@@ -125,8 +118,9 @@ void RunJoinWorkload(size_t shards, int rows, int64_t key_range,
       NaiveFilter(run->s0,
                   {MakeCompareConst({0, "v"}, CmpOp::kLt, Value::Int64(50))})
           .size();
-  ASSERT_TRUE(run->got.WaitFor("join", expect_join));
-  ASSERT_TRUE(run->got.WaitFor("filter", expect_filter));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(run->got.Count("join"), expect_join);
+  ASSERT_EQ(run->got.Count("filter"), expect_filter);
   exec.Stop();
 }
 
@@ -186,7 +180,8 @@ TEST(ExecShardingTest, EquivalenceHoldsAcrossOnlineRepartition) {
   }
   // The hot prefix has all landed in one shard; force the skew pass.
   auto join_pred = MakeCompareAttrs({0, "k"}, CmpOp::kEq, {1, "k"});
-  ASSERT_TRUE(got.WaitFor("join", NaiveJoin({s0, s1}, {join_pred}).size()));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("join"), NaiveJoin({s0, s1}, {join_pred}).size());
   EXPECT_TRUE(exec.RepartitionSkewedOnce());
   EXPECT_GE(exec.class_repartitions(), 1u);
 
@@ -201,7 +196,8 @@ TEST(ExecShardingTest, EquivalenceHoldsAcrossOnlineRepartition) {
   auto expected = CanonicalMultiset(NaiveJoin({s0, s1}, {join_pred}));
   size_t total = 0;
   for (const auto& [key, count] : expected) total += count;
-  ASSERT_TRUE(got.WaitFor("join", total));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("join"), total);
   exec.Stop();
   EXPECT_EQ(CanonicalMultiset(got.Take("join")), expected);
 }
@@ -233,7 +229,8 @@ TEST(ExecShardingTest, KeylessClassRoundRobinsAcrossShards) {
       s0, {MakeCompareConst({0, "v"}, CmpOp::kLt, Value::Int64(50))}));
   size_t total = 0;
   for (const auto& [key, count] : expected) total += count;
-  ASSERT_TRUE(got.WaitFor("f", total));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("f"), total);
   exec.Stop();
   EXPECT_EQ(CanonicalMultiset(got.Take("f")), expected);
 
@@ -288,7 +285,8 @@ TEST(ExecShardingTest, ConflictingJoinKeysCollapseToOneShard) {
                      MakeCompareAttrs({1, "v"}, CmpOp::kEq, {2, "k"})}));
   size_t total = 0;
   for (const auto& [key, count] : expected) total += count;
-  ASSERT_TRUE(got.WaitFor("chain", total));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("chain"), total);
   exec.Stop();
   EXPECT_EQ(CanonicalMultiset(got.Take("chain")), expected);
 }
@@ -324,8 +322,9 @@ TEST(ExecShardingTest, BridgingMergeWorksAcrossShardedClasses) {
     }
   };
   ingest(P);
-  ASSERT_TRUE(got.WaitFor("q01", static_cast<size_t>(P) * P));
-  ASSERT_TRUE(got.WaitFor("q23", static_cast<size_t>(P) * P));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("q01"), static_cast<size_t>(P) * P);
+  ASSERT_EQ(got.Count("q23"), static_cast<size_t>(P) * P);
   s1_prefix = s1_all;
   s2_prefix = s2_all;
 
@@ -340,9 +339,10 @@ TEST(ExecShardingTest, BridgingMergeWorksAcrossShardedClasses) {
   ingest(S);
   for (SourceId s = 0; s < 4; ++s) ASSERT_TRUE(exec.CloseStream(s).ok());
   size_t total = static_cast<size_t>(P + S) * (P + S);
-  ASSERT_TRUE(got.WaitFor("q01", total));
-  ASSERT_TRUE(got.WaitFor("q23", total));
-  ASSERT_TRUE(got.WaitFor("bridge", total - static_cast<size_t>(P) * P));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("q01"), total);
+  ASSERT_EQ(got.Count("q23"), total);
+  ASSERT_EQ(got.Count("bridge"), total - static_cast<size_t>(P) * P);
   exec.Stop();
 
   // The bridge sees every 1x2 pair except prefix x prefix (both sides
@@ -371,7 +371,8 @@ TEST(ExecShardingTest, ShardMetricsAndGcLifecycle) {
 
   ASSERT_TRUE(exec.IngestTuple(0, Row(0, 1, 1, 1)).ok());
   ASSERT_TRUE(exec.IngestTuple(1, Row(1, 1, 2, 2)).ok());
-  ASSERT_TRUE(got.WaitFor("j", 1));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("j"), 1u);
 
   auto snap = exec.metrics()->Snapshot();
   EXPECT_EQ(snap.GaugeValue("tcq_shard_count{class=\"class0\"}"), 2);
@@ -384,7 +385,8 @@ TEST(ExecShardingTest, ShardMetricsAndGcLifecycle) {
   // Streams are re-claimable after GC.
   ASSERT_TRUE(exec.SubmitQuery(FilterSpec(0, 100), got.SinkFor("f")).ok());
   ASSERT_TRUE(exec.IngestTuple(0, Row(0, 2, 3, 3)).ok());
-  ASSERT_TRUE(got.WaitFor("f", 1));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("f"), 1u);
   exec.Stop();
 }
 
@@ -411,7 +413,8 @@ TEST(ShardingTest, PunctuationBroadcastMinCombinesAcrossShards) {
   ASSERT_TRUE(exec.IngestTuple(0, Tuple::MakePunctuation(0, 30)).ok());
 
   // All 32 rows pass the filter, plus the merged punctuation = 33.
-  ASSERT_TRUE(got.WaitFor("f", 33));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("f"), 33u);
   EXPECT_EQ(exec.stream_watermark(0), 30);
 
   size_t puncts = 0;
@@ -437,7 +440,8 @@ TEST(ShardingTest, DuplicateAndRegressedPunctuationsAreIdempotent) {
   exec.Start();
 
   ASSERT_TRUE(exec.IngestTuple(0, Tuple::MakePunctuation(0, 10)).ok());
-  ASSERT_TRUE(got.WaitFor("f", 1));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("f"), 1u);
   EXPECT_EQ(exec.stream_watermark(0), 10);
 
   // Duplicate (wm=10) and regression (wm=5): both rejected at every shard.
@@ -446,7 +450,8 @@ TEST(ShardingTest, DuplicateAndRegressedPunctuationsAreIdempotent) {
   // A later genuine advance flushes past the rejected ones; its arrival at
   // the sink proves the rejects were fully processed (same ordered path).
   ASSERT_TRUE(exec.IngestTuple(0, Tuple::MakePunctuation(0, 20)).ok());
-  ASSERT_TRUE(got.WaitFor("f", 2));
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_EQ(got.Count("f"), 2u);
   EXPECT_EQ(exec.stream_watermark(0), 20);
 
   std::vector<Timestamp> wms;

@@ -1,21 +1,28 @@
 // Executor tests: DU state machines, EO scheduling, query-class formation by
-// footprint, dynamic admission through the plan queue, and end-to-end
-// multithreaded runs.
+// footprint, dynamic admission through the plan queue, end-to-end
+// multithreaded runs, and the wake path (parked EOs woken by the fjords
+// they consume, across DU moves, and the quiescence barrier on top).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <latch>
 #include <thread>
 
 #include "common/rng.h"
 #include "exec/executor.h"
 #include "exec/scheduler.h"
+#include "reference/drain.h"
+#include "reference/push.h"
+#include "server/telegraphcq.h"
 
 namespace tcq {
 namespace {
+
+using testref::Drain;
 
 SchemaRef Sch(SourceId source) {
   return Schema::Make({
@@ -275,9 +282,7 @@ TEST(ExecutorTest, BridgingQueryMergesClasses) {
   ASSERT_TRUE(exec.IngestTuple(1, Row(1, 7, 0, 2)).ok());
   ASSERT_TRUE(exec.CloseStream(0).ok());
   ASSERT_TRUE(exec.CloseStream(1).ok());
-  for (int i = 0; i < 500 && joined.load() < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  ASSERT_TRUE(Drain(&exec).ok());
   exec.Stop();
   EXPECT_EQ(joined.load(), 1u);
 }
@@ -327,11 +332,7 @@ TEST(ExecutorTest, EndToEndMultithreaded) {
   }
   ASSERT_TRUE(exec.CloseStream(0).ok());
   ASSERT_TRUE(exec.CloseStream(1).ok());
-  // Wait for drain.
-  for (int i = 0; i < 500; ++i) {
-    if (got0 == expect0 && got1 == expect1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  ASSERT_TRUE(Drain(&exec).ok());
   exec.Stop();
   EXPECT_EQ(got0.load(), expect0);
   EXPECT_EQ(got1.load(), expect1);
@@ -349,9 +350,7 @@ TEST(ExecutorTest, RemoveQueryStopsDeliveries) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(exec.IngestTuple(0, Row(0, 1, 1, i)).ok());
   }
-  for (int i = 0; i < 200 && got.load() < 100; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  ASSERT_TRUE(Drain(&exec).ok());
   ASSERT_EQ(got.load(), 100u);
   // Removing the class's last query GCs the whole class: the stream is no
   // longer consumed, so further ingest is refused (and counted) rather than
@@ -363,10 +362,156 @@ TEST(ExecutorTest, RemoveQueryStopsDeliveries) {
     EXPECT_TRUE(
         exec.IngestTuple(0, Row(0, 1, 1, 100 + i)).IsFailedPrecondition());
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(Drain(&exec).ok());
   exec.Stop();
   EXPECT_EQ(got.load(), 100u);
   EXPECT_TRUE(exec.RemoveQuery(*id).IsNotFound());
+}
+
+// --- Wake path ------------------------------------------------------------------
+// An idle EO parks with no timeout, so a missed signal strands rows behind
+// it; each test below pushes after the interesting event, drains, and
+// asserts exact counts — a lost wakeup fails the count instead of hanging.
+
+CQSpec PassAll(SourceId s) {
+  CQSpec spec;
+  spec.filters.push_back({{s, "k"}, CmpOp::kGe, Value::Int64(0)});
+  return spec;
+}
+
+TEST(WakePathTest, JitteredProducersLoseNoWakeups) {
+  // Two producers push single-row batches with random 0-50us gaps into one
+  // EO, so it keeps parking and being signalled around each park.
+  constexpr int kPerProducer = 50000;
+  Executor exec({.num_eos = 1});
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  std::atomic<size_t> got{0};
+  ASSERT_TRUE(
+      exec.SubmitQuery(PassAll(0), [&](GlobalQueryId, const Tuple&) { ++got; })
+          .ok());
+  exec.Start();
+  auto produce = [&](uint64_t seed) {
+    Rng rng(seed);
+    for (int i = 0; i < kPerProducer; ++i) {
+      ASSERT_TRUE(exec.IngestTuple(0, Row(0, i, 0, i)).ok());
+      // Paces the producer; spun, since a sleep rounds up to timer slack.
+      const int64_t until = NowMicros() + rng.UniformInt(0, 50);
+      while (NowMicros() < until) std::this_thread::yield();
+    }
+  };
+  std::thread a(produce, 1);
+  std::thread b(produce, 2);
+  a.join();
+  b.join();
+  ASSERT_TRUE(Drain(&exec).ok());
+  EXPECT_EQ(got.load(), 2u * kPerProducer);
+  // The EO really parked (the counter predates parking; it counts parks).
+  EXPECT_GT(exec.metrics()
+                ->GetCounter(
+                    MetricName("tcq_eo_idle_backoffs_total", "eo", "eo0"))
+                ->Value(),
+            0u);
+  exec.Stop();
+}
+
+TEST(WakePathTest, MigratedDuIsWokenByItsNewEo) {
+  // Classes 0 and 2 land on eo0, class 1 on eo1; only streams 0 and 2 carry
+  // traffic, so a rebalance pass moves a DU off eo0 — its fjords must then
+  // signal eo1.
+  Executor exec({.num_eos = 2, .quantum = 16});
+  std::atomic<size_t> got[3] = {0, 0, 0};
+  for (SourceId s = 0; s < 3; ++s) {
+    ASSERT_TRUE(exec.RegisterStream(s, Sch(s)).ok());
+    ASSERT_TRUE(exec.SubmitQuery(PassAll(s), [&got, s](GlobalQueryId,
+                                                       const Tuple&) {
+                      ++got[s];
+                    }).ok());
+  }
+  exec.Start();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(exec.IngestTuple(0, Row(0, 1, i, i)).ok());
+    ASSERT_TRUE(exec.IngestTuple(2, Row(2, 1, i, i)).ok());
+  }
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_TRUE(exec.RebalanceOnce());
+  ASSERT_TRUE(Drain(&exec).ok());  // both EOs park again after the move
+  for (SourceId s = 0; s < 3; ++s) {
+    ASSERT_TRUE(exec.IngestTuple(s, Row(s, 1, 0, 1000)).ok());
+  }
+  ASSERT_TRUE(Drain(&exec).ok());
+  EXPECT_EQ(got[0].load(), 201u);
+  EXPECT_EQ(got[1].load(), 1u);
+  EXPECT_EQ(got[2].load(), 201u);
+  exec.Stop();
+}
+
+TEST(WakePathTest, WindowedDuRehostedByCheckpointStillWakes) {
+  // Checkpoint detaches every windowed DU from its EO and hosts it again; a
+  // row pushed afterwards must wake whichever EO now hosts it.
+  std::string dir = testing::TempDir() + "/tcq_wake_ckpt";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  TelegraphCQ::Options opts;
+  opts.checkpoint_dir = dir;
+  TelegraphCQ server(opts);
+  ASSERT_TRUE(server
+                  .DefineStream("S", {{"ts", ValueType::kTimestamp, 0},
+                                      {"k", ValueType::kInt64, 0}})
+                  .ok());
+  auto h = server.Submit(
+      "SELECT * FROM S for (t = 2; t <= 100; t += 1) { WindowIs(S, t - 1, t); "
+      "}");
+  ASSERT_TRUE(h.ok()) << h.status();
+  server.Start();
+  auto push = [&](Timestamp ts) {
+    ASSERT_TRUE(testref::PushRows(&server, "S",
+                                  {{ts, {Value::TimestampVal(ts),
+                                         Value::Int64(ts)}}})
+                    .ok());
+  };
+  for (Timestamp ts = 1; ts <= 3; ++ts) push(ts);
+  ASSERT_TRUE(server.Drain().ok());
+  EXPECT_EQ(testref::PollWindows(h->windows.get()).size(), 1u);  // t = 2
+  ASSERT_TRUE(server.Checkpoint().ok());
+  push(4);  // arrival time: seals window t = 3
+  ASSERT_TRUE(server.Drain().ok());
+  std::vector<WindowResult> fired = testref::PollWindows(h->windows.get());
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].t, 3);
+  server.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WakePathTest, DrainTimesOutWhileABlockingEgressIsFull) {
+  TelegraphCQ::Options opts;
+  opts.egress_capacity = 4;
+  opts.egress_shed = ShedPolicy::kBlock;
+  TelegraphCQ server(opts);
+  ASSERT_TRUE(server
+                  .DefineStream("S", {{"ts", ValueType::kTimestamp, 0},
+                                      {"k", ValueType::kInt64, 0}})
+                  .ok());
+  auto h = server.Submit("SELECT * FROM S");
+  ASSERT_TRUE(h.ok()) << h.status();
+  server.Start();
+  std::vector<testref::PushRow> rows;
+  for (Timestamp ts = 1; ts <= 10; ++ts) {
+    rows.push_back({ts, {Value::TimestampVal(ts), Value::Int64(ts)}});
+  }
+  ASSERT_TRUE(testref::PushRows(&server, "S", std::move(rows)).ok());
+  // The DU blocks inside its quantum on the full egress and never parks.
+  Status st = server.Drain(std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(200));
+  EXPECT_EQ(st.code(), StatusCode::kTimedOut) << st;
+  // A client taking the results unblocks it; the barrier then completes.
+  std::thread client([&] {
+    Delivery d;
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(h->results->Receive(&d));
+  });
+  ASSERT_TRUE(server.Drain().ok());
+  client.join();
+  EXPECT_EQ(h->results->delivered(), 10u);
+  server.Stop();
 }
 
 }  // namespace

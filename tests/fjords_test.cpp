@@ -149,6 +149,8 @@ TEST(BoundedQueueTest, PushNBlockingLeavesSuffixWithCallerOnClose) {
   ASSERT_EQ(q.TryEnqueue(100), QueueOp::kOk);
   ASSERT_EQ(q.TryEnqueue(101), QueueOp::kOk);
   std::thread closer([&] {
+    // Paces the close: the producer below should be blocked on the full
+    // queue by then (if not, it sees the close first — same outcome).
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     q.Close();
   });
@@ -287,6 +289,7 @@ TEST(BoundedQueueTest, MpmcMixedBatchAndSingleConservesItems) {
   threads.emplace_back(single_consumer, false);
   threads.emplace_back(batch_consumer, true);
   threads.emplace_back(batch_consumer, false);
+  // Paces the close: let the producers and consumers race for a while.
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   q.Close();
   for (std::thread& t : threads) t.join();
@@ -359,6 +362,7 @@ TEST(FjordTest, PullModeProduceBatchRetainsSuffixOnClose) {
       Fjord::Make(FjordMode::kPull, 2, "pull", &registry);
   auto closer_producer = producer;
   std::thread closer([p = std::move(closer_producer)]() mutable {
+    // Paces the close: the pull-mode produce below should be blocked by then.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     p.Close();
   });

@@ -178,6 +178,7 @@ TEST(WrapperTest, DropOnFullCountsDrops) {
   wrapper.Start();
   // Do not consume; the tiny queue overflows and the wrapper drops.
   while (wrapper.tuples_forwarded() + wrapper.tuples_dropped() < 400) {
+    // A bare wrapper has no barrier: wait out its source's 400 ticks.
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   wrapper.Stop();

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <thread>
 
 #include "ingress/generators.h"
 #include "psoup/psoup.h"
@@ -76,12 +75,8 @@ TEST(IntegrationTest, MixedQueryKindsOverOneSpooledStream) {
   // Drain the class's backlog before admitting the next query: a query
   // folded in mid-stream applies from its admission quantum onward, so
   // tuples still queued at admission would (correctly) reach it too.
-  size_t pre = 0;
-  for (int i = 0; i < 3000 && pre < 10; ++i) {
-    Delivery d;
-    while (cq->results->Poll(&d)) ++pre;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(server.Drain().ok());
+  size_t pre = testref::PollAll(cq->results.get());
   ASSERT_EQ(pre, 10u);  // even days 2..20
 
   // Mid-stream: add one more continuous query (folded into the running
@@ -89,51 +84,34 @@ TEST(IntegrationTest, MixedQueryKindsOverOneSpooledStream) {
   auto late = server.Submit("SELECT * FROM Stocks WHERE closingPrice < 45.0");
   ASSERT_TRUE(late.ok());
   for (Timestamp d = 21; d <= 30; ++d) PushDay(&server, d);
-  size_t late_got = 0;
-  for (int i = 0; i < 2000 && late_got < 5; ++i) {
-    Delivery d;
-    while (late->results->Poll(&d)) ++late_got;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(late_got, 5u);  // odd days 21..29
+  ASSERT_TRUE(server.Drain().ok());
+  EXPECT_EQ(testref::PollAll(late->results.get()), 5u);  // odd days 21..29
   ASSERT_TRUE(server.Cancel(late->id).ok());
-  // Removal takes effect at the next quantum; the input queue is empty here
-  // (everything above was drained), so one quantum suffices.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Removal takes effect at the next quantum; the barrier runs it.
+  ASSERT_TRUE(server.Drain().ok());
   for (Timestamp d = 31; d <= 44; ++d) PushDay(&server, d);
+  ASSERT_TRUE(server.Drain().ok());
+  EXPECT_EQ(testref::PollAll(late->results.get()), 0u);
 
   // Audit 1: continuous query saw every remaining even day once.
   size_t cq_got = pre;
-  for (int i = 0; i < 3000 && cq_got < 22; ++i) {
-    Delivery d;
-    while (cq->results->Poll(&d)) {
-      EXPECT_EQ(d.tuple.Get("timestamp").AsInt64() % 2, 0);
-      ++cq_got;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Delivery d;
+  while (cq->results->Poll(&d)) {
+    EXPECT_EQ(d.tuple.Get("timestamp").AsInt64() % 2, 0);
+    ++cq_got;
   }
   EXPECT_EQ(cq_got, 22u);  // even days 2..44
 
   // Audit 2: sliding windows fired for every t in [4, 40] with the even
   // days of [t-3, t].
-  std::vector<WindowResult> windows;
-  for (int i = 0; i < 3000 && windows.size() < 37; ++i) {
-    WindowResult wr;
-    while (win->windows->Poll(&wr)) windows.push_back(wr);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  std::vector<WindowResult> windows = testref::PollWindows(win->windows.get());
   ASSERT_EQ(windows.size(), 37u);
   for (const WindowResult& wr : windows) {
     EXPECT_EQ(wr.tuples.size(), 2u) << "4-wide window has 2 even days";
   }
 
   // Audit 3: hopping self-join windows (width 10) have 5 even days each.
-  std::vector<WindowResult> joins;
-  for (int i = 0; i < 3000 && joins.size() < 4; ++i) {
-    WindowResult wr;
-    while (join->windows->Poll(&wr)) joins.push_back(wr);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  std::vector<WindowResult> joins = testref::PollWindows(join->windows.get());
   ASSERT_EQ(joins.size(), 4u);
   for (const WindowResult& wr : joins) {
     EXPECT_EQ(wr.tuples.size(), 5u) << "window ending " << wr.t;

@@ -36,17 +36,6 @@ void PushStocks(TelegraphCQ* server, Timestamp from, Timestamp to) {
   }
 }
 
-size_t DrainCount(PushEgress* egress, size_t expected, int patience_ms) {
-  size_t got = 0;
-  Delivery d;
-  for (int waited = 0; waited < patience_ms; ++waited) {
-    while (egress->Poll(&d)) ++got;
-    if (got >= expected) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return got;
-}
-
 // Earliest start time of `kind` in the dump, or -1 if absent.
 int64_t FirstStart(const std::vector<obs::Span>& spans, obs::SpanKind kind) {
   int64_t best = -1;
@@ -67,7 +56,8 @@ TEST(TraceTest, SpansOrderedWithinBatchThroughTheServer) {
   ASSERT_TRUE(handle.ok()) << handle.status();
   server.Start();
   PushStocks(&server, 1, 20);
-  ASSERT_EQ(DrainCount(handle->results.get(), 20, 2000), 20u);
+  ASSERT_TRUE(server.Drain().ok());
+  ASSERT_EQ(testref::PollAll(handle->results.get()), 20u);
   server.Stop();
 
   std::vector<obs::Span> spans = server.DumpFlightRecorder();
@@ -203,6 +193,7 @@ TEST(SystemStreamTest, WindowedQueryOverTcqQueuesFiresUnderLoad) {
     day += 5;
     WindowResult wr;
     while (watch->windows->Poll(&wr)) fired.push_back(std::move(wr));
+    // Wall time: windows fire on the publisher's 5ms ticks, not on pushes.
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server.Stop();

@@ -64,16 +64,14 @@ std::string PairKey(const Tuple& t) {
   return t.at(0).AsString() + "|" + t.at(1).AsString();
 }
 
-/// Polls `egress` into `got` until it holds `want` keys (or patience runs
-/// out). Returns the number collected.
-size_t CollectPairs(PushEgress* egress, std::multiset<std::string>* got,
-                    size_t want, int patience_ms) {
+/// Drains the server, then moves every data delivery `egress` holds into
+/// `got`. Returns the number collected so far.
+size_t CollectPairs(TelegraphCQ* server, PushEgress* egress,
+                    std::multiset<std::string>* got) {
+  EXPECT_TRUE(server->Drain().ok());
   Delivery d;
-  for (int i = 0; i < patience_ms && got->size() < want; ++i) {
-    while (egress->Poll(&d)) {
-      if (!d.tuple.IsPunctuation()) got->insert(PairKey(d.tuple));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  while (egress->Poll(&d)) {
+    if (!d.tuple.IsPunctuation()) got->insert(PairKey(d.tuple));
   }
   return got->size();
 }
@@ -99,7 +97,7 @@ void RunJoinCrashSim(TelegraphCQ::Options opts, const std::string& tag) {
     }
     // Drain the 8 matches so the egress buffer is empty at the snapshot
     // (delivered-but-unconsumed results are not part of a checkpoint).
-    ASSERT_EQ(CollectPairs(h->results.get(), &got, 8, 5000), 8u);
+    ASSERT_EQ(CollectPairs(&server, h->results.get(), &got), 8u);
 
     auto epoch = server.Checkpoint();
     ASSERT_TRUE(epoch.ok()) << epoch.status();
@@ -133,7 +131,7 @@ void RunJoinCrashSim(TelegraphCQ::Options opts, const std::string& tag) {
     ASSERT_EQ(handles.size(), 1u);
     ASSERT_NE(handles[0].results, nullptr);
     server.Start();
-    CollectPairs(handles[0].results.get(), &got, 17, 5000);
+    CollectPairs(&server, handles[0].results.get(), &got);
     auto view = server.Introspect();
     server.Stop();
 
@@ -197,19 +195,13 @@ TEST(RecoveryTest, SpeculatingWindowedQueryConvergesAcrossCrash) {
     for (Timestamp d = 1; d <= 9; ++d) {
       ASSERT_TRUE(PushKeyed(&server, "S", d, "d", d).ok());
     }
-    // Windows t=5..8 seal once the watermark passes 8. Then keep polling
-    // until the buffer stays quiet: every emission the snapshot will record
-    // as already-delivered must actually be consumed before the snapshot,
-    // or the crash would lose it unrecoverably.
-    for (int i = 0; i < 5000 && finals < 4; ++i) {
-      drain(h->windows.get());
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    // Windows t=5..8 seal once the watermark passes 8. Every emission the
+    // snapshot will record as already-delivered must actually be consumed
+    // before the snapshot, or the crash would lose it unrecoverably: the
+    // barrier makes the buffer hold all of them.
+    ASSERT_TRUE(server.Drain().ok());
+    drain(h->windows.get());
     ASSERT_EQ(finals, 4u);
-    for (int quiet = 0; quiet < 3;) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      quiet = drain(h->windows.get()) == 0 ? quiet + 1 : 0;
-    }
 
     auto epoch = server.Checkpoint();
     ASSERT_TRUE(epoch.ok()) << epoch.status();
@@ -231,10 +223,7 @@ TEST(RecoveryTest, SpeculatingWindowedQueryConvergesAcrossCrash) {
     ASSERT_EQ(handles.size(), 1u);
     ASSERT_NE(handles[0].windows, nullptr);
     server.Start();
-    for (int i = 0; i < 5000 && finals < 8; ++i) {
-      drain(handles[0].windows.get());
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    ASSERT_TRUE(server.Drain().ok());
     server.Stop();
     drain(handles[0].windows.get());
   }
@@ -276,15 +265,10 @@ TEST(RecoveryTest, HistoryReachBackfillsFromArchive) {
       "for (t = 5; t <= 12; t += 1) { WindowIs(S, t - 4, t); }",
       {.history_reach = kMaxTimestamp});
   ASSERT_TRUE(whole.ok()) << whole.status();
+  ASSERT_TRUE(server.Drain().ok());
   std::map<Timestamp, std::multiset<Timestamp>> fired;
-  for (int i = 0; i < 5000 && fired.size() < 8; ++i) {
-    WindowResult wr;
-    while (whole->windows->Poll(&wr)) {
-      for (const Tuple& t : wr.tuples) {
-        fired[wr.t].insert(t.Get("ts").AsInt64());
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (const WindowResult& wr : testref::PollWindows(whole->windows.get())) {
+    for (const Tuple& t : wr.tuples) fired[wr.t].insert(t.Get("ts").AsInt64());
   }
   ASSERT_EQ(fired.size(), 8u);
   for (Timestamp t = 5; t <= 12; ++t) {
@@ -306,11 +290,10 @@ TEST(RecoveryTest, HistoryReachBackfillsFromArchive) {
       "for (t = 16; t <= 19; t += 1) { WindowIs(S, t - 4, t); }",
       {.history_reach = 5});
   ASSERT_TRUE(bounded.ok()) << bounded.status();
+  ASSERT_TRUE(server.Drain().ok());
   std::map<Timestamp, size_t> sizes;
-  for (int i = 0; i < 5000 && sizes.size() < 4; ++i) {
-    WindowResult wr;
-    while (bounded->windows->Poll(&wr)) sizes[wr.t] = wr.tuples.size();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (const WindowResult& wr : testref::PollWindows(bounded->windows.get())) {
+    sizes[wr.t] = wr.tuples.size();
   }
   server.Stop();
   ASSERT_EQ(sizes.size(), 4u);
@@ -353,13 +336,10 @@ TEST(RecoveryTest, HistoryReachOverClosedStreamFiresAndFinishes) {
       "SELECT * FROM S for (t = 3; t <= 6; t += 1) { WindowIs(S, t - 2, t); }",
       {.history_reach = kMaxTimestamp});
   ASSERT_TRUE(h.ok()) << h.status();
+  ASSERT_TRUE(server.Drain().ok());
   std::map<Timestamp, std::multiset<Timestamp>> fired;
-  for (int i = 0; i < 5000 && !h->windows->Finished(); ++i) {
-    WindowResult wr;
-    while (h->windows->Poll(&wr)) {
-      for (const Tuple& t : wr.tuples) fired[wr.t].insert(t.timestamp());
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  for (const WindowResult& wr : testref::PollWindows(h->windows.get())) {
+    for (const Tuple& t : wr.tuples) fired[wr.t].insert(t.timestamp());
   }
   server.Stop();
   EXPECT_TRUE(h->windows->Finished());
@@ -436,6 +416,7 @@ TEST(RecoveryTest, BackgroundCheckpointerWritesEpochs) {
   uint64_t epochs = 0;
   for (int i = 0; i < 5000 && epochs < 2; ++i) {
     epochs = server.Introspect().checkpoint_epochs;
+    // Wall time: the checkpointer runs on its 40ms interval, not on work.
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server.Stop();
@@ -458,13 +439,8 @@ TEST(RecoveryTest, CheckpointAfterWindowedLoopFinishes) {
   for (int64_t ts = 1; ts <= 8; ++ts) {
     ASSERT_TRUE(PushKeyed(&server, "S", ts, "d", ts).ok());
   }
-  WindowResult wr;
-  size_t fired = 0;
-  for (int i = 0; i < 5000 && fired < 3; ++i) {
-    while (h->windows->Poll(&wr)) ++fired;
-    if (fired < 3) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(fired, 3u);
+  ASSERT_TRUE(server.Drain().ok());
+  ASSERT_EQ(testref::PollWindows(h->windows.get()).size(), 3u);
   // Rows past the loop's end, pushed after it finished.
   for (int64_t ts = 9; ts <= 40; ++ts) {
     ASSERT_TRUE(PushKeyed(&server, "S", ts, "d", ts).ok());

@@ -1,5 +1,7 @@
-// Test ingest helper: pushes rows through the server's one ingest path,
-// NewBatch -> BatchBuilder::Append -> PushBuilt, one batch per call.
+// Test ingest helpers: pushes rows through the server's one ingest path,
+// NewBatch -> BatchBuilder::Append -> PushBuilt, one batch per call; and
+// pops what came out. Suites wait for the engine with TelegraphCQ::Drain()
+// and then assert exact counts over what these pops return.
 
 #pragma once
 
@@ -30,6 +32,23 @@ inline Status PushRows(TelegraphCQ* server, const std::string& stream,
     }
   }
   return server->PushBuilt(std::move(*batch));
+}
+
+/// Pops every delivery the egress holds right now. After Drain() that is
+/// everything the batches pushed so far produced.
+inline size_t PollAll(PushEgress* egress) {
+  size_t n = 0;
+  Delivery d;
+  while (egress->Poll(&d)) ++n;
+  return n;
+}
+
+/// Pops every fired window the buffer holds right now, oldest first.
+inline std::vector<WindowResult> PollWindows(WindowResultBuffer* buffer) {
+  std::vector<WindowResult> out;
+  WindowResult wr;
+  while (buffer->Poll(&wr)) out.push_back(std::move(wr));
+  return out;
 }
 
 }  // namespace tcq::testref

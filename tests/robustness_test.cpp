@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <thread>
 
 #include "common/logging.h"
 #include "ingress/generators.h"
+#include "reference/drain.h"
 #include "reference/push.h"
 #include "server/telegraphcq.h"
 
@@ -40,16 +40,11 @@ TEST(RegressionTest, SnapshotWindowFedByWrapperFires) {
       "for (; t == 0; t = -1) { WindowIs(ClosingStockPrices, 1, 5); }");
   ASSERT_TRUE(handle.ok()) << handle.status();
   server.Start();
-
-  WindowResult wr;
-  bool fired = false;
-  for (int i = 0; i < 5000 && !fired; ++i) {
-    fired = handle->windows->Poll(&wr);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(server.Drain().ok());  // the generator's source ends
+  std::vector<WindowResult> fired = testref::PollWindows(handle->windows.get());
   server.Stop();
-  ASSERT_TRUE(fired) << "snapshot window never fired through the DU";
-  EXPECT_EQ(wr.tuples.size(), 5u);
+  ASSERT_EQ(fired.size(), 1u) << "snapshot window never fired through the DU";
+  EXPECT_EQ(fired[0].tuples.size(), 5u);
 }
 
 TEST(RobustnessTest, OutOfOrderArrivalWithinJitterIsWindowedCorrectly) {
@@ -103,9 +98,7 @@ TEST(RobustnessTest, SlowClientShedsInsteadOfStallingEngine) {
                     .ok());
   }
   // Engine kept running: deliveries continued, extra results were shed.
-  for (int i = 0; i < 500 && handle->results->delivered() < 500; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  ASSERT_TRUE(server.Drain().ok());
   server.Stop();
   EXPECT_EQ(handle->results->delivered(), 500u);
   EXPECT_GE(handle->results->shed(), 500u - 16u);
@@ -166,9 +159,7 @@ TEST(RobustnessTest, TicketSchedulerExecutorEndToEnd) {
     ASSERT_TRUE(
         exec.IngestTuple(0, Tuple::Make(sch, {Value::Int64(i)}, i)).ok());
   }
-  for (int i = 0; i < 500 && got.load() < 500; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  ASSERT_TRUE(testref::Drain(&exec).ok());
   exec.Stop();
   EXPECT_EQ(got.load(), 500u);
 }

@@ -4,11 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -45,16 +43,8 @@ void PushStocks(TelegraphCQ* server, Timestamp days) {
   }
 }
 
-size_t DrainCount(PushEgress* egress, size_t expected, int patience_ms) {
-  size_t got = 0;
-  Delivery d;
-  for (int waited = 0; waited < patience_ms; ++waited) {
-    while (egress->Poll(&d)) ++got;
-    if (got >= expected) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return got;
-}
+using testref::PollAll;
+using testref::PollWindows;
 
 TEST(ServerTest, ContinuousFilterQueryEndToEnd) {
   TelegraphCQ server;
@@ -67,7 +57,8 @@ TEST(ServerTest, ContinuousFilterQueryEndToEnd) {
   server.Start();
 
   PushStocks(&server, 50);
-  size_t got = DrainCount(handle->results.get(), 50, 2000);
+  ASSERT_TRUE(server.Drain().ok());
+  size_t got = PollAll(handle->results.get());
   server.Stop();
   EXPECT_EQ(got, 50u);  // MSFT every day; AAPL filtered by symbol
 }
@@ -81,11 +72,9 @@ TEST(ServerTest, ProjectionIsApplied) {
   ASSERT_TRUE(handle.ok());
   server.Start();
   PushStocks(&server, 5);
+  ASSERT_TRUE(server.Drain().ok());
   Delivery d;
-  for (int i = 0; i < 2000; ++i) {
-    if (handle->results->Poll(&d)) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(handle->results->Poll(&d));
   server.Stop();
   ASSERT_EQ(d.tuple.num_fields(), 1u);
   EXPECT_EQ(d.tuple.schema()->field(0).name, "closingPrice");
@@ -102,8 +91,9 @@ TEST(ServerTest, MultipleQueriesShareOneStream) {
   EXPECT_EQ(server.executor().num_classes(), 1u);  // shared class
   server.Start();
   PushStocks(&server, 40);
-  size_t msft = DrainCount(q_msft->results.get(), 40, 2000);
-  size_t cheap = DrainCount(q_cheap->results.get(), 20, 2000);
+  ASSERT_TRUE(server.Drain().ok());
+  size_t msft = PollAll(q_msft->results.get());
+  size_t cheap = PollAll(q_cheap->results.get());
   server.Stop();
   EXPECT_EQ(msft, 40u);
   EXPECT_EQ(cheap, 20u);  // AAPL on odd days at 40 < 45
@@ -126,13 +116,9 @@ TEST(ServerTest, ContinuousQueryAfterWindowedQueryStillDelivers) {
   ASSERT_TRUE(cq.ok()) << cq.status();
   server.Start();
   PushStocks(&server, 12);
-  size_t got = DrainCount(cq->results.get(), 12, 2000);
-  WindowResult wr;
-  size_t fired = 0;
-  for (int waited = 0; waited < 2000 && fired < 6; ++waited) {
-    while (win->windows->Poll(&wr)) ++fired;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(server.Drain().ok());
+  size_t got = PollAll(cq->results.get());
+  size_t fired = PollWindows(win->windows.get()).size();
   server.Stop();
   EXPECT_EQ(got, 12u);    // the continuous query is actually fed
   EXPECT_EQ(fired, 6u);   // and the windowed query still fires t=5..10
@@ -146,11 +132,12 @@ TEST(ServerTest, CancelStopsDeliveries) {
   ASSERT_TRUE(handle.ok());
   server.Start();
   PushStocks(&server, 10);
-  ASSERT_EQ(DrainCount(handle->results.get(), 20, 2000), 20u);
+  ASSERT_TRUE(server.Drain().ok());
+  ASSERT_EQ(PollAll(handle->results.get()), 20u);
   ASSERT_TRUE(server.Cancel(handle->id).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(server.Drain().ok());
   PushStocks(&server, 10);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(server.Drain().ok());
   Delivery d;
   EXPECT_FALSE(handle->results->Poll(&d));
   server.Stop();
@@ -168,17 +155,14 @@ TEST(ServerTest, WindowedSnapshotQuery) {
   ASSERT_NE(handle->windows, nullptr);
   server.Start();
   PushStocks(&server, 10);
-
-  WindowResult wr;
-  bool fired = false;
-  for (int i = 0; i < 2000 && !fired; ++i) {
-    fired = handle->windows->Poll(&wr);
-    if (!fired) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(server.Drain().ok());
+  std::vector<WindowResult> fired = PollWindows(handle->windows.get());
   server.Stop();
-  ASSERT_TRUE(fired);
-  EXPECT_EQ(wr.tuples.size(), 5u);
-  for (const Tuple& t : wr.tuples) EXPECT_LE(t.Get("timestamp").AsInt64(), 5);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].tuples.size(), 5u);
+  for (const Tuple& t : fired[0].tuples) {
+    EXPECT_LE(t.Get("timestamp").AsInt64(), 5);
+  }
 }
 
 TEST(ServerTest, WindowedSlidingSelfJoin) {
@@ -196,13 +180,8 @@ TEST(ServerTest, WindowedSlidingSelfJoin) {
   ASSERT_TRUE(handle.ok()) << handle.status();
   server.Start();
   PushStocks(&server, 20);
-
-  std::vector<WindowResult> fired;
-  for (int i = 0; i < 3000 && fired.size() < 8; ++i) {
-    WindowResult wr;
-    while (handle->windows->Poll(&wr)) fired.push_back(wr);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(server.Drain().ok());
+  std::vector<WindowResult> fired = PollWindows(handle->windows.get());
   server.Stop();
   ASSERT_EQ(fired.size(), 8u);
   for (const WindowResult& wr : fired) {
@@ -260,12 +239,8 @@ TEST(ServerTest, CompletedWindowLoopFinishesItsBuffer) {
   PushKeyed(&server, "S", 1, 5, 1);
   ASSERT_TRUE(server.CloseStream("S").ok());
 
-  std::vector<WindowResult> fired;
-  for (int i = 0; i < 3000 && !handle->windows->Finished(); ++i) {
-    WindowResult wr;
-    while (handle->windows->Poll(&wr)) fired.push_back(wr);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(server.Drain().ok());
+  std::vector<WindowResult> fired = PollWindows(handle->windows.get());
   EXPECT_TRUE(handle->windows->Finished());
   ASSERT_EQ(fired.size(), 3u);
   EXPECT_EQ(fired.back().t, 5);
@@ -308,6 +283,7 @@ TEST(ServerTest, WindowedQueriesShareTheExecutorEos) {
   }
   server.Start();
   PushKeyed(&server, "S", 1, 40, 8);
+  ASSERT_TRUE(server.Drain().ok());
 
   // Arrival time: the last row (ts 40) seals every window ending before it.
   StreamHistory history;
@@ -320,18 +296,10 @@ TEST(ServerTest, WindowedQueriesShareTheExecutorEos) {
     WindowedQuery ref;
     ref.loop = ForLoopSpec::Sliding({*source}, q.width, q.width, 39, q.hop);
     WindowContents want = Contents(RunOverHistory(ref, {{*source, history}}));
-    std::vector<WindowResult> fired;
-    for (int i = 0; i < 3000 && fired.size() < want.size(); ++i) {
-      WindowResult wr;
-      while (q.handle.windows->Poll(&wr)) fired.push_back(wr);
-      if (fired.size() < want.size()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    EXPECT_EQ(Contents(fired), want)
+    EXPECT_EQ(Contents(PollWindows(q.handle.windows.get())), want)
         << "width " << q.width << " hop " << q.hop;
   }
-  EXPECT_EQ(DrainCount(filter->results.get(), 20, 2000), 20u);
+  EXPECT_EQ(PollAll(filter->results.get()), 20u);
 
   MetricsSnapshot m = server.Introspect().metrics;
   for (const auto& [name, value] : m.gauges) {
@@ -362,7 +330,8 @@ TEST(ServerTest, WrapperSourceFeedsQueries) {
       "SELECT * FROM ClosingStockPrices WHERE stockSymbol = 'MSFT'");
   ASSERT_TRUE(handle.ok());
   server.Start();
-  size_t got = DrainCount(handle->results.get(), 100, 3000);
+  ASSERT_TRUE(server.Drain().ok());  // the generator ends after 100 days
+  size_t got = PollAll(handle->results.get());
   server.Stop();
   EXPECT_EQ(got, 100u);
 }
@@ -385,13 +354,11 @@ TEST(ServerTest, IntrospectSeesEveryLayerAfterEndToEndRun) {
   server.Start();
   PushStocks(&server, 10);
 
-  // Wait until both clients saw output (AAPL beats 55 on even days and
-  // joins its own history; the snapshot window fires once day 6 arrives).
-  ASSERT_GE(DrainCount(joined->results.get(), 1, 2000), 1u);
-  WindowResult wr;
-  for (int i = 0; i < 2000 && !windowed->windows->Poll(&wr); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // Both clients saw output (AAPL beats 55 on even days and joins its own
+  // history; the snapshot window fires once day 6 arrives).
+  ASSERT_TRUE(server.Drain().ok());
+  ASSERT_GE(PollAll(joined->results.get()), 1u);
+  ASSERT_EQ(PollWindows(windowed->windows.get()).size(), 1u);
   server.Stop();
 
   TelegraphCQ::Introspection view = server.Introspect();
@@ -497,15 +464,12 @@ TEST(EventTimeServerTest, DisorderedArrivalsYieldExactWindows) {
 
   for (Timestamp d : BlockShuffledDays(20, 4, 7)) PushDay(&server, d);
 
+  ASSERT_TRUE(server.Drain().ok());
   std::map<Timestamp, std::multiset<Timestamp>> got;
-  for (int i = 0; i < 3000 && got.size() < 8; ++i) {
-    WindowResult wr;
-    while (handle->windows->Poll(&wr)) {
-      for (const Tuple& t : wr.tuples) {
-        got[wr.t].insert(t.Get("timestamp").AsInt64());
-      }
+  for (const WindowResult& wr : PollWindows(handle->windows.get())) {
+    for (const Tuple& t : wr.tuples) {
+      got[wr.t].insert(t.Get("timestamp").AsInt64());
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   auto intro = server.Introspect();
   server.Stop();
@@ -546,21 +510,17 @@ TEST(EventTimeServerTest, LateTuplesAreCountedAndExcluded) {
   };
 
   for (Timestamp d : {1, 2, 4, 5, 6}) PushDay(&server, d);
-  // Wait for window [1, 5] to fire: the runner has provably applied the
+  // Window [1, 5] has fired: the runner has provably applied the
   // watermark-6 punctuation, so the replayed day 3 below is seen late by
   // the runner too (not just by the entrance scan).
-  for (int i = 0; i < 3000 && sizes.count(5) == 0; ++i) {
-    drain();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(server.Drain().ok());
+  drain();
   ASSERT_EQ(sizes.count(5), 1u);
   PushDay(&server, 3);  // late: the watermark already reached 6
   for (Timestamp d = 7; d <= 16; ++d) PushDay(&server, d);
 
-  for (int i = 0; i < 3000 && sizes.size() < 4; ++i) {
-    drain();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(server.Drain().ok());
+  drain();
   auto intro = server.Introspect();
   server.Stop();
 
@@ -595,24 +555,22 @@ TEST(EventTimeServerTest, SpeculativeQueryConvergesToFinalWindows) {
   ASSERT_TRUE(handle.ok()) << handle.status();
   server.Start();
 
-  // Two pushes with a gap so at least one poll observes an unsealed window.
+  // Two pushes with a drain between, so the runner sees window [1, 5]
+  // unsealed (watermark 5) and speculates on it before day 6 seals it.
   for (Timestamp d = 1; d <= 5; ++d) PushDay(&server, d);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(server.Drain().ok());
   for (Timestamp d = 6; d <= 10; ++d) PushDay(&server, d);
+  ASSERT_TRUE(server.Drain().ok());
 
   std::map<Timestamp, std::map<Timestamp, int64_t>> acc;
   size_t finals = 0, speculative = 0;
-  for (int i = 0; i < 3000 && finals < 4; ++i) {
-    WindowResult wr;
-    while (handle->windows->Poll(&wr)) {
-      if (wr.kind == WindowResultKind::kFinal) ++finals;
-      if (wr.kind == WindowResultKind::kSpeculative) ++speculative;
-      int64_t sign = wr.kind == WindowResultKind::kRetraction ? -1 : 1;
-      for (const Tuple& t : wr.tuples) {
-        acc[wr.t][t.Get("timestamp").AsInt64()] += sign;
-      }
+  for (const WindowResult& wr : PollWindows(handle->windows.get())) {
+    if (wr.kind == WindowResultKind::kFinal) ++finals;
+    if (wr.kind == WindowResultKind::kSpeculative) ++speculative;
+    int64_t sign = wr.kind == WindowResultKind::kRetraction ? -1 : 1;
+    for (const Tuple& t : wr.tuples) {
+      acc[wr.t][t.Get("timestamp").AsInt64()] += sign;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   auto intro = server.Introspect();
   server.Stop();
@@ -654,19 +612,16 @@ TEST(EventTimeServerTest, PunctuationsReachContinuousEgress) {
   for (Timestamp d = 1; d <= 10; ++d) PushDay(&server, d);
 
   // 10 data rows plus at least one merged punctuation tuple.
+  ASSERT_TRUE(server.Drain().ok());
   size_t data = 0, puncts = 0;
   Delivery d;
-  for (int waited = 0; waited < 3000 && (data < 10 || puncts == 0);
-       ++waited) {
-    while (handle->results->Poll(&d)) {
-      if (d.tuple.IsPunctuation()) {
-        ++puncts;
-        EXPECT_GE(d.tuple.AsPunctuation().low_watermark, 1);
-      } else {
-        ++data;
-      }
+  while (handle->results->Poll(&d)) {
+    if (d.tuple.IsPunctuation()) {
+      ++puncts;
+      EXPECT_GE(d.tuple.AsPunctuation().low_watermark, 1);
+    } else {
+      ++data;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server.Stop();
   EXPECT_EQ(data, 10u);
