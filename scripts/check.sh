@@ -13,8 +13,9 @@
 #   2. AddressSanitizer configure + build + ctest in a separate build dir
 #   3. ThreadSanitizer build running the concurrency-heavy suites
 #      (exec — including the wake-path tests: parked EOs, signals across DU
-#      moves, the quiescence barrier — exec_lifecycle, exec_sharding,
-#      fjords, cacq, obs, window,
+#      moves, the quiescence barrier — exec_lifecycle, exec_sharding —
+#      including shard failover racing a concurrent pusher — fjords, cacq,
+#      obs, window,
 #      recovery, batch — its MPMC queue and fjord segment tests — ingress —
 #      wrapper threads produce into fjords — plus the whole server suite:
 #      windowed DUs share the executor's EO threads with class DUs, and
@@ -32,7 +33,9 @@
 #      checkpoint/restore cost sweep -> BENCH_recovery.json,
 #      a quick run of the routing microbenches on SharedEddy (E1 adaptivity,
 #      E2 hybrid join, E4 shared-vs-one-query eddies, E7 batch x drift),
-#      plus a quick 2-shard correctness smoke
+#      a quick E8 Flux run on the sharded executor (fails if a replicated
+#      shard failover loses a result), plus a quick 2-shard correctness
+#      smoke
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-ubsan] [--no-bench]
 set -euo pipefail
@@ -137,12 +140,13 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   scripts/bench_disorder.sh build
   echo "== bench smoke: BENCH_recovery.json =="
   scripts/bench_recovery.sh build
-  echo "== routing microbench smoke: E1/E2/E4/E7 =="
+  echo "== routing microbench smoke: E1/E2/E4/E7, Flux smoke: E8 =="
   ./build/bench/bench_eddy_adaptivity --benchmark_min_time=0.01
   ./build/bench/bench_stem_hybrid_join --benchmark_min_time=0.01
   ./build/bench/bench_cacq_scaling --benchmark_min_time=0.01 \
     --benchmark_filter='BM_SharedCACQ/(1|4|16)$|BM_QueryAtATime/(1|4|16)$'
   ./build/bench/bench_adaptivity_knobs --benchmark_min_time=0.01
+  ./build/bench/bench_flux --benchmark_min_time=0.01
   echo "== 2-shard correctness smoke =="
   ./build/tests/exec_sharding_test \
     --gtest_filter='ExecShardingTest.ShardedJoinMatchesSingleShardAndReference'

@@ -158,6 +158,7 @@ Result<size_t> Executor::ClassFor(SourceSet footprint) {
     sc_opts.buckets = opts_.shard_buckets;
     sc_opts.skew_threshold = opts_.shard_skew_threshold;
     sc_opts.min_skew_volume = opts_.shard_min_skew_volume;
+    sc_opts.replication = opts_.shard_replication;
     sc_opts.seed = opts_.seed + label;
     std::vector<ExecutionObject*> eo_ptrs;
     eo_ptrs.reserve(eos_.size());
@@ -483,6 +484,16 @@ bool Executor::RebalanceOnce() {
 bool Executor::RepartitionSkewedOnce() {
   std::lock_guard<std::mutex> lock(mu_);
   return SkewLocked();
+}
+
+Status Executor::FailShard(size_t class_id, size_t shard) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (class_id >= classes_.size() || !classes_[class_id].live) {
+    return Status::InvalidArgument("no live query class " +
+                                   std::to_string(class_id));
+  }
+  return classes_[class_id].sc->FailShard(
+      shard, [&](const ShardedClass::RemapMap& m) { ApplyRemap(class_id, m); });
 }
 
 uint64_t Executor::class_repartitions() const {

@@ -22,7 +22,8 @@
 //   * SHARD: with Options::shards > 1 each class runs as a ShardedClass —
 //     N shared-eddy replicas partitioned Flux-style on the class's derived
 //     join keys, pumped in parallel by per-shard DUs, with online skew
-//     re-partitioning (see exec/sharded_class.h).
+//     re-partitioning and, with Options::shard_replication, failover that
+//     loses nothing (FailShard; see exec/sharded_class.h).
 // Windowed queries are not classes: each is one caller-built DU hosted on
 // the same EOs under the same query ids (HostQuery).
 //
@@ -75,6 +76,10 @@ class Executor {
     double shard_skew_threshold = 4.0;
     /// Minimum tuples ingested class-wide between skew checks.
     uint64_t shard_min_skew_volume = 256;
+    /// Flux's "reliability-based quality-of-service knob": shadow every
+    /// shard of a sharded class so FailShard rebuilds it exactly, at the
+    /// cost of a copy of each routed row and of every SteM-held row.
+    bool shard_replication = false;
   };
 
   /// Receives (global id, result tuple) deliveries; called from EO threads.
@@ -155,6 +160,14 @@ class Executor {
   /// where per-shard ingest deltas exceed the threshold (also part of the
   /// background rebalance pass). Returns true if any class re-partitioned.
   bool RepartitionSkewedOnce();
+
+  /// Fault injection: crashes shard `shard` of class `class_id` (a
+  /// ClassInfo::id) and fails its buckets over to the surviving shards —
+  /// exactly once with shard_replication, else losing the shard's SteM
+  /// entries and queued rows (tcq_shard_failover_lost_total{class}).
+  /// kInvalidArgument for an unknown class or shard; kFailedPrecondition
+  /// when `shard` is the class's last live shard.
+  Status FailShard(size_t class_id, size_t shard);
 
   // --- Durable state (DESIGN.md §13) -----------------------------------------
 

@@ -41,6 +41,10 @@ int64_t KeyOf(const Tuple& t, size_t field) {
                                        : static_cast<int64_t>(v.Hash());
 }
 
+/// Rows a shadow takes between trims: keeps the trim (a fjord size read and,
+/// for windowed SteMs, a watermark read) off the per-batch path.
+constexpr size_t kShadowTrimEvery = 1024;
+
 }  // namespace
 
 ShardedClass::ShardedClass(std::string label, Options opts,
@@ -65,6 +69,10 @@ ShardedClass::ShardedClass(std::string label, Options opts,
       MetricName("tcq_shard_repartition_pause_us", "class", label_));
   shard_count_gauge_ =
       metrics_->GetGauge(MetricName("tcq_shard_count", "class", label_));
+  failover_lost_ = metrics_->GetCounter(
+      MetricName("tcq_shard_failover_lost_total", "class", label_));
+  shadow_rows_ =
+      metrics_->GetGauge(MetricName("tcq_shard_shadow_rows", "class", label_));
   // Classes always START at one shard; AdmitQuery expands to opts_.shards
   // once the first query's join edges prove the class co-partitionable.
   merged_wm_.Reset(1);
@@ -122,6 +130,9 @@ void ShardedClass::ClaimStream(SourceId source, SchemaRef schema,
       eddy->RegisterStream(source, schema, stem_opts);
     });
     shards_[k].du->AddInput(source, ep.consumer);
+    if (opts_.replication && shards_.size() > 1) {
+      r.shadows.push_back(std::make_unique<Shadow>());
+    }
   }
   routes_.emplace(source, std::move(r));
 }
@@ -304,6 +315,31 @@ bool ShardedClass::MaybeRepartitionForSkew(const RemapFn& remap) {
   return true;
 }
 
+Status ShardedClass::FailShard(size_t shard, const RemapFn& remap) {
+  size_t n = shards_.size();
+  if (shard >= n) {
+    return Status::InvalidArgument("class " + label_ + " has no shard " +
+                                   std::to_string(shard));
+  }
+  if (n < 2) {
+    return Status::FailedPrecondition("shard " + std::to_string(shard) +
+                                      " is the last live shard of class " +
+                                      label_);
+  }
+  // The failed shard's buckets go to their standby; the shards above it
+  // shift down one place.
+  std::vector<size_t> owner(opts_.buckets);
+  for (size_t b = 0; b < opts_.buckets; ++b) {
+    size_t o = parts_.OwnerOf(b);
+    if (o == shard) o = (shard + 1) % n;
+    owner[b] = o > shard ? o - 1 : o;
+  }
+  auto keys = DeriveKeys(nullptr);
+  Repartition(n - 1, keys.value_or(std::map<SourceId, std::string>{}),
+              std::move(owner), remap, /*attach_after=*/true, shard);
+  return Status::OK();
+}
+
 void ShardedClass::AttachShards() {
   for (Shard& sh : shards_) {
     eos_[sh.eo % eos_.size()]->AddDispatchUnit(sh.du);
@@ -313,7 +349,7 @@ void ShardedClass::AttachShards() {
 void ShardedClass::Repartition(size_t new_count,
                                std::map<SourceId, std::string> new_keys,
                                std::vector<size_t> owner, const RemapFn& remap,
-                               bool attach_after) {
+                               bool attach_after, size_t failed) {
   int64_t t0 = NowMicros();
   std::unique_lock<std::shared_mutex> lock(route_mu_);
 
@@ -327,26 +363,63 @@ void ShardedClass::Repartition(size_t new_count,
   // 2. Drain queued-but-unprocessed tuples into a per-source carryover
   //    (old-shard-major; per-shard per-source order preserved). They are
   //    NOT processed here — a query admitted right after the re-partition
-  //    must still see them (the merge-survival guarantee).
+  //    must still see them (the merge-survival guarantee). A failed shard's
+  //    queue is discarded, as a crash would; only its row count is kept.
   std::map<SourceId, TupleBatch> carry;
-  for (Shard& sh : shards_) {
-    for (auto& [source, consumer] : sh.du->DetachInputs()) {
-      TupleBatch& b = carry[source];
+  std::map<SourceId, size_t> failed_queued;
+  for (size_t j = 0; j < shards_.size(); ++j) {
+    for (auto& [source, consumer] : shards_[j].du->DetachInputs()) {
+      TupleBatch crashed;
+      TupleBatch& b = j == failed ? crashed : carry[source];
       b.set_source(source);
       QueueOp op;
       while (consumer.ConsumeBatch(&b, SIZE_MAX / 2, &op) > 0) {
       }
+      if (j == failed) failed_queued[source] = crashed.size();
     }
   }
 
-  // 3. Export every replica's state. Shard 0's sink table is the class's
-  //    (all replicas bind the same wrapped sinks).
+  // 2b. Failover: the failed shard's state comes from its shadows. The
+  //     consumed prefix its SteMs still held is rebuilt below the new
+  //     horizon (step 8); the unconsumed suffix joins the carryover and
+  //     probes once (step 9). Without shadows it is lost, and counted.
+  std::map<SourceId, std::vector<Tuple>> rebuilt;
+  if (failed != kNoShard) {
+    uint64_t lost = 0;
+    for (auto& [source, r] : routes_) {
+      size_t queued = failed_queued[source];
+      if (r.shadows.empty()) {
+        lost += queued;
+        if (SteM* stem = shards_[failed].du->eddy()->GetSteM(source)) {
+          lost += stem->size();
+        }
+        continue;
+      }
+      std::deque<Tuple>& rows = r.shadows[failed]->rows;
+      assert(queued <= rows.size() && "shadow lost an unconsumed row");
+      size_t consumed = rows.size() - std::min(queued, rows.size());
+      size_t evicted = EvictedPrefix(r, failed, rows, consumed);
+      std::vector<Tuple>& held = rebuilt[source];
+      for (size_t i = evicted; i < consumed; ++i) {
+        held.push_back(std::move(rows[i]));
+      }
+      TupleBatch& b = carry[source];
+      b.set_source(source);
+      for (size_t i = consumed; i < rows.size(); ++i) {
+        b.push_back(std::move(rows[i]));
+      }
+    }
+    failover_lost_->Inc(lost);
+  }
+
+  // 3. Export every surviving replica's state. Any replica's sink table is
+  //    the class's (all replicas bind the same wrapped sinks).
   std::vector<SharedEddy::ExportedState> exports;
   exports.reserve(shards_.size());
-  for (Shard& sh : shards_) {
-    exports.push_back(sh.du->eddy()->ExportState());
+  for (size_t j = 0; j < shards_.size(); ++j) {
+    if (j != failed) exports.push_back(shards_[j].du->eddy()->ExportState());
   }
-  auto sinks = shards_[0].du->TakeSinks();
+  auto sinks = shards_[failed == 0 ? 1 : 0].du->TakeSinks();
   Timestamp horizon = 1;
   for (const auto& st : exports) horizon = std::max(horizon, st.next_seq);
 
@@ -371,14 +444,17 @@ void ShardedClass::Repartition(size_t new_count,
     merged_wm_.Reset(new_count);
   }
   for (size_t k = 0; k < new_count; ++k) {
-    size_t eo = k < old_shards.size() ? old_shards[k].eo : k;
+    size_t old = failed != kNoShard && k >= failed ? k + 1 : k;
+    size_t eo = old < old_shards.size() ? old_shards[old].eo : k;
     shards_.push_back(MakeShard(k, eo));
   }
 
   // 6. Rebuild routes: fresh fjords sized to always fit the carryover (the
   //    re-injection below must not block — no consumer pumps yet), streams
   //    registered and inputs attached on every replica directly (we own
-  //    them exclusively until re-attachment).
+  //    them exclusively until re-attachment). Shadows restart empty and are
+  //    re-seeded by steps 8 and 9, so protection survives the re-partition.
+  shadow_rows_->Set(0);
   for (auto& [source, r] : routes_) {
     r.key_attr.clear();
     r.key_field = 0;
@@ -398,6 +474,7 @@ void ShardedClass::Repartition(size_t new_count,
     }
     r.producers.clear();
     r.fjords.clear();
+    r.shadows.clear();
     for (size_t k = 0; k < new_count; ++k) {
       auto ep = Fjord::Make(FjordMode::kPush, opts_.queue_capacity + extra,
                             FjordName(source, k, new_count), metrics_.get());
@@ -405,6 +482,9 @@ void ShardedClass::Repartition(size_t new_count,
       r.fjords.push_back(ep.fjord);
       shards_[k].du->eddy()->RegisterStream(source, r.schema, r.stem_opts);
       shards_[k].du->AddInput(source, ep.consumer);
+      if (opts_.replication && new_count > 1) {
+        r.shadows.push_back(std::make_unique<Shadow>());
+      }
     }
   }
 
@@ -450,20 +530,26 @@ void ShardedClass::Repartition(size_t new_count,
   //    exporters'. Future tuples (seq > horizon) probe replayed entries
   //    exactly like locally built state; replayed entries never probe each
   //    other, mirroring single-eddy semantics (probing happens at ingest).
+  //    A failed shard's rebuilt rows take fresh seqs from the old horizon
+  //    up, still below the new one.
+  auto place = [&](const Route& r, SourceId source, const Tuple& t,
+                   Timestamp seq) {
+    size_t k = ShardOf(r, t);
+    shards_[k].du->eddy()->BuildHistorical(source, t, seq);
+    SeedShadow(r, k, t);
+  };
   for (const auto& st : exports) {
     for (const auto& es : st.streams) {
       if (es.stem == nullptr) continue;
       auto rit = routes_.find(es.source);
       if (rit == routes_.end()) continue;
-      const Route& r = rit->second;
       es.stem->ForEachEntry([&](const Tuple& t, Timestamp seq) {
-        size_t k = 0;
-        if (!r.key_attr.empty() && shards_.size() > 1) {
-          k = parts_.OwnerOf(parts_.BucketOf(KeyOf(t, r.key_field)));
-        }
-        shards_[k].du->eddy()->BuildHistorical(es.source, t, seq);
+        place(rit->second, es.source, t, seq);
       });
     }
+  }
+  for (const auto& [source, rows] : rebuilt) {
+    for (const Tuple& t : rows) place(routes_.at(source), source, t, horizon++);
   }
   for (Shard& sh : shards_) sh.du->eddy()->AdvanceSeqHorizon(horizon);
 
@@ -556,7 +642,9 @@ void ShardedClass::Shutdown() {
   for (auto& [source, r] : routes_) {
     r.closed = true;
     for (auto& p : r.producers) p->Close();
+    r.shadows.clear();
   }
+  shadow_rows_->Set(0);
   // Dropping the replicas drops their eddies, SteMs, and fjord consumers;
   // anything still queued had no query left to care about it.
   shards_.clear();
@@ -629,7 +717,9 @@ ShardedClass::RouteResult ShardedClass::RouteBatchLocked(Route* r,
   for (size_t k = 0; k < n; ++k) {
     if (scratch[k].empty() && scratch[k].punctuations().empty()) continue;
     size_t before = scratch[k].size();
-    QueueOp op = r->producers[k]->ProduceBatch(&scratch[k]);
+    QueueOp op = r->shadows.empty()
+                     ? r->producers[k]->ProduceBatch(&scratch[k])
+                     : ProduceShadowed(*r, k, &scratch[k]);
     size_t pushed = before - scratch[k].size();
     if (pushed > 0) shards_[k].ingest->Inc(pushed);
     if (op == QueueOp::kClosed) closed = true;
@@ -653,6 +743,75 @@ ShardedClass::RouteResult ShardedClass::RouteBatchLocked(Route* r,
     return RouteResult::kOk;
   }
   return closed ? RouteResult::kClosed : RouteResult::kWouldBlock;
+}
+
+size_t ShardedClass::ShardOf(const Route& r, const Tuple& t) const {
+  if (r.key_attr.empty() || shards_.size() < 2) return 0;
+  return parts_.OwnerOf(parts_.BucketOf(KeyOf(t, r.key_field)));
+}
+
+QueueOp ShardedClass::ProduceShadowed(const Route& r, size_t k,
+                                      TupleBatch* part) {
+  Shadow& s = *r.shadows[k];
+  std::lock_guard<std::mutex> lock(s.mu);
+  // ProduceBatch moves rows out, and what goes in is a prefix: copy first,
+  // keep the copies of what went in.
+  std::vector<Tuple> copy(part->begin(), part->end());
+  QueueOp op = r.producers[k]->ProduceBatch(part);
+  size_t pushed = copy.size() - part->size();
+  for (size_t i = 0; i < pushed; ++i) s.rows.push_back(std::move(copy[i]));
+  shadow_rows_->Add(static_cast<int64_t>(pushed));
+  s.since_trim += pushed;
+  if (s.since_trim >= kShadowTrimEvery) {
+    s.since_trim = 0;
+    TrimShadow(r, k, &s);
+  }
+  return op;
+}
+
+size_t ShardedClass::EvictedPrefix(const Route& r, size_t k,
+                                   const std::deque<Tuple>& rows,
+                                   size_t consumed) {
+  // At >= 2 shards a keyless stream is one no join keeps in a SteM.
+  if (r.key_attr.empty()) return consumed;
+  // The SteM's own rules, front first: FIFO count on build, then the
+  // window at the joint watermark the shard last applied.
+  const StemOptions& o = r.stem_opts;
+  size_t evicted = 0;
+  if (o.max_count > 0 && consumed > o.max_count) {
+    evicted = consumed - o.max_count;
+  }
+  if (o.window > 0) {
+    Timestamp wm;
+    {
+      std::lock_guard<std::mutex> lock(punct_mu_);
+      wm = merged_wm_.ShardGlobalWatermark(k);
+    }
+    if (wm != kMinTimestamp) {
+      Timestamp cutoff = wm - o.window;
+      while (evicted < consumed && rows[evicted].timestamp() <= cutoff) {
+        ++evicted;
+      }
+    }
+  }
+  return evicted;
+}
+
+void ShardedClass::TrimShadow(const Route& r, size_t k, Shadow* s) {
+  // The fjord also counts queued lane entries, so `consumed` can only come
+  // out low: a trim never drops a row the shard has not consumed.
+  size_t queued = r.fjords[k]->size();
+  size_t consumed = s->rows.size() > queued ? s->rows.size() - queued : 0;
+  size_t evicted = EvictedPrefix(r, k, s->rows, consumed);
+  s->rows.erase(s->rows.begin(),
+                s->rows.begin() + static_cast<ptrdiff_t>(evicted));
+  shadow_rows_->Add(-static_cast<int64_t>(evicted));
+}
+
+void ShardedClass::SeedShadow(const Route& r, size_t k, const Tuple& t) {
+  if (r.shadows.empty()) return;
+  r.shadows[k]->rows.push_back(t);
+  shadow_rows_->Add(1);
 }
 
 void ShardedClass::OnShardPunctuation(size_t shard, const Punctuation& p) {
@@ -776,11 +935,9 @@ bool ShardedClass::ReplayStemEntry(SourceId source, const Tuple& tuple,
   auto rit = routes_.find(source);
   if (rit == routes_.end()) return false;
   const Route& r = rit->second;
-  size_t k = 0;
-  if (!r.key_attr.empty() && shards_.size() > 1) {
-    k = parts_.OwnerOf(parts_.BucketOf(KeyOf(tuple, r.key_field)));
-  }
+  size_t k = ShardOf(r, tuple);
   shards_[k].du->eddy()->BuildHistorical(source, tuple, seq);
+  SeedShadow(r, k, tuple);
   return true;
 }
 

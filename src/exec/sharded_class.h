@@ -24,10 +24,21 @@
 // entries by the new bucket map PRESERVING original seqs, and jump every
 // replica's seq horizon past all exporters' — the same argument that makes
 // ImportState exactly-once makes replayed entries probe-correct.
+//
+// Replicated failover (Flux's fault tolerance, Options::replication) is the
+// same protocol with one shard crashed: FailShard discards the shard's
+// eddy, SteMs and queue, moves its buckets to their standby, and rebuilds
+// its state from the shard's shadows (see Shadow). Its consumed rows come
+// back as SteM entries below the new horizon, which probe nothing; its
+// unconsumed rows re-inject with the carryover and probe once. A join
+// result is emitted by the later of its two rows, so each result is emitted
+// exactly once: before the crash, or by the re-injected row after it.
 
 #pragma once
 
 #include <atomic>
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -39,8 +50,8 @@
 
 #include "exec/dispatch_unit.h"
 #include "exec/execution_object.h"
+#include "exec/partitioner.h"
 #include "fjords/fjord.h"
-#include "flux/partitioner.h"
 #include "storage/checkpoint.h"
 
 namespace tcq {
@@ -64,6 +75,9 @@ class ShardedClass {
     uint64_t min_skew_volume = 256;
     /// Routing-policy seed (shard k uses seed + k).
     uint64_t seed = 42;
+    /// Keep a shadow of every shard (at >= 2 shards) so FailShard loses
+    /// nothing; costs a copy of each routed row and of SteM-held rows.
+    bool replication = false;
   };
 
   /// RouteBatch outcome. kRetired means this class was merged away — the
@@ -126,6 +140,16 @@ class ShardedClass {
   /// and re-resolve to this class. Returns src's lineage remap.
   RemapMap AbsorbSingleShard(ShardedClass* src);
 
+  /// Fault injection (Flux failover): crashes shard `shard` at a quantum
+  /// boundary — its eddy, SteMs and queued input are discarded — and
+  /// re-partitions to N-1 shards with its buckets on their standby
+  /// (shard + 1 mod N). With replication its state is rebuilt from its
+  /// shadows, exactly once; without, its buckets restart empty and the lost
+  /// SteM entries and queued rows are counted in
+  /// tcq_shard_failover_lost_total{class}. kInvalidArgument for an unknown
+  /// shard, kFailedPrecondition for the last live one.
+  Status FailShard(size_t shard, const RemapFn& remap);
+
   /// GC: detaches every shard from its EO, closes all stream producers
   /// (concurrent ingesters see kClosed), and drops the replicas.
   void Shutdown();
@@ -136,10 +160,11 @@ class ShardedClass {
   /// (gid + spec, admission order), the Flux bucket->shard map, every
   /// shard's SteM entries with original seqs, and the max seq horizon.
   /// Rides the quiesce protocol: the caller must have blocked ingest and
-  /// drained the shard fjords (Executor::WaitQuiescent); this detaches +
-  /// quiesces each shard DU, serializes, and re-attaches. Event-time merge state is NOT exported: like a
-  /// re-partition, a restored class re-earns watermarks from the next
-  /// punctuation broadcast (conservative, can only delay firing).
+  /// drained the shard fjords (Executor::WaitQuiescent); this detaches and
+  /// quiesces each shard DU, serializes, and re-attaches. Event-time merge
+  /// state is NOT exported: like a re-partition, a restored class re-earns
+  /// watermarks from the next punctuation broadcast (conservative, can only
+  /// delay firing).
   Status CheckpointTo(CheckpointWriter* w);
 
   /// Restore path, on a FRESH class (queries re-admitted, no data ingested
@@ -149,7 +174,8 @@ class ShardedClass {
   void ApplyBucketOwners(const std::vector<uint32_t>& owner);
 
   /// Replays one checkpointed SteM entry, routed by the current partition
-  /// map exactly like Repartition's redistribution step. Returns false
+  /// map exactly like Repartition's redistribution step (and seeded into
+  /// the owner's shadow under replication). Returns false
   /// (entry dropped) when the stream is not routed here — e.g. a stream
   /// whose last interested query was removed before the checkpoint.
   bool ReplayStemEntry(SourceId source, const Tuple& tuple, Timestamp seq);
@@ -191,6 +217,17 @@ class ShardedClass {
     Gauge* occupancy = nullptr;  ///< tcq_shard_occupancy{shard=...}
   };
 
+  /// Replication state for one (stream, shard): the rows routed to the
+  /// shard, in routing order, minus consumed rows its SteM no longer holds
+  /// (same StemOptions eviction). The last rows, as many as the shard's fjord
+  /// still queues, are the unconsumed suffix; the rest mirrors the SteM.
+  /// `mu` is held across append + enqueue so both orders agree.
+  struct Shadow {
+    std::mutex mu;
+    std::deque<Tuple> rows;
+    size_t since_trim = 0;  ///< rows appended since the last trim
+  };
+
   struct Route {
     SchemaRef schema;
     StemOptions stem_opts;
@@ -202,6 +239,8 @@ class ShardedClass {
     /// One producing endpoint + fjord per shard (index = shard).
     std::vector<std::shared_ptr<FjordProducer>> producers;
     std::vector<std::shared_ptr<Fjord>> fjords;
+    /// One shadow per shard with replication at >= 2 shards, else empty.
+    std::vector<std::unique_ptr<Shadow>> shadows;
   };
 
   Shard MakeShard(size_t k, size_t eo);
@@ -213,12 +252,27 @@ class ShardedClass {
   /// The full pause/drain/move/resume protocol; see the header comment.
   /// `owner` is the bucket->shard map (empty = round-robin buckets). When
   /// `attach_after` is false the rebuilt shard DUs are left detached for the
-  /// caller to queue admission tasks ahead of re-attachment.
+  /// caller to queue admission tasks ahead of re-attachment. `failed` names
+  /// a crashed shard (kNoShard: none) whose state is not exported but
+  /// rebuilt from its shadows, or counted lost.
+  static constexpr size_t kNoShard = SIZE_MAX;
   void Repartition(size_t new_count, std::map<SourceId, std::string> new_keys,
                    std::vector<size_t> owner, const RemapFn& remap,
-                   bool attach_after);
+                   bool attach_after, size_t failed = kNoShard);
   void AttachShards();
   RouteResult RouteBatchLocked(Route* r, TupleBatch* batch);
+  /// Shard a row of route `r` belongs to under the current bucket map.
+  size_t ShardOf(const Route& r, const Tuple& t) const;
+  /// ProduceBatch into shard k's fjord, appending what went in to k's shadow.
+  QueueOp ProduceShadowed(const Route& r, size_t k, TupleBatch* part);
+  /// How many of the first `consumed` shadow rows shard k's SteM has
+  /// evicted (all of them for a stream no join keeps).
+  size_t EvictedPrefix(const Route& r, size_t k, const std::deque<Tuple>& rows,
+                       size_t consumed);
+  /// Drops shadow rows the shard has consumed and its SteM evicted.
+  void TrimShadow(const Route& r, size_t k, Shadow* s);
+  /// Appends a row shard k holds in a SteM to its shadow (re-seeding).
+  void SeedShadow(const Route& r, size_t k, const Tuple& t);
   void UpdateOccupancy();
   /// Shard `shard`'s eddy applied punctuation `p` (EO thread). Min-combines
   /// across replicas; when the MERGED watermark advances, a fresh
@@ -261,6 +315,8 @@ class ShardedClass {
   Counter* repartitions_;
   Histogram* pause_us_;
   Gauge* shard_count_gauge_;
+  Counter* failover_lost_;  ///< tcq_shard_failover_lost_total{class}
+  Gauge* shadow_rows_;      ///< tcq_shard_shadow_rows{class}
 };
 
 }  // namespace tcq

@@ -22,21 +22,16 @@ Wrapper::Wrapper(Options opts, MetricsRegistryRef metrics,
       MetricName("tcq_wrapper_batch_flush_total", "reason", "delay"));
   flush_close_ = metrics_->GetCounter(
       MetricName("tcq_wrapper_batch_flush_total", "reason", "close"));
-  punctuations_ = metrics_->GetCounter("tcq_wrapper_punctuations_total");
 }
 
 Wrapper::~Wrapper() { Stop(); }
 
 FjordConsumer Wrapper::HostPullSource(
     std::unique_ptr<StreamSource> source,
-    std::unique_ptr<ArrivalProcess> arrivals,
-    std::optional<PunctuationPolicy> punctuation) {
+    std::unique_ptr<ArrivalProcess> arrivals) {
   auto endpoints = Fjord::Make(FjordMode::kPush, opts_.queue_capacity,
                                "streamer:" + source->name(), metrics_.get());
   auto task = std::make_unique<PullTask>();
-  task->punct = punctuation.value_or(opts_.punctuation);
-  task->late = metrics_->GetCounter(
-      MetricName("tcq_wrapper_late_tuples_total", "stream", source->name()));
   task->source = std::move(source);
   task->arrivals = std::move(arrivals);
   task->producer = std::make_unique<FjordProducer>(endpoints.producer);
@@ -62,24 +57,11 @@ void Wrapper::Start() {
 void Wrapper::RunPullTask(PullTask* task) {
   TupleBatch batch;
   int64_t oldest_us = 0;  // arrival of the oldest accumulated tuple
-  const SourceId source_id = task->source->source_id();
-  Timestamp max_ts = kMinTimestamp;   // newest event time forwarded
-  Timestamp last_wm = kMinTimestamp;  // last punctuation emitted
 
   // Pushes the whole accumulated batch downstream (one queue lock per
   // attempt), honoring drop_on_full. Returns false when the streamer was
   // closed under us (the task is over).
   auto flush = [&](Counter* reason) -> bool {
-    if (task->punct.enabled && max_ts != kMinTimestamp) {
-      // Heartbeat rides the batch's control lane: promise that nothing will
-      // arrive more than disorder_bound behind the newest timestamp seen.
-      Timestamp wm = max_ts - task->punct.disorder_bound;
-      if (wm > last_wm) {
-        batch.AddPunctuation(Punctuation{source_id, wm});
-        last_wm = wm;
-        punctuations_->Inc();
-      }
-    }
     if (batch.empty() && batch.punctuations().empty()) return true;
     reason->Inc();
     batch_size_->Observe(batch.size());
@@ -130,12 +112,6 @@ void Wrapper::RunPullTask(PullTask* task) {
       }
     }
     if (batch.empty()) oldest_us = NowMicros();
-    if (task->punct.enabled && tuple.IsData()) {
-      // Behind the promised watermark: still forwarded (the window operator
-      // owns the drop decision) but accounted per stream.
-      if (tuple.timestamp() < last_wm) task->late->Inc();
-      max_ts = std::max(max_ts, tuple.timestamp());
-    }
     batch.push_back(std::move(tuple));
     bool size_trip = batch.size() >= opts_.batch_max_size;
     bool delay_trip =

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -23,25 +22,6 @@
 #include "obs/trace.h"
 
 namespace tcq {
-
-/// Source-issued event-time heartbeats (DESIGN.md §12): with `enabled`, the
-/// wrapper task tracks the max event timestamp it has forwarded and appends
-/// `Punctuation{source, max_ts - disorder_bound}` to each flushed batch's
-/// control lane — the promise that no later tuple will be more than
-/// `disorder_bound` behind the newest seen. Tuples that arrive already
-/// behind the last emitted watermark are counted (per-stream
-/// tcq_wrapper_late_tuples_total) but still forwarded: the window operator
-/// owns the drop decision.
-///
-/// NOTE: wrapper heartbeats describe ONE feed. When several feeds merge
-/// into the same logical stream, use the server's per-stream disorder bound
-/// (StreamOptions::punctuate), which min-combines across feeds after the
-/// merge.
-struct PunctuationPolicy {
-  bool enabled = false;
-  /// Max distance a tuple may lag the newest timestamp seen on the feed.
-  Timestamp disorder_bound = 0;
-};
 
 class Wrapper {
  public:
@@ -60,9 +40,6 @@ class Wrapper {
     /// end-of-stream only). Checked between source pulls, so a source that
     /// stalls inside Next() can exceed this bound until it yields.
     uint64_t batch_max_delay_us = 1000;
-    /// Default punctuation policy for hosted pull sources (overridable per
-    /// source in HostPullSource).
-    PunctuationPolicy punctuation;
   };
 
   /// When `metrics` is null the wrapper observes itself (and its streamer
@@ -75,12 +52,10 @@ class Wrapper {
 
   /// Hosts a pull source: a wrapper thread drives `source->Next()` paced by
   /// `arrivals` (nullptr = as fast as possible) and pushes into the
-  /// returned consumer endpoint. `punctuation` overrides the wrapper-wide
-  /// policy for this source (nullopt = inherit Options::punctuation).
-  FjordConsumer HostPullSource(
-      std::unique_ptr<StreamSource> source,
-      std::unique_ptr<ArrivalProcess> arrivals,
-      std::optional<PunctuationPolicy> punctuation = std::nullopt);
+  /// returned consumer endpoint. Watermarks are not the wrapper's job: the
+  /// server derives them per stream (StreamOptions::punctuate).
+  FjordConsumer HostPullSource(std::unique_ptr<StreamSource> source,
+                               std::unique_ptr<ArrivalProcess> arrivals);
 
   /// A push source: the caller (playing the remote data source that
   /// "connects to a well-known port served by the Wrapper") pushes tuples
@@ -100,8 +75,6 @@ class Wrapper {
   /// Tuples a source produced after its streamer was closed downstream
   /// (e.g. Stop() raced an in-flight Produce). Lost, but accounted for.
   uint64_t tuples_lost_on_close() const { return lost_on_close_->Value(); }
-  /// Punctuations appended to flushed batches across all hosted sources.
-  uint64_t punctuations_emitted() const { return punctuations_->Value(); }
   const MetricsRegistryRef& metrics() const { return metrics_; }
 
  private:
@@ -109,8 +82,6 @@ class Wrapper {
     std::unique_ptr<StreamSource> source;
     std::unique_ptr<ArrivalProcess> arrivals;
     std::unique_ptr<FjordProducer> producer;
-    PunctuationPolicy punct;
-    Counter* late = nullptr;  ///< tcq_wrapper_late_tuples_total{stream}
   };
 
   void RunPullTask(PullTask* task);
@@ -131,8 +102,6 @@ class Wrapper {
   Counter* flush_size_;
   Counter* flush_delay_;
   Counter* flush_close_;
-  /// Punctuations emitted: tcq_wrapper_punctuations_total.
-  Counter* punctuations_;
 };
 
 }  // namespace tcq

@@ -110,6 +110,13 @@ class ShardMergedWatermark {
   /// shard has reported it).
   Timestamp MergedOf(SourceId source) const { return merged_.WatermarkOf(source); }
 
+  /// Joint watermark one shard has applied: its eddy's GlobalWatermark,
+  /// which drives its SteMs' window eviction.
+  Timestamp ShardGlobalWatermark(size_t shard) const {
+    return shard < per_shard_.size() ? per_shard_[shard].GlobalWatermark()
+                                     : kMinTimestamp;
+  }
+
   size_t shard_count() const { return per_shard_.size(); }
 
  private:

@@ -3,17 +3,25 @@
 // (pinned against the naive reference evaluator), including across an
 // online skew re-partition; keyless classes round-robin across shards;
 // conflicting partition-key requirements collapse the class to one shard;
-// and bridging merges still work when both classes are sharded.
+// and bridging merges still work when both classes are sharded. The Flux
+// suite pins the bucket map, exact per-key counts (also across mid-stream
+// skew re-partitions), skew rebalancing, the replication knob's shadow
+// copies, and failover: exact with shard replication (also after a skew
+// re-partition, after a restore, and under concurrent ingest), lossy and
+// counted without it.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "exec/executor.h"
+#include "exec/partitioner.h"
 #include "operators/predicate.h"
 #include "reference/drain.h"
 #include "reference/reference.h"
@@ -461,6 +469,552 @@ TEST(ShardingTest, DuplicateAndRegressedPunctuationsAreIdempotent) {
   }
   EXPECT_EQ(wms, (std::vector<Timestamp>{10, 20}));
   exec.Stop();
+}
+
+// --- Flux: the bucket map, skew rebalancing, failover ----------------------
+
+TEST(PartitionerTest, StableAndComplete) {
+  Partitioner p(64, 4);
+  for (int64_t k = 0; k < 1000; ++k) {
+    size_t b = p.BucketOf(k);
+    EXPECT_LT(b, 64u);
+    EXPECT_EQ(b, p.BucketOf(k));  // stable
+    EXPECT_LT(p.OwnerOf(b), 4u);
+  }
+  std::vector<size_t> owned(4, 0);
+  for (size_t b = 0; b < p.num_buckets(); ++b) ++owned[p.OwnerOf(b)];
+  EXPECT_EQ(owned, (std::vector<size_t>{16, 16, 16, 16}));
+}
+
+// The bucket hash must spread realistic key populations — not just random
+// ones — evenly across buckets. Sequential ids, strided ids (pointers,
+// aligned offsets), and keys that vary only in their high bits are exactly
+// the populations a truncated mixer fails on. Chi-square against the
+// uniform expectation with 63 degrees of freedom: the p=0.001 critical
+// value is ~103.4, so 100 gives a deterministic-but-meaningful bound.
+TEST(PartitionerTest, BucketOfIsUniformOnStructuredKeys) {
+  constexpr size_t kBuckets = 64;
+  constexpr size_t kKeys = 16384;
+  struct KeySet {
+    const char* name;
+    int64_t (*key)(size_t);
+  };
+  const KeySet kSets[] = {
+      {"sequential", [](size_t i) { return static_cast<int64_t>(i); }},
+      {"strided", [](size_t i) { return static_cast<int64_t>(i) * 8; }},
+      {"high-bits-only",
+       [](size_t i) { return static_cast<int64_t>(i) << 40; }},
+      {"bit-sparse",
+       [](size_t i) {
+         // 7 bits near the bottom, 7 bits near the top, nothing between.
+         return static_cast<int64_t>((i & 0x7F) | ((i >> 7) << 48));
+       }},
+  };
+  for (const KeySet& set : kSets) {
+    Partitioner p(kBuckets, 4);
+    size_t counts[kBuckets] = {};
+    for (size_t i = 0; i < kKeys; ++i) ++counts[p.BucketOf(set.key(i))];
+    const double expected = static_cast<double>(kKeys) / kBuckets;
+    double chi2 = 0.0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const double d = static_cast<double>(counts[b]) - expected;
+      chi2 += d * d / expected;
+    }
+    EXPECT_LT(chi2, 100.0) << set.name << " keys skew the bucket hash";
+  }
+}
+
+TEST(PartitionerTest, ReassignMovesOwnership) {
+  Partitioner p(8, 2);
+  p.Reassign(3, 1);
+  EXPECT_EQ(p.OwnerOf(3), 1u);
+}
+
+uint64_t ShardIngest(Executor* exec, size_t shard) {
+  std::string name = shard == 0 ? "class0" : "class0/s" + std::to_string(shard);
+  return exec->metrics()->Snapshot().CounterValue(
+      "tcq_shard_ingest_total{shard=\"" + name + "\"}");
+}
+
+// Max/min ratio of per-shard ingest over one window of zipf-keyed rows on
+// the join's left stream (the right one stays empty: no results to wait on).
+double IngestSkew(Executor* exec, Rng* rng, int batches) {
+  std::vector<uint64_t> before(4);
+  for (size_t k = 0; k < 4; ++k) before[k] = ShardIngest(exec, k);
+  for (int b = 0; b < batches; ++b) {
+    TupleBatch batch(0);
+    for (int i = 0; i < 64; ++i) {
+      int64_t key = static_cast<int64_t>(rng->Zipf(2000, 1.1));
+      batch.push_back(Row(0, key, i, b * 64 + i + 1));
+    }
+    EXPECT_TRUE(exec->IngestBatch(std::move(batch)).ok());
+  }
+  uint64_t mx = 0;
+  uint64_t mn = UINT64_MAX;
+  for (size_t k = 0; k < 4; ++k) {
+    uint64_t d = ShardIngest(exec, k) - before[k];
+    mx = std::max(mx, d);
+    mn = std::min(mn, d);
+  }
+  return static_cast<double>(mx) / static_cast<double>(std::max<uint64_t>(mn, 1));
+}
+
+/// Per-key counting on the executor: stream 1 holds one row per key in
+/// [0, keys], so every stream-0 row yields exactly one join result, and the
+/// results per key count the stream-0 rows of that key.
+constexpr int64_t kCountKeys = 500;
+
+void SubmitKeyCounter(Executor* exec, Collector* got) {
+  ASSERT_TRUE(exec->RegisterStream(0, Sch(0)).ok());
+  ASSERT_TRUE(exec->RegisterStream(1, Sch(1)).ok());
+  ASSERT_TRUE(
+      exec->SubmitQuery(JoinSpec(0, "k", 1, "k"), got->SinkFor("join")).ok());
+  TupleBatch dim(1);
+  for (int64_t k = 0; k <= kCountKeys; ++k) dim.push_back(Row(1, k, 0, k + 1));
+  ASSERT_TRUE(exec->IngestBatch(std::move(dim)).ok());
+}
+
+/// Ingests `rows` zipf-keyed rows on stream 0 in batches of 100, adding
+/// each row's key to `truth`.
+void IngestCounted(Executor* exec, Rng* rng, int rows, double skew,
+                   Timestamp* ts, std::map<int64_t, uint64_t>* truth) {
+  for (int i = 0; i < rows; i += 100) {
+    TupleBatch batch(0);
+    for (int j = i; j < std::min(rows, i + 100); ++j) {
+      int64_t key = static_cast<int64_t>(rng->Zipf(kCountKeys, skew));
+      batch.push_back(Row(0, key, j, (*ts)++));
+      ++(*truth)[key];
+    }
+    ASSERT_TRUE(exec->IngestBatch(std::move(batch)).ok());
+  }
+}
+
+std::map<int64_t, uint64_t> CountsByKey(const std::vector<Tuple>& results) {
+  std::map<int64_t, uint64_t> counts;
+  // Both sides carry the same k, so either side's k field is the key.
+  for (const Tuple& t : results) ++counts[t.at(0).AsInt64()];
+  return counts;
+}
+
+TEST(FluxTest, CountsAreExactWithoutFailures) {
+  constexpr int kRows = 20000;
+  Collector got;
+  Executor exec({.num_eos = 2, .quantum = 16, .shards = 4});
+  SubmitKeyCounter(&exec, &got);
+  exec.Start();
+  Rng rng(1);
+  Timestamp ts = kCountKeys + 2;
+  std::map<int64_t, uint64_t> truth;
+  IngestCounted(&exec, &rng, kRows, 0.0, &ts, &truth);
+  ASSERT_TRUE(exec.CloseStream(0).ok());
+  ASSERT_TRUE(exec.CloseStream(1).ok());
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+  EXPECT_EQ(CountsByKey(got.Take("join")), truth);
+  // Every ingested row was processed by exactly one shard.
+  uint64_t processed = 0;
+  for (size_t k = 0; k < 4; ++k) processed += ShardIngest(&exec, k);
+  EXPECT_EQ(processed, static_cast<uint64_t>(kRows + kCountKeys + 1));
+}
+
+TEST(FluxTest, RebalancePreservesExactCounts) {
+  Collector got;
+  Executor exec({.num_eos = 2,
+                 .quantum = 16,
+                 .shards = 4,
+                 .shard_skew_threshold = 1.2,
+                 .shard_min_skew_volume = 64});
+  SubmitKeyCounter(&exec, &got);
+  exec.Start();
+  Rng rng(2);
+  Timestamp ts = kCountKeys + 2;
+  std::map<int64_t, uint64_t> truth;
+  // Interleave ingestion and skew passes so re-partitions happen mid-stream,
+  // with rows still queued on the EOs.
+  for (int round = 0; round < 40; ++round) {
+    IngestCounted(&exec, &rng, 100, 0.9, &ts, &truth);
+    if (round % 5 == 4) exec.RepartitionSkewedOnce();
+  }
+  ASSERT_TRUE(exec.CloseStream(0).ok());
+  ASSERT_TRUE(exec.CloseStream(1).ok());
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+  EXPECT_GT(exec.class_repartitions(), 0u) << "skew should trigger movement";
+  EXPECT_EQ(CountsByKey(got.Take("join")), truth);
+}
+
+TEST(FluxTest, RebalanceReducesImbalanceUnderSkew) {
+  // Zipf keys pile onto whichever shards own the hot buckets; one skew pass
+  // re-maps buckets by observed load (LPT), and the next window of the same
+  // distribution spreads more evenly.
+  Collector got;
+  Executor exec({.num_eos = 2,
+                 .quantum = 16,
+                 .shards = 4,
+                 .shard_skew_threshold = 1.2,
+                 .shard_min_skew_volume = 64});
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+  exec.Start();
+  Rng rng(3);
+  double skew_before = IngestSkew(&exec, &rng, 64);
+  ASSERT_TRUE(exec.RepartitionSkewedOnce());
+  double skew_after = IngestSkew(&exec, &rng, 64);
+  EXPECT_LT(skew_after, skew_before)
+      << "rebalancing should spread the hot buckets";
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+}
+
+/// L join R on k plus a filter on each side, in one class. Rows arrive in
+/// three phases: consumed before the crash (drained inline, pre-start),
+/// still queued when FailShard runs, and pushed after it on running EOs.
+struct FailoverRun {
+  Collector got;
+  std::vector<Tuple> s0, s1;
+  int64_t occupancy_at_crash = 0;
+  uint64_t lost = 0;
+  size_t shards_after = 0;
+};
+
+constexpr size_t kFailed = 1;
+
+void SubmitFailoverQueries(Executor* exec, Collector* got) {
+  ASSERT_TRUE(exec->RegisterStream(0, Sch(0)).ok());
+  ASSERT_TRUE(exec->RegisterStream(1, Sch(1)).ok());
+  ASSERT_TRUE(
+      exec->SubmitQuery(JoinSpec(0, "k", 1, "k"), got->SinkFor("join")).ok());
+  ASSERT_TRUE(exec->SubmitQuery(FilterSpec(0, 50), got->SinkFor("f0")).ok());
+  ASSERT_TRUE(exec->SubmitQuery(FilterSpec(1, 50), got->SinkFor("f1")).ok());
+}
+
+void IngestPhase(Executor* exec, Rng* rng, int rows, Timestamp* ts,
+                 FailoverRun* run) {
+  for (int i = 0; i < rows; ++i) {
+    Tuple a = Row(0, rng->UniformInt(0, 22), rng->UniformInt(0, 99), (*ts)++);
+    Tuple b = Row(1, rng->UniformInt(0, 22), rng->UniformInt(0, 99), (*ts)++);
+    run->s0.push_back(a);
+    run->s1.push_back(b);
+    ASSERT_TRUE(exec->IngestTuple(0, a).ok());
+    ASSERT_TRUE(exec->IngestTuple(1, b).ok());
+  }
+}
+
+void RunFailover(size_t shards, bool replication, bool fail,
+                 FailoverRun* run) {
+  Executor exec({.num_eos = 2,
+                 .quantum = 16,
+                 .shards = shards,
+                 .shard_replication = replication});
+  SubmitFailoverQueries(&exec, &run->got);
+  Rng rng(23);
+  Timestamp ts = 1;
+  IngestPhase(&exec, &rng, 150, &ts, run);
+  ASSERT_TRUE(Drain(&exec).ok());  // no EO runs: drains inline
+  IngestPhase(&exec, &rng, 150, &ts, run);
+  if (fail) {
+    run->occupancy_at_crash = exec.metrics()->Snapshot().GaugeValue(
+        "tcq_shard_occupancy{shard=\"class0/s" + std::to_string(kFailed) +
+        "\"}");
+    ASSERT_TRUE(exec.FailShard(0, kFailed).ok());
+  }
+  run->shards_after = exec.Topology()[0].shards;
+  exec.Start();
+  IngestPhase(&exec, &rng, 150, &ts, run);
+  ASSERT_TRUE(exec.CloseStream(0).ok());
+  ASSERT_TRUE(exec.CloseStream(1).ok());
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+  run->lost = exec.metrics()->Snapshot().CounterValue(
+      "tcq_shard_failover_lost_total{class=\"class0\"}");
+}
+
+std::map<std::string, int> ExpectedFailoverResults(const FailoverRun& run,
+                                                   const std::string& key) {
+  if (key == "join") {
+    return CanonicalMultiset(NaiveJoin(
+        {run.s0, run.s1}, {MakeCompareAttrs({0, "k"}, CmpOp::kEq, {1, "k"})}));
+  }
+  SourceId s = key == "f0" ? 0 : 1;
+  return CanonicalMultiset(
+      NaiveFilter(s == 0 ? run.s0 : run.s1,
+                  {MakeCompareConst({s, "v"}, CmpOp::kLt, Value::Int64(50))}));
+}
+
+TEST(FluxTest, ReplicatedFailoverLosesNothing) {
+  FailoverRun failed, single;
+  RunFailover(4, /*replication=*/true, /*fail=*/true, &failed);
+  if (HasFatalFailure()) return;
+  RunFailover(1, /*replication=*/false, /*fail=*/false, &single);
+  if (HasFatalFailure()) return;
+  ASSERT_GT(failed.occupancy_at_crash, 0) << "the crash must catch rows queued";
+  EXPECT_EQ(failed.shards_after, 3u);
+  EXPECT_EQ(failed.lost, 0u);
+  for (const char* key : {"join", "f0", "f1"}) {
+    auto expected = ExpectedFailoverResults(failed, key);
+    EXPECT_EQ(CanonicalMultiset(failed.got.Take(key)), expected) << key;
+    EXPECT_EQ(CanonicalMultiset(single.got.Take(key)), expected) << key;
+  }
+}
+
+TEST(FluxTest, UnreplicatedFailureLosesState) {
+  FailoverRun run;
+  RunFailover(4, /*replication=*/false, /*fail=*/true, &run);
+  if (HasFatalFailure()) return;
+  ASSERT_GT(run.occupancy_at_crash, 0);
+  EXPECT_GT(run.lost, 0u) << "the crash's losses must be counted";
+  size_t missing = 0;
+  for (const char* key : {"join", "f0", "f1"}) {
+    auto expected = ExpectedFailoverResults(run, key);
+    // Lossy, never wrong: every delivered result is a real one.
+    for (const auto& [tuple, count] : CanonicalMultiset(run.got.Take(key))) {
+      ASSERT_LE(count, expected[tuple]) << key << " " << tuple;
+      expected[tuple] -= count;
+    }
+    for (const auto& [tuple, count] : expected) missing += count;
+  }
+  EXPECT_GT(missing, 0u) << "without replication a crash must lose results";
+}
+
+TEST(FluxTest, ReplicationCostsThroughput) {
+  // The QoS knob: replication copies every consumed row a SteM keeps into a
+  // shadow, work a fault-free run pays for and gets no extra results from.
+  // (E8 in bench_flux measures what the copies cost in rows per second.)
+  auto run = [](bool replication, FailoverRun* out, int64_t* shadow_rows) {
+    Executor exec({.num_eos = 2,
+                   .quantum = 16,
+                   .shards = 4,
+                   .shard_replication = replication});
+    SubmitFailoverQueries(&exec, &out->got);
+    exec.Start();
+    Rng rng(6);
+    Timestamp ts = 1;
+    IngestPhase(&exec, &rng, 300, &ts, out);
+    ASSERT_TRUE(Drain(&exec).ok());
+    exec.Stop();
+    *shadow_rows = exec.metrics()->Snapshot().GaugeValue(
+        "tcq_shard_shadow_rows{class=\"class0\"}");
+  };
+  FailoverRun plain, replicated;
+  int64_t plain_shadow = 0, replicated_shadow = 0;
+  run(false, &plain, &plain_shadow);
+  if (HasFatalFailure()) return;
+  run(true, &replicated, &replicated_shadow);
+  if (HasFatalFailure()) return;
+  EXPECT_EQ(plain_shadow, 0);
+  EXPECT_GT(replicated_shadow, 0)
+      << "replication must copy the rows the SteMs keep";
+  for (const char* key : {"join", "f0", "f1"}) {
+    EXPECT_EQ(CanonicalMultiset(replicated.got.Take(key)),
+              CanonicalMultiset(plain.got.Take(key)))
+        << key;
+  }
+}
+
+/// Ingests `rows` rows per stream, in batches of 10, with keys drawn from
+/// `rng`, logging them.
+void IngestLogged(Executor* exec, Rng* rng, int rows, int64_t keys,
+                  Timestamp* ts, std::vector<Tuple>* s0,
+                  std::vector<Tuple>* s1) {
+  for (int i = 0; i < rows; i += 10) {
+    for (SourceId s : {SourceId{0}, SourceId{1}}) {
+      TupleBatch batch(s);
+      for (int j = i; j < std::min(rows, i + 10); ++j) {
+        Tuple t = Row(s, rng->UniformInt(0, keys - 1), *ts, *ts);
+        ++*ts;
+        (s == 0 ? s0 : s1)->push_back(t);
+        batch.push_back(t);
+      }
+      ASSERT_TRUE(exec->IngestBatch(std::move(batch)).ok());
+    }
+  }
+}
+
+TEST(FluxTest, FailoverIsExactAfterSkewRepartitionAndRestore) {
+  auto join_pred = MakeCompareAttrs({0, "k"}, CmpOp::kEq, {1, "k"});
+  const Executor::Options opts{.num_eos = 2,
+                               .quantum = 16,
+                               .shards = 4,
+                               .shard_min_skew_volume = 64,
+                               .shard_replication = true};
+  const std::string path = testing::TempDir() + "/flux_failover_ckpt";
+  std::vector<Tuple> s0, s1;
+  Timestamp ts = 1;
+  {
+    // Skew re-partition, then a crash: the shadows were re-seeded by the
+    // re-partition, so the failover is still exact.
+    Collector got;
+    Executor exec(opts);
+    ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+    ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+    ASSERT_TRUE(
+        exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+    exec.Start();
+    Rng hot(7);
+    IngestLogged(&exec, &hot, 100, 1, &ts, &s0, &s1);  // one hot key
+    ASSERT_TRUE(Drain(&exec).ok());
+    ASSERT_TRUE(exec.RepartitionSkewedOnce());
+    Rng rng(29);
+    IngestLogged(&exec, &rng, 150, 31, &ts, &s0, &s1);
+    // LPT placed the heaviest bucket, the hot key's, on shard 0: crash the
+    // shard whose state the re-partition moved.
+    ASSERT_TRUE(exec.FailShard(0, 0).ok());
+    IngestLogged(&exec, &rng, 150, 31, &ts, &s0, &s1);
+    ASSERT_TRUE(Drain(&exec).ok());
+    EXPECT_EQ(CanonicalMultiset(got.Take("join")),
+              CanonicalMultiset(NaiveJoin({s0, s1}, {join_pred})));
+
+    CheckpointWriter w(1);
+    ASSERT_TRUE(exec.CheckpointTo(&w).ok());
+    ASSERT_TRUE(w.WriteTo(path).ok());
+    exec.Stop();
+  }
+  // Restore, then a crash: ReplayStemEntry seeded the shadows, so the
+  // restored entries survive the failover. The restored class delivers
+  // every pair whose later row arrives after the restore.
+  Collector got;
+  Executor exec(opts);
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+  auto reader = CheckpointReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto replayed = exec.RestoreFrom(
+      reader->get(), [&](GlobalQueryId) { return got.SinkFor("join"); });
+  ASSERT_TRUE(replayed.ok()) << replayed.status();
+  EXPECT_EQ(*replayed, s0.size() + s1.size());
+  ASSERT_EQ(exec.Topology()[0].shards, 4u);
+  auto before = CanonicalMultiset(NaiveJoin({s0, s1}, {join_pred}));
+  exec.Start();
+  Rng rng(31);
+  IngestLogged(&exec, &rng, 100, 31, &ts, &s0, &s1);
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_TRUE(exec.FailShard(0, 0).ok());
+  IngestLogged(&exec, &rng, 100, 31, &ts, &s0, &s1);
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+  auto expected = CanonicalMultiset(NaiveJoin({s0, s1}, {join_pred}));
+  for (const auto& [tuple, count] : before) {
+    expected[tuple] -= count;
+    if (expected[tuple] == 0) expected.erase(tuple);
+  }
+  EXPECT_EQ(CanonicalMultiset(got.Take("join")), expected);
+}
+
+TEST(FluxTest, FailureGuards) {
+  Collector got;
+  Executor exec({.num_eos = 2,
+                 .quantum = 16,
+                 .shards = 2,
+                 .shard_replication = true});
+  SubmitFailoverQueries(&exec, &got);
+  EXPECT_EQ(exec.FailShard(7, 0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(exec.FailShard(0, 2).code(), StatusCode::kInvalidArgument);
+  Rng rng(5);
+  Timestamp ts = 1;
+  FailoverRun run;
+  IngestPhase(&exec, &rng, 50, &ts, &run);
+  ASSERT_TRUE(Drain(&exec).ok());
+  // The capacity the knob costs: every SteM-held row has a shadow copy.
+  EXPECT_GT(exec.metrics()->Snapshot().GaugeValue(
+                "tcq_shard_shadow_rows{class=\"class0\"}"),
+            0);
+  ASSERT_TRUE(exec.FailShard(0, 0).ok());
+  EXPECT_EQ(exec.Topology()[0].shards, 1u);
+  EXPECT_EQ(exec.FailShard(0, 0).code(), StatusCode::kFailedPrecondition);
+  // Failing shards never loses the replicated results (one shard left: no
+  // shadow needed any more).
+  EXPECT_EQ(exec.metrics()->Snapshot().GaugeValue(
+                "tcq_shard_shadow_rows{class=\"class0\"}"),
+            0);
+  ASSERT_TRUE(Drain(&exec).ok());
+  EXPECT_EQ(CanonicalMultiset(got.Take("join")),
+            ExpectedFailoverResults(run, "join"));
+}
+
+TEST(FluxTest, ShadowsFollowStemEviction) {
+  // A shadow keeps only consumed rows its SteM still holds: the last
+  // max_count per shard for a joined stream, none for a stream no join
+  // keeps. Trims run every 1024 rows, so each (stream, shard) shadow stays
+  // below max_count + 1024 rows however much is ingested.
+  Collector got;
+  Executor exec({.num_eos = 2,
+                 .quantum = 16,
+                 .shards = 2,
+                 .shard_replication = true});
+  StemOptions capped;
+  capped.max_count = 16;
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0), capped).ok());
+  ASSERT_TRUE(exec.RegisterStream(1, Sch(1), capped).ok());
+  ASSERT_TRUE(exec.RegisterStream(2, Sch(2)).ok());
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+  ASSERT_TRUE(exec.SubmitQuery(FilterSpec(2, 50), got.SinkFor("f")).ok());
+  Rng rng(11);
+  Timestamp ts = 1;
+  for (int b = 0; b < 80; ++b) {
+    for (SourceId s : {SourceId{0}, SourceId{1}, SourceId{2}}) {
+      TupleBatch batch(s);
+      for (int i = 0; i < 64; ++i) {
+        batch.push_back(Row(s, rng.UniformInt(0, 999), 0, ts++));
+      }
+      ASSERT_TRUE(exec.IngestBatch(std::move(batch)).ok());
+    }
+    ASSERT_TRUE(Drain(&exec).ok());  // no EO runs: each batch is consumed
+  }
+  auto snap = exec.metrics()->Snapshot();
+  int64_t joined = snap.GaugeValue("tcq_shard_shadow_rows{class=\"class0\"}");
+  int64_t keyless = snap.GaugeValue("tcq_shard_shadow_rows{class=\"class1\"}");
+  EXPECT_GT(joined, 0);
+  EXPECT_LT(joined, 2 * 2 * (16 + 1024)) << "of " << 2 * 80 * 64 << " rows";
+  EXPECT_GT(keyless, 0);
+  EXPECT_LT(keyless, 2 * 1024) << "of " << 80 * 64 << " rows";
+}
+
+TEST(FluxTest, FailoverRacesConcurrentIngest) {
+  // One thread ingests while another fails shards: every failover quiesces
+  // the class under the route lock, and the result is still exact.
+  Collector got;
+  Executor exec({.num_eos = 2,
+                 .quantum = 16,
+                 .shards = 4,
+                 .shard_replication = true});
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+  exec.Start();
+  std::vector<Tuple> s0, s1;
+  std::atomic<int> batches{0};
+  std::thread pusher([&] {
+    Rng rng(41);
+    Timestamp ts = 1;
+    for (int b = 0; b < 40; ++b) {
+      for (SourceId s : {SourceId{0}, SourceId{1}}) {
+        TupleBatch batch(s);
+        for (int i = 0; i < 16; ++i) {
+          Tuple t = Row(s, rng.UniformInt(0, 40), ts, ts);
+          ++ts;
+          (s == 0 ? s0 : s1).push_back(t);
+          batch.push_back(t);
+        }
+        EXPECT_TRUE(exec.IngestBatch(std::move(batch)).ok());
+      }
+      batches.store(b + 1);
+    }
+  });
+  for (int target : {10, 20, 30}) {
+    while (batches.load() < target) std::this_thread::yield();
+    EXPECT_TRUE(exec.FailShard(0, 0).ok());
+  }
+  pusher.join();
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+  EXPECT_EQ(exec.Topology()[0].shards, 1u);
+  EXPECT_EQ(CanonicalMultiset(got.Take("join")),
+            CanonicalMultiset(NaiveJoin(
+                {s0, s1}, {MakeCompareAttrs({0, "k"}, CmpOp::kEq, {1, "k"})})));
 }
 
 }  // namespace
