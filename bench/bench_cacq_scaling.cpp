@@ -264,8 +264,9 @@ void BM_ShardedExecutor(benchmark::State& state) {
     (void)exec.RegisterStream(0, KVSchema(0));
     (void)exec.RegisterStream(1, KVSchema(1));
     std::atomic<uint64_t> delivered{0};
-    Executor::Sink sink = [&delivered](GlobalQueryId, const Tuple&) {
-      delivered.fetch_add(1, std::memory_order_relaxed);
+    Executor::Sink sink = [&delivered](GlobalQueryId,
+                                       const std::vector<Tuple>& run) {
+      delivered.fetch_add(run.size(), std::memory_order_relaxed);
     };
     CQSpec join;
     join.joins.push_back({{0, "k"}, {1, "k"}});

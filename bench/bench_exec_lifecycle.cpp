@@ -66,9 +66,13 @@ void BM_MergePause(benchmark::State& state) {
     }
     std::atomic<size_t> q01{0}, q23{0};
     (void)exec.SubmitQuery(JoinSpec(0, 1),
-                           [&](GlobalQueryId, const Tuple&) { ++q01; });
+                           [&](GlobalQueryId, const std::vector<Tuple>& run) {
+                             q01 += run.size();
+                           });
     (void)exec.SubmitQuery(JoinSpec(2, 3),
-                           [&](GlobalQueryId, const Tuple&) { ++q23; });
+                           [&](GlobalQueryId, const std::vector<Tuple>& run) {
+                             q23 += run.size();
+                           });
     exec.Start();
     Timestamp ts = 1;
     for (size_t i = 0; i < n; ++i) {
@@ -82,7 +86,8 @@ void BM_MergePause(benchmark::State& state) {
     Drain(&exec);
 
     auto t0 = std::chrono::steady_clock::now();
-    (void)exec.SubmitQuery(JoinSpec(1, 2), [](GlobalQueryId, const Tuple&) {});
+    (void)exec.SubmitQuery(JoinSpec(1, 2),
+                           [](GlobalQueryId, const std::vector<Tuple>&) {});
     auto t1 = std::chrono::steady_clock::now();
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     exec.Stop();
@@ -104,7 +109,8 @@ void BM_PostGcIngest(benchmark::State& state) {
   constexpr size_t kBatch = 64;
   Executor exec({.num_eos = 1, .queue_capacity = 1 << 16});
   (void)exec.RegisterStream(0, Sch(0));
-  auto id = exec.SubmitQuery(FilterSpec(0), [](GlobalQueryId, const Tuple&) {});
+  auto id = exec.SubmitQuery(FilterSpec(0),
+                             [](GlobalQueryId, const std::vector<Tuple>&) {});
   exec.Start();
   if (!routed) (void)exec.RemoveQuery(*id);  // GC: stream loses its consumer
   Timestamp ts = 1;
@@ -140,7 +146,10 @@ void BM_RebalanceGain(benchmark::State& state) {
     for (SourceId s = 0; s < 3; ++s) {
       (void)exec.RegisterStream(s, Sch(s));
       (void)exec.SubmitQuery(FilterSpec(s),
-                             [&](GlobalQueryId, const Tuple&) { ++delivered; });
+                             [&](GlobalQueryId,
+                                 const std::vector<Tuple>& run) {
+                               delivered += run.size();
+                             });
     }
     Timestamp ts = 1;
     for (size_t i = 0; i < kHot; ++i) {

@@ -96,8 +96,9 @@ void BM_SkewedJoinBacklog(benchmark::State& state) {
     std::atomic<uint64_t> delivered{0};
     CQSpec join;
     join.joins.push_back({{0, "k"}, {1, "k"}});
-    (void)exec.SubmitQuery(join, [&delivered](GlobalQueryId, const Tuple&) {
-      delivered.fetch_add(1, std::memory_order_relaxed);
+    (void)exec.SubmitQuery(join, [&delivered](GlobalQueryId,
+                                              const std::vector<Tuple>& run) {
+      delivered.fetch_add(run.size(), std::memory_order_relaxed);
     });
     exec.Start();
     Ingest(&exec, 1, dim, 0, dim.size());
@@ -182,8 +183,9 @@ void BM_Failover(benchmark::State& state) {
     (void)exec.RegisterStream(0, KVSchema(0));
     (void)exec.RegisterStream(1, KVSchema(1));
     std::atomic<uint64_t> delivered{0};
-    Executor::Sink sink = [&delivered](GlobalQueryId, const Tuple&) {
-      delivered.fetch_add(1, std::memory_order_relaxed);
+    Executor::Sink sink = [&delivered](GlobalQueryId,
+                                       const std::vector<Tuple>& run) {
+      delivered.fetch_add(run.size(), std::memory_order_relaxed);
     };
     CQSpec join;
     join.joins.push_back({{0, "k"}, {1, "k"}});
@@ -254,7 +256,8 @@ void BM_FailoverPause(benchmark::State& state) {
     (void)exec.RegisterStream(1, KVSchema(1));
     CQSpec join;
     join.joins.push_back({{0, "k"}, {1, "k"}});
-    (void)exec.SubmitQuery(join, [](GlobalQueryId, const Tuple&) {});
+    (void)exec.SubmitQuery(join,
+                           [](GlobalQueryId, const std::vector<Tuple>&) {});
     exec.Start();
     Ingest(&exec, 0, l, 0, rows);
     Ingest(&exec, 1, r, 0, rows);

@@ -17,7 +17,10 @@
 #      including shard failover racing a concurrent pusher — fjords, cacq,
 #      obs, window,
 #      recovery, batch — its MPMC queue and fjord segment tests — ingress —
-#      wrapper threads produce into fjords — plus the whole server suite:
+#      wrapper threads produce into fjords — egress — a shard's result run
+#      enters PushEgress::OfferBatch under the query's merge mutex, and a
+#      kBlock OfferBatch blocks there until a client makes room or Close()
+#      wakes it — plus the whole server suite:
 #      windowed DUs share the executor's EO threads with class DUs, and
 #      Checkpoint detaches them while those threads run) — must be
 #      TSan-clean
@@ -103,15 +106,19 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DTCQ_SANITIZE=thread
   cmake --build build-tsan -j --target \
     exec_test exec_lifecycle_test exec_sharding_test fjords_test cacq_test \
-    obs_test window_test server_test recovery_test batch_test ingress_test
+    obs_test window_test server_test recovery_test batch_test ingress_test \
+    egress_test
   # server_test: punctuations flow source -> fjord -> class -> window ->
   # egress across threads, and windowed DUs run beside class DUs on the
   # shared EOs; recovery_test detaches and re-attaches those DUs on every
   # checkpoint while the EO threads run; batch_test and ingress_test move
-  # whole batch segments between producer and consumer threads.
+  # whole batch segments between producer and consumer threads;
+  # egress_test: a shard's result run reaches PushEgress::OfferBatch under
+  # the query's merge mutex, and under kBlock OfferBatch blocks there until
+  # a client's Poll/Receive makes room or Close() wakes it.
   for t in exec_test exec_lifecycle_test exec_sharding_test fjords_test \
            cacq_test obs_test window_test server_test recovery_test \
-           batch_test ingress_test; do
+           batch_test ingress_test egress_test; do
     echo "-- tsan: $t"
     ./build-tsan/tests/"$t"
   done

@@ -360,13 +360,20 @@ void SharedEddy::IngestBatchRows(const TupleBatch& batch) {
   // Hoisted build loop: every tuple enters the SteM before any probing.
   // Safe ahead-of-probe because ProbeEq bounds matches by sequence number,
   // so an envelope never joins with same-batch successors. (SteM insert is
-  // one of the two row-materializing boundaries of DESIGN.md §11.)
+  // one of the two row-materializing boundaries of DESIGN.md §11; each row
+  // is materialized once and shared with its envelope below.)
   if (stem != nullptr) {
+    built_rows_.clear();
+    built_rows_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      stem->Build(batch.RowAt(i), seq0 + static_cast<Timestamp>(i));
+      built_rows_.push_back(batch.RowAt(i));
+      stem->Build(built_rows_.back(), seq0 + static_cast<Timestamp>(i));
     }
   }
-  if (live.Empty()) return;  // no active query cares about this stream
+  if (live.Empty()) {  // no active query cares about this stream
+    built_rows_.clear();
+    return;
+  }
 
   // Columnar prefilter (DESIGN.md §11): every grouped-filter module the
   // whole batch must visit is evaluated once per COLUMN with the compiled
@@ -434,7 +441,7 @@ void SharedEddy::IngestBatchRows(const TupleBatch& batch) {
   for (size_t i = 0; i < n; ++i) {
     if (prefiltered && prefilter_live_[i].Empty()) continue;
     SharedEnvelope env;
-    env.tuple = batch.RowAt(i);
+    env.tuple = stem != nullptr ? std::move(built_rows_[i]) : batch.RowAt(i);
     env.seq_max = seq0 + static_cast<Timestamp>(i);
     env.done = prefilter_done;
     if (prefiltered) {
@@ -445,6 +452,7 @@ void SharedEddy::IngestBatchRows(const TupleBatch& batch) {
     }
     queue_.push_back(std::move(env));
   }
+  built_rows_.clear();
   if (!draining_ && !queue_.empty()) Drain();
 }
 

@@ -332,6 +332,8 @@ class SharedEddy {
   std::vector<QuerySet> prefilter_live_;
   std::vector<QuerySet> prefilter_matched_;
   std::vector<uint32_t> prefilter_hops_;
+  // Rows materialized once for the SteM build and reused by the envelopes.
+  std::vector<Tuple> built_rows_;
 
   /// Drain-scoped routing-decision cache (see Drain()): direct-mapped by
   /// lineage key, so identical-lineage envelopes in one drain reuse the

@@ -1,6 +1,7 @@
 #include "egress/egress.h"
 
 #include <chrono>
+#include <vector>
 
 #include "obs/trace.h"
 
@@ -40,48 +41,76 @@ PushEgress::PushEgress(Options opts, MetricsRegistryRef metrics,
       MetricName("tcq_egress_retractions_total", "client", label));
 }
 
-bool PushEgress::Offer(const Delivery& delivery) {
+size_t PushEgress::OfferBatch(std::span<Delivery> run) {
   // Sampled-batch context: the shared eddy delivers to egress synchronously
   // on the ingesting thread, so the context armed at the batch boundary is
   // still live here; emit + end-to-end spans close the trace.
   obs::TraceContext& tc = obs::CurrentTrace();
-  int64_t t0 = tc.tracer != nullptr ? NowMicros() : 0;
+  const bool traced = tc.tracer != nullptr;
+  int64_t t0 = traced ? NowMicros() : 0;
+  std::vector<uint64_t> traced_ids;  // accepted deliveries' queries
+  size_t accepted = 0;
+  size_t unpublished = 0;  // accepted, not yet counted or signalled
+  uint64_t punctuations = 0;
+  uint64_t retractions = 0;
   std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return false;
-  if (queue_.size() >= opts_.capacity) {
-    switch (opts_.shed) {
-      case ShedPolicy::kDropNewest:
+  auto publish = [&] {
+    if (unpublished == 0) return;
+    delivered_->Inc(unpublished);
+    if (punctuations > 0) punctuations_->Inc(punctuations);
+    if (retractions > 0) retractions_->Inc(retractions);
+    unpublished = punctuations = retractions = 0;
+    buffered_gauge_->Set(static_cast<int64_t>(queue_.size()));
+    if (empty_waiters_ > 0) not_empty_.notify_all();
+  };
+  for (Delivery& delivery : run) {
+    if (closed_) break;
+    if (queue_.size() >= opts_.capacity) {
+      if (opts_.shed == ShedPolicy::kDropNewest) {
         shed_->Inc();
-        return false;
-      case ShedPolicy::kDropOldest:
+        continue;
+      }
+      if (opts_.shed == ShedPolicy::kDropOldest) {
         queue_.pop_front();
         shed_->Inc();
-        break;
-      case ShedPolicy::kBlock:
-        cv_.wait(lock,
-                 [&] { return closed_ || queue_.size() < opts_.capacity; });
-        if (closed_) return false;
-        break;
+      } else {  // kBlock
+        // What this run already queued must be visible (and countable) to
+        // the client whose polls will make room.
+        publish();
+        ++full_waiters_;
+        not_full_.wait(
+            lock, [&] { return closed_ || queue_.size() < opts_.capacity; });
+        --full_waiters_;
+        if (closed_) break;
+      }
     }
+    if (delivery.tuple.valid()) {
+      if (delivery.tuple.IsPunctuation()) ++punctuations;
+      if (delivery.tuple.IsRetraction()) ++retractions;
+    }
+    if (traced) traced_ids.push_back(delivery.query_id);
+    queue_.push_back(std::move(delivery));
+    ++accepted;
+    ++unpublished;
   }
-  if (delivery.tuple.valid()) {
-    if (delivery.tuple.IsPunctuation()) punctuations_->Inc();
-    if (delivery.tuple.IsRetraction()) retractions_->Inc();
-  }
-  queue_.push_back(delivery);
-  delivered_->Inc();
-  buffered_gauge_->Set(static_cast<int64_t>(queue_.size()));
-  cv_.notify_all();
-  if (tc.tracer != nullptr) {
+  publish();
+  lock.unlock();
+  if (traced && accepted > 0) {
     int64_t now = NowMicros();
-    tc.tracer->Record(obs::SpanKind::kEgressEmit, 0, delivery.query_id, t0,
+    tc.tracer->Record(obs::SpanKind::kEgressEmit, 0, traced_ids.front(), t0,
                       now - t0);
     if (tc.ingest_us > 0) {
-      tc.tracer->RecordEndToEnd(delivery.query_id, tc.ingest_us,
-                                now - tc.ingest_us);
+      for (uint64_t id : traced_ids) {
+        tc.tracer->RecordEndToEnd(id, tc.ingest_us, now - tc.ingest_us);
+      }
     }
   }
-  return true;
+  return accepted;
+}
+
+bool PushEgress::Offer(const Delivery& delivery) {
+  Delivery copy = delivery;
+  return OfferBatch(std::span<Delivery>(&copy, 1)) == 1;
 }
 
 bool PushEgress::Poll(Delivery* out) {
@@ -90,25 +119,30 @@ bool PushEgress::Poll(Delivery* out) {
   *out = std::move(queue_.front());
   queue_.pop_front();
   buffered_gauge_->Set(static_cast<int64_t>(queue_.size()));
-  cv_.notify_all();
+  if (full_waiters_ > 0) not_full_.notify_all();
   return true;
 }
 
 bool PushEgress::Receive(Delivery* out) {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
+  if (!closed_ && queue_.empty()) {
+    ++empty_waiters_;
+    not_empty_.wait(lock, [&] { return closed_ || !queue_.empty(); });
+    --empty_waiters_;
+  }
   if (queue_.empty()) return false;
   *out = std::move(queue_.front());
   queue_.pop_front();
   buffered_gauge_->Set(static_cast<int64_t>(queue_.size()));
-  cv_.notify_all();
+  if (full_waiters_ > 0) not_full_.notify_all();
   return true;
 }
 
 void PushEgress::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   closed_ = true;
-  cv_.notify_all();
+  not_full_.notify_all();
+  not_empty_.notify_all();
 }
 
 uint64_t PushEgress::delivered() const { return delivered_->Value(); }

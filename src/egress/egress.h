@@ -12,6 +12,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "common/clock.h"
 #include "common/metrics.h"
@@ -51,7 +52,16 @@ class PushEgress {
   explicit PushEgress(Options opts, MetricsRegistryRef metrics = nullptr,
                       std::string label = "");
 
-  /// Engine side. Returns false if the delivery was shed.
+  /// Engine side: offers a run of deliveries under one lock, applying the
+  /// shed policy to each in order exactly as that many Offer calls would.
+  /// Accepted deliveries are moved out of `run`. Returns how many were
+  /// accepted: a kDropNewest shed skips one delivery, and Close() ends the
+  /// run (a kBlock producer waiting for room wakes and pushes nothing
+  /// more). One kEgressEmit span covers the run; the end-to-end sample is
+  /// recorded per accepted delivery.
+  size_t OfferBatch(std::span<Delivery> run);
+
+  /// A run of one. Returns false if the delivery was shed.
   bool Offer(const Delivery& delivery);
 
   /// Client side: non-blocking poll.
@@ -75,7 +85,13 @@ class PushEgress {
  private:
   Options opts_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  /// Each condition has its own waiter count (guarded by mu_), so the hot
+  /// paths notify only when someone actually waits: not_full_ wakes kBlock
+  /// producers as Poll/Receive make room, not_empty_ wakes Receive.
+  std::condition_variable not_full_;
+  std::condition_variable not_empty_;
+  size_t full_waiters_ = 0;
+  size_t empty_waiters_ = 0;
   std::deque<Delivery> queue_;
   bool closed_ = false;
   MetricsRegistryRef metrics_;

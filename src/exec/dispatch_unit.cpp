@@ -1,5 +1,6 @@
 #include "exec/dispatch_unit.h"
 
+#include <cassert>
 #include <utility>
 
 namespace tcq {
@@ -62,22 +63,44 @@ SharedCQDispatchUnit::SharedCQDispatchUnit(std::string name,
                                            Options opts)
     : DispatchUnit(std::move(name)), opts_(opts), eddy_(std::move(eddy)) {
   eddy_->SetOutput([this](QueryId q, const Tuple& t) {
-    auto it = sinks_.find(q);
-    if (it != sinks_.end()) it->second.second(it->second.first, t);
+    if (q >= slots_.size() || !slots_[q].sink) return;
+    Slot& slot = slots_[q];
+    if (slot.run.empty()) dirty_.push_back(q);
+    slot.run.push_back(t);
   });
 }
 
 void SharedCQDispatchUnit::set_control_sink(
     std::function<void(const Punctuation&)> sink) {
-  eddy_->SetControlOutput(std::move(sink));
+  // Flush first: a client must never see a watermark ahead of the results
+  // of rows that preceded it.
+  eddy_->SetControlOutput(
+      [this, sink = std::move(sink)](const Punctuation& p) {
+        FlushRuns();
+        sink(p);
+      });
+}
+
+void SharedCQDispatchUnit::FlushRuns() {
+  for (QueryId q : dirty_) {
+    Slot& slot = slots_[q];
+    slot.sink(slot.global_id, slot.run);
+    slot.run.clear();
+  }
+  dirty_.clear();
 }
 
 void SharedCQDispatchUnit::BindSink(QueryId local, uint64_t global_id,
                                     GlobalSink sink) {
-  sinks_[local] = {global_id, std::move(sink)};
+  if (local >= slots_.size()) slots_.resize(local + 1);
+  slots_[local].global_id = global_id;
+  slots_[local].sink = std::move(sink);
 }
 
-void SharedCQDispatchUnit::UnbindSink(QueryId local) { sinks_.erase(local); }
+void SharedCQDispatchUnit::UnbindSink(QueryId local) {
+  FlushRuns();  // dirty_ must never name an unbound slot
+  if (local < slots_.size()) slots_[local] = Slot{};
+}
 
 void SharedCQDispatchUnit::AddInput(SourceId source, FjordConsumer consumer) {
   std::lock_guard<std::mutex> lock(plan_mu_);
@@ -105,6 +128,7 @@ void SharedCQDispatchUnit::Quiesce() { DrainPlanQueue(); }
 std::vector<std::pair<SourceId, FjordConsumer>>
 SharedCQDispatchUnit::DetachInputs() {
   DrainPlanQueue();  // fold pending inputs in before moving them out
+  assert(dirty_.empty() && "results buffered across a detach");
   std::vector<std::pair<SourceId, FjordConsumer>> out;
   out.reserve(inputs_.size());
   for (Input& input : inputs_) {
@@ -118,8 +142,16 @@ SharedCQDispatchUnit::DetachInputs() {
 
 std::map<QueryId, std::pair<uint64_t, SharedCQDispatchUnit::GlobalSink>>
 SharedCQDispatchUnit::TakeSinks() {
+  assert(dirty_.empty() && "results buffered across TakeSinks");
   std::map<QueryId, std::pair<uint64_t, GlobalSink>> out;
-  out.swap(sinks_);
+  for (size_t q = 0; q < slots_.size(); ++q) {
+    Slot& slot = slots_[q];
+    if (slot.sink) {
+      out.emplace(static_cast<QueryId>(q),
+                  std::make_pair(slot.global_id, std::move(slot.sink)));
+    }
+  }
+  slots_.clear();
   return out;
 }
 
@@ -131,7 +163,10 @@ void SharedCQDispatchUnit::DrainPlanQueue() {
     tasks.swap(pending_tasks_);
     inputs.swap(pending_inputs_);
   }
-  for (auto& task : tasks) task(eddy_.get());
+  for (auto& task : tasks) {
+    task(eddy_.get());
+    FlushRuns();
+  }
   for (Input& input : inputs) inputs_.push_back(std::move(input));
 }
 
@@ -149,7 +184,9 @@ DispatchUnit::StepResult SharedCQDispatchUnit::Step() {
                           NowMicros() - enq_us);
         }
         eddy_->IngestBatch(b);
+        FlushRuns();  // inside the scope: the egress spans join the trace
       });
+  assert(dirty_.empty() && "results buffered past the end of a Step");
   StepResult r = consumed > 0 ? StepResult::kProgress
                  : exhausted  ? StepResult::kDone
                               : StepResult::kIdle;

@@ -99,8 +99,13 @@ class SharedCQDispatchUnit : public DispatchUnit {
   void BindWake(WakeTarget* wake) override;
 
   /// Routes a local query id's deliveries to a client sink under a global
-  /// id. Must be called from a submitted task (DU thread).
-  using GlobalSink = std::function<void(uint64_t, const Tuple&)>;
+  /// id. Must be called from a submitted task (DU thread). Results reach
+  /// the sink as runs: the DU buffers the eddy's outputs per query and
+  /// hands each query its run, in emission order, after every ingested
+  /// batch, before forwarding a punctuation, and after every plan-queue
+  /// task — so nothing is buffered between Steps.
+  using GlobalSink =
+      std::function<void(uint64_t, const std::vector<Tuple>&)>;
   void BindSink(QueryId local, uint64_t global_id, GlobalSink sink);
   void UnbindSink(QueryId local);
 
@@ -114,7 +119,8 @@ class SharedCQDispatchUnit : public DispatchUnit {
 
   /// Routes punctuations the eddy applies to a per-shard observer (the
   /// sharded class's min-combine). Call before the DU runs; invoked from
-  /// the DU thread during IngestBatch.
+  /// the DU thread during IngestBatch, after the results of every row that
+  /// preceded the punctuation have been flushed to their sinks.
   void set_control_sink(std::function<void(const Punctuation&)> sink);
 
   /// Shard replica id this DU pumps (stamped on every sampled span). Call
@@ -144,6 +150,8 @@ class SharedCQDispatchUnit : public DispatchUnit {
 
  private:
   void DrainPlanQueue();
+  /// Hands every buffered run to its query's sink (DU thread).
+  void FlushRuns();
 
   Options opts_;
   std::unique_ptr<SharedEddy> eddy_;
@@ -161,8 +169,16 @@ class SharedCQDispatchUnit : public DispatchUnit {
   WakeTarget* wake_ = nullptr;  // guarded by plan_mu_
   std::deque<std::function<void(SharedEddy*)>> pending_tasks_;
   std::vector<Input> pending_inputs_;
-  // DU-thread-only delivery table: local query id -> (global id, sink).
-  std::map<QueryId, std::pair<uint64_t, GlobalSink>> sinks_;
+  // DU-thread-only delivery table, indexed by local query id (ids are
+  // dense). `dirty_` lists the slots whose run holds results, so a flush
+  // visits only those.
+  struct Slot {
+    uint64_t global_id = 0;
+    GlobalSink sink;  ///< empty: unbound, outputs are dropped
+    std::vector<Tuple> run;
+  };
+  std::vector<Slot> slots_;
+  std::vector<QueryId> dirty_;
 };
 
 /// A windowed-query DU: drives an OnlineWindowRunner from stream inputs and

@@ -605,7 +605,7 @@ Status Executor::RestoreClass(CheckpointReader* r, const SinkFactory& sinks,
     TCQ_ASSIGN_OR_RETURN(cls, ClassFor(footprint));
     next_query_id_ = std::max(next_query_id_, gid + 1);
     Sink sink = sinks ? sinks(gid) : Sink{};
-    if (!sink) sink = [](GlobalQueryId, const Tuple&) {};
+    if (!sink) sink = [](GlobalQueryId, const std::vector<Tuple>&) {};
     Result<QueryId> local = classes_[cls].sc->AdmitQuery(
         spec, gid, std::move(sink), started_,
         [&](const ShardedClass::RemapMap& m) { ApplyRemap(cls, m); });

@@ -82,8 +82,11 @@ class Executor {
     bool shard_replication = false;
   };
 
-  /// Receives (global id, result tuple) deliveries; called from EO threads.
-  using Sink = std::function<void(GlobalQueryId, const Tuple&)>;
+  /// Receives a query's results as a run (global id, result tuples in
+  /// emission order); called from EO threads. Each shard hands over one run
+  /// per ingested batch, and a punctuation is a run of one.
+  using Sink =
+      std::function<void(GlobalQueryId, const std::vector<Tuple>&)>;
 
   /// One live query class, as reported by Topology().
   struct ClassInfo {

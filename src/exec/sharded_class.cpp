@@ -197,13 +197,13 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
   }
 
   // Per-query merge stage: shards deliver concurrently from their own EO
-  // threads; the mutex serializes any ONE query's deliveries, preserving
-  // the executor's sink contract.
+  // threads; the mutex serializes any ONE query's runs, preserving the
+  // executor's sink contract. A run keeps its shard's emission order.
   auto merge_mu = std::make_shared<std::mutex>();
-  auto wrapped = [merge_mu, sink = std::move(sink)](uint64_t g,
-                                                    const Tuple& t) {
+  auto wrapped = [merge_mu, sink = std::move(sink)](
+                     uint64_t g, const std::vector<Tuple>& run) {
     std::lock_guard<std::mutex> lock(*merge_mu);
-    sink(g, t);
+    sink(g, run);
   };
 
   // Broadcast admission. Tasks are enqueued in the same order on every
@@ -822,7 +822,7 @@ void ShardedClass::OnShardPunctuation(size_t shard, const Punctuation& p) {
   std::lock_guard<std::mutex> lock(punct_mu_);
   std::optional<Timestamp> merged = merged_wm_.Observe(shard, p);
   if (!merged.has_value()) return;
-  Tuple punct = Tuple::MakePunctuation(p.source, *merged);
+  const std::vector<Tuple> punct{Tuple::MakePunctuation(p.source, *merged)};
   for (auto& [local, binding] : punct_sinks_) {
     binding.second(binding.first, punct);
   }

@@ -5,7 +5,8 @@
 // Objects with zero shared mutable dataflow state. Ingested batches are
 // split per tuple by Partitioner::BucketOf over the class's derived join
 // keys (round-robin for keyless streams); results from all shards fan back
-// through a per-query merge mutex into the existing egress sinks.
+// through a per-query merge mutex into the existing egress sinks, one
+// locked run per shard per ingested batch.
 //
 // Correctness argument: partition keys are derived from the UNION of every
 // member query's equality-join edges, with a conflict (one stream needing
@@ -84,7 +85,9 @@ class ShardedClass {
   /// caller must re-resolve the stream's owner and retry there.
   enum class RouteResult { kOk, kWouldBlock, kClosed, kRetired };
 
-  using Sink = std::function<void(uint64_t, const Tuple&)>;
+  /// Receives one query's results as a run (see SharedCQDispatchUnit's
+  /// GlobalSink); a punctuation is a run of one.
+  using Sink = std::function<void(uint64_t, const std::vector<Tuple>&)>;
   /// Old-local-id -> new-local-id, reported whole so the executor can remap
   /// its query table in one aliasing-free pass.
   using RemapMap = std::map<QueryId, QueryId>;
@@ -114,8 +117,8 @@ class ShardedClass {
   /// First re-derives partition keys including the new spec's join edges and
   /// re-partitions when the layout must change — with the admission tasks
   /// queued ahead of re-attachment, so the new query sees every carried-over
-  /// tuple. `sink` is wrapped with a per-query mutex: shards deliver
-  /// concurrently, but any one query's deliveries stay serialized.
+  /// tuple. `sink` is wrapped with a per-query mutex, taken once per run:
+  /// shards deliver concurrently, but any one query's runs stay serialized.
   Result<QueryId> AdmitQuery(const CQSpec& spec, uint64_t gid, Sink sink,
                              bool started, const RemapFn& remap);
 

@@ -431,18 +431,25 @@ std::shared_ptr<PushEgress> TelegraphCQ::NewEgressLocked() {
 
 namespace {
 
-/// A continuous client's delivery sink: projects data tuples into `egress`.
+/// A continuous client's delivery sink: projects a run of data tuples and
+/// offers it to `egress` in one call.
 Executor::Sink EgressSink(std::shared_ptr<PushEgress> egress,
                           std::optional<Projection> projection) {
-  return [egress, projection](GlobalQueryId id, const Tuple& t) {
-    // Punctuations (the class's merged watermark reaching the client) have
-    // no columns to project; they pass through as-is.
-    if (!projection.has_value() || !t.IsData()) {
-      egress->Offer(Delivery{id, t});
-      return;
+  return [egress, projection](GlobalQueryId id,
+                              const std::vector<Tuple>& run) {
+    std::vector<Delivery> out;
+    out.reserve(run.size());
+    for (const Tuple& t : run) {
+      // Punctuations (the class's merged watermark reaching the client)
+      // have no columns to project; they pass through as-is.
+      if (!projection.has_value() || !t.IsData()) {
+        out.push_back(Delivery{id, t});
+        continue;
+      }
+      auto p = projection->Apply(t);
+      if (p.ok()) out.push_back(Delivery{id, std::move(*p)});
     }
-    auto p = projection->Apply(t);
-    if (p.ok()) egress->Offer(Delivery{id, std::move(*p)});
+    egress->OfferBatch(out);
   };
 }
 

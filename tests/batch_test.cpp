@@ -704,9 +704,10 @@ TEST(ColumnarBatchTest, ColumnsSurviveExecutorIngestIntoOneShardClass) {
   CQSpec q;
   q.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(2)});
   std::atomic<int> delivered{0};
-  ASSERT_TRUE(
-      exec.SubmitQuery(q, [&](GlobalQueryId, const Tuple&) { ++delivered; })
-          .ok());
+  ASSERT_TRUE(exec.SubmitQuery(q, [&](GlobalQueryId,
+                                      const std::vector<Tuple>& run) {
+                    delivered += static_cast<int>(run.size());
+                  }).ok());
   ColumnStore::Ref cols = KvColumns(64);
   ASSERT_TRUE(exec.IngestBatch(TupleBatch(0, cols)).ok());
   // No EO runs yet: the batch waits in the class's shard fjord, still
@@ -727,7 +728,7 @@ TEST(ColumnarBatchTest, ColumnsComeOutOfAOneShardClassUnchanged) {
   sc.ClaimStream(0, Sch(0), StemOptions{});
   CQSpec q;
   q.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(2)});
-  ASSERT_TRUE(sc.AdmitQuery(q, 1, [](uint64_t, const Tuple&) {},
+  ASSERT_TRUE(sc.AdmitQuery(q, 1, [](uint64_t, const std::vector<Tuple>&) {},
                             /*started=*/false,
                             [](const ShardedClass::RemapMap&) {})
                   .ok());

@@ -50,9 +50,10 @@ CQSpec FilterSpec(SourceId s, int64_t lt_bound) {
 class Collector {
  public:
   Executor::Sink SinkFor(const std::string& key) {
-    return [this, key](GlobalQueryId, const Tuple& t) {
+    return [this, key](GlobalQueryId, const std::vector<Tuple>& run) {
       std::lock_guard<std::mutex> lock(mu_);
-      results_[key].push_back(t);
+      std::vector<Tuple>& got = results_[key];
+      got.insert(got.end(), run.begin(), run.end());
     };
   }
   size_t Count(const std::string& key) const {

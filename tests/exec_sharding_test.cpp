@@ -3,7 +3,9 @@
 // (pinned against the naive reference evaluator), including across an
 // online skew re-partition; keyless classes round-robin across shards;
 // conflicting partition-key requirements collapse the class to one shard;
-// and bridging merges still work when both classes are sharded. The Flux
+// and bridging merges still work when both classes are sharded. Result runs
+// keep the eddy's per-tuple order at one shard, never trail a punctuation
+// covering their rows at four, and are complete at every Drain(). The Flux
 // suite pins the bucket map, exact per-key counts (also across mid-stream
 // skew re-partitions), skew rebalancing, the replication knob's shadow
 // copies, and failover: exact with shard replication (also after a skew
@@ -19,7 +21,9 @@
 #include <thread>
 #include <vector>
 
+#include "cacq/shared_eddy.h"
 #include "common/rng.h"
+#include "eddy/routing_policy.h"
 #include "exec/executor.h"
 #include "exec/partitioner.h"
 #include "operators/predicate.h"
@@ -61,9 +65,10 @@ CQSpec FilterSpec(SourceId s, int64_t lt_bound) {
 class Collector {
  public:
   Executor::Sink SinkFor(const std::string& key) {
-    return [this, key](GlobalQueryId, const Tuple& t) {
+    return [this, key](GlobalQueryId, const std::vector<Tuple>& run) {
       std::lock_guard<std::mutex> lock(mu_);
-      results_[key].push_back(t);
+      std::vector<Tuple>& got = results_[key];
+      got.insert(got.end(), run.begin(), run.end());
     };
   }
   size_t Count(const std::string& key) const {
@@ -469,6 +474,182 @@ TEST(ShardingTest, DuplicateAndRegressedPunctuationsAreIdempotent) {
   }
   EXPECT_EQ(wms, (std::vector<Timestamp>{10, 20}));
   exec.Stop();
+}
+
+// --- Result runs: ordering and completeness ---------------------------------
+// Shards hand each query its results as one run per ingested batch. A run
+// keeps the eddy's emission order, a shard flushes its runs before it
+// forwards a punctuation, and nothing stays buffered once a Step ends.
+
+/// A batch of `rows` rows of stream `s` at timestamps *ts, *ts + 1, ...,
+/// with v = the row's timestamp and keys drawn from [0, key_range), closed
+/// by a punctuation at its last timestamp. Appends the rows to `log`.
+TupleBatch PunctuatedBatch(SourceId s, int rows, int64_t key_range, Rng* rng,
+                           Timestamp* ts, std::vector<Tuple>* log) {
+  TupleBatch batch(s);
+  for (int i = 0; i < rows; ++i) {
+    Timestamp t = (*ts)++;
+    Tuple row = Row(s, rng->UniformInt(0, key_range - 1), t, t);
+    batch.push_back(row);
+    log->push_back(row);
+  }
+  batch.AddPunctuation(Punctuation{s, *ts - 1});
+  return batch;
+}
+
+// At one shard, every query receives exactly the sequence the eddy emitted
+// tuple by tuple — results and merged punctuations interleaved as the
+// per-tuple sink path delivered them. The reference is the class's eddy run
+// bare, fed the same batches with the same routing seed.
+TEST(ResultRunTest, OneShardRunsKeepTheEddysPerTupleOrder) {
+  const char* names[] = {"join", "filter"};
+  SharedEddy ref(MakeLotteryPolicy(Executor::Options{}.seed));
+  ref.RegisterStream(0, Sch(0));
+  ref.RegisterStream(1, Sch(1));
+  std::map<std::string, std::vector<Tuple>> want;
+  ref.SetOutput(
+      [&](QueryId q, const Tuple& t) { want[names[q]].push_back(t); });
+  ref.SetControlOutput([&](const Punctuation& p) {
+    for (const char* n : names) {
+      want[n].push_back(Tuple::MakePunctuation(p.source, p.low_watermark));
+    }
+  });
+  ASSERT_EQ(*ref.AddQuery(JoinSpec(0, "k", 1, "k")), 0u);
+  ASSERT_EQ(*ref.AddQuery(FilterSpec(0, 200)), 1u);
+
+  Collector got;
+  Executor exec({.num_eos = 1, .shards = 1});
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+  ASSERT_TRUE(
+      exec.SubmitQuery(FilterSpec(0, 200), got.SinkFor("filter")).ok());
+  exec.Start();
+
+  Rng rng(5);
+  Timestamp ts = 1;
+  std::vector<Tuple> log;
+  for (int b = 0; b < 40; ++b) {
+    TupleBatch batch = PunctuatedBatch(static_cast<SourceId>(b % 2), 12, 6,
+                                       &rng, &ts, &log);
+    ref.IngestBatch(batch);
+    ASSERT_TRUE(exec.IngestBatch(std::move(batch)).ok());
+    // One batch per quantum, so the class eddy sees the same batches.
+    ASSERT_TRUE(Drain(&exec).ok());
+  }
+  exec.Stop();
+  auto text = [](const std::vector<Tuple>& seq) {
+    std::vector<std::string> out;
+    for (const Tuple& t : seq) out.push_back(t.ToString());
+    return out;
+  };
+  for (const char* n : names) {
+    ASSERT_FALSE(want[n].empty());
+    EXPECT_EQ(text(got.Take(n)), text(want[n])) << n;
+  }
+}
+
+// At four shards, a client never receives a result after a punctuation
+// that covers every row the result came from: the shard that produced it
+// flushed it before reporting that punctuation, and the merged watermark
+// advances only once every shard has reported. Completeness holds too.
+TEST(ResultRunTest, NoResultFollowsAPunctuationCoveringItsRows) {
+  Collector got;
+  Executor exec({.num_eos = 4, .shards = 4});
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+  ASSERT_TRUE(exec.SubmitQuery(FilterSpec(0, 1 << 30), got.SinkFor("filter"))
+                  .ok());
+  auto topo = exec.Topology();
+  ASSERT_EQ(topo.size(), 1u);
+  ASSERT_EQ(topo[0].shards, 4u);
+  exec.Start();
+
+  Rng rng(9);
+  Timestamp ts = 1;
+  std::vector<Tuple> s0, s1;
+  for (int b = 0; b < 200; ++b) {
+    SourceId s = static_cast<SourceId>(b % 2);
+    ASSERT_TRUE(exec.IngestBatch(PunctuatedBatch(s, 16, 64, &rng, &ts,
+                                                 s == 0 ? &s0 : &s1))
+                    .ok());
+  }
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+
+  auto join_pred = MakeCompareAttrs({0, "k"}, CmpOp::kEq, {1, "k"});
+  std::map<std::string, size_t> expect = {
+      {"join", NaiveJoin({s0, s1}, {join_pred}).size()},
+      {"filter", s0.size()}};
+  for (const auto& [name, want] : expect) {
+    std::map<SourceId, Timestamp> wm;  // merged watermarks delivered so far
+    size_t data = 0;
+    size_t late = 0;
+    for (const Tuple& t : got.Take(name)) {
+      if (t.IsPunctuation()) {
+        Punctuation p = t.AsPunctuation();
+        wm[p.source] = std::max(wm[p.source], p.low_watermark);
+        continue;
+      }
+      ++data;
+      // Each row's v field is its timestamp; the result is late only if a
+      // delivered watermark covers all of its rows.
+      bool covered = true;
+      for (size_t i = 0; i < t.num_fields(); ++i) {
+        const Field& f = t.schema()->field(i);
+        if (f.name != "v") continue;
+        auto it = wm.find(f.source);
+        if (it == wm.end() || t.at(i).AsInt64() > it->second) covered = false;
+      }
+      if (covered) ++late;
+    }
+    EXPECT_EQ(data, want) << name;
+    EXPECT_EQ(late, 0u) << name;
+  }
+}
+
+// Drain() is a complete barrier with runs: after it returns, every result of
+// every row ingested so far has reached its sink, with the streams still
+// open (so no end-of-stream path flushes for it), at one shard and at four.
+TEST(ResultRunTest, DrainDeliversEveryRun) {
+  for (size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    Collector got;
+    Executor exec({.num_eos = 2, .quantum = 16, .shards = shards});
+    ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+    ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+    ASSERT_TRUE(
+        exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+    ASSERT_TRUE(
+        exec.SubmitQuery(FilterSpec(0, 50), got.SinkFor("filter")).ok());
+    exec.Start();
+    Rng rng(23);
+    Timestamp ts = 1;
+    std::map<int64_t, size_t> keys[2];
+    size_t expect_join = 0;
+    size_t expect_filter = 0;
+    for (int round = 0; round < 20; ++round) {
+      for (SourceId s : {0u, 1u}) {
+        TupleBatch batch(s);
+        for (int i = 0; i < 1 + round % 7; ++i) {
+          int64_t k = rng.UniformInt(0, 15);
+          int64_t v = rng.UniformInt(0, 99);
+          batch.push_back(Row(s, k, v, ts++));
+          expect_join += keys[1 - s][k];
+          ++keys[s][k];
+          if (s == 0 && v < 50) ++expect_filter;
+        }
+        ASSERT_TRUE(exec.IngestBatch(std::move(batch)).ok());
+      }
+      ASSERT_TRUE(Drain(&exec).ok());
+      ASSERT_EQ(got.Count("join"), expect_join) << "round " << round;
+      ASSERT_EQ(got.Count("filter"), expect_filter) << "round " << round;
+    }
+    exec.Stop();
+  }
 }
 
 // --- Flux: the bucket map, skew rebalancing, failover ----------------------

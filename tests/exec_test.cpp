@@ -24,6 +24,18 @@ namespace {
 
 using testref::Drain;
 
+/// A query sink that discards every result run.
+Executor::Sink Discard() {
+  return [](GlobalQueryId, const std::vector<Tuple>&) {};
+}
+
+/// A query sink that counts delivered results into `*n`.
+Executor::Sink CountInto(std::atomic<size_t>* n) {
+  return [n](GlobalQueryId, const std::vector<Tuple>& run) {
+    *n += run.size();
+  };
+}
+
 SchemaRef Sch(SourceId source) {
   return Schema::Make({
       {"k", ValueType::kInt64, source},
@@ -236,8 +248,8 @@ TEST(ExecutorTest, DisjointFootprintsGetSeparateClasses) {
   q0.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(5)});
   CQSpec q1;
   q1.filters.push_back({{1, "k"}, CmpOp::kLt, Value::Int64(5)});
-  auto id0 = exec.SubmitQuery(q0, [](GlobalQueryId, const Tuple&) {});
-  auto id1 = exec.SubmitQuery(q1, [](GlobalQueryId, const Tuple&) {});
+  auto id0 = exec.SubmitQuery(q0, Discard());
+  auto id1 = exec.SubmitQuery(q1, Discard());
   ASSERT_TRUE(id0.ok() && id1.ok());
   EXPECT_NE(*id0, *id1);
   EXPECT_EQ(exec.num_classes(), 2u);
@@ -245,7 +257,7 @@ TEST(ExecutorTest, DisjointFootprintsGetSeparateClasses) {
   // A third query over stream 0 joins the existing class.
   CQSpec q2;
   q2.filters.push_back({{0, "v"}, CmpOp::kGe, Value::Int64(1)});
-  ASSERT_TRUE(exec.SubmitQuery(q2, [](GlobalQueryId, const Tuple&) {}).ok());
+  ASSERT_TRUE(exec.SubmitQuery(q2, Discard()).ok());
   EXPECT_EQ(exec.num_classes(), 2u);
 }
 
@@ -257,8 +269,8 @@ TEST(ExecutorTest, BridgingQueryMergesClasses) {
   q0.filters.push_back({{0, "k"}, CmpOp::kLt, Value::Int64(5)});
   CQSpec q1;
   q1.filters.push_back({{1, "k"}, CmpOp::kLt, Value::Int64(5)});
-  ASSERT_TRUE(exec.SubmitQuery(q0, [](GlobalQueryId, const Tuple&) {}).ok());
-  ASSERT_TRUE(exec.SubmitQuery(q1, [](GlobalQueryId, const Tuple&) {}).ok());
+  ASSERT_TRUE(exec.SubmitQuery(q0, Discard()).ok());
+  ASSERT_TRUE(exec.SubmitQuery(q1, Discard()).ok());
   EXPECT_EQ(exec.num_classes(), 2u);
 
   // A join bridging both classes merges them instead of being rejected
@@ -267,7 +279,7 @@ TEST(ExecutorTest, BridgingQueryMergesClasses) {
   bridge.joins.push_back({{0, "k"}, {1, "k"}});
   std::atomic<size_t> joined{0};
   auto r = exec.SubmitQuery(
-      bridge, [&](GlobalQueryId, const Tuple&) { ++joined; });
+      bridge, CountInto(&joined));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(exec.num_classes(), 1u);
   EXPECT_EQ(exec.class_merges(), 1u);
@@ -292,10 +304,10 @@ TEST(ExecutorTest, UnknownStreamRejected) {
   CQSpec q;
   q.filters.push_back({{3, "k"}, CmpOp::kLt, Value::Int64(5)});
   EXPECT_TRUE(
-      exec.SubmitQuery(q, [](GlobalQueryId, const Tuple&) {}).status()
+      exec.SubmitQuery(q, Discard()).status()
           .IsNotFound());
   CQSpec empty;
-  EXPECT_TRUE(exec.SubmitQuery(empty, [](GlobalQueryId, const Tuple&) {})
+  EXPECT_TRUE(exec.SubmitQuery(empty, Discard())
                   .status()
                   .IsInvalidArgument());
 }
@@ -315,9 +327,9 @@ TEST(ExecutorTest, EndToEndMultithreaded) {
   q1.filters.push_back({{1, "v"}, CmpOp::kGe, Value::Int64(50)});
 
   auto id0 = exec.SubmitQuery(
-      q0, [&](GlobalQueryId, const Tuple&) { ++got0; });
+      q0, CountInto(&got0));
   auto id1 = exec.SubmitQuery(
-      q1, [&](GlobalQueryId, const Tuple&) { ++got1; });
+      q1, CountInto(&got1));
   ASSERT_TRUE(id0.ok() && id1.ok());
   exec.Start();
 
@@ -344,7 +356,7 @@ TEST(ExecutorTest, RemoveQueryStopsDeliveries) {
   std::atomic<size_t> got{0};
   CQSpec q;
   q.filters.push_back({{0, "k"}, CmpOp::kGe, Value::Int64(0)});
-  auto id = exec.SubmitQuery(q, [&](GlobalQueryId, const Tuple&) { ++got; });
+  auto id = exec.SubmitQuery(q, CountInto(&got));
   ASSERT_TRUE(id.ok());
   exec.Start();
   for (int i = 0; i < 100; ++i) {
@@ -387,7 +399,7 @@ TEST(WakePathTest, JitteredProducersLoseNoWakeups) {
   ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
   std::atomic<size_t> got{0};
   ASSERT_TRUE(
-      exec.SubmitQuery(PassAll(0), [&](GlobalQueryId, const Tuple&) { ++got; })
+      exec.SubmitQuery(PassAll(0), CountInto(&got))
           .ok());
   exec.Start();
   auto produce = [&](uint64_t seed) {
@@ -422,10 +434,7 @@ TEST(WakePathTest, MigratedDuIsWokenByItsNewEo) {
   std::atomic<size_t> got[3] = {0, 0, 0};
   for (SourceId s = 0; s < 3; ++s) {
     ASSERT_TRUE(exec.RegisterStream(s, Sch(s)).ok());
-    ASSERT_TRUE(exec.SubmitQuery(PassAll(s), [&got, s](GlobalQueryId,
-                                                       const Tuple&) {
-                      ++got[s];
-                    }).ok());
+    ASSERT_TRUE(exec.SubmitQuery(PassAll(s), CountInto(&got[s])).ok());
   }
   exec.Start();
   for (int i = 0; i < 200; ++i) {

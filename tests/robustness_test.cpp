@@ -152,8 +152,10 @@ TEST(RobustnessTest, TicketSchedulerExecutorEndToEnd) {
   std::atomic<size_t> got{0};
   CQSpec q;
   q.filters.push_back({{0, "k"}, CmpOp::kGe, Value::Int64(0)});
-  ASSERT_TRUE(
-      exec.SubmitQuery(q, [&](GlobalQueryId, const Tuple&) { ++got; }).ok());
+  ASSERT_TRUE(exec.SubmitQuery(q, [&](GlobalQueryId,
+                                      const std::vector<Tuple>& run) {
+                    got += run.size();
+                  }).ok());
   exec.Start();
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(
