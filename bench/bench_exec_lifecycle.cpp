@@ -1,7 +1,7 @@
 // E11: query-class lifecycle costs, plus the idle-wake latency. Four
 // experiments:
 //   * BM_MergePause — how long a bridging-query submission stalls while two
-//     classes (with N SteM entries per stream) merge into one;
+//     classes (S shards each, N SteM entries per stream) merge into one;
 //   * BM_PostGcIngest — ingest cost on a stream whose class was GC'd (fast
 //     FailedPrecondition) vs a live routed stream;
 //   * BM_RebalanceGain — time to drain a skewed workload on 2 EOs (two hot
@@ -53,14 +53,17 @@ void Drain(Executor* exec) {
                             std::chrono::seconds(30));
 }
 
-/// Merge pause: two 2-stream join classes, N tuples per stream already
-/// absorbed into their SteMs, then a bridging join submitted. The timed
-/// region is the SubmitQuery call — it covers both quiesce waits, the
-/// state export/import (4 SteMs with N entries each), and re-admission.
+/// Merge pause: two 2-stream join classes at S shards each, N tuples per
+/// stream already absorbed into their SteMs, then a bridging join submitted.
+/// The timed region is the SubmitQuery call — it covers the one
+/// re-partition of both classes (quiesce, SteM placement, re-admission) and
+/// the bridge's admission.
 void BM_MergePause(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t shards = static_cast<size_t>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
-    Executor exec({.num_eos = 2, .queue_capacity = 4 * n + 16});
+    Executor exec(
+        {.num_eos = 2, .queue_capacity = 4 * n + 16, .shards = shards});
     for (SourceId s = 0; s < 4; ++s) {
       (void)exec.RegisterStream(s, Sch(s));
     }
@@ -92,11 +95,12 @@ void BM_MergePause(benchmark::State& state) {
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
     exec.Stop();
   }
+  state.counters["shards"] = static_cast<double>(shards);
   state.counters["stem_entries_per_stream"] = static_cast<double>(n);
 }
 BENCHMARK(BM_MergePause)
-    ->Arg(1000)
-    ->Arg(10000)
+    ->ArgNames({"shards", "entries"})
+    ->ArgsProduct({{1, 4}, {1000, 10000}})
     ->Iterations(10)  // setup (4N tuples joined) dominates; bound the run
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);

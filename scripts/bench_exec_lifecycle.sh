@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Bench smoke for the query-class lifecycle: runs bench_exec_lifecycle and
 # distills BENCH_exec_lifecycle.json at the repo root with
-#   * the bridging-merge pause (ms) at 1k and 10k SteM entries per stream,
+#   * the bridging-merge pause (ms) at 1 and 4 shards per class and 1k and
+#     10k SteM entries per stream (recorded, not gated),
 #   * post-GC vs routed ingest cost,
 #   * the rebalance gain on the skewed 2-EO workload (drain-time ratio,
 #     acceptance: rebalance on must migrate and must not be slower),
@@ -39,6 +40,7 @@ for b in doc.get("benchmarks", []):
     name = b["name"]
     if name.startswith("BM_MergePause"):
         merge.append({
+            "shards": int(b["shards"]),
             "stem_entries_per_stream": int(b["stem_entries_per_stream"]),
             "pause_ms": b["real_time"],
         })
@@ -59,7 +61,8 @@ for b in doc.get("benchmarks", []):
         }
 
 report = {
-    "merge_pause": sorted(merge, key=lambda r: r["stem_entries_per_stream"]),
+    "merge_pause": sorted(
+        merge, key=lambda r: (r["shards"], r["stem_entries_per_stream"])),
     "post_gc_ingest": post_gc,
     "rebalance_skewed_2eo": rebalance,
     "idle_wake": idle_wake,
@@ -82,7 +85,8 @@ if idle_wake:
     print(f"idle wake p50 = {idle_wake['p50_us']:.1f} us, "
           f"p99 = {idle_wake['p99_us']:.1f} us")
 for row in report["merge_pause"]:
-    print(f"merge pause @ {row['stem_entries_per_stream']} entries/stream "
+    print(f"merge pause @ {row['shards']} shard(s), "
+          f"{row['stem_entries_per_stream']} entries/stream "
           f"= {row['pause_ms']:.3f} ms")
 
 with open("BENCH_exec_lifecycle.json", "w") as f:

@@ -33,12 +33,14 @@ SharedSteMProbe::SharedSteMProbe(std::string name, SteM* stem,
 }
 
 SchemaRef SharedSteMProbe::ConcatSchemaFor(const SchemaRef& input) {
-  const Schema* key = input.get();
-  for (const auto& [cached_key, cached] : schema_cache_) {
-    if (cached_key == key) return cached;
+  for (const auto& [cached_input, cached] : schema_cache_) {
+    if (cached_input == input) return cached;
   }
   SchemaRef out = Schema::Concat(input, stem_->schema());
-  schema_cache_.emplace_back(key, out);
+  if (schema_cache_.size() == kSchemaCacheSlots) {
+    schema_cache_.erase(schema_cache_.begin());
+  }
+  schema_cache_.emplace_back(input, out);
   return out;
 }
 
@@ -476,45 +478,21 @@ void SharedEddy::BuildHistorical(SourceId source, const Tuple& tuple,
   stem->Build(tuple, seq);
 }
 
-SharedEddy::ExportedState SharedEddy::ExportState() const {
-  assert(queue_.empty() && !draining_ && "export requires a quiescent eddy");
-  ExportedState st;
-  st.next_seq = next_seq_;
-  st.streams.reserve(streams_.size());
-  for (const auto& [source, info] : streams_) {
-    st.streams.push_back(
-        ExportedStream{source, info.schema, info.stem_opts, info.stem});
-  }
-  registry_.active().ForEach([&](QueryId q) {
-    const RegisteredQuery* rq = registry_.Get(q);
-    st.queries.push_back(ExportedState::ExportedQuery{
-        q, rq->spec, rq->results_delivered});
-  });
-  return st;
+std::shared_ptr<SteM> SharedEddy::ShareSteM(SourceId source) const {
+  assert(queue_.empty() && !draining_ && "sharing a SteM needs quiescence");
+  auto it = streams_.find(source);
+  return it == streams_.end() ? nullptr : it->second.stem;
 }
 
-void SharedEddy::ImportState(
-    ExportedState state, const std::function<void(QueryId, QueryId)>& remap) {
-  for (ExportedStream& s : state.streams) {
-    assert(!streams_.contains(s.source) &&
-           "imported stream already registered (classes own disjoint sets)");
-    StreamInfo info;
-    info.schema = std::move(s.schema);
-    info.stem_opts = std::move(s.stem_opts);
-    info.stem = std::move(s.stem);  // built state travels with the SteM
-    streams_[s.source] = std::move(info);
+void SharedEddy::AdoptSteM(SourceId source, std::shared_ptr<SteM> stem) {
+  auto it = streams_.find(source);
+  assert(it != streams_.end() && it->second.stem == nullptr &&
+         "adopting a SteM needs a registered stream without one");
+  if (stem == nullptr) {
+    (void)StemFor(source);
+    return;
   }
-  // Reconcile sequence spaces: future tuples must out-sequence every
-  // imported entry or the exactly-once probe bound would hide them.
-  next_seq_ = std::max(next_seq_, state.next_seq);
-  for (ExportedState::ExportedQuery& q : state.queries) {
-    Result<QueryId> nid = AddQuery(std::move(q.spec));
-    // The spec was admissible in the exporting eddy and every stream it
-    // references was just adopted, so re-admission cannot fail.
-    assert(nid.ok() && "imported query failed re-admission");
-    registry_.GetMutable(*nid)->results_delivered = q.results_delivered;
-    remap(q.local_id, *nid);
-  }
+  it->second.stem = std::move(stem);
 }
 
 void SharedEddy::AdvanceTime(Timestamp now) {

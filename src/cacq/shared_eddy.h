@@ -110,7 +110,10 @@ class SharedSteMProbe : public SharedModule {
   AttrRef probe_key_;
   AttrRef build_key_;
   QuerySet subscribers_;
-  std::vector<std::pair<const Schema*, SchemaRef>> schema_cache_;
+  /// Input schema -> concat schema, newest last; bounded so per-tuple
+  /// schemas cannot grow it (and its scan) without limit.
+  static constexpr size_t kSchemaCacheSlots = 8;
+  std::vector<std::pair<SchemaRef, SchemaRef>> schema_cache_;
   std::vector<const StemEntry*> scratch_;
 };
 
@@ -193,7 +196,7 @@ class SharedEddy {
   void IngestBatch(const TupleBatch& batch);
 
   /// Event-time watermark view of this eddy (punctuation-driven). NOT part
-  /// of ExportState: after a repartition the importer conservatively
+  /// of what a re-partition moves: a rebuilt replica conservatively
   /// restarts at kMinTimestamp and re-earns watermarks from the next
   /// punctuation broadcast — which can only delay downstream firing.
   const WatermarkTracker& watermarks() const { return watermarks_; }
@@ -207,49 +210,17 @@ class SharedEddy {
   /// Advances stream time: evicts shared SteM state per its window options.
   void AdvanceTime(Timestamp now);
 
-  // --- State movement (executor class merge, §4.2.2 re-adjustment) -----------
+  // --- State movement (sharded class re-partition and merge) -----------------
 
-  /// One registered stream as exported: its schema/options and the shared
-  /// SteM (with all built state) by reference — entries are transferred, not
-  /// copied.
-  struct ExportedStream {
-    SourceId source = 0;
-    SchemaRef schema;
-    StemOptions stem_opts;
-    std::shared_ptr<SteM> stem;  // null if no join ever touched the stream
-  };
+  /// A stream's shared SteM by reference (null if none), for a quiescent
+  /// eddy to hand to another through AdoptSteM; the giver is discarded
+  /// afterwards (its modules keep raw SteM pointers).
+  std::shared_ptr<SteM> ShareSteM(SourceId source) const;
 
-  /// A quiescent eddy's portable state. Valid only when no envelope is in
-  /// flight (the queue drained to quiescence, which every Ingest* call
-  /// guarantees on return).
-  struct ExportedState {
-    std::vector<ExportedStream> streams;
-    /// Live queries under their exporting-eddy local ids.
-    struct ExportedQuery {
-      QueryId local_id = 0;
-      CQSpec spec;
-      uint64_t results_delivered = 0;
-    };
-    std::vector<ExportedQuery> queries;
-    /// The exporter's sequence horizon; the importer advances its own seq
-    /// space past it so imported SteM entries stay probe-visible.
-    Timestamp next_seq = 1;
-  };
-
-  /// Exports registered streams, live queries, and SteM state for merging
-  /// into another eddy. The exporting eddy must be quiescent and is expected
-  /// to be discarded afterwards (its modules keep raw SteM pointers).
-  ExportedState ExportState() const;
-
-  /// Imports a quiescent peer's state: adopts its streams (sources must be
-  /// disjoint from this eddy's — executor classes never share a stream),
-  /// reconciles the sequence space, and re-admits each query, reporting the
-  /// lineage remap old-local-id -> new-local-id through `remap`. Imported
-  /// SteM entries keep their original seqs; because next_seq_ jumps past the
-  /// exporter's horizon, every future tuple probes them exactly like
-  /// locally built state.
-  void ImportState(ExportedState state,
-                   const std::function<void(QueryId, QueryId)>& remap);
+  /// Installs a SteM from ShareSteM (entries and seqs moved by reference),
+  /// or an empty one for null, as a registered stream's shared SteM —
+  /// before any query joins the stream, so its probes bind to it.
+  void AdoptSteM(SourceId source, std::shared_ptr<SteM> stem);
 
   /// The shared SteM of a stream, or nullptr if no join touches it yet.
   SteM* GetSteM(SourceId source) const;
@@ -262,9 +233,9 @@ class SharedEddy {
 
   /// Builds one historical tuple into a stream's SteM preserving its
   /// ORIGINAL sequence number (next_seq_ untouched). No-op when no join has
-  /// created a SteM for the stream. The sharded executor replays exported
-  /// SteM entries through this when re-partitioning a class, then calls
-  /// AdvanceSeqHorizon once with the exporters' max horizon — after which
+  /// created a SteM for the stream. The sharded executor replays old
+  /// replicas' SteM entries through this when re-partitioning a class, then
+  /// calls AdvanceSeqHorizon once with their max horizon — after which
   /// every future tuple probes the replayed entries exactly like locally
   /// built state (seq < seq_bound holds, the exactly-once rule).
   void BuildHistorical(SourceId source, const Tuple& tuple, Timestamp seq);

@@ -61,51 +61,43 @@ size_t Executor::CountLiveClasses() const {
   return n;
 }
 
-void Executor::ApplyRemap(size_t cls, const ShardedClass::RemapMap& remap) {
-  for (auto& [gid, qi] : queries_) {
-    if (qi.query_class != cls) continue;
-    auto it = remap.find(qi.local_id);
-    assert(it != remap.end() && "live query missing from repartition remap");
-    if (it != remap.end()) qi.local_id = it->second;
+void Executor::ApplyRemap(const ShardedClass::RemapMap& remap) {
+  for (const auto& [gid, local] : remap) {
+    auto it = queries_.find(gid);
+    assert(it != queries_.end() && "re-partition remapped an unknown query");
+    if (it != queries_.end()) it->second.local_id = local;
   }
 }
 
-void Executor::MergeClassInto(size_t dst, size_t src) {
-  assert(classes_[dst].live && classes_[src].live && dst != src);
-  // The disjoint-stream ImportState path works on single eddies, so both
-  // classes first collapse to one shard (a no-op at the default shard
-  // count; a real collapse re-partitions online and remaps local ids).
-  classes_[dst].sc->RepartitionTo(
-      1, [&](const ShardedClass::RemapMap& m) { ApplyRemap(dst, m); });
-  classes_[src].sc->RepartitionTo(
-      1, [&](const ShardedClass::RemapMap& m) { ApplyRemap(src, m); });
-
+void Executor::MergeClassesInto(size_t dst, const std::vector<size_t>& srcs,
+                                const CQSpec& bridging) {
   QueryClass& d = classes_[dst];
-  QueryClass& s = classes_[src];
-  // Absorb: quiesces both, transfers streams + SteM contents + queries
-  // (lineage bits remapped into the survivor's QuerySet), moves fjord
-  // consumers with their queued tuples, and leaves src retired so an
-  // in-flight RouteBatch re-resolves to the survivor.
-  ShardedClass::RemapMap remap = d.sc->AbsorbSingleShard(s.sc.get());
-  for (auto& [gid, qi] : queries_) {
-    if (qi.query_class != src) continue;
-    auto it = remap.find(qi.local_id);
-    assert(it != remap.end() && "live query missing from export remap");
-    qi.query_class = dst;
-    qi.local_id = it->second;
+  std::vector<ShardedClass*> absorbed;
+  for (size_t src : srcs) {
+    assert(classes_[src].live && src != dst);
+    absorbed.push_back(classes_[src].sc.get());
   }
-  ForEachSource(s.streams, [&](SourceId stream) {
-    auto it = streams_.find(stream);
-    assert(it != streams_.end());
-    it->second.owner_class = dst;
-    it->second.owner = d.sc;
-  });
-  d.streams |= s.streams;
-  s.sc.reset();
-  s.live = false;
-  s.streams = 0;
-
-  merges_->Inc();
+  d.sc->Absorb(absorbed, bridging,
+               [&](const ShardedClass::RemapMap& m) { ApplyRemap(m); });
+  for (auto& [gid, qi] : queries_) {
+    if (std::find(srcs.begin(), srcs.end(), qi.query_class) != srcs.end()) {
+      qi.query_class = dst;
+    }
+  }
+  for (size_t src : srcs) {
+    QueryClass& s = classes_[src];
+    ForEachSource(s.streams, [&](SourceId stream) {
+      auto it = streams_.find(stream);
+      assert(it != streams_.end());
+      it->second.owner_class = dst;
+      it->second.owner = d.sc;
+    });
+    d.streams |= s.streams;
+    s.sc.reset();
+    s.live = false;
+    s.streams = 0;
+    merges_->Inc();
+  }
   classes_gauge_->Set(static_cast<int64_t>(CountLiveClasses()));
 }
 
@@ -137,12 +129,15 @@ size_t Executor::LeastLoadedEo() const {
   return best;
 }
 
-Result<size_t> Executor::ClassFor(SourceSet footprint) {
+size_t Executor::ClassFor(const CQSpec& spec) {
   // Which live classes does the footprint touch?
+  SourceSet footprint = spec.Footprint();
   std::vector<size_t> touching;
+  SourceSet owned = 0;
   for (size_t c = 0; c < classes_.size(); ++c) {
     if (classes_[c].live && (classes_[c].streams & footprint)) {
       touching.push_back(c);
+      owned |= classes_[c].streams;
     }
   }
 
@@ -175,29 +170,29 @@ Result<size_t> Executor::ClassFor(SourceSet footprint) {
     eos_[eo]->AddDispatchUnit(classes_[class_idx].sc->shard_du(0));
     classes_gauge_->Set(static_cast<int64_t>(CountLiveClasses()));
   } else {
-    // The paper's §4.2.2 open issue, closed: a bridging footprint MERGES
-    // every touched class into the first one.
     class_idx = touching.front();
-    for (size_t i = 1; i < touching.size(); ++i) {
-      MergeClassInto(class_idx, touching[i]);
-    }
   }
 
-  // Claim any footprint streams the class does not yet consume.
+  // Claim any footprint streams no touched class consumes — before a merge,
+  // so its one re-partition keys them too.
   QueryClass& qc = classes_[class_idx];
-  SourceSet missing = footprint & ~qc.streams;
-  ForEachSource(missing, [&](SourceId s) {
+  ForEachSource(footprint & ~owned, [&](SourceId s) {
     auto it = streams_.find(s);
     assert(it != streams_.end());
     StreamInfo& info = it->second;
-    // Any class owning a footprint stream was in `touching` and has been
-    // merged in, so unclaimed is the only possibility left.
+    // Any class owning a footprint stream is in `touching`, so unclaimed is
+    // the only possibility left.
     assert(info.owner_class == SIZE_MAX && "stream owned by a merged class");
     qc.sc->ClaimStream(s, info.schema, info.stem_opts);
     info.owner = qc.sc;
     info.owner_class = class_idx;
     qc.streams |= SourceBit(s);
   });
+  // The paper's §4.2.2 open issue, closed: a bridging footprint MERGES
+  // every touched class into the first one.
+  if (touching.size() > 1) {
+    MergeClassesInto(class_idx, {touching.begin() + 1, touching.end()}, spec);
+  }
   return class_idx;
 }
 
@@ -219,13 +214,12 @@ Result<GlobalQueryId> Executor::SubmitQuery(const CQSpec& spec, Sink sink) {
     }
   });
   if (!unknown.ok()) return unknown;
-  size_t class_idx;
-  TCQ_ASSIGN_OR_RETURN(class_idx, ClassFor(footprint));
+  size_t class_idx = ClassFor(spec);
   GlobalQueryId gid = next_query_id_++;
 
   Result<QueryId> local = classes_[class_idx].sc->AdmitQuery(
       spec, gid, std::move(sink), started_,
-      [&](const ShardedClass::RemapMap& m) { ApplyRemap(class_idx, m); });
+      [&](const ShardedClass::RemapMap& m) { ApplyRemap(m); });
   if (!local.ok()) {
     // If admission left the class without any query (e.g. a class freshly
     // created for this footprint), reclaim it right away.
@@ -469,7 +463,7 @@ bool Executor::SkewLocked() {
     QueryClass& qc = classes_[c];
     if (!qc.live) continue;
     if (qc.sc->MaybeRepartitionForSkew(
-            [&](const ShardedClass::RemapMap& m) { ApplyRemap(c, m); })) {
+            [&](const ShardedClass::RemapMap& m) { ApplyRemap(m); })) {
       any = true;
     }
   }
@@ -493,7 +487,7 @@ Status Executor::FailShard(size_t class_id, size_t shard) {
                                    std::to_string(class_id));
   }
   return classes_[class_id].sc->FailShard(
-      shard, [&](const ShardedClass::RemapMap& m) { ApplyRemap(class_id, m); });
+      shard, [&](const ShardedClass::RemapMap& m) { ApplyRemap(m); });
 }
 
 uint64_t Executor::class_repartitions() const {
@@ -601,61 +595,47 @@ Status Executor::RestoreClass(CheckpointReader* r, const SinkFactory& sinks,
       return Status::IOError("duplicate query id " + std::to_string(gid) +
                              " in checkpoint");
     }
-    size_t cls;
-    TCQ_ASSIGN_OR_RETURN(cls, ClassFor(footprint));
+    size_t cls = ClassFor(spec);
     next_query_id_ = std::max(next_query_id_, gid + 1);
     Sink sink = sinks ? sinks(gid) : Sink{};
     if (!sink) sink = [](GlobalQueryId, const std::vector<Tuple>&) {};
     Result<QueryId> local = classes_[cls].sc->AdmitQuery(
         spec, gid, std::move(sink), started_,
-        [&](const ShardedClass::RemapMap& m) { ApplyRemap(cls, m); });
+        [&](const ShardedClass::RemapMap& m) { ApplyRemap(m); });
     if (!local.ok()) return local.status();
     queries_[gid] = QueryInfo{cls, *local, nullptr};
     restored.insert(cls);
   }
 
-  // The recorded Flux bucket map. Owners apply modulo each class's current
-  // shard count, so a checkpoint taken at a different effective count still
-  // routes consistently.
+  // The recorded bucket map, SteM entries and seq horizon go to every class
+  // the section restored into; each places the entries of streams it routes
+  // (a stream no class re-claimed drops its entries from the replay total).
   uint32_t nbuckets = 0;
   TCQ_ASSIGN_OR_RETURN(nbuckets, r->GetU32());
   std::vector<uint32_t> owners(nbuckets);
   for (uint32_t b = 0; b < nbuckets; ++b) {
     TCQ_ASSIGN_OR_RETURN(owners[b], r->GetU32());
   }
-  for (size_t cls : restored) classes_[cls].sc->ApplyBucketOwners(owners);
-
-  // SteM replay, routed through the stream catalog: each entry goes to the
-  // class that now owns its stream (partition-map routed inside). Entries
-  // for streams no class re-claimed — their last interested query was
-  // removed before the checkpoint — are dropped, and counted against the
-  // replay total by not counting them.
+  ShardedClass::StemEntries entries;
   uint32_t nroutes = 0;
   TCQ_ASSIGN_OR_RETURN(nroutes, r->GetU32());
   for (uint32_t i = 0; i < nroutes; ++i) {
     uint32_t source = 0;
     TCQ_ASSIGN_OR_RETURN(source, r->GetU32());
-    uint64_t entries = 0;
-    TCQ_ASSIGN_OR_RETURN(entries, r->GetU64());
-    std::shared_ptr<ShardedClass> owner;
-    if (auto it = streams_.find(static_cast<SourceId>(source));
-        it != streams_.end()) {
-      owner = it->second.owner;
-    }
-    for (uint64_t e = 0; e < entries; ++e) {
-      TCQ_ASSIGN_OR_RETURN(Tuple t, r->GetTuple());
-      Timestamp seq = 0;
-      TCQ_ASSIGN_OR_RETURN(seq, r->GetI64());
-      if (owner != nullptr &&
-          owner->ReplayStemEntry(static_cast<SourceId>(source), t, seq)) {
-        ++*replayed;
-      }
+    uint64_t n = 0;
+    TCQ_ASSIGN_OR_RETURN(n, r->GetU64());
+    std::vector<StemEntry>& list = entries[static_cast<SourceId>(source)];
+    for (uint64_t e = 0; e < n; ++e) {
+      StemEntry& entry = list.emplace_back();
+      TCQ_ASSIGN_OR_RETURN(entry.tuple, r->GetTuple());
+      TCQ_ASSIGN_OR_RETURN(entry.seq, r->GetI64());
     }
   }
-
   Timestamp horizon = 0;
   TCQ_ASSIGN_OR_RETURN(horizon, r->GetTimestamp());
-  for (size_t cls : restored) classes_[cls].sc->AdvanceSeqHorizons(horizon);
+  for (size_t cls : restored) {
+    *replayed += classes_[cls].sc->Restore(owners, entries, horizon);
+  }
   return r->EndSection();
 }
 

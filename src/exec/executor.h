@@ -9,11 +9,9 @@
 // footprints and leaves "class re-adjustment" as §4.2.2's open issue — this
 // executor gives classes a full dynamic lifecycle:
 //   * MERGE: a query whose footprint bridges existing classes is admitted by
-//     merging the touched classes into one. The merge quiesces each DU at a
-//     quantum boundary (Flux-style pause/drain), transfers SteM state and
-//     live queries (lineage bits remapped into the survivor's QuerySet), and
-//     moves the stream fjords' consumer endpoints — producers never repoint,
-//     so no in-flight batch is lost or reordered.
+//     merging the touched classes into one: ONE online re-partition of their
+//     union (Flux pause/drain/move/resume; see exec/sharded_class.h). An
+//     in-flight batch on a merged-away class re-routes to the survivor.
 //   * GC: removing a class's last query retires the class — its DU detaches,
 //     fjords close, and stream ownership is released for later queries.
 //   * MIGRATE: a background rebalance pass watches per-DU progress counters
@@ -196,9 +194,9 @@ class Executor {
 
   /// Rebuilds the query classes from a checkpoint: re-drives each recorded
   /// admission under its ORIGINAL global id (deterministic footprint
-  /// grouping reproduces the class shapes), re-applies the recorded Flux
-  /// bucket maps, then replays SteM entries with their original seqs and
-  /// jumps the seq horizons. Streams must already be re-registered. The
+  /// grouping reproduces the class shapes), then hands each class its
+  /// recorded Flux bucket map, SteM entries (original seqs) and seq horizon
+  /// in one ShardedClass::Restore. Streams must already be re-registered. The
   /// executor must be freshly constructed (no queries admitted). Returns
   /// the number of SteM entries replayed.
   Result<uint64_t> RestoreFrom(CheckpointReader* r, const SinkFactory& sinks);
@@ -258,18 +256,19 @@ class Executor {
     std::shared_ptr<DispatchUnit> du;  ///< hosted queries only (HostQuery)
   };
 
-  /// Finds or creates the class covering `footprint`, merging every touched
-  /// class into one when the footprint bridges them (caller holds mu_).
-  Result<size_t> ClassFor(SourceSet footprint);
-  /// Merges class `src` into class `dst`: collapses both to one shard,
-  /// quiesces, transfers eddy/SteM state, remaps query lineage, moves fjord
-  /// consumers (caller holds mu_; both classes must be live).
-  void MergeClassInto(size_t dst, size_t src);
+  /// Finds or creates the class covering `spec`'s footprint, merging every
+  /// touched class into one when the footprint bridges them (caller holds
+  /// mu_; `spec` must be admitted to the returned class next).
+  size_t ClassFor(const CQSpec& spec);
+  /// Merges classes `srcs` into `dst` ahead of admitting `bridging` (one
+  /// ShardedClass::Absorb; caller holds mu_; every class must be live).
+  void MergeClassesInto(size_t dst, const std::vector<size_t>& srcs,
+                        const CQSpec& bridging);
   /// Retires a live class with no queries left (caller holds mu_).
   void GcClass(size_t cls);
-  /// Rewrites queries_ local ids for `cls` after a shard re-partition
-  /// re-admitted them (caller holds mu_; applied in one pass, whole-map).
-  void ApplyRemap(size_t cls, const ShardedClass::RemapMap& remap);
+  /// Rewrites queries_ local ids after a shard re-partition re-admitted
+  /// them, by global id (caller holds mu_).
+  void ApplyRemap(const ShardedClass::RemapMap& remap);
   /// Restores one "class" checkpoint section: re-admission + bucket map +
   /// SteM replay (caller holds mu_). Adds replayed-entry count to *replayed.
   Status RestoreClass(CheckpointReader* r, const SinkFactory& sinks,

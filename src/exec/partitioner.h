@@ -22,6 +22,7 @@ class Partitioner {
 
   /// Shard currently owning a bucket.
   size_t OwnerOf(size_t bucket) const { return owner_[bucket]; }
+  const std::vector<size_t>& owners() const { return owner_; }
 
   /// Reassigns a bucket (state movement is the caller's job).
   void Reassign(size_t bucket, size_t shard) { owner_[bucket] = shard; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <condition_variable>
+#include <set>
 #include <utility>
 
 #include "cacq/spec_codec.h"
@@ -73,6 +74,8 @@ ShardedClass::ShardedClass(std::string label, Options opts,
       MetricName("tcq_shard_failover_lost_total", "class", label_));
   shadow_rows_ =
       metrics_->GetGauge(MetricName("tcq_shard_shadow_rows", "class", label_));
+  stem_replayed_ = metrics_->GetCounter(
+      MetricName("tcq_shard_stem_entries_replayed_total", "class", label_));
   // Classes always START at one shard; AdmitQuery expands to opts_.shards
   // once the first query's join edges prove the class co-partitionable.
   merged_wm_.Reset(1);
@@ -147,7 +150,7 @@ bool ShardedClass::CloseStream(SourceId source) {
 }
 
 std::optional<std::map<SourceId, std::string>> ShardedClass::DeriveKeys(
-    const CQSpec* extra) const {
+    const std::vector<const CQSpec*>& extra) const {
   std::map<SourceId, std::string> keys;
   auto fold = [&keys](const CQSpec& spec) {
     for (const JoinEdge& e : spec.joins) {
@@ -163,7 +166,9 @@ std::optional<std::map<SourceId, std::string>> ShardedClass::DeriveKeys(
   for (const auto& [id, spec] : specs_) {
     if (!fold(spec)) return std::nullopt;
   }
-  if (extra != nullptr && !fold(*extra)) return std::nullopt;
+  for (const CQSpec* spec : extra) {
+    if (!fold(*spec)) return std::nullopt;
+  }
   return keys;
 }
 
@@ -172,7 +177,7 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
                                          const RemapFn& remap) {
   // Desired layout including the new query's join edges. A key conflict
   // collapses the class to one shard — correctness beats parallelism.
-  auto keys = DeriveKeys(&spec);
+  auto keys = DeriveKeys({&spec});
   size_t desired = keys.has_value() ? opts_.shards : 1;
   bool reshape = desired != shards_.size();
   if (!reshape && desired > 1) {
@@ -186,14 +191,12 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
       }
     }
   }
-  bool deferred = false;
   if (reshape) {
     // Leave the rebuilt DUs detached: the admission tasks below must enter
     // the plan queues BEFORE any EO pumps the carried-over tuples (Step
     // drains the plan queue first), so the new query sees all of them.
     Repartition(desired, keys.value_or(std::map<SourceId, std::string>{}),
                 {}, remap, /*attach_after=*/false);
-    deferred = true;
   }
 
   // Per-query merge stage: shards deliver concurrently from their own EO
@@ -221,7 +224,7 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
       gate->Set(std::move(r));
     });
   }
-  if (deferred) AttachShards();
+  if (detached_) AttachShards();
   // Pre-start admission: no EO pumps yet, so run one quantum inline.
   if (!started) {
     for (Shard& sh : shards_) (void)sh.du->Step();
@@ -253,16 +256,6 @@ void ShardedClass::RemoveQuery(QueryId local) {
       du->UnbindSink(local);
     });
   }
-}
-
-void ShardedClass::RepartitionTo(size_t shards, const RemapFn& remap) {
-  if (shards == 0) shards = 1;
-  if (shards == shards_.size()) return;
-  auto keys = DeriveKeys(nullptr);
-  if (!keys.has_value()) shards = 1;
-  if (shards == shards_.size()) return;
-  Repartition(shards, keys.value_or(std::map<SourceId, std::string>{}), {},
-              remap, /*attach_after=*/true);
 }
 
 bool ShardedClass::MaybeRepartitionForSkew(const RemapFn& remap) {
@@ -308,7 +301,7 @@ bool ShardedClass::MaybeRepartitionForSkew(const RemapFn& remap) {
     owner[b] = k;
     load[k] += w;
   }
-  auto keys = DeriveKeys(nullptr);
+  auto keys = DeriveKeys({});
   if (!keys.has_value()) return false;  // raced into unshardable: bail out
   Repartition(shards_.size(), *keys, std::move(owner), remap,
               /*attach_after=*/true);
@@ -334,30 +327,99 @@ Status ShardedClass::FailShard(size_t shard, const RemapFn& remap) {
     if (o == shard) o = (shard + 1) % n;
     owner[b] = o > shard ? o - 1 : o;
   }
-  auto keys = DeriveKeys(nullptr);
+  auto keys = DeriveKeys({});
   Repartition(n - 1, keys.value_or(std::map<SourceId, std::string>{}),
               std::move(owner), remap, /*attach_after=*/true, shard);
   return Status::OK();
+}
+
+void ShardedClass::Absorb(const std::vector<ShardedClass*>& srcs,
+                          const CQSpec& bridging, const RemapFn& remap) {
+  std::vector<const CQSpec*> extra;
+  for (const ShardedClass* src : srcs) {
+    for (const auto& [id, spec] : src->specs_) extra.push_back(&spec);
+  }
+  extra.push_back(&bridging);
+  auto keys = DeriveKeys(extra);
+  size_t count = keys.has_value() ? opts_.shards : 1;
+  // The survivor's owners stand when its shard count does, so its SteMs
+  // (and any source's with matching owners) move by reference.
+  std::vector<size_t> owner;
+  if (count == shards_.size()) owner = parts_.owners();
+  Repartition(count, keys.value_or(std::map<SourceId, std::string>{}),
+              std::move(owner), remap, /*attach_after=*/false, kNoShard, srcs);
 }
 
 void ShardedClass::AttachShards() {
   for (Shard& sh : shards_) {
     eos_[sh.eo % eos_.size()]->AddDispatchUnit(sh.du);
   }
+  detached_ = false;
+}
+
+size_t ShardedClass::AdoptTarget(const Partitioner& old_parts,
+                                 size_t old_count, size_t j,
+                                 const std::string& old_key,
+                                 const Route& r) const {
+  // ShardOf sends every row to shard 0 at one shard or on a keyless route;
+  // a keyed route's rows follow their bucket, so one shard's SteM stays
+  // whole only when the key is unchanged (or it held every bucket).
+  if (shards_.size() == 1 || r.key_attr.empty()) return 0;
+  if (old_count > 1 && old_key != r.key_attr) return kNoShard;
+  size_t target = kNoShard;
+  for (size_t b = 0; b < parts_.num_buckets(); ++b) {
+    if (old_count > 1 && old_parts.OwnerOf(b) != j) continue;
+    if (target != kNoShard && parts_.OwnerOf(b) != target) return kNoShard;
+    target = parts_.OwnerOf(b);
+  }
+  return target;
+}
+
+void ShardedClass::ReplayEntry(const Route& r, SourceId source,
+                               const Tuple& t, Timestamp seq) {
+  size_t k = ShardOf(r, t);
+  shards_[k].du->eddy()->BuildHistorical(source, t, seq);
+  SeedShadow(r, k, t);
 }
 
 void ShardedClass::Repartition(size_t new_count,
                                std::map<SourceId, std::string> new_keys,
                                std::vector<size_t> owner, const RemapFn& remap,
-                               bool attach_after, size_t failed) {
+                               bool attach_after, size_t failed,
+                               const std::vector<ShardedClass*>& absorbed) {
+  assert((failed == kNoShard || absorbed.empty()) &&
+         "a failover absorbs no other class");
   int64_t t0 = NowMicros();
   std::unique_lock<std::shared_mutex> lock(route_mu_);
 
+  // 0. The classes whose state moves: this one, then each absorbed one,
+  //    which hands over its routes and is retired under its route lock, so
+  //    an in-flight RouteBatch on it either finished into the fjords drained
+  //    below or gets kRetired and re-resolves to this class.
+  struct Mover {
+    std::vector<Shard> shards;
+    Partitioner parts;  ///< the old bucket -> shard map
+    /// A surviving replica: its registry and sinks are the class's.
+    SharedCQDispatchUnit* lead = nullptr;
+  };
+  std::vector<Mover> movers;
+  movers.push_back({std::move(shards_), parts_, nullptr});
+  shards_.clear();
+  for (ShardedClass* src : absorbed) {
+    std::unique_lock<std::shared_mutex> src_lock(src->route_mu_);
+    routes_.merge(src->routes_);
+    assert(src->routes_.empty() && "merged classes share a stream");
+    src->retired_ = true;
+    movers.push_back({std::move(src->shards_), src->parts_, nullptr});
+  }
+
   // 1. Pause: quiesce every shard at a quantum boundary. After this no EO
   //    thread steps them and the replicas are drained to quiescence.
-  for (Shard& sh : shards_) {
-    eos_[sh.eo % eos_.size()]->RemoveDispatchUnit(sh.du);
-    sh.du->Quiesce();
+  for (Mover& m : movers) {
+    for (Shard& sh : m.shards) {
+      eos_[sh.eo % eos_.size()]->RemoveDispatchUnit(sh.du);
+      sh.du->Quiesce();
+    }
   }
 
   // 2. Drain queued-but-unprocessed tuples into a per-source carryover
@@ -367,32 +429,34 @@ void ShardedClass::Repartition(size_t new_count,
   //    queue is discarded, as a crash would; only its row count is kept.
   std::map<SourceId, TupleBatch> carry;
   std::map<SourceId, size_t> failed_queued;
-  for (size_t j = 0; j < shards_.size(); ++j) {
-    for (auto& [source, consumer] : shards_[j].du->DetachInputs()) {
-      TupleBatch crashed;
-      TupleBatch& b = j == failed ? crashed : carry[source];
-      b.set_source(source);
-      QueueOp op;
-      while (consumer.ConsumeBatch(&b, SIZE_MAX / 2, &op) > 0) {
+  for (size_t i = 0; i < movers.size(); ++i) {
+    for (size_t j = 0; j < movers[i].shards.size(); ++j) {
+      bool crashed_shard = i == 0 && j == failed;
+      for (auto& [source, consumer] : movers[i].shards[j].du->DetachInputs()) {
+        TupleBatch crashed;
+        TupleBatch& b = crashed_shard ? crashed : carry[source];
+        b.set_source(source);
+        QueueOp op;
+        while (consumer.ConsumeBatch(&b, SIZE_MAX / 2, &op) > 0) {
+        }
+        if (crashed_shard) failed_queued[source] = crashed.size();
       }
-      if (j == failed) failed_queued[source] = crashed.size();
     }
   }
 
   // 2b. Failover: the failed shard's state comes from its shadows. The
   //     consumed prefix its SteMs still held is rebuilt below the new
-  //     horizon (step 8); the unconsumed suffix joins the carryover and
-  //     probes once (step 9). Without shadows it is lost, and counted.
+  //     horizon (step 9); the unconsumed suffix joins the carryover and
+  //     probes once (step 10). Without shadows it is lost, and counted.
   std::map<SourceId, std::vector<Tuple>> rebuilt;
   if (failed != kNoShard) {
+    SharedEddy* crashed = movers[0].shards[failed].du->eddy();
     uint64_t lost = 0;
     for (auto& [source, r] : routes_) {
       size_t queued = failed_queued[source];
       if (r.shadows.empty()) {
         lost += queued;
-        if (SteM* stem = shards_[failed].du->eddy()->GetSteM(source)) {
-          lost += stem->size();
-        }
+        if (SteM* stem = crashed->GetSteM(source)) lost += stem->size();
         continue;
       }
       std::deque<Tuple>& rows = r.shadows[failed]->rows;
@@ -412,16 +476,17 @@ void ShardedClass::Repartition(size_t new_count,
     failover_lost_->Inc(lost);
   }
 
-  // 3. Export every surviving replica's state. Any replica's sink table is
-  //    the class's (all replicas bind the same wrapped sinks).
-  std::vector<SharedEddy::ExportedState> exports;
-  exports.reserve(shards_.size());
-  for (size_t j = 0; j < shards_.size(); ++j) {
-    if (j != failed) exports.push_back(shards_[j].du->eddy()->ExportState());
-  }
-  auto sinks = shards_[failed == 0 ? 1 : 0].du->TakeSinks();
+  // 3. The new seq horizon lies past every surviving replica's. Within a
+  //    class any replica's registry and sinks are the class's.
   Timestamp horizon = 1;
-  for (const auto& st : exports) horizon = std::max(horizon, st.next_seq);
+  for (size_t i = 0; i < movers.size(); ++i) {
+    Mover& m = movers[i];
+    for (size_t j = 0; j < m.shards.size(); ++j) {
+      if (i == 0 && j == failed) continue;
+      horizon = std::max(horizon, m.shards[j].du->eddy()->seq_horizon());
+    }
+    m.lead = m.shards[i == 0 && failed == 0 ? 1 : 0].du.get();
+  }
 
   // 4. Fresh bucket map. Bucket counts restart so the next skew decision
   //    reflects the new layout.
@@ -437,15 +502,14 @@ void ShardedClass::Repartition(size_t new_count,
   //    merge state restarts at kMinTimestamp: sources re-earn their merged
   //    watermarks from the next punctuation broadcast, which can only DELAY
   //    downstream window firing (never un-fire one) — conservative and safe.
-  std::vector<Shard> old_shards = std::move(shards_);
-  shards_.clear();
   {
     std::lock_guard<std::mutex> plock(punct_mu_);
     merged_wm_.Reset(new_count);
   }
+  const std::vector<Shard>& own = movers[0].shards;
   for (size_t k = 0; k < new_count; ++k) {
     size_t old = failed != kNoShard && k >= failed ? k + 1 : k;
-    size_t eo = old < old_shards.size() ? old_shards[old].eo : k;
+    size_t eo = old < own.size() ? own[old].eo : k;
     shards_.push_back(MakeShard(k, eo));
   }
 
@@ -453,9 +517,11 @@ void ShardedClass::Repartition(size_t new_count,
   //    re-injection below must not block — no consumer pumps yet), streams
   //    registered and inputs attached on every replica directly (we own
   //    them exclusively until re-attachment). Shadows restart empty and are
-  //    re-seeded by steps 8 and 9, so protection survives the re-partition.
+  //    re-seeded by steps 7, 9 and 10, so protection survives the move.
+  std::map<SourceId, std::string> old_keys;
   shadow_rows_->Set(0);
   for (auto& [source, r] : routes_) {
+    old_keys[source] = std::move(r.key_attr);
     r.key_attr.clear();
     r.key_field = 0;
     if (new_count > 1) {
@@ -488,74 +554,106 @@ void ShardedClass::Repartition(size_t new_count,
     }
   }
 
-  // 7. Re-admit queries in shard-0 export order. Fresh registries assign
-  //    ids in admission order, so all replicas agree; old ids are always
-  //    >= new ids, so the remap map is aliasing-free when applied in order.
+  // 7. Move SteMs by reference (header comment): per (new shard, stream) the
+  //    largest eligible SteM moves whole; the rest replay in step 9. Every
+  //    new replica gets a SteM for each stream that had one (adopted, or
+  //    empty to replay into) before re-admission, so the probes bind to it.
+  std::map<std::pair<size_t, SourceId>, std::shared_ptr<SteM>> adopted;
+  std::vector<std::shared_ptr<SteM>> replay;
+  std::set<SourceId> stemmed;
+  for (size_t i = 0; i < movers.size(); ++i) {
+    Mover& m = movers[i];
+    for (size_t j = 0; j < m.shards.size(); ++j) {
+      if (i == 0 && j == failed) continue;
+      for (const auto& [source, r] : routes_) {
+        std::shared_ptr<SteM> stem = m.shards[j].du->eddy()->ShareSteM(source);
+        if (stem == nullptr) continue;
+        stemmed.insert(source);
+        size_t k =
+            AdoptTarget(m.parts, m.shards.size(), j, old_keys[source], r);
+        if (k != kNoShard) {
+          std::shared_ptr<SteM>& slot = adopted[{k, source}];
+          if (slot == nullptr || slot->size() < stem->size()) {
+            std::swap(slot, stem);
+          }
+        }
+        if (stem != nullptr) replay.push_back(std::move(stem));
+      }
+    }
+  }
+  for (size_t k = 0; k < new_count; ++k) {
+    for (SourceId source : stemmed) {
+      std::shared_ptr<SteM> stem = std::move(adopted[{k, source}]);
+      const Route& r = routes_.at(source);
+      if (stem != nullptr && !r.shadows.empty()) {
+        // The new shadow mirrors the adopted SteM.
+        stem->ForEachEntry(
+            [&](const Tuple& t, Timestamp) { SeedShadow(r, k, t); });
+      }
+      shards_[k].du->eddy()->AdoptSteM(source, std::move(stem));
+    }
+  }
+
+  // 8. Re-admit queries class by class, each in its registry's id order.
+  //    Fresh registries assign ids in admission order, so all replicas
+  //    agree; the remap reports each query under its global id.
   RemapMap remap_map;
   specs_.clear();
   std::map<QueryId, std::pair<uint64_t, Sink>> new_punct_sinks;
-  for (const auto& q : exports[0].queries) {
-    QueryId nid = 0;
-    bool ok = true;
-    for (size_t k = 0; k < shards_.size(); ++k) {
-      Result<QueryId> r = shards_[k].du->eddy()->AddQuery(q.spec);
-      if (!r.ok()) {
-        assert(false && "re-admission of a previously valid query failed");
-        ok = false;
-        break;
+  for (Mover& m : movers) {
+    auto sinks = m.lead->TakeSinks();
+    const QueryRegistry& registry = m.lead->eddy()->registry();
+    registry.active().ForEach([&](QueryId old) {
+      const CQSpec& spec = registry.Get(old)->spec;
+      QueryId nid = 0;
+      for (size_t k = 0; k < shards_.size(); ++k) {
+        Result<QueryId> r = shards_[k].du->eddy()->AddQuery(spec);
+        // Every replica admitted it before, over the same streams.
+        assert(r.ok() && (k == 0 || *r == nid) && "re-admission diverged");
+        if (k == 0 && r.ok()) nid = *r;
       }
-      if (k == 0) {
-        nid = *r;
-      } else {
-        assert(*r == nid && "shard replicas diverged on re-admission");
-      }
-    }
-    if (!ok) continue;
-    remap_map[q.local_id] = nid;
-    specs_[nid] = q.spec;
-    if (auto sit = sinks.find(q.local_id); sit != sinks.end()) {
+      specs_[nid] = spec;
+      auto sit = sinks.find(old);
+      assert(sit != sinks.end() && "re-admitted query without a sink");
+      if (sit == sinks.end()) return;
+      remap_map[sit->second.first] = nid;
       for (Shard& sh : shards_) {
         sh.du->BindSink(nid, sit->second.first, sit->second.second);
       }
-      new_punct_sinks[nid] = sit->second;
-    }
+      new_punct_sinks[nid] = std::move(sit->second);
+    });
   }
   {
     std::lock_guard<std::mutex> plock(punct_mu_);
     punct_sinks_ = std::move(new_punct_sinks);
   }
 
-  // 8. Redistribute stored SteM state by the NEW bucket map, preserving
-  //    original seqs, then jump every replica's horizon past all the
-  //    exporters'. Future tuples (seq > horizon) probe replayed entries
+  // 9. Replay the SteMs step 7 did not hand over by the NEW bucket map,
+  //    preserving original seqs, then jump every replica's horizon past all
+  //    the exporters'. Future tuples (seq > horizon) probe replayed entries
   //    exactly like locally built state; replayed entries never probe each
   //    other, mirroring single-eddy semantics (probing happens at ingest).
   //    A failed shard's rebuilt rows take fresh seqs from the old horizon
   //    up, still below the new one.
-  auto place = [&](const Route& r, SourceId source, const Tuple& t,
-                   Timestamp seq) {
-    size_t k = ShardOf(r, t);
-    shards_[k].du->eddy()->BuildHistorical(source, t, seq);
-    SeedShadow(r, k, t);
-  };
-  for (const auto& st : exports) {
-    for (const auto& es : st.streams) {
-      if (es.stem == nullptr) continue;
-      auto rit = routes_.find(es.source);
-      if (rit == routes_.end()) continue;
-      es.stem->ForEachEntry([&](const Tuple& t, Timestamp seq) {
-        place(rit->second, es.source, t, seq);
-      });
-    }
+  uint64_t replayed = 0;
+  for (const std::shared_ptr<SteM>& stem : replay) {
+    const Route& r = routes_.at(stem->source());
+    stem->ForEachEntry([&](const Tuple& t, Timestamp seq) {
+      ReplayEntry(r, stem->source(), t, seq);
+    });
+    replayed += stem->size();
   }
   for (const auto& [source, rows] : rebuilt) {
-    for (const Tuple& t : rows) place(routes_.at(source), source, t, horizon++);
+    const Route& r = routes_.at(source);
+    for (const Tuple& t : rows) ReplayEntry(r, source, t, horizon++);
+    replayed += rows.size();
   }
+  stem_replayed_->Inc(replayed);
   for (Shard& sh : shards_) sh.du->eddy()->AdvanceSeqHorizon(horizon);
 
-  // 9. Re-inject the carryover unprocessed through the new routes, then
-  //    re-close the producers of closed streams (their queued tuples stay
-  //    consumable, matching BoundedQueue close semantics).
+  // 10. Re-inject the carryover unprocessed through the new routes, then
+  //     re-close the producers of closed streams (their queued tuples stay
+  //     consumable, matching BoundedQueue close semantics).
   for (auto& [source, batch] : carry) {
     if (batch.empty() && batch.punctuations().empty()) continue;
     auto rit = routes_.find(source);
@@ -572,65 +670,11 @@ void ShardedClass::Repartition(size_t new_count,
   repartitions_->Inc();
   int64_t paused = NowMicros() - t0;
   pause_us_->Observe(paused > 0 ? static_cast<uint64_t>(paused) : 0);
+  detached_ = !attach_after;
   lock.unlock();
 
   if (remap) remap(remap_map);
   if (attach_after) AttachShards();
-}
-
-ShardedClass::RemapMap ShardedClass::AbsorbSingleShard(ShardedClass* src) {
-  assert(shards_.size() == 1 && src->shards_.size() == 1 &&
-         "absorb requires both classes collapsed to one shard");
-  Shard& d0 = shards_[0];
-  Shard& s0 = src->shards_[0];
-  // Quiesce both single-shard DUs at a quantum boundary.
-  eos_[d0.eo % eos_.size()]->RemoveDispatchUnit(d0.du);
-  src->eos_[s0.eo % src->eos_.size()]->RemoveDispatchUnit(s0.du);
-  d0.du->Quiesce();
-  s0.du->Quiesce();
-
-  // Streams are disjoint across classes, so the ImportState path applies
-  // unchanged: SteM entries transfer by reference, queries re-admit with
-  // lineage bits remapped into the survivor's QuerySet.
-  SharedEddy::ExportedState st = s0.du->eddy()->ExportState();
-  auto sinks = s0.du->TakeSinks();
-  RemapMap remap;
-  d0.du->eddy()->ImportState(
-      std::move(st),
-      [&remap](QueryId old_id, QueryId new_id) { remap[old_id] = new_id; });
-  for (auto& [old_local, binding] : sinks) {
-    auto it = remap.find(old_local);
-    if (it == remap.end()) continue;  // query was already removed
-    {
-      std::lock_guard<std::mutex> plock(punct_mu_);
-      punct_sinks_[it->second] = binding;
-    }
-    d0.du->BindSink(it->second, binding.first, std::move(binding.second));
-  }
-  // The Flux marker point: producers are NEVER repointed. Consumers move
-  // with their queued tuples, and src's routes (producer endpoints and all)
-  // are adopted as-is, so an in-flight RouteBatch on src lands in the very
-  // fjords whose consumers this class now pumps.
-  for (auto& [source, consumer] : s0.du->DetachInputs()) {
-    d0.du->AddInput(source, std::move(consumer));
-  }
-  {
-    std::scoped_lock both(route_mu_, src->route_mu_);
-    for (auto& [source, r] : src->routes_) {
-      routes_.emplace(source, std::move(r));
-    }
-    src->routes_.clear();
-    src->retired_ = true;  // late RouteBatch callers re-resolve the owner
-  }
-  for (auto& [old_local, spec] : src->specs_) {
-    auto it = remap.find(old_local);
-    if (it != remap.end()) specs_[it->second] = std::move(spec);
-  }
-  src->specs_.clear();
-  src->shards_.clear();  // drops src's DU, eddy, and consumed endpoints
-
-  eos_[d0.eo % eos_.size()]->AddDispatchUnit(d0.du);
-  return remap;
 }
 
 void ShardedClass::Shutdown() {
@@ -921,29 +965,26 @@ Status ShardedClass::CheckpointTo(CheckpointWriter* w) {
   return Status::OK();
 }
 
-void ShardedClass::ApplyBucketOwners(const std::vector<uint32_t>& owner) {
+uint64_t ShardedClass::Restore(const std::vector<uint32_t>& owner,
+                               const StemEntries& entries,
+                               Timestamp horizon) {
   std::unique_lock<std::shared_mutex> lock(route_mu_);
   size_t shards = shards_.size();
   for (size_t b = 0; b < owner.size() && b < parts_.num_buckets(); ++b) {
     parts_.Reassign(b, owner[b] % shards);
   }
-}
-
-bool ShardedClass::ReplayStemEntry(SourceId source, const Tuple& tuple,
-                                   Timestamp seq) {
-  std::unique_lock<std::shared_mutex> lock(route_mu_);
-  auto rit = routes_.find(source);
-  if (rit == routes_.end()) return false;
-  const Route& r = rit->second;
-  size_t k = ShardOf(r, tuple);
-  shards_[k].du->eddy()->BuildHistorical(source, tuple, seq);
-  SeedShadow(r, k, tuple);
-  return true;
-}
-
-void ShardedClass::AdvanceSeqHorizons(Timestamp horizon) {
-  std::unique_lock<std::shared_mutex> lock(route_mu_);
+  uint64_t placed = 0;
+  for (const auto& [source, list] : entries) {
+    auto rit = routes_.find(source);
+    if (rit == routes_.end()) continue;
+    for (const StemEntry& e : list) {
+      ReplayEntry(rit->second, source, e.tuple, e.seq);
+    }
+    placed += list.size();
+  }
+  stem_replayed_->Inc(placed);
   for (Shard& sh : shards_) sh.du->eddy()->AdvanceSeqHorizon(horizon);
+  return placed;
 }
 
 }  // namespace tcq

@@ -17,14 +17,19 @@
 // output as a multiset.
 //
 // Online re-partition (Flux §4: pause/drain/move/resume) reuses the
-// executor's quiesce + ExportState machinery: quiesce every shard at a
+// executor's quiesce machinery: quiesce every shard at a
 // quantum boundary, drain queued-but-UNPROCESSED tuples into a carryover
 // (they re-inject untouched, so a query admitted right after still sees
-// them), rebuild fresh replicas, re-admit queries in export order (FIFO
-// determinism keeps local ids identical across shards), redistribute SteM
-// entries by the new bucket map PRESERVING original seqs, and jump every
-// replica's seq horizon past all exporters' — the same argument that makes
-// ImportState exactly-once makes replayed entries probe-correct.
+// them), rebuild fresh replicas, place the old SteMs, re-admit queries in
+// export order (FIFO determinism keeps local ids identical across shards),
+// and jump every replica's seq horizon past all exporters'. Placement moves
+// a SteM BY REFERENCE when every bucket it holds lands on one new replica
+// under the new key and owners (every 1-shard layout, a merged class whose
+// owners match the survivor's, a failover's surviving shards); every other
+// SteM replays through BuildHistorical into its buckets' new owners,
+// PRESERVING original seqs (tcq_shard_stem_entries_replayed_total{class}).
+// A class merge (Absorb) is one such re-partition over every class a
+// bridging query touches.
 //
 // Replicated failover (Flux's fault tolerance, Options::replication) is the
 // same protocol with one shard crashed: FailShard discards the shard's
@@ -53,6 +58,7 @@
 #include "exec/execution_object.h"
 #include "exec/partitioner.h"
 #include "fjords/fjord.h"
+#include "stem/index.h"
 #include "storage/checkpoint.h"
 
 namespace tcq {
@@ -88,9 +94,9 @@ class ShardedClass {
   /// Receives one query's results as a run (see SharedCQDispatchUnit's
   /// GlobalSink); a punctuation is a run of one.
   using Sink = std::function<void(uint64_t, const std::vector<Tuple>&)>;
-  /// Old-local-id -> new-local-id, reported whole so the executor can remap
-  /// its query table in one aliasing-free pass.
-  using RemapMap = std::map<QueryId, QueryId>;
+  /// Global query id -> new local id of every query a re-partition
+  /// re-admitted, across all the classes it moved.
+  using RemapMap = std::map<uint64_t, QueryId>;
   using RemapFn = std::function<void(const RemapMap&)>;
 
   /// `eos` are the executor's Execution Objects (stable for the executor's
@@ -125,23 +131,19 @@ class ShardedClass {
   /// Broadcasts removal to every shard at its next quantum boundary.
   void RemoveQuery(QueryId local);
 
-  /// Forces the class to exactly `shards` replicas (no-op when already
-  /// there). The executor collapses classes to 1 shard before a merge so
-  /// the disjoint-stream ImportState path applies unchanged.
-  void RepartitionTo(size_t shards, const RemapFn& remap);
-
   /// Checks per-shard ingest deltas; on skew past the threshold, rebuilds
   /// the bucket->shard map by LPT over observed bucket counts and
   /// re-partitions online. Returns true if a re-partition ran.
   bool MaybeRepartitionForSkew(const RemapFn& remap);
 
-  /// Merges `src` (another class, both collapsed to 1 shard) into this one:
-  /// the single-shard eddies go through ExportState/ImportState, fjord
-  /// consumers move with their queued tuples, and src's routes are adopted
-  /// producers-and-all (producers are never repointed — the Flux marker
-  /// point). src is left retired: in-flight RouteBatch callers get kRetired
-  /// and re-resolve to this class. Returns src's lineage remap.
-  RemapMap AbsorbSingleShard(ShardedClass* src);
+  /// Merges `srcs` (live classes on other streams) into this one ahead of
+  /// admitting `bridging`: ONE re-partition at the layout every member spec
+  /// plus `bridging` derives, keeping this class's bucket owners. The
+  /// sources are retired (in-flight RouteBatch callers get kRetired and
+  /// re-resolve here); the replicas stay detached until `bridging`'s
+  /// AdmitQuery, next, has queued its admission.
+  void Absorb(const std::vector<ShardedClass*>& srcs, const CQSpec& bridging,
+              const RemapFn& remap);
 
   /// Fault injection (Flux failover): crashes shard `shard` at a quantum
   /// boundary — its eddy, SteMs and queued input are discarded — and
@@ -170,22 +172,15 @@ class ShardedClass {
   /// delay firing).
   Status CheckpointTo(CheckpointWriter* w);
 
+  /// Checkpointed SteM entries (original seqs) per stream.
+  using StemEntries = std::map<SourceId, std::vector<StemEntry>>;
+
   /// Restore path, on a FRESH class (queries re-admitted, no data ingested
-  /// yet): adopts a recorded bucket->shard map. Owners are taken modulo the
-  /// current shard count, so a checkpoint from a different effective count
-  /// still routes consistently.
-  void ApplyBucketOwners(const std::vector<uint32_t>& owner);
-
-  /// Replays one checkpointed SteM entry, routed by the current partition
-  /// map exactly like Repartition's redistribution step (and seeded into
-  /// the owner's shadow under replication). Returns false
-  /// (entry dropped) when the stream is not routed here — e.g. a stream
-  /// whose last interested query was removed before the checkpoint.
-  bool ReplayStemEntry(SourceId source, const Tuple& tuple, Timestamp seq);
-
-  /// Jumps every replica's sequence horizon past the exporters' so replayed
-  /// entries stay probe-visible to all future tuples.
-  void AdvanceSeqHorizons(Timestamp horizon);
+  /// yet): adopts the recorded bucket->shard map (modulo the current shard
+  /// count), replays the entries of the streams routed here as Repartition
+  /// does, and jumps every replica's seq horizon. Returns entries placed.
+  uint64_t Restore(const std::vector<uint32_t>& owner,
+                   const StemEntries& entries, Timestamp horizon);
 
   // --- Data path (thread-safe, called WITHOUT the executor mutex) ------------
 
@@ -248,20 +243,29 @@ class ShardedClass {
 
   Shard MakeShard(size_t k, size_t eo);
   std::string FjordName(SourceId source, size_t shard, size_t total) const;
-  /// Partition keys implied by all member specs (+ `extra` if non-null):
-  /// source -> join attr. nullopt = conflicting requirements (unshardable).
+  /// Partition keys implied by all member specs plus `extra`: source ->
+  /// join attr. nullopt = conflicting requirements (unshardable).
   std::optional<std::map<SourceId, std::string>> DeriveKeys(
-      const CQSpec* extra) const;
+      const std::vector<const CQSpec*>& extra) const;
   /// The full pause/drain/move/resume protocol; see the header comment.
   /// `owner` is the bucket->shard map (empty = round-robin buckets). When
   /// `attach_after` is false the rebuilt shard DUs are left detached for the
-  /// caller to queue admission tasks ahead of re-attachment. `failed` names
-  /// a crashed shard (kNoShard: none) whose state is not exported but
-  /// rebuilt from its shadows, or counted lost.
+  /// next AdmitQuery to queue its admission ahead of re-attachment. `failed`
+  /// names a crashed shard (kNoShard: none) whose state is not exported but
+  /// rebuilt from its shadows, or counted lost. `absorbed`: see Absorb.
   static constexpr size_t kNoShard = SIZE_MAX;
   void Repartition(size_t new_count, std::map<SourceId, std::string> new_keys,
                    std::vector<size_t> owner, const RemapFn& remap,
-                   bool attach_after, size_t failed = kNoShard);
+                   bool attach_after, size_t failed = kNoShard,
+                   const std::vector<ShardedClass*>& absorbed = {});
+  /// The one new shard every entry of old shard `j` (of `old_count` shards,
+  /// bucket map `old_parts`, route key `old_key`) lands on under route `r`'s
+  /// new key and the current map; kNoShard when they spread.
+  size_t AdoptTarget(const Partitioner& old_parts, size_t old_count, size_t j,
+                     const std::string& old_key, const Route& r) const;
+  /// Replay step: builds an entry into its owner shard's SteM and shadow.
+  void ReplayEntry(const Route& r, SourceId source, const Tuple& t,
+                   Timestamp seq);
   void AttachShards();
   RouteResult RouteBatchLocked(Route* r, TupleBatch* batch);
   /// Shard a row of route `r` belongs to under the current bucket map.
@@ -295,6 +299,7 @@ class ShardedClass {
   std::map<SourceId, Route> routes_;
   std::vector<Shard> shards_;
   bool retired_ = false;  ///< merged away; routes moved to the survivor
+  bool detached_ = false;  ///< rebuilt replicas wait for AdmitQuery
 
   Partitioner parts_;
   std::unique_ptr<std::atomic<uint64_t>[]> bucket_counts_;
@@ -320,6 +325,7 @@ class ShardedClass {
   Gauge* shard_count_gauge_;
   Counter* failover_lost_;  ///< tcq_shard_failover_lost_total{class}
   Gauge* shadow_rows_;      ///< tcq_shard_shadow_rows{class}
+  Counter* stem_replayed_;  ///< tcq_shard_stem_entries_replayed_total{class}
 };
 
 }  // namespace tcq

@@ -186,37 +186,41 @@ TEST(ExecLifecycleTest, BridgingMergeMatchesSingleClassUpFront) {
 
 TEST(ExecLifecycleTest, QueuedTuplesSurviveMerge) {
   // Tuples queued in the class fjords when the merge happens must neither
-  // be lost nor duplicated: the consumer endpoints (with their queues)
-  // move to the surviving DU.
+  // be lost nor duplicated: the merge's re-partition carries them over
+  // unprocessed into the survivor's fjords, at one shard and at four.
   constexpr int K = 20;
-  Executor exec({.num_eos = 2});
-  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
-  ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
-  Collector got;
-  ASSERT_TRUE(exec.SubmitQuery(FilterSpec(0, 100), got.SinkFor("f0")).ok());
-  ASSERT_TRUE(exec.SubmitQuery(FilterSpec(1, 100), got.SinkFor("f1")).ok());
-  ASSERT_EQ(exec.num_classes(), 2u);
-  // Not started: these sit in the two classes' fjords.
-  for (int i = 0; i < K; ++i) {
-    ASSERT_TRUE(exec.IngestTuple(0, Row(0, 1, i, i + 1)).ok());
-    ASSERT_TRUE(exec.IngestTuple(1, Row(1, 1, i, i + 1)).ok());
-  }
-  ASSERT_TRUE(
-      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("bridge")).ok());
-  EXPECT_EQ(exec.class_merges(), 1u);
-  EXPECT_EQ(exec.num_classes(), 1u);
+  for (size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    Executor exec({.num_eos = 2, .shards = shards});
+    ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+    ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+    Collector got;
+    ASSERT_TRUE(exec.SubmitQuery(FilterSpec(0, 100), got.SinkFor("f0")).ok());
+    ASSERT_TRUE(exec.SubmitQuery(FilterSpec(1, 100), got.SinkFor("f1")).ok());
+    ASSERT_EQ(exec.num_classes(), 2u);
+    // Not started: these sit in the two classes' fjords.
+    for (int i = 0; i < K; ++i) {
+      ASSERT_TRUE(exec.IngestTuple(0, Row(0, 1, i, i + 1)).ok());
+      ASSERT_TRUE(exec.IngestTuple(1, Row(1, 1, i, i + 1)).ok());
+    }
+    ASSERT_TRUE(
+        exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("bridge"))
+            .ok());
+    EXPECT_EQ(exec.class_merges(), 1u);
+    EXPECT_EQ(exec.num_classes(), 1u);
 
-  exec.Start();
-  ASSERT_TRUE(exec.CloseStream(0).ok());
-  ASSERT_TRUE(exec.CloseStream(1).ok());
-  ASSERT_TRUE(Drain(&exec).ok());
-  exec.Stop();
-  // Exact counts: the bridge was admitted before any queued tuple was
-  // processed, so every 0x1 pair joins exactly once; the filters see every
-  // tuple exactly once.
-  EXPECT_EQ(got.Count("f0"), static_cast<size_t>(K));
-  EXPECT_EQ(got.Count("f1"), static_cast<size_t>(K));
-  EXPECT_EQ(got.Count("bridge"), static_cast<size_t>(K) * K);
+    exec.Start();
+    ASSERT_TRUE(exec.CloseStream(0).ok());
+    ASSERT_TRUE(exec.CloseStream(1).ok());
+    ASSERT_TRUE(Drain(&exec).ok());
+    exec.Stop();
+    // Exact counts: the bridge was admitted before any queued tuple was
+    // processed, so every 0x1 pair joins exactly once; the filters see
+    // every tuple exactly once.
+    EXPECT_EQ(got.Count("f0"), static_cast<size_t>(K));
+    EXPECT_EQ(got.Count("f1"), static_cast<size_t>(K));
+    EXPECT_EQ(got.Count("bridge"), static_cast<size_t>(K) * K);
+  }
 }
 
 // --- GC: stream re-ownership ---------------------------------------------------

@@ -3,14 +3,15 @@
 // (pinned against the naive reference evaluator), including across an
 // online skew re-partition; keyless classes round-robin across shards;
 // conflicting partition-key requirements collapse the class to one shard;
-// and bridging merges still work when both classes are sharded. Result runs
+// and a bridging merge is one re-partition of every class it touches (SteMs
+// move by reference where the bucket owners allow, else replay). Result runs
 // keep the eddy's per-tuple order at one shard, never trail a punctuation
 // covering their rows at four, and are complete at every Drain(). The Flux
 // suite pins the bucket map, exact per-key counts (also across mid-stream
 // skew re-partitions), skew rebalancing, the replication knob's shadow
 // copies, and failover: exact with shard replication (also after a skew
 // re-partition, after a restore, and under concurrent ingest), lossy and
-// counted without it.
+// counted without it, and replaying only the failed shard's rows.
 
 #include <gtest/gtest.h>
 
@@ -304,10 +305,16 @@ TEST(ExecShardingTest, ConflictingJoinKeysCollapseToOneShard) {
   EXPECT_EQ(CanonicalMultiset(got.Take("chain")), expected);
 }
 
+/// Sum over every class of a counter family (merged-away classes included).
+uint64_t FamilySum(Executor* exec, const std::string& family) {
+  return exec->metrics()->Snapshot().CounterFamilySum(family);
+}
+
 TEST(ExecShardingTest, BridgingMergeWorksAcrossShardedClasses) {
   // Two sharded classes (join 0-1 and join 2-3) merged by a bridging query
-  // (1.k = 2.k): the merge collapses both to one shard, absorbs, and the
-  // bridging admission re-expands the survivor. No deliveries lost.
+  // (1.k = 2.k): one re-partition of their union at the survivor's bucket
+  // owners, which both classes share, so every SteM moves by reference. No
+  // deliveries lost.
   constexpr int P = 6, S = 6;
   Executor exec({.num_eos = 2, .quantum = 16, .shards = 2});
   for (SourceId s = 0; s < 4; ++s) {
@@ -341,13 +348,20 @@ TEST(ExecShardingTest, BridgingMergeWorksAcrossShardedClasses) {
   s1_prefix = s1_all;
   s2_prefix = s2_all;
 
+  uint64_t repartitions = FamilySum(&exec, "tcq_shard_repartitions_total");
+  uint64_t replayed =
+      FamilySum(&exec, "tcq_shard_stem_entries_replayed_total");
   ASSERT_TRUE(
       exec.SubmitQuery(JoinSpec(1, "k", 2, "k"), got.SinkFor("bridge")).ok());
   EXPECT_EQ(exec.class_merges(), 1u);
+  EXPECT_EQ(FamilySum(&exec, "tcq_shard_repartitions_total"),
+            repartitions + 1);
+  EXPECT_EQ(FamilySum(&exec, "tcq_shard_stem_entries_replayed_total"),
+            replayed);
   ASSERT_EQ(exec.num_classes(), 1u);
   auto topo = exec.Topology();
   ASSERT_EQ(topo.size(), 1u);
-  EXPECT_EQ(topo[0].shards, 2u);  // re-expanded after the merge
+  EXPECT_EQ(topo[0].shards, 2u);  // the merged class keeps its shards
 
   ingest(S);
   for (SourceId s = 0; s < 4; ++s) ASSERT_TRUE(exec.CloseStream(s).ok());
@@ -369,6 +383,187 @@ TEST(ExecShardingTest, BridgingMergeWorksAcrossShardedClasses) {
     if (all_pairs[key] == 0) all_pairs.erase(key);
   }
   EXPECT_EQ(CanonicalMultiset(got.Take("bridge")), all_pairs);
+}
+
+/// Three 2-stream join classes (q01, q23, q45) at `shards`, a prefix of
+/// every stream, then one bridging query joining 1.k = 2.k = 4.k, then a
+/// suffix. With `preplant`, a never-matching join (on the unique v values)
+/// puts streams 1, 2 and 4 in one class up front, so nothing merges.
+struct ThreeClassRun {
+  Collector got;
+  std::vector<Tuple> s1_prefix, s2_prefix, s4_prefix, s1_all, s2_all, s4_all;
+  uint64_t merges = 0;
+  uint64_t repartitions = 0;  ///< across the bridging SubmitQuery
+  size_t classes_after_bridge = 0;
+  size_t shards_after_bridge = 0;
+};
+
+void RunThreeClassBridge(size_t shards, bool preplant, int P, int S,
+                         ThreeClassRun* run) {
+  Executor exec({.num_eos = 2, .quantum = 16, .shards = shards});
+  for (SourceId s = 0; s < 6; ++s) {
+    ASSERT_TRUE(exec.RegisterStream(s, Sch(s)).ok());
+  }
+  if (preplant) {
+    CQSpec none;
+    none.joins.push_back({{1, "v"}, {2, "v"}});
+    none.joins.push_back({{2, "v"}, {4, "v"}});
+    ASSERT_TRUE(exec.SubmitQuery(none, run->got.SinkFor("none")).ok());
+  }
+  for (SourceId s : {0u, 2u, 4u}) {
+    ASSERT_TRUE(exec.SubmitQuery(JoinSpec(s, "k", s + 1, "k"),
+                                 run->got.SinkFor("q" + std::to_string(s)))
+                    .ok());
+  }
+  ASSERT_EQ(exec.num_classes(), preplant ? 1u : 3u);
+  exec.Start();
+
+  Timestamp ts = 1;
+  auto ingest = [&](int rows) {
+    for (int i = 0; i < rows; ++i) {
+      for (SourceId s = 0; s < 6; ++s) {
+        Tuple t = Row(s, 1, static_cast<int64_t>(s) * 100000 + ts, ts);
+        ASSERT_TRUE(exec.IngestTuple(s, t).ok());
+        if (s == 1) run->s1_all.push_back(t);
+        if (s == 2) run->s2_all.push_back(t);
+        if (s == 4) run->s4_all.push_back(t);
+        ++ts;
+      }
+    }
+  };
+  ingest(P);
+  ASSERT_TRUE(Drain(&exec).ok());
+  run->s1_prefix = run->s1_all;
+  run->s2_prefix = run->s2_all;
+  run->s4_prefix = run->s4_all;
+
+  CQSpec bridge;
+  bridge.joins.push_back({{1, "k"}, {2, "k"}});
+  bridge.joins.push_back({{2, "k"}, {4, "k"}});
+  uint64_t before = FamilySum(&exec, "tcq_shard_repartitions_total");
+  ASSERT_TRUE(exec.SubmitQuery(bridge, run->got.SinkFor("bridge")).ok());
+  run->repartitions =
+      FamilySum(&exec, "tcq_shard_repartitions_total") - before;
+  run->merges = exec.class_merges();
+  run->classes_after_bridge = exec.num_classes();
+  run->shards_after_bridge = exec.Topology()[0].shards;
+
+  ingest(S);
+  for (SourceId s = 0; s < 6; ++s) ASSERT_TRUE(exec.CloseStream(s).ok());
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+}
+
+TEST(ExecShardingTest, BridgingThreeClassesIsOneRepartition) {
+  constexpr int P = 4, S = 4;
+  ThreeClassRun merged, control;
+  RunThreeClassBridge(4, /*preplant=*/false, P, S, &merged);
+  if (HasFatalFailure()) return;
+  RunThreeClassBridge(4, /*preplant=*/true, P, S, &control);
+  if (HasFatalFailure()) return;
+
+  EXPECT_EQ(merged.merges, 2u);
+  EXPECT_EQ(merged.repartitions, 1u);
+  EXPECT_EQ(merged.classes_after_bridge, 1u);
+  EXPECT_EQ(merged.shards_after_bridge, 4u);
+  EXPECT_EQ(control.merges, 0u);
+
+  // Result multisets equal the up-front single class's...
+  for (const char* q : {"q0", "q2", "q4", "bridge"}) {
+    EXPECT_EQ(CanonicalMultiset(merged.got.Take(q)),
+              CanonicalMultiset(control.got.Take(q)))
+        << "query " << q;
+  }
+  EXPECT_EQ(merged.got.Count("q0"), static_cast<size_t>((P + S) * (P + S)));
+  // ...and the naive reference: every 1x2x4 triple except those whose
+  // latest row predates the bridge's admission (prefix x prefix x prefix).
+  std::vector<PredicateRef> preds = {
+      MakeCompareAttrs({1, "k"}, CmpOp::kEq, {2, "k"}),
+      MakeCompareAttrs({2, "k"}, CmpOp::kEq, {4, "k"})};
+  auto expected = CanonicalMultiset(
+      NaiveJoin({merged.s1_all, merged.s2_all, merged.s4_all}, preds));
+  for (const auto& [key, count] : CanonicalMultiset(NaiveJoin(
+           {merged.s1_prefix, merged.s2_prefix, merged.s4_prefix}, preds))) {
+    expected[key] -= count;
+    if (expected[key] == 0) expected.erase(key);
+  }
+  EXPECT_EQ(CanonicalMultiset(merged.got.Take("bridge")), expected);
+}
+
+TEST(ExecShardingTest, MergeAfterSkewRepartitionReplaysAndStaysExact) {
+  // Class q01 went through a skew re-partition, so its bucket owners (which
+  // the merge keeps) differ from class q23's round-robin ones: q01's SteMs
+  // still move by reference, q23's split and replay with their seqs.
+  Executor exec({.num_eos = 2,
+                 .quantum = 16,
+                 .shards = 4,
+                 .shard_min_skew_volume = 64});
+  for (SourceId s = 0; s < 4; ++s) {
+    ASSERT_TRUE(exec.RegisterStream(s, Sch(s)).ok());
+  }
+  Collector got;
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("q01")).ok());
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(2, "k", 3, "k"), got.SinkFor("q23")).ok());
+  exec.Start();
+
+  std::vector<Tuple> rows[4];
+  Timestamp ts = 1;
+  auto ingest = [&](SourceId s, int64_t k) {
+    Tuple t = Row(s, k, ts, ts);
+    ++ts;
+    rows[s].push_back(t);
+    ASSERT_TRUE(exec.IngestTuple(s, t).ok());
+  };
+  for (int i = 0; i < 200; ++i) {  // one hot key on q01's streams only
+    ingest(0, 7);
+    ingest(1, 7);
+  }
+  ASSERT_TRUE(Drain(&exec).ok());
+  ASSERT_TRUE(exec.RepartitionSkewedOnce());
+  Rng rng(37);
+  for (int i = 0; i < 150; ++i) {
+    for (SourceId s = 0; s < 4; ++s) ingest(s, rng.UniformInt(0, 30));
+  }
+  ASSERT_TRUE(Drain(&exec).ok());
+  std::vector<Tuple> s1_prefix = rows[1], s2_prefix = rows[2];
+
+  uint64_t repartitions = FamilySum(&exec, "tcq_shard_repartitions_total");
+  uint64_t replayed =
+      FamilySum(&exec, "tcq_shard_stem_entries_replayed_total");
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(1, "k", 2, "k"), got.SinkFor("bridge")).ok());
+  EXPECT_EQ(FamilySum(&exec, "tcq_shard_repartitions_total"),
+            repartitions + 1);
+  uint64_t moved =
+      FamilySum(&exec, "tcq_shard_stem_entries_replayed_total") - replayed;
+  EXPECT_GT(moved, 0u) << "q23's SteMs must split across the new owners";
+  EXPECT_LE(moved, rows[2].size() + rows[3].size())
+      << "q01's SteMs keep their owners and must not replay";
+  EXPECT_EQ(exec.Topology()[0].shards, 4u);
+
+  for (int i = 0; i < 150; ++i) {
+    for (SourceId s = 0; s < 4; ++s) ingest(s, rng.UniformInt(0, 30));
+  }
+  for (SourceId s = 0; s < 4; ++s) ASSERT_TRUE(exec.CloseStream(s).ok());
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+
+  auto join = [](SourceId l, SourceId r) {
+    return MakeCompareAttrs({l, "k"}, CmpOp::kEq, {r, "k"});
+  };
+  EXPECT_EQ(CanonicalMultiset(got.Take("q01")),
+            CanonicalMultiset(NaiveJoin({rows[0], rows[1]}, {join(0, 1)})));
+  EXPECT_EQ(CanonicalMultiset(got.Take("q23")),
+            CanonicalMultiset(NaiveJoin({rows[2], rows[3]}, {join(2, 3)})));
+  auto bridge = CanonicalMultiset(NaiveJoin({rows[1], rows[2]}, {join(1, 2)}));
+  for (const auto& [key, count] :
+       CanonicalMultiset(NaiveJoin({s1_prefix, s2_prefix}, {join(1, 2)}))) {
+    bridge[key] -= count;
+    if (bridge[key] == 0) bridge.erase(key);
+  }
+  EXPECT_EQ(CanonicalMultiset(got.Take("bridge")), bridge);
 }
 
 TEST(ExecShardingTest, ShardMetricsAndGcLifecycle) {
@@ -1052,7 +1247,7 @@ TEST(FluxTest, FailoverIsExactAfterSkewRepartitionAndRestore) {
     ASSERT_TRUE(w.WriteTo(path).ok());
     exec.Stop();
   }
-  // Restore, then a crash: ReplayStemEntry seeded the shadows, so the
+  // Restore, then a crash: the restore seeded the shadows, so the
   // restored entries survive the failover. The restored class delivers
   // every pair whose later row arrives after the restore.
   Collector got;
@@ -1081,6 +1276,41 @@ TEST(FluxTest, FailoverIsExactAfterSkewRepartitionAndRestore) {
     if (expected[tuple] == 0) expected.erase(tuple);
   }
   EXPECT_EQ(CanonicalMultiset(got.Take("join")), expected);
+}
+
+TEST(FluxTest, ReplicatedFailoverReplaysOnlyTheFailedShard) {
+  // The surviving shards' SteMs move by reference; only the failed shard's
+  // rows, rebuilt from its shadows, replay into its standby.
+  Collector got;
+  Executor exec({.num_eos = 2,
+                 .quantum = 16,
+                 .shards = 4,
+                 .shard_replication = true});
+  ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
+  ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+  Rng rng(19);
+  Timestamp ts = 1;
+  std::vector<Tuple> s0, s1;
+  IngestLogged(&exec, &rng, 200, 31, &ts, &s0, &s1);
+  ASSERT_TRUE(Drain(&exec).ok());  // no EO runs: every row is consumed
+  // No eviction: the failed shard's SteMs hold every row routed to it.
+  uint64_t held = ShardIngest(&exec, kFailed);
+  ASSERT_GT(held, 0u);
+  ASSERT_LT(held, s0.size() + s1.size());
+  uint64_t before = FamilySum(&exec, "tcq_shard_stem_entries_replayed_total");
+  ASSERT_TRUE(exec.FailShard(0, kFailed).ok());
+  EXPECT_EQ(FamilySum(&exec, "tcq_shard_stem_entries_replayed_total"),
+            before + held);
+
+  exec.Start();
+  IngestLogged(&exec, &rng, 100, 31, &ts, &s0, &s1);
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+  EXPECT_EQ(CanonicalMultiset(got.Take("join")),
+            CanonicalMultiset(NaiveJoin(
+                {s0, s1}, {MakeCompareAttrs({0, "k"}, CmpOp::kEq, {1, "k"})})));
 }
 
 TEST(FluxTest, FailureGuards) {
