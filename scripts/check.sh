@@ -21,9 +21,10 @@
 #      enters PushEgress::OfferBatch under the query's merge mutex, and a
 #      kBlock OfferBatch blocks there until a client makes room or Close()
 #      wakes it — plus the whole server suite:
-#      windowed DUs share the executor's EO threads with class DUs, and
-#      Checkpoint detaches them while those threads run) — must be
-#      TSan-clean
+#      windowed DUs share the executor's EO threads with class DUs, and a
+#      pusher races windowed submit/cancel — aliased self-joins included —
+#      and Checkpoint's detach/re-attach, all changing the executor's one
+#      per-source routing table under live ingest) — must be TSan-clean
 #   4. UBSan build running the trace/queue/routing suites (the seqlock ring
 #      and histogram interpolation are the prime UB suspects); the routing
 #      suite (eddy_test) runs the production SharedEddy under every routing
@@ -109,9 +110,12 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     obs_test window_test server_test recovery_test batch_test ingress_test \
     egress_test
   # server_test: punctuations flow source -> fjord -> class -> window ->
-  # egress across threads, and windowed DUs run beside class DUs on the
-  # shared EOs; recovery_test detaches and re-attaches those DUs on every
-  # checkpoint while the EO threads run; batch_test and ingress_test move
+  # egress across threads, windowed DUs run beside class DUs on the shared
+  # EOs, and PushRacesWindowedSubmitCancelAndCheckpoint pushes while
+  # windowed queries are hosted, removed and detached/re-attached (the
+  # executor's routing table changes under IngestBatch); recovery_test
+  # detaches and re-attaches those DUs on every checkpoint while the EO
+  # threads run; batch_test and ingress_test move
   # whole batch segments between producer and consumer threads;
   # egress_test: a shard's result run reaches PushEgress::OfferBatch under
   # the query's merge mutex, and under kBlock OfferBatch blocks there until

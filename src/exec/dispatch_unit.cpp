@@ -235,7 +235,12 @@ DispatchUnit::StepResult WindowedQueryDispatchUnit::Step() {
                  : exhausted    ? StepResult::kDone
                                 : StepResult::kIdle;
   CountStep(r);
-  if (r == StepResult::kDone && on_done_) std::exchange(on_done_, nullptr)();
+  if (r == StepResult::kDone) {
+    // Hang up: a producer waiting for room in an input must not wait on a
+    // DU that reads nothing more.
+    for (Input& input : inputs_) input.consumer.Close();
+    if (on_done_) std::exchange(on_done_, nullptr)();
+  }
   return r;
 }
 

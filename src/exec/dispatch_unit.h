@@ -198,8 +198,8 @@ class WindowedQueryDispatchUnit : public DispatchUnit {
   void BindWake(WakeTarget* wake) override;
 
   /// Invoked once, from the step that reports kDone (the loop finished or
-  /// every input closed), after that step's windows reached the sink. Call
-  /// before the DU runs.
+  /// every input closed), after that step's windows reached the sink and
+  /// its inputs were closed. Call before the DU runs.
   void set_on_done(std::function<void()> on_done) {
     on_done_ = std::move(on_done);
   }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -238,6 +239,7 @@ Result<GlobalQueryId> Executor::SubmitQuery(const CQSpec& spec, Sink sink) {
 }
 
 Result<GlobalQueryId> Executor::HostQuery(const DuFactory& build,
+                                          const std::vector<SourceId>& inputs,
                                           GlobalQueryId id) {
   std::lock_guard<std::mutex> lock(mu_);
   if (id == 0) id = next_query_id_;
@@ -245,12 +247,80 @@ Result<GlobalQueryId> Executor::HostQuery(const DuFactory& build,
     return Status::AlreadyExists("query id " + std::to_string(id) +
                                  " is taken");
   }
+  for (SourceId s : inputs) {
+    if (!streams_.contains(s)) {
+      return Status::NotFound("stream s" + std::to_string(s) +
+                              " is not registered");
+    }
+  }
   next_query_id_ = std::max(next_query_id_, id + 1);
-  std::shared_ptr<DispatchUnit> du = build(id);
-  // A finished DU keeps its id but is placed nowhere: it would only retire.
-  if (!du->done()) eos_[LeastLoadedEo()]->AddDispatchUnit(du);
+  std::shared_ptr<WindowedQueryDispatchUnit> du = build(id);
+  Counter* dropped = metrics_->GetCounter(MetricName(
+      "tcq_window_input_dropped_total", "query", "q" + std::to_string(id)));
+  for (SourceId s : inputs) {
+    auto endpoints = Fjord::Make(FjordMode::kPush, opts_.queue_capacity,
+                                 "win:s" + std::to_string(s), metrics_.get());
+    du->AddInput(s, endpoints.consumer);
+    streams_[s].inputs.push_back(
+        HostedInput{id, du, endpoints.producer, dropped});
+  }
+  eos_[LeastLoadedEo()]->AddDispatchUnit(du);
   queries_[id] = QueryInfo{SIZE_MAX, 0, std::move(du)};
   return id;
+}
+
+Status Executor::BackfillQuery(GlobalQueryId id, TupleBatch batch) {
+  std::optional<HostedInput> in;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = streams_.find(batch.source());
+    if (it != streams_.end()) {
+      for (const HostedInput& h : it->second.inputs) {
+        if (h.query == id) in = h;
+      }
+    }
+  }
+  const std::string what = "query " + std::to_string(id) + " input";
+  if (!in.has_value()) return Status::NotFound("no " + what);
+  // The unconsumed suffix (rows, then punctuations) stays in the batch
+  // across attempts by the ProduceBatch contract.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    const bool eo_running = running();
+    QueueOp op = eo_running ? in->producer.ProduceBatchUntil(&batch, deadline)
+                            : in->producer.ProduceBatch(&batch);
+    if (batch.empty() && batch.punctuations().empty()) return Status::OK();
+    if (in->du->done()) return Status::OK();
+    if (op == QueueOp::kClosed) {
+      return Status::FailedPrecondition(what + " closed during backfill");
+    }
+    if (eo_running || std::chrono::steady_clock::now() > deadline) {
+      return Status::ResourceExhausted(what + " stayed full during backfill");
+    }
+    TCQ_RETURN_IF_ERROR(WaitQuiescent(deadline));
+  }
+}
+
+Status Executor::WithQueryDetached(
+    GlobalQueryId id,
+    const std::function<Status(WindowedQueryDispatchUnit*)>& fn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = queries_.find(id);
+  if (it == queries_.end() || it->second.du == nullptr) {
+    return Status::NotFound("no hosted query " + std::to_string(id));
+  }
+  const std::shared_ptr<WindowedQueryDispatchUnit>& du = it->second.du;
+  ExecutionObject* host = nullptr;
+  for (auto& eo : eos_) {
+    if (eo->RemoveDispatchUnit(du)) {
+      host = eo.get();
+      break;
+    }
+  }
+  Status st = fn(du.get());
+  if (host != nullptr) host->AddDispatchUnit(du);
+  return st;
 }
 
 Status Executor::RemoveQuery(GlobalQueryId id) {
@@ -265,6 +335,15 @@ Status Executor::RemoveQuery(GlobalQueryId id) {
     // already retired (kDone) is hosted nowhere, so every EO says no.
     for (auto& eo : eos_) {
       if (eo->RemoveDispatchUnit(du)) break;
+    }
+    // Only then close its inputs: a DU still stepped would read the close
+    // as end-of-stream and fire every window it holds open.
+    for (auto& [source, info] : streams_) {
+      std::erase_if(info.inputs, [id](HostedInput& in) {
+        if (in.query != id) return false;
+        in.producer.Close();
+        return true;
+      });
     }
     return Status::OK();
   }
@@ -301,21 +380,8 @@ Status Executor::IngestBatch(TupleBatch batch) {
   // (closing its fjords) while this batch is in flight.
   std::shared_ptr<ShardedClass> sc;
   Counter* dropped = nullptr;
-  auto lookup = [&]() -> Status {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = streams_.find(source);
-    if (it == streams_.end()) {
-      return Status::NotFound("stream s" + std::to_string(source) +
-                              " is not registered");
-    }
-    sc = it->second.owner;
-    dropped = it->second.dropped;
-    return Status::OK();
-  };
-  Status st = lookup();
-  if (!st.ok()) return st;
   auto unrouted = [&]() {
-    // No query class consumes this stream: drop loudly, not silently.
+    // Nothing consumes this stream: drop loudly, not silently.
     dropped_unrouted_->Inc(batch.size());
     dropped->Inc(batch.size());
     return Status::FailedPrecondition(
@@ -323,7 +389,30 @@ Status Executor::IngestBatch(TupleBatch batch) {
         " is not consumed by any active query class; " +
         std::to_string(batch.size()) + " tuple(s) dropped");
   };
-  if (sc == nullptr) return unrouted();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = streams_.find(source);
+    if (it == streams_.end()) {
+      return Status::NotFound("stream s" + std::to_string(source) +
+                              " is not registered");
+    }
+    StreamInfo& info = it->second;
+    sc = info.owner;
+    dropped = info.dropped;
+    if (sc == nullptr && info.inputs.empty()) return unrouted();
+    // Offered under mu_, which RemoveQuery holds to unlist and close an
+    // input. What a full input refuses is dropped (windowed clients are
+    // best-effort), unless its DU finished reading.
+    for (HostedInput& in : info.inputs) {
+      TupleBatch offered = batch;
+      (void)in.producer.ProduceBatch(&offered);
+      if (!offered.empty() && !in.du->done()) {
+        in.dropped->Inc(offered.size());
+        dropped->Inc(offered.size());
+      }
+    }
+  }
+  if (sc == nullptr) return Status::OK();
   // Producer-side enqueue span: timed across back-pressure retries, so its
   // duration shows blocked producers (the consumer-side wait is kQueueWait).
   bool sampled = tracer_ != nullptr && tracer_->ShouldSample();
@@ -345,8 +434,10 @@ Status Executor::IngestBatch(TupleBatch batch) {
     if (r == ShardedClass::RouteResult::kRetired) {
       // The class was merged away mid-flight: re-resolve the stream's
       // current owner (the merge survivor) and route there.
-      st = lookup();
-      if (!st.ok()) return st;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        sc = streams_.at(source).owner;
+      }
       if (sc == nullptr) return unrouted();
       continue;
     }
@@ -390,6 +481,7 @@ Status Executor::CloseStream(SourceId source) {
                             " is not registered");
   }
   if (it->second.owner != nullptr) it->second.owner->CloseStream(source);
+  for (HostedInput& in : it->second.inputs) in.producer.Close();
   return Status::OK();
 }
 

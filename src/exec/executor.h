@@ -25,6 +25,10 @@
 // Windowed queries are not classes: each is one caller-built DU hosted on
 // the same EOs under the same query ids (HostQuery).
 //
+// streams_ is the one table of who consumes logical source s: the class
+// owning s and every hosted DU's input on s. A source with neither is
+// unrouted.
+//
 // EOs park when their DUs idle and wake when a fjord they consume gains
 // work, so "everything pushed so far has been processed" is observable:
 // WaitQuiescent returns once every EO is parked with nothing signalled.
@@ -32,11 +36,13 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stop_token>
 #include <thread>
+#include <vector>
 
 #include "common/metrics.h"
 #include "exec/dispatch_unit.h"
@@ -116,11 +122,15 @@ class Executor {
   /// Thread-safe batch ingestion: routes the whole batch to the query class
   /// consuming its stream in ONE catalog lookup; the class partitions it
   /// across its shard replicas and moves each slice in whole-batch pushes.
+  /// Each hosted DU reading the stream gets one non-blocking push; what a
+  /// full input refuses (unless its DU finished) is dropped and counted on
+  /// tcq_window_input_dropped_total{query} and the stream's drop counter.
   /// Returns:
   ///   * kNotFound            — the stream was never registered;
-  ///   * kFailedPrecondition  — no active query class consumes the stream
-  ///                            (the batch is dropped and counted, per-stream
-  ///                            and globally), or the stream is closed;
+  ///   * kFailedPrecondition  — neither a query class nor a hosted DU
+  ///                            consumes the stream (the batch is dropped and
+  ///                            counted, per-stream and globally), or the
+  ///                            stream is closed;
   ///   * kResourceExhausted   — back-pressure outlasted the retry budget; the
   ///                            undelivered suffix is dropped and counted
   ///                            (per-stream and under the dedicated
@@ -128,7 +138,7 @@ class Executor {
   ///                            routed, unlike the unrouted drops above).
   Status IngestBatch(TupleBatch batch);
 
-  /// Closes a stream: its class eventually drains and completes.
+  /// Closes a stream for its class and every hosted DU reading it.
   Status CloseStream(SourceId source);
 
   /// Submits a continuous query; blocks until the owning class's DUs admit
@@ -139,15 +149,33 @@ class Executor {
   Result<GlobalQueryId> SubmitQuery(const CQSpec& spec, Sink sink);
 
   /// Hosts the DU `build(id)` returns (called once, under the executor lock)
-  /// as one query outside the class system, on the least-loaded EO. `id` 0
-  /// takes the next id from SubmitQuery's space; restore and checkpoint
-  /// re-attach pass a recorded id (kAlreadyExists when live). A DU that
-  /// reports kDone retires from its EO but keeps its id until RemoveQuery.
-  using DuFactory = std::function<std::shared_ptr<DispatchUnit>(GlobalQueryId)>;
-  Result<GlobalQueryId> HostQuery(const DuFactory& build, GlobalQueryId id = 0);
+  /// as one query outside the class system, on the least-loaded EO, fed by
+  /// one push fjord (queue_capacity rows) per registered stream in `inputs`.
+  /// `id` 0 takes the next id from SubmitQuery's space; restore passes a
+  /// recorded id (kAlreadyExists when live). A DU that reports kDone
+  /// retires from its EO but keeps its id until RemoveQuery.
+  using DuFactory =
+      std::function<std::shared_ptr<WindowedQueryDispatchUnit>(GlobalQueryId)>;
+  Result<GlobalQueryId> HostQuery(const DuFactory& build,
+                                  const std::vector<SourceId>& inputs,
+                                  GlobalQueryId id = 0);
+
+  /// Pushes `batch` into hosted query `id`'s input on `batch.source()`,
+  /// waiting up to 10s for room instead of dropping (history backfill;
+  /// before Start() the DUs are stepped inline). OK when the DU finished
+  /// first; kResourceExhausted when the input stayed full.
+  Status BackfillQuery(GlobalQueryId id, TupleBatch batch);
+
+  /// Detaches hosted query `id`'s DU from its EO at a quantum boundary, runs
+  /// `fn` on it and re-attaches it to the same EO, inputs (and what they
+  /// queued) intact. Returns fn's status.
+  Status WithQueryDetached(
+      GlobalQueryId id,
+      const std::function<Status(WindowedQueryDispatchUnit*)>& fn);
 
   /// Removes a query at the next quantum boundary; a hosted DU detaches from
-  /// its EO, blocking until its in-flight quantum ends. Removing a class's
+  /// its EO, blocking until its in-flight quantum ends, and its inputs are
+  /// unhooked from their streams and closed. Removing a class's
   /// LAST query garbage-collects the class synchronously: the DUs detach
   /// from their EOs, the class fjords close, and stream ownership is
   /// released (a later query re-claims the streams with fresh fjords).
@@ -218,8 +246,8 @@ class Executor {
   uint64_t tuples_dropped_backpressure() const {
     return dropped_backpressure_->Value();
   }
-  /// Tuples dropped on one stream (unrouted, closed, or back-pressured
-  /// past the retry budget). 0 for unknown streams.
+  /// Tuples dropped on one stream (unrouted, closed, back-pressured past
+  /// the retry budget, or refused by a hosted input). 0 for unknown ones.
   uint64_t stream_tuples_dropped(SourceId source) const;
   /// The owning class's merged (min across shard replicas) event-time
   /// watermark of `source`; kMinTimestamp for unknown/unpunctuated streams.
@@ -232,6 +260,13 @@ class Executor {
   const MetricsRegistryRef& metrics() const { return metrics_; }
 
  private:
+  struct HostedInput {
+    GlobalQueryId query = 0;
+    std::shared_ptr<WindowedQueryDispatchUnit> du;
+    FjordProducer producer;
+    Counter* dropped = nullptr;  ///< tcq_window_input_dropped_total{query}
+  };
+
   struct StreamInfo {
     SchemaRef schema;
     StemOptions stem_opts;
@@ -240,6 +275,7 @@ class Executor {
     /// stream or a merge retires the class.
     std::shared_ptr<ShardedClass> owner;
     size_t owner_class = SIZE_MAX;
+    std::vector<HostedInput> inputs;  ///< hosted DUs reading the stream
     /// Drops on this stream: tcq_executor_stream_dropped_total{stream=...}.
     Counter* dropped = nullptr;
   };
@@ -253,7 +289,7 @@ class Executor {
   struct QueryInfo {
     size_t query_class = SIZE_MAX;  ///< SIZE_MAX for a hosted DU
     QueryId local_id = 0;
-    std::shared_ptr<DispatchUnit> du;  ///< hosted queries only (HostQuery)
+    std::shared_ptr<WindowedQueryDispatchUnit> du;  ///< HostQuery only
   };
 
   /// Finds or creates the class covering `spec`'s footprint, merging every

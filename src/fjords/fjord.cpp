@@ -94,6 +94,8 @@ size_t FjordConsumer::ConsumeBatch(TupleBatch* out, size_t max, QueueOp* op,
 
 bool FjordConsumer::Exhausted() const { return fjord_->queue_.exhausted(); }
 
+void FjordConsumer::Close() { fjord_->queue_.Close(); }
+
 size_t FjordConsumer::Pending() const { return fjord_->queue_.size(); }
 
 void FjordConsumer::SetWake(WakeTarget* wake) { fjord_->queue_.SetWake(wake); }

@@ -101,6 +101,10 @@ class FjordConsumer {
 
   size_t Pending() const;
 
+  /// Hangs up: closes the fjord from the consuming side, so a producer
+  /// waiting for room wakes with kClosed.
+  void Close();
+
   /// Binds (nullptr: unbinds) the wake target this fjord signals when it
   /// goes from empty to non-empty or closes — the consuming EO's, bound by
   /// ExecutionObject::AddDispatchUnit. Thread-safe.

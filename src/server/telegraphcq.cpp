@@ -75,11 +75,6 @@ void WindowResultBuffer::MarkFinished() {
   finished_ = true;
 }
 
-size_t WindowResultBuffer::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return results_.size();
-}
-
 // --- TelegraphCQ ---------------------------------------------------------------
 
 TelegraphCQ::TelegraphCQ(Options opts, MetricsRegistryRef metrics)
@@ -223,11 +218,11 @@ void TelegraphCQ::RouteBatch(PhysicalStream* stream, const TupleBatch& batch,
       }
     }
   }
-  // Columnarize once at the fabric entrance: every subscription below (and
-  // the eddy prefilters downstream) shares this store by reference.
+  // Columnarize once at the fabric entrance: every logical source below
+  // (and the eddy prefilters downstream) shares this store by reference.
   const ColumnStore::Ref& cols = batch.columns();
-  // The stream-level watermark lane, as VALUES: every subscription re-tags
-  // them under its own logical source below, exactly like the rows. A
+  // The stream-level watermark lane, as VALUES: re-tagged under each
+  // logical source below, exactly like the rows. A
   // punctuating stream derives the lane here at the entrance — the only
   // point that sees the merge of all attached feeds, so its max-timestamp
   // scan is authoritative where a single feed's heartbeat is not (incoming
@@ -259,60 +254,26 @@ void TelegraphCQ::RouteBatch(PhysicalStream* stream, const TupleBatch& batch,
       lane.push_back(p.low_watermark);
     }
   }
-  for (const Subscription& sub : stream->subs) {
-    // A canonical-source batch whose tuples already carry the
-    // subscription's schema passes through untouched; anything else is
-    // re-tagged under the subscription's logical source (self-join alias).
-    bool direct = sub.logical == stream->canonical;
-    if (direct) {
-      if (cols != nullptr) {
-        direct = cols->schema().get() == sub.schema.get();
-      } else {
-        for (const Tuple& t : batch) {
-          if (t.schema().get() != sub.schema.get()) {
-            direct = false;
-            break;
-          }
-        }
+  for (const auto& [logical, refs] : stream->logical) {
+    // The canonical source takes a copy of the batch (cheap for columnar
+    // batches: the store is shared by reference); a self-join alias takes
+    // it re-tagged under its own schema, as a zero-copy view when columnar.
+    const SchemaRef& schema = catalog_.LookupBySource(logical)->schema;
+    TupleBatch routed(logical);
+    if (cols != nullptr ? cols->schema() == schema : batch.empty()) {
+      routed = batch;
+      routed.set_source(logical);
+      routed.ClearPunctuations();
+    } else if (ColumnStore::Ref view = ColumnStore::Retagged(cols, schema)) {
+      routed = TupleBatch(logical, std::move(view));
+    } else {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const Tuple t = batch.RowAt(i);
+        routed.push_back(Tuple::Make(schema, t.values(), t.timestamp()));
       }
     }
-    if (direct) {
-      if (lane.empty() && batch.punctuations().empty()) {
-        sub.deliver(batch);
-        continue;
-      }
-      // Lane present: deliver a copy carrying the re-tagged lane (cheap for
-      // columnar batches — the store is shared by reference).
-      TupleBatch with_lane = batch;
-      with_lane.ClearPunctuations();
-      for (Timestamp wm : lane) {
-        with_lane.AddPunctuation(Punctuation{sub.logical, wm});
-      }
-      sub.deliver(with_lane);
-      continue;
-    }
-    if (cols != nullptr) {
-      // Zero-copy alias re-tag: a view over the same lanes under the
-      // subscription's schema.
-      if (ColumnStore::Ref view = ColumnStore::Retagged(cols, sub.schema)) {
-        TupleBatch retagged(sub.logical, std::move(view));
-        for (Timestamp wm : lane) {
-          retagged.AddPunctuation(Punctuation{sub.logical, wm});
-        }
-        sub.deliver(retagged);
-        continue;
-      }
-    }
-    TupleBatch retagged(sub.logical);
-    retagged.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Tuple t = batch.RowAt(i);
-      retagged.push_back(Tuple::Make(sub.schema, t.values(), t.timestamp()));
-    }
-    for (Timestamp wm : lane) {
-      retagged.AddPunctuation(Punctuation{sub.logical, wm});
-    }
-    sub.deliver(retagged);
+    for (Timestamp wm : lane) routed.AddPunctuation(Punctuation{logical, wm});
+    (void)executor_.IngestBatch(std::move(routed));
   }
 }
 
@@ -374,39 +335,33 @@ Status TelegraphCQ::CloseStream(const std::string& stream_name) {
     return Status::NotFound("no stream '" + stream_name + "'");
   }
   it->second.closed = true;
-  // Executor-side close lets shared-CQ DUs drain to completion; windowed
-  // subscriptions close their input fjords and fire remaining windows.
-  for (const Subscription& sub : it->second.subs) {
-    (void)executor_.CloseStream(sub.logical);
-    if (sub.close) sub.close();
-  }
+  CloseLogicalLocked(it->second);
   return Status::OK();
 }
 
-Status TelegraphCQ::SubscribeContinuous(const std::string& physical,
-                                        const Catalog::StreamEntry& entry) {
-  PhysicalStream& stream = streams_[physical];
-  for (const Subscription& sub : stream.subs) {
-    // Only the shared (owner==0) executor subscription dedups: windowed
-    // queries also subscribe under this logical source, and their presence
-    // must not swallow the executor feed for a later continuous query.
-    if (sub.owner == 0 && sub.logical == entry.source) return Status::OK();
+void TelegraphCQ::CloseLogicalLocked(const PhysicalStream& stream) {
+  // Class DUs drain to completion; windowed DUs see end-of-stream on their
+  // inputs and fire the windows they still hold open.
+  for (const auto& [logical, refs] : stream.logical) {
+    (void)executor_.CloseStream(logical);
   }
-  // Alias sources must be registered with the executor once.
-  if (entry.source != stream.canonical) {
-    Status s = executor_.RegisterStream(entry.source, entry.schema);
-    if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
+}
+
+void TelegraphCQ::RetainLocked(const ClientInfo& client) {
+  for (const auto& [alias, source] : client.bindings) {
+    const Catalog::StreamEntry* entry = catalog_.LookupBySource(source);
+    // Registering a source twice is kAlreadyExists: aliases register once.
+    (void)executor_.RegisterStream(source, entry->schema);
+    ++streams_[entry->name].logical[source];
   }
-  Subscription sub;
-  sub.logical = entry.source;
-  sub.schema = entry.schema;
-  sub.deliver = [this, logical = entry.source](const TupleBatch& b) {
-    TupleBatch routed = b;
-    routed.set_source(logical);
-    (void)executor_.IngestBatch(std::move(routed));
-  };
-  stream.subs.push_back(std::move(sub));
-  return Status::OK();
+}
+
+void TelegraphCQ::ReleaseLocked(const ClientInfo& client) {
+  for (const auto& [alias, source] : client.bindings) {
+    auto& logical = streams_[catalog_.LookupBySource(source)->name].logical;
+    auto it = logical.find(source);
+    if (it != logical.end() && --it->second == 0) logical.erase(it);
+  }
 }
 
 void TelegraphCQ::ClientInfo::Record(const std::string& query_sql,
@@ -505,17 +460,14 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
       }
     }
     TCQ_ASSIGN_OR_RETURN(handle, AdmitWindowedLocked(plan, sql, sub_opts, 0));
-    ClientInfo& client = clients_[handle.id];
+    const ClientInfo& client = clients_[handle.id];
     if (sub_opts.history_reach != 0) {
-      Status backfill = BackfillWindowedLocked(&client, sub_opts.history_reach);
+      Status backfill =
+          BackfillWindowedLocked(handle.id, client, sub_opts.history_reach);
       if (!backfill.ok()) {
         // Roll the admission back: a failed backfill must not leave a
         // half-primed query running.
-        for (auto& [name, stream] : streams_) {
-          std::erase_if(stream.subs, [&](const Subscription& s) {
-            return s.owner == handle.id;
-          });
-        }
+        ReleaseLocked(client);
         clients_.erase(handle.id);
         (void)executor_.RemoveQuery(handle.id);
         return backfill;
@@ -524,8 +476,8 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
     // A stream that closed before this query existed will never deliver
     // end-of-stream to it: close those inputs now — after the backfill, so
     // a finished, spooled stream fires over its archive and then finishes.
-    for (const ClientInfo::WindowInput& in : client.window_inputs) {
-      if (streams_[in.stream].closed) in.producer->Close();
+    for (const std::string& name : client.streams) {
+      if (streams_[name].closed) CloseLogicalLocked(streams_[name]);
     }
     return handle;
   }
@@ -536,22 +488,21 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
   }
 
   // Continuous query through the shared executor.
-  for (const auto& [alias, entry] : plan.bindings) {
-    TCQ_RETURN_IF_ERROR(SubscribeContinuous(entry.name, entry));
-  }
-  std::shared_ptr<PushEgress> egress = NewEgressLocked();
-  Executor::Sink sink = EgressSink(egress, plan.projection);
+  ClientInfo client;
+  client.Record(sql, plan);
+  client.egress = NewEgressLocked();
+  RetainLocked(client);
+  Executor::Sink sink = EgressSink(client.egress, plan.projection);
   lock.unlock();  // SubmitQuery blocks on admission; don't hold the mutex
-  TCQ_ASSIGN_OR_RETURN(GlobalQueryId id,
-                       executor_.SubmitQuery(plan.spec, std::move(sink)));
-  handle.id = id;
-  handle.results = egress;
-  {
-    std::lock_guard<std::mutex> relock(mu_);
-    ClientInfo& client = clients_[id];
-    client.egress = egress;
-    client.Record(sql, plan);
+  Result<GlobalQueryId> id = executor_.SubmitQuery(plan.spec, std::move(sink));
+  lock.lock();
+  if (!id.ok()) {
+    ReleaseLocked(client);
+    return id.status();
   }
+  handle.id = *id;
+  handle.results = client.egress;
+  clients_[*id] = std::move(client);
   return handle;
 }
 
@@ -575,11 +526,15 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
   OnlineWindowRunner::Options runner_opts;
   runner_opts.speculate = sub_opts.speculate && all_punctuate;
 
-  // One DU fed by dedicated fjords, hosted on the executor's EOs under an
-  // id from its query id space. Everything is wired before the DU is
-  // hosted: once on an EO it is stepped concurrently.
-  std::shared_ptr<WindowedQueryDispatchUnit> du;
-  std::vector<ClientInfo::WindowInput> inputs;
+  // One DU, hosted on the executor's EOs under an id from its query id
+  // space; the executor feeds it one input per binding. Everything is wired
+  // before the DU is hosted: once on an EO it is stepped concurrently.
+  ClientInfo client;
+  client.Record(sql, plan);
+  client.windows = buffer;
+  client.speculate = sub_opts.speculate;
+  std::vector<SourceId> inputs;
+  for (const auto& [alias, source] : client.bindings) inputs.push_back(source);
   auto build = [&](GlobalQueryId wid) {
     std::string qlabel = "q" + std::to_string(wid);
     buffer->AttachMetrics(
@@ -589,7 +544,7 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
             MetricName("tcq_window_tuples_total", "query", qlabel)),
         metrics_->GetCounter(
             MetricName("tcq_window_retractions_total", "query", qlabel)));
-    du = std::make_shared<WindowedQueryDispatchUnit>(
+    auto du = std::make_shared<WindowedQueryDispatchUnit>(
         "windowed" + std::to_string(wid), std::move(wq),
         [buffer, projection](const WindowResult& r) {
           if (!projection.has_value()) {
@@ -611,57 +566,20 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
           buffer->Push(std::move(projected));
         },
         /*quantum=*/64, runner_opts);
-    Counter* win_dropped = metrics_->GetCounter(
-        MetricName("tcq_window_input_dropped_total", "query", qlabel));
-    for (const auto& [alias, entry] : plan.bindings) {
-      auto endpoints = Fjord::Make(FjordMode::kPush, opts_.egress_capacity,
-                                   "win:" + alias, metrics_.get());
-      du->AddInput(entry.source, endpoints.consumer);
-      Subscription sub;
-      sub.logical = entry.source;
-      sub.schema = entry.schema;
-      sub.owner = wid;
-      auto producer = std::make_shared<FjordProducer>(endpoints.producer);
-      sub.deliver = [producer, win_dropped, du](const TupleBatch& b) {
-        // A finished loop reads nothing more: its input is not a drop.
-        if (du->done()) return;
-        // Push mode: drop on overload (windowed clients are best-effort
-        // under backpressure) — but count what was dropped; the unconsumed
-        // suffix stays in the offered batch by the ProduceBatch contract.
-        TupleBatch offered = b;
-        (void)producer->ProduceBatch(&offered);
-        if (!offered.empty()) win_dropped->Inc(offered.size());
-      };
-      // CloseStream closes the input fjord so the DU sees end-of-stream and
-      // fires the windows it is still holding open.
-      sub.close = [producer] { producer->Close(); };
-      streams_[entry.name].subs.push_back(std::move(sub));
-      inputs.push_back(ClientInfo::WindowInput{entry.source, entry.name,
-                                               entry.schema, producer});
-    }
-    // A completed loop finishes its client's buffer and closes its inputs:
-    // it reads nothing more, and a producer waiting for room must not wait
-    // on it.
-    std::vector<std::shared_ptr<FjordProducer>> producers;
-    for (const ClientInfo::WindowInput& in : inputs) {
-      producers.push_back(in.producer);
-    }
-    du->set_on_done([buffer, producers] {
-      buffer->MarkFinished();
-      for (const auto& p : producers) p->Close();
-    });
+    // A completed loop finishes its client's buffer.
+    du->set_on_done([buffer] { buffer->MarkFinished(); });
     return du;
   };
-  TCQ_ASSIGN_OR_RETURN(GlobalQueryId wid, executor_.HostQuery(build, id));
+  RetainLocked(client);
+  Result<GlobalQueryId> wid = executor_.HostQuery(build, inputs, id);
+  if (!wid.ok()) {
+    ReleaseLocked(client);
+    return wid.status();
+  }
   ClientHandle handle;
-  handle.id = wid;
+  handle.id = *wid;
   handle.windows = buffer;
-  ClientInfo& client = clients_[wid];
-  client.windows = buffer;
-  client.window_du = du;
-  client.speculate = sub_opts.speculate;
-  client.window_inputs = std::move(inputs);
-  client.Record(sql, plan);
+  clients_[*wid] = std::move(client);
   return handle;
 }
 
@@ -709,35 +627,6 @@ Result<std::map<std::string, SourceId>> GetBindings(CheckpointReader* r) {
   return pinned;
 }
 
-/// Pushes a batch into a windowed query's input fjord, waiting up to 10s
-/// for room. With the EOs running the fjord drains concurrently, so the
-/// push waits on the queue's not-full condition; before Start() nothing
-/// drains, so the executor's barrier steps the DUs inline between attempts.
-/// The unconsumed suffix (rows, then punctuations) stays in the batch
-/// across attempts by the ProduceBatch contract.
-Status PushWindowInput(FjordProducer* producer, DispatchUnit* du,
-                       Executor* executor, TupleBatch batch) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (;;) {
-    const bool eo_running = executor->running();
-    QueueOp op = eo_running ? producer->ProduceBatchUntil(&batch, deadline)
-                            : producer->ProduceBatch(&batch);
-    if (batch.empty() && batch.punctuations().empty()) return Status::OK();
-    // A finished loop closed its inputs: what it will not read is no loss.
-    if (du->done()) return Status::OK();
-    if (op == QueueOp::kClosed) {
-      return Status::FailedPrecondition(
-          "window input fjord closed during backfill/replay");
-    }
-    if (eo_running || std::chrono::steady_clock::now() > deadline) {
-      return Status::ResourceExhausted(
-          "window input fjord stayed full during backfill/replay");
-    }
-    TCQ_RETURN_IF_ERROR(executor->WaitQuiescent(deadline));
-  }
-}
-
 }  // namespace
 
 Status TelegraphCQ::FlushSpools() {
@@ -766,10 +655,12 @@ Status TelegraphCQ::Drain(std::chrono::steady_clock::time_point deadline) {
   return executor_.WaitQuiescent(deadline);
 }
 
-Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
+Status TelegraphCQ::BackfillWindowedLocked(GlobalQueryId id,
+                                           const ClientInfo& client,
                                            Timestamp reach) {
-  for (const ClientInfo::WindowInput& in : client->window_inputs) {
-    PhysicalStream& stream = streams_[in.stream];
+  for (const auto& [alias, source] : client.bindings) {
+    const Catalog::StreamEntry* entry = catalog_.LookupBySource(source);
+    PhysicalStream& stream = streams_[entry->name];
     std::vector<Tuple> archive;
     TCQ_RETURN_IF_ERROR(stream.spool->ScanFrom(0, &archive));
     Timestamp latest = kMinTimestamp;
@@ -783,29 +674,25 @@ Status TelegraphCQ::BackfillWindowedLocked(ClientInfo* client,
     size_t i = 0;
     while (i < archive.size()) {
       TupleBatch chunk;
-      chunk.set_source(in.source);
+      chunk.set_source(source);
       for (; i < archive.size() && chunk.size() < 256; ++i) {
         const Tuple& t = archive[i];
         if (t.timestamp() < lo) continue;
-        chunk.push_back(t.schema().get() == in.schema.get()
+        chunk.push_back(t.schema().get() == entry->schema.get()
                             ? t
-                            : Tuple::Make(in.schema, t.values(),
+                            : Tuple::Make(entry->schema, t.values(),
                                           t.timestamp()));
       }
-      TCQ_RETURN_IF_ERROR(PushWindowInput(in.producer.get(),
-                                          client->window_du.get(), &executor_,
-                                          std::move(chunk)));
+      TCQ_RETURN_IF_ERROR(executor_.BackfillQuery(id, std::move(chunk)));
     }
     if (stream.event_time.punctuate && stream.last_punct != kMinTimestamp) {
       // The stream's current watermark promise travels BEHIND the
       // historical rows, so an event-time loop fires the backfilled
       // windows immediately instead of waiting for fresh live traffic.
       TupleBatch punct;
-      punct.set_source(in.source);
-      punct.AddPunctuation(Punctuation{in.source, stream.last_punct});
-      TCQ_RETURN_IF_ERROR(PushWindowInput(in.producer.get(),
-                                          client->window_du.get(), &executor_,
-                                          std::move(punct)));
+      punct.set_source(source);
+      punct.AddPunctuation(Punctuation{source, stream.last_punct});
+      TCQ_RETURN_IF_ERROR(executor_.BackfillQuery(id, std::move(punct)));
     }
   }
   return Status::OK();
@@ -886,14 +773,14 @@ Result<uint64_t> TelegraphCQ::Checkpoint() {
 
   // Windowed runners, in query-id order (restore reads them back in the
   // same order). Each DU detaches from its EO at a quantum boundary, its
-  // runner exports, and it re-attaches under the same id.
-  for (auto& [id, client] : clients_) {
+  // runner exports, and it re-attaches with its inputs intact.
+  for (const auto& [id, client] : clients_) {
     if (!client.windowed()) continue;
-    TCQ_RETURN_IF_ERROR(executor_.RemoveQuery(id));
-    WriteCheckpointSection(&w, client.window_du->runner());
-    TCQ_RETURN_IF_ERROR(
-        executor_.HostQuery([&](GlobalQueryId) { return client.window_du; }, id)
-            .status());
+    TCQ_RETURN_IF_ERROR(executor_.WithQueryDetached(
+        id, [&w](WindowedQueryDispatchUnit* du) {
+          WriteCheckpointSection(&w, du->runner());
+          return Status::OK();
+        }));
   }
 
   const std::string path =
@@ -1045,8 +932,8 @@ Result<uint64_t> TelegraphCQ::Restore() {
     replay.emplace_back(name, pos);
   }
 
-  // 3. Continuous clients: recreate egress plumbing and subscriptions under
-  // the recorded ids; the executor re-admits the queries itself below.
+  // 3. Continuous clients: recreate egress plumbing and bindings under the
+  // recorded ids; the executor re-admits the queries itself below.
   std::map<GlobalQueryId, Executor::Sink> sinks;
   TCQ_ASSIGN_OR_RETURN(uint32_t ncont, r->GetU32());
   for (uint32_t i = 0; i < ncont; ++i) {
@@ -1055,14 +942,11 @@ Result<uint64_t> TelegraphCQ::Restore() {
     TCQ_ASSIGN_OR_RETURN(auto pinned, GetBindings(r.get()));
     std::lock_guard<std::mutex> lock(mu_);
     TCQ_ASSIGN_OR_RETURN(PlannedQuery plan, Replan(&catalog_, gid, sql, pinned));
-    for (const auto& [alias, entry] : plan.bindings) {
-      TCQ_RETURN_IF_ERROR(SubscribeContinuous(entry.name, entry));
-    }
-    std::shared_ptr<PushEgress> egress = NewEgressLocked();
-    sinks[gid] = EgressSink(egress, plan.projection);
     ClientInfo& client = clients_[gid];
-    client.egress = egress;
     client.Record(sql, plan);
+    client.egress = NewEgressLocked();
+    RetainLocked(client);
+    sinks[gid] = EgressSink(client.egress, plan.projection);
   }
 
   // 4. Windowed client metadata (their runner sections come after the
@@ -1105,9 +989,10 @@ Result<uint64_t> TelegraphCQ::Restore() {
         ClientHandle handle,
         AdmitWindowedLocked(plan, rec.sql, {.speculate = rec.speculate},
                             rec.wid));
-    // The EOs start in step 7, so nothing steps the DU yet.
-    TCQ_RETURN_IF_ERROR(ReadCheckpointSection(
-        r.get(), clients_[handle.id].window_du->mutable_runner()));
+    TCQ_RETURN_IF_ERROR(executor_.WithQueryDetached(
+        handle.id, [&r](WindowedQueryDispatchUnit* du) {
+          return ReadCheckpointSection(r.get(), du->mutable_runner());
+        }));
   }
 
   // 7. Bring the dataflow up for the replay (the fjords must drain or the
@@ -1147,15 +1032,11 @@ Result<uint64_t> TelegraphCQ::Restore() {
   }
 
   // 9. Re-deliver end-of-stream for streams that closed before the crash:
-  // the restored subscriptions never saw the original CloseStream.
+  // the restored queries never saw the original CloseStream.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [name, stream] : streams_) {
-      if (!stream.closed) continue;
-      for (const Subscription& sub : stream.subs) {
-        (void)executor_.CloseStream(sub.logical);
-        if (sub.close) sub.close();
-      }
+    for (const auto& [name, stream] : streams_) {
+      if (stream.closed) CloseLogicalLocked(stream);
     }
     last_epoch_ = epoch;
   }
@@ -1197,12 +1078,7 @@ Status TelegraphCQ::Cancel(GlobalQueryId id) {
       return Status::NotFound("no query " + std::to_string(id));
     }
     windows = it->second.windows;
-    // Detach a windowed query's subscriptions so its fjords stop filling
-    // (continuous subscriptions are shared and have no owner).
-    for (auto& [name, stream] : streams_) {
-      std::erase_if(stream.subs,
-                    [id](const Subscription& s) { return s.owner == id; });
-    }
+    ReleaseLocked(it->second);
     clients_.erase(it);
   }
   // Outside mu_: removal waits out the query's in-flight quantum.
@@ -1240,12 +1116,13 @@ TelegraphCQ::Introspection TelegraphCQ::Introspect() const {
     ss.name = name;
     ss.source = stream.canonical;
     ss.tuples_in = stream.ingested->Value();
-    // Executor-side drops accrue against each logical subscription the
-    // physical stream fans out to (the canonical id plus re-tagged aliases).
-    ss.dropped = executor_.stream_tuples_dropped(stream.canonical);
-    for (const Subscription& sub : stream.subs) {
-      if (sub.logical != stream.canonical) {
-        ss.dropped += executor_.stream_tuples_dropped(sub.logical);
+    // Executor-side drops accrue against each logical source the physical
+    // stream has fanned out to: the canonical id plus every alias the
+    // catalog ever allocated for it (released ones keep their counts).
+    for (SourceId id = 0; id < catalog_.next_source(); ++id) {
+      const Catalog::StreamEntry* entry = catalog_.LookupBySource(id);
+      if (entry != nullptr && entry->name == name) {
+        ss.dropped += executor_.stream_tuples_dropped(id);
       }
     }
     if (stream.late != nullptr) ss.late_tuples = stream.late->Value();

@@ -38,7 +38,6 @@ class WindowResultBuffer {
   /// (or every input stream closed), or it was cancelled.
   bool Finished() const;
   void MarkFinished();
-  size_t pending() const;
 
   /// Optionally mirrors fired-window / result-tuple counts into registry
   /// instruments (call before the first Push). `retractions` (may be null)
@@ -183,9 +182,10 @@ class TelegraphCQ {
     SourceId source = 0;
     /// Tuples routed into the fabric on this stream.
     uint64_t tuples_in = 0;
-    /// Executor-side drops across the stream's logical subscriptions
-    /// (unrouted — no query class consumed them — plus back-pressure and
-    /// closed-stream drops).
+    /// Executor-side drops across the stream's logical sources (canonical
+    /// and self-join aliases): unrouted (a source whose class is gone),
+    /// back-pressure, closed-stream, and windowed-input overload drops. A
+    /// stream no live query binds is routed nowhere and counted nowhere.
     uint64_t dropped = 0;
     /// Tuples that arrived older than the stream's promised watermark
     /// (punctuating streams only; 0 otherwise).
@@ -348,10 +348,10 @@ class TelegraphCQ {
   Status Drain(std::chrono::steady_clock::time_point deadline =
                    std::chrono::steady_clock::now() + std::chrono::seconds(10));
 
-  /// Cancels a query — continuous or windowed — on one path: its own
-  /// subscriptions detach, the executor removes it, and a windowed client's
-  /// buffer is marked finished. kNotFound for an id no live query owns
-  /// (including double-cancel).
+  /// Cancels a query — continuous or windowed — on one path: its bindings
+  /// are released (a source no live query binds, e.g. a self-join alias, is
+  /// no longer routed), the executor removes it, and a windowed client's
+  /// buffer is marked finished. kNotFound for an id no live query owns.
   Status Cancel(GlobalQueryId id);
 
   void Start();
@@ -374,30 +374,21 @@ class TelegraphCQ {
   Introspection Introspect() const;
 
  private:
-  struct Subscription {
-    SourceId logical = 0;
-    SchemaRef schema;
-    /// Windowed subscriptions are owned by one query (detached on Cancel);
-    /// continuous subscriptions are shared by every query on the logical
-    /// source (owner stays 0).
-    GlobalQueryId owner = 0;
-    std::function<void(const TupleBatch&)> deliver;
-    /// Invoked by CloseStream so end-of-stream reaches the subscriber
-    /// (windowed queries close their input fjords and fire what remains).
-    std::function<void()> close;
-  };
   struct PhysicalStream {
     std::string name;
     SourceId canonical = 0;
     SchemaRef schema;
-    std::vector<Subscription> subs;
+    /// The logical sources (canonical and self-join aliases) some live
+    /// query binds, with their live binding counts. RouteBatch hands each
+    /// one copy of a batch, re-tagged under it.
+    std::map<SourceId, size_t> logical;
     std::vector<FjordConsumer> wrapper_feeds;
     std::unique_ptr<StreamStore> spool;
     bool closed = false;
     Counter* ingested = nullptr;
     /// Background-spool append failures — counted, never silently dropped.
     Counter* spool_failed = nullptr;
-    /// Event-time synthesis state (all guarded by mu_, like subs):
+    /// Event-time synthesis state (all guarded by mu_, like logical):
     /// max event timestamp routed so far, the last watermark promised, and
     /// the late-arrival counter shared with the wrapper's per-source one
     /// when the source is named after the stream.
@@ -407,13 +398,12 @@ class TelegraphCQ {
     Counter* late = nullptr;
   };
   /// What Introspect() and Cancel() need to remember about a submitted
-  /// query. A windowed query keeps its DU (the executor hosts it).
+  /// query.
   struct ClientInfo {
-    bool windowed() const { return window_du != nullptr; }
+    bool windowed() const { return windows != nullptr; }
     std::vector<std::string> streams;  // physical stream names it reads
     std::shared_ptr<PushEgress> egress;
     std::shared_ptr<WindowResultBuffer> windows;
-    std::shared_ptr<WindowedQueryDispatchUnit> window_du;
     /// Checkpoint record: the submitted SQL plus the (alias -> source id)
     /// bindings its plan resolved, so a restore can re-plan with the ids
     /// pinned (self-join aliases are allocated at plan time and would
@@ -421,25 +411,14 @@ class TelegraphCQ {
     std::string sql;
     bool speculate = false;
     std::vector<std::pair<std::string, SourceId>> bindings;
-    /// Windowed queries: one injection point per FROM binding — the "win:"
-    /// fjord producer plus the binding's logical schema (for alias
-    /// re-tagging). History backfill pushes through these instead of the
-    /// drop-on-overload subscription path, waiting for room.
-    struct WindowInput {
-      SourceId source = 0;
-      std::string stream;  // physical stream name
-      SchemaRef schema;
-      std::shared_ptr<FjordProducer> producer;
-    };
-    std::vector<WindowInput> window_inputs;
     /// Records sql, bindings and streams from the query's plan.
     void Record(const std::string& query_sql, const PlannedQuery& plan);
   };
 
-  /// Routes a whole physical batch to every logical subscription (re-tagged
-  /// per subscription for self-join aliases). `spool` false bypasses the
-  /// background spool append — the restore replay path, which re-routes
-  /// tuples that are already archived.
+  /// Routes a whole physical batch: one Executor::IngestBatch per bound
+  /// logical source (re-tagged under self-join aliases). `spool` false
+  /// bypasses the background spool append — the restore replay path, which
+  /// re-routes tuples that are already archived.
   void RouteBatch(PhysicalStream* stream, const TupleBatch& batch,
                   bool spool = true);
   /// DefineStream minus the tcq$ reservation check — the path the engine
@@ -451,9 +430,12 @@ class TelegraphCQ {
                                         bool reopen_spool = false);
   /// A new continuous client's egress. Caller holds mu_.
   std::shared_ptr<PushEgress> NewEgressLocked();
-  /// Ensures the executor knows `entry` and tuples reach it.
-  Status SubscribeContinuous(const std::string& physical,
-                             const Catalog::StreamEntry& entry);
+  /// Counts `client`'s bindings into PhysicalStream::logical (registering
+  /// aliases with the executor), or releases them. Caller holds mu_.
+  void RetainLocked(const ClientInfo& client);
+  void ReleaseLocked(const ClientInfo& client);
+  /// Executor::CloseStream for each bound logical source. Caller holds mu_.
+  void CloseLogicalLocked(const PhysicalStream& stream);
   /// The windowed half of Submit(): hosts the query's DU on the executor
   /// under `id` (0 = next free; restore passes recorded ids). Caller holds
   /// mu_.
@@ -461,10 +443,11 @@ class TelegraphCQ {
                                            const std::string& sql,
                                            const SubmitOptions& sub_opts,
                                            GlobalQueryId id);
-  /// Primes a freshly admitted windowed query's fjords with the archived
-  /// suffix reaching `reach` back (SubmitOptions::history_reach). Caller
-  /// holds mu_, so live routing is blocked and the splice is exact.
-  Status BackfillWindowedLocked(ClientInfo* client, Timestamp reach);
+  /// Primes freshly admitted windowed query `id`'s inputs with the
+  /// archived suffix reaching `reach` back (SubmitOptions::history_reach).
+  /// Caller holds mu_, so live routing is blocked and the splice is exact.
+  Status BackfillWindowedLocked(GlobalQueryId id, const ClientInfo& client,
+                                Timestamp reach);
   void CheckpointLoop(std::stop_token stop);
   void PumpLoop();
 

@@ -353,6 +353,22 @@ TEST(FjordTest, CloseEndsStreamForConsumer) {
   EXPECT_EQ(consumer.Consume(&t), QueueOp::kClosed);
 }
 
+TEST(FjordTest, ConsumerCloseHangsUpAWaitingProducer) {
+  // A consumer that will read nothing more closes its end: a producer
+  // waiting for room returns kClosed at once instead of at its deadline,
+  // keeping the suffix that did not fit.
+  auto [producer, consumer, fjord] = Fjord::Make(FjordMode::kPush, 2);
+  TupleBatch batch(0);
+  for (int64_t v = 1; v <= 3; ++v) batch.push_back(IntTuple(v));
+  EXPECT_EQ(producer.ProduceBatch(&batch), QueueOp::kWouldBlock);
+  consumer.Close();
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(producer.ProduceBatchUntil(&batch, t0 + std::chrono::seconds(10)),
+            QueueOp::kClosed);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  EXPECT_EQ(batch.size(), 1u);
+}
+
 TEST(FjordTest, PullModeProduceBatchRetainsSuffixOnClose) {
   // Regression: pull-mode ProduceBatch used to clear the whole batch on
   // close, so "before - batch.size()" callers counted close-dropped tuples

@@ -452,9 +452,14 @@ TEST(RecoveryTest, CheckpointAfterWindowedLoopFinishes) {
   ASSERT_TRUE(epoch.ok()) << epoch.status();
   EXPECT_LT(took, std::chrono::seconds(2));
   server.Stop();
-  EXPECT_EQ(server.Introspect().metrics.CounterFamilySum(
-                "tcq_window_input_dropped_total"),
+  TelegraphCQ::Introspection view = server.Introspect();
+  EXPECT_EQ(view.metrics.CounterFamilySum("tcq_window_input_dropped_total"),
             0u);
+  EXPECT_EQ(
+      view.metrics.CounterValue("tcq_executor_tuples_dropped_unrouted_total"),
+      0u);
+  ASSERT_EQ(view.streams.size(), 1u);
+  EXPECT_EQ(view.streams[0].dropped, 0u);
 }
 
 TEST(RecoveryTest, ErrorPaths) {

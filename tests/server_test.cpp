@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -100,28 +102,121 @@ TEST(ServerTest, MultipleQueriesShareOneStream) {
 }
 
 TEST(ServerTest, ContinuousQueryAfterWindowedQueryStillDelivers) {
-  // Regression: a windowed query's input subscription shares the logical
-  // source id with the executor's shared subscription; the dedup in
-  // SubscribeContinuous must not mistake one for the other, or a continuous
-  // query submitted second never gets fed.
+  // Regression: a windowed query and a continuous query bind the same
+  // logical source. Whichever is submitted first, the executor routes the
+  // source to both: the class and the windowed DU's input.
+  for (bool windowed_first : {true, false}) {
+    SCOPED_TRACE(windowed_first ? "windowed first" : "continuous first");
+    TelegraphCQ server;
+    ASSERT_TRUE(server.DefineStream("ClosingStockPrices", StockFields()).ok());
+    const std::string win_sql =
+        "SELECT closingPrice FROM ClosingStockPrices "
+        "WHERE stockSymbol = 'MSFT' "
+        "for (t = 5; t <= 10; t += 1) { WindowIs(ClosingStockPrices, t-4, t); }";
+    const std::string cq_sql =
+        "SELECT * FROM ClosingStockPrices WHERE stockSymbol = 'MSFT'";
+    auto first = server.Submit(windowed_first ? win_sql : cq_sql);
+    ASSERT_TRUE(first.ok()) << first.status();
+    auto second = server.Submit(windowed_first ? cq_sql : win_sql);
+    ASSERT_TRUE(second.ok()) << second.status();
+    const auto& win = windowed_first ? first : second;
+    const auto& cq = windowed_first ? second : first;
+    server.Start();
+    PushStocks(&server, 12);
+    ASSERT_TRUE(server.Drain().ok());
+    size_t got = PollAll(cq->results.get());
+    size_t fired = PollWindows(win->windows.get()).size();
+    server.Stop();
+    EXPECT_EQ(got, 12u);    // the continuous query is actually fed
+    EXPECT_EQ(fired, 6u);   // and the windowed query still fires t=5..10
+  }
+}
+
+/// Source ids the catalog allocated as self-join aliases of `stream`.
+std::vector<SourceId> AliasesOf(const TelegraphCQ& server,
+                                const std::string& stream) {
+  std::vector<SourceId> out;
+  const SourceId canonical = server.catalog().Lookup(stream)->source;
+  for (SourceId id = 0; id < server.catalog().next_source(); ++id) {
+    const Catalog::StreamEntry* entry = server.catalog().LookupBySource(id);
+    if (entry != nullptr && entry->name == stream && id != canonical) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
+TEST(ServerTest, CancelledSelfJoinStopsRoutingItsAlias) {
+  // Regression: cancelling a continuous self-join released its class but
+  // left its sources routed, so every later push re-tagged into the dead
+  // alias and counted as unrouted. The alias must stop being routed. The
+  // standing reader is windowed, so no class outlives the self-joins.
   TelegraphCQ server;
   ASSERT_TRUE(server.DefineStream("ClosingStockPrices", StockFields()).ok());
-  auto win = server.Submit(
+  auto standing = server.Submit(
       "SELECT closingPrice FROM ClosingStockPrices "
       "WHERE stockSymbol = 'MSFT' "
       "for (t = 5; t <= 10; t += 1) { WindowIs(ClosingStockPrices, t-4, t); }");
-  ASSERT_TRUE(win.ok()) << win.status();
-  auto cq = server.Submit(
-      "SELECT * FROM ClosingStockPrices WHERE stockSymbol = 'MSFT'");
-  ASSERT_TRUE(cq.ok()) << cq.status();
+  ASSERT_TRUE(standing.ok()) << standing.status();
   server.Start();
-  PushStocks(&server, 12);
+  for (int i = 0; i < 3; ++i) {
+    auto joined = server.Submit(
+        "SELECT c2.stockSymbol FROM ClosingStockPrices c1, "
+        "ClosingStockPrices c2 WHERE c1.stockSymbol = c2.stockSymbol");
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    ASSERT_TRUE(server.Cancel(joined->id).ok());
+  }
+  const std::vector<SourceId> aliases =
+      AliasesOf(server, "ClosingStockPrices");
+  ASSERT_EQ(aliases.size(), 3u);
+  PushStocks(&server, 10);
   ASSERT_TRUE(server.Drain().ok());
-  size_t got = PollAll(cq->results.get());
-  size_t fired = PollWindows(win->windows.get()).size();
+  // Arrival time: day 10 seals the windows ending at 5..9.
+  EXPECT_EQ(PollWindows(standing->windows.get()).size(), 5u);
   server.Stop();
-  EXPECT_EQ(got, 12u);    // the continuous query is actually fed
-  EXPECT_EQ(fired, 6u);   // and the windowed query still fires t=5..10
+
+  TelegraphCQ::Introspection view = server.Introspect();
+  EXPECT_EQ(view.metrics.CounterValue(
+                "tcq_executor_tuples_dropped_unrouted_total"),
+            0u);
+  for (SourceId alias : aliases) {
+    EXPECT_EQ(server.executor().stream_tuples_dropped(alias), 0u)
+        << "alias s" << alias;
+  }
+  ASSERT_EQ(view.streams.size(), 1u);
+  EXPECT_EQ(view.streams[0].dropped, 0u);
+}
+
+TEST(ServerTest, WindowedInputDropsReachStreamStats) {
+  // A windowed query's input refuses rows once full (nothing drains it
+  // before Start()): each refused row is one drop on the query's counter
+  // and on the stream's, so Introspect() sees where the rows went.
+  TelegraphCQ::Options opts;
+  opts.executor.queue_capacity = 4;
+  opts.egress_capacity = 4;
+  TelegraphCQ server(opts);
+  ASSERT_TRUE(server.DefineStream("S", {{"ts", ValueType::kTimestamp, 0},
+                                        {"k", ValueType::kInt64, 0}})
+                  .ok());
+  auto h = server.Submit(
+      "SELECT * FROM S for (t = 5; t <= 1000; t += 5) { WindowIs(S, t - 4, t); "
+      "}");
+  ASSERT_TRUE(h.ok()) << h.status();
+  for (Timestamp ts = 1; ts <= 20; ++ts) {
+    ASSERT_TRUE(testref::PushRows(&server, "S",
+                                  {{ts, {Value::TimestampVal(ts),
+                                         Value::Int64(ts)}}})
+                    .ok());
+  }
+  TelegraphCQ::Introspection view = server.Introspect();
+  const uint64_t window_dropped =
+      view.metrics.CounterFamilySum("tcq_window_input_dropped_total");
+  ASSERT_EQ(view.streams.size(), 1u);
+  EXPECT_GT(window_dropped, 0u);
+  EXPECT_EQ(view.streams[0].dropped, window_dropped);
+  EXPECT_EQ(view.metrics.CounterValue(
+                "tcq_executor_tuples_dropped_unrouted_total"),
+            0u);
 }
 
 TEST(ServerTest, CancelStopsDeliveries) {
@@ -316,6 +411,71 @@ TEST(ServerTest, WindowedQueriesShareTheExecutorEos) {
   }
   EXPECT_EQ(server.Introspect().metrics.GaugeValue(dus), 1);
   server.Stop();
+}
+
+TEST(ServerTest, PushRacesWindowedSubmitCancelAndCheckpoint) {
+  // A pusher feeds S while this thread submits and cancels windowed queries
+  // (aliased self-joins among them) and checkpoints, which detaches and
+  // re-attaches every windowed DU: the executor's routing table changes
+  // under a live ingest path. A windowed query standing through the race
+  // must equal the offline reference, and nothing may be dropped.
+  const std::string dir = testing::TempDir() + "/tcq_server_race_ckpt";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  TelegraphCQ::Options opts;
+  opts.checkpoint_dir = dir;
+  TelegraphCQ server(opts);
+  auto source = server.DefineStream("S", KeyedFields());
+  ASSERT_TRUE(source.ok());
+  auto standing = server.Submit(
+      "SELECT * FROM S for (t = 10; t <= 100000; t += 5) { "
+      "WindowIs(S, t - 9, t); }");
+  ASSERT_TRUE(standing.ok()) << standing.status();
+  server.Start();
+  // Fewer rows than an input holds (queue_capacity): no input can overflow
+  // even if its DU does not run until the end.
+  constexpr Timestamp kRows = 1200;
+  std::thread pusher([&] { PushKeyed(&server, "S", 1, kRows, 8); });
+  for (int i = 0; i < 12; ++i) {
+    const std::string sql =
+        i % 4 == 0 ? "SELECT c2.k FROM S c1, S c2 WHERE c1.k = c2.k "
+                     "for (t = 4; t <= 100000; t += 4) { "
+                     "WindowIs(c1, t - 3, t); WindowIs(c2, t - 3, t); }"
+                   : "SELECT * FROM S for (t = 3; t <= 100000; t += 3) { "
+                     "WindowIs(S, t - 2, t); }";
+    auto h = server.Submit(sql);
+    ASSERT_TRUE(h.ok()) << h.status();
+    if (i % 3 == 0) {
+      auto epoch = server.Checkpoint();
+      ASSERT_TRUE(epoch.ok()) << epoch.status();
+    }
+    ASSERT_TRUE(server.Cancel(h->id).ok());
+  }
+  pusher.join();
+  ASSERT_TRUE(server.Drain().ok());
+
+  // Arrival time: the last row seals every window ending before it.
+  StreamHistory history;
+  for (Timestamp ts = 1; ts <= kRows; ++ts) {
+    history.Append(Tuple::Make(server.catalog().Lookup("S")->schema,
+                               {Value::TimestampVal(ts), Value::Int64(ts % 10)},
+                               ts));
+  }
+  WindowedQuery ref;
+  ref.loop = ForLoopSpec::Sliding({*source}, 10, 10, kRows - 1, 5);
+  EXPECT_EQ(Contents(PollWindows(standing->windows.get())),
+            Contents(RunOverHistory(ref, {{*source, history}})));
+  server.Stop();
+
+  TelegraphCQ::Introspection view = server.Introspect();
+  EXPECT_EQ(view.tuples_ingested, static_cast<uint64_t>(kRows));
+  for (const char* family :
+       {"tcq_executor_tuples_dropped_unrouted_total",
+        "tcq_executor_tuples_dropped_backpressure_total",
+        "tcq_executor_stream_dropped_total", "tcq_window_input_dropped_total"}) {
+    EXPECT_EQ(view.metrics.CounterFamilySum(family), 0u) << family;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServerTest, WrapperSourceFeedsQueries) {
