@@ -25,10 +25,11 @@
 #      pusher races windowed submit/cancel — aliased self-joins included —
 #      and Checkpoint's detach/re-attach, all changing the executor's one
 #      per-source routing table under live ingest) — must be TSan-clean
-#   4. UBSan build running the trace/queue/routing suites (the seqlock ring
-#      and histogram interpolation are the prime UB suspects); the routing
-#      suite (eddy_test) runs the production SharedEddy under every routing
-#      policy
+#   4. UBSan build running the trace/queue/routing/window suites (the
+#      seqlock ring and histogram interpolation are the prime UB suspects);
+#      the routing suite (eddy_test) runs the production SharedEddy under
+#      every routing policy; window_test drives the windowed runner's lane
+#      admission over null masks and typed lanes
 #   5. bench smoke: batched-vs-per-tuple comparison -> BENCH_batching.json,
 #      class lifecycle (merge/GC/rebalance) -> BENCH_exec_lifecycle.json,
 #      tracing overhead -> BENCH_tracing.json,
@@ -37,6 +38,8 @@
 #      checkpoint/restore cost sweep -> BENCH_recovery.json,
 #      a quick run of the routing microbenches on SharedEddy (E1 adaptivity,
 #      E2 hybrid join, E4 shared-vs-one-query eddies, E7 batch x drift),
+#      a quick E6 window-semantics run (window classes, online batch
+#      admission),
 #      a quick E8 Flux run on the sharded executor (fails if a replicated
 #      shard failover loses a result), plus a quick 2-shard correctness
 #      smoke
@@ -129,10 +132,11 @@ if [[ "$RUN_TSAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then
-  echo "== ubsan: configure + build + trace/queue/routing suites =="
+  echo "== ubsan: configure + build + trace/queue/routing/window suites =="
   cmake -B build-ubsan -S . -DTCQ_SANITIZE=undefined
-  cmake --build build-ubsan -j --target obs_test fjords_test eddy_test
-  for t in obs_test fjords_test eddy_test; do
+  cmake --build build-ubsan -j --target obs_test fjords_test eddy_test \
+    window_test
+  for t in obs_test fjords_test eddy_test window_test; do
     echo "-- ubsan: $t"
     UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/"$t"
   done
@@ -151,6 +155,8 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   scripts/bench_disorder.sh build
   echo "== bench smoke: BENCH_recovery.json =="
   scripts/bench_recovery.sh build
+  echo "== window-semantics microbench smoke: E6 =="
+  ./build/bench/bench_window_semantics --benchmark_min_time=0.01
   echo "== routing microbench smoke: E1/E2/E4/E7, Flux smoke: E8 =="
   ./build/bench/bench_eddy_adaptivity --benchmark_min_time=0.01
   ./build/bench/bench_stem_hybrid_join --benchmark_min_time=0.01

@@ -214,12 +214,19 @@ void WindowedQueryDispatchUnit::BindWake(WakeTarget* wake) {
 }
 
 DispatchUnit::StepResult WindowedQueryDispatchUnit::Step() {
+  // A step with a sampled batch records one kWindowFire span, from that
+  // batch's ingest through the step's Poll (only sampled batches read the
+  // clock).
+  int64_t t0 = 0;
+  bool sampled = false;
   auto [consumed, exhausted] = PumpInputs(
       inputs_, &next_input_, quantum_,
       [&](SourceId s, const TupleBatch& b, int64_t) {
-        for (const Tuple& t : b) runner_.Ingest(s, t);
-        // Control lane applies after the rows (the lane's contract).
-        for (const Punctuation& p : b.punctuations()) runner_.OnPunctuation(p);
+        if (!sampled && tracer_ != nullptr && tracer_->ShouldSample()) {
+          sampled = true;
+          t0 = NowMicros();
+        }
+        runner_.IngestBatch(s, b);
       });
   if (exhausted) {
     // End of streams: everything that will ever arrive has arrived.
@@ -228,6 +235,9 @@ DispatchUnit::StepResult WindowedQueryDispatchUnit::Step() {
     }
   }
   runner_.Poll([&](const WindowResult& r) { sink_(r); });
+  if (sampled) {
+    tracer_->Record(obs::SpanKind::kWindowFire, 0, 0, t0, NowMicros() - t0);
+  }
   // A finished loop is done at once: nothing it could still consume would
   // ever be read again.
   StepResult r = runner_.Done()  ? StepResult::kDone

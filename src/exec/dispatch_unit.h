@@ -206,6 +206,10 @@ class WindowedQueryDispatchUnit : public DispatchUnit {
 
   StepResult Step() override;
 
+  /// Attaches the dataflow tracer: a step with a sampled batch records one
+  /// kWindowFire span over its ingest and Poll. Call before the DU runs.
+  void set_tracer(obs::TracerRef tracer) { tracer_ = std::move(tracer); }
+
   /// Durable state (DESIGN.md §13): checkpoint export/restore reads the
   /// runner. Only safe while no EO steps the DU (detached, or pre-Start).
   const OnlineWindowRunner& runner() const { return runner_; }
@@ -215,6 +219,7 @@ class WindowedQueryDispatchUnit : public DispatchUnit {
   OnlineWindowRunner runner_;
   WindowSink sink_;
   std::function<void()> on_done_;
+  obs::TracerRef tracer_;
   size_t quantum_;
   struct Input {
     SourceId source;

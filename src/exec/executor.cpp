@@ -255,6 +255,7 @@ Result<GlobalQueryId> Executor::HostQuery(const DuFactory& build,
   }
   next_query_id_ = std::max(next_query_id_, id + 1);
   std::shared_ptr<WindowedQueryDispatchUnit> du = build(id);
+  du->set_tracer(tracer_);
   Counter* dropped = metrics_->GetCounter(MetricName(
       "tcq_window_input_dropped_total", "query", "q" + std::to_string(id)));
   for (SourceId s : inputs) {

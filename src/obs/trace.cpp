@@ -30,6 +30,7 @@ const char* SpanKindName(SpanKind kind) {
     case SpanKind::kPsoupProbe: return "psoup_probe";
     case SpanKind::kEgressEmit: return "egress_emit";
     case SpanKind::kEndToEnd: return "e2e";
+    case SpanKind::kWindowFire: return "window_fire";
   }
   return "unknown";
 }

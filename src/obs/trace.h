@@ -1,8 +1,8 @@
 // Sampled dataflow tracing (DESIGN.md §9). A Tracer stamps monotonic-clock
 // span events at each pipeline stage — wrapper flush, fjord enqueue/dequeue,
-// eddy routing hop, SteM build/probe, PSoup probe, egress emit — for a
-// deterministic 1-in-N sample of batches, and aggregates them into
-// per-stage, per-module, and per-query latency histograms in the shared
+// eddy routing hop, SteM build/probe, PSoup probe, egress emit, window
+// fire — for a deterministic 1-in-N sample of batches, and aggregates them
+// into per-stage, per-module, and per-query latency histograms in the shared
 // metrics registry. Raw spans additionally land in a lock-free per-thread
 // ring (the flight recorder) for post-mortem dumps.
 //
@@ -36,8 +36,9 @@ enum class SpanKind : uint8_t {
   kPsoupProbe,        ///< PSoup disconnected-client invocation
   kEgressEmit,        ///< push-egress delivery to the client buffer
   kEndToEnd,          ///< ingest enqueue -> egress emit, per query
+  kWindowFire,        ///< a windowed DU step: batch admission + window fires
 };
-inline constexpr size_t kNumSpanKinds = 9;
+inline constexpr size_t kNumSpanKinds = 10;
 
 const char* SpanKindName(SpanKind kind);
 

@@ -404,14 +404,17 @@ void GroupedFilter::MatchBatchKernel(const Column& col, size_t n,
   }
 }
 
+bool GroupedFilter::MatchBatchUsesKernels(const Column& col,
+                                          size_t n) const {
+  if (compiled_revision_ != revision_) Compile();
+  return compiled_.valid && !col.has_nulls() &&
+         (col.rep == ColumnRep::kInt64 ||
+          (col.rep == ColumnRep::kDouble && !kernels::AnyNaN(col.f64, n)));
+}
+
 void GroupedFilter::MatchBatch(const Column& col, size_t n,
                                QuerySet* out) const {
-  if (compiled_revision_ != revision_) Compile();
-  const bool kernel_lane =
-      !col.has_nulls() && (col.rep == ColumnRep::kInt64 ||
-                           (col.rep == ColumnRep::kDouble &&
-                            !kernels::AnyNaN(col.f64, n)));
-  if (compiled_.valid && kernel_lane) {
+  if (MatchBatchUsesKernels(col, n)) {
     MatchBatchKernel(col, n, out);
     return;
   }

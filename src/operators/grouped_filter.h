@@ -56,6 +56,12 @@ class GroupedFilter {
   /// must point at `n` QuerySets and n must equal the column's row count.
   void MatchBatch(const Column& col, size_t n, QuerySet* out) const;
 
+  /// True when MatchBatch over this column sweeps the compiled kernels. Its
+  /// answer then equals EvalCmp of every factor on every row; the scalar
+  /// path it otherwise takes follows the index's own rules instead (a null
+  /// value satisfies an upper bound, equality goes through Value hashing).
+  bool MatchBatchUsesKernels(const Column& col, size_t n) const;
+
   /// All queries with at least one factor here (live only).
   const QuerySet& interested() const { return interested_; }
 

@@ -158,6 +158,134 @@ std::vector<WindowResult> RunOverHistory(
 OnlineWindowRunner::OnlineWindowRunner(WindowedQuery query, Options opts)
     : query_(std::move(query)), opts_(opts), iter_(query_.loop) {
   if (iter_.HasNext()) pending_ = iter_.Next();
+  for (const WindowIs& w : query_.loop.windows) {
+    AdmissionFor(SourceBit(w.source));
+  }
+}
+
+bool OnlineWindowRunner::Admission::Admits(const Tuple& t) const {
+  for (const Lane& lane : lanes) {
+    for (const CompareConst* f : lane.factors) {
+      if (!f->Eval(t)) return false;
+    }
+  }
+  return RowsAdmit(t);
+}
+
+bool OnlineWindowRunner::Admission::RowsAdmit(const Tuple& t) const {
+  for (const Predicate* p : rows) {
+    if (!p->Eval(t)) return false;
+  }
+  return true;
+}
+
+const OnlineWindowRunner::Admission& OnlineWindowRunner::AdmissionFor(
+    SourceSet span) {
+  auto [it, fresh] = admission_.try_emplace(span);
+  if (!fresh) return it->second;
+  Admission& adm = it->second;
+  for (const PredicateRef& p : query_.predicates) {
+    if ((p->sources() & ~span) != 0) continue;  // a lone row cannot cover it
+    auto* f = dynamic_cast<const CompareConst*>(p.get());
+    if (f == nullptr) {
+      adm.rows.push_back(p.get());
+      continue;
+    }
+    auto lane = std::find_if(adm.lanes.begin(), adm.lanes.end(),
+                             [&](const Admission::Lane& l) {
+                               return l.attr == f->attr();
+                             });
+    if (lane == adm.lanes.end()) {
+      lane = adm.lanes.insert(
+          adm.lanes.end(),
+          Admission::Lane{f->attr(), GroupedFilter(f->attr()), {}});
+    }
+    lane->filter.AddFactor(0, f->op(), f->literal());
+    lane->factors.push_back(f);
+  }
+  return adm;
+}
+
+void OnlineWindowRunner::CheckTimestamps(SourceId source, const Timestamp* ts,
+                                         size_t n, uint8_t* keep) {
+  if (query_.loop.semantics == TimeSemantics::kArrival) {
+    // Every row advances the watermark, admitted or not: a row the filters
+    // reject still proves its stream has reached its timestamp.
+    if (n > 0) watermarks_.Update(source, *std::max_element(ts, ts + n));
+    return;
+  }
+  // A watermark of W promises no future tuple with ts < W; one arriving
+  // anyway exceeded its source's disorder bound. Dropping it (counted,
+  // typed) keeps fired windows immutable rather than silently wrong. Rows
+  // in time but below every remaining window's left end can never be read
+  // again. Neither bound moves within a batch: punctuations apply after
+  // its rows, and the prune floor only moves when a window fires.
+  const Timestamp watermark = watermarks_.WatermarkOf(source);
+  auto floor_it = prune_floor_.find(source);
+  const Timestamp floor =
+      floor_it != prune_floor_.end() ? floor_it->second : kMinTimestamp;
+  for (size_t i = 0; i < n; ++i) {
+    if (ts[i] < watermark) {
+      ++late_beyond_bound_;
+      keep[i] = 0;
+    } else if (ts[i] < floor) {
+      ++late_behind_loop_;
+      keep[i] = 0;
+    }
+  }
+}
+
+void OnlineWindowRunner::AdmitLanes(const Admission& adm,
+                                    const ColumnStore& cols, size_t n,
+                                    uint8_t* keep) {
+  for (const Admission::Lane& lane : adm.lanes) {
+    auto idx = cols.schema()->IndexOf(lane.attr.name, lane.attr.source);
+    assert(idx.has_value() && "attribute not present; check CanEval first");
+    const Column& col = cols.column(*idx);
+    if (lane.filter.MatchBatchUsesKernels(col, n)) {
+      matched_.assign(n, QuerySet());
+      lane.filter.MatchBatch(col, n, matched_.data());
+      for (size_t i = 0; i < n; ++i) keep[i] &= matched_[i].Contains(0);
+      continue;
+    }
+    // Nulls, NaN and literals outside the kernels' exactness contract:
+    // CompareConst's own comparison, cell by cell.
+    for (size_t i = 0; i < n; ++i) {
+      if (keep[i] == 0) continue;
+      const Value v = col.ValueAt(i);
+      for (const CompareConst* f : lane.factors) {
+        if (!EvalCmp(v, f->op(), f->literal())) {
+          keep[i] = 0;
+          break;
+        }
+      }
+    }
+  }
+}
+
+void OnlineWindowRunner::Buffer(SourceId source, const Tuple& tuple) {
+  history_[source].Append(tuple);  // kEvent: the deque IS the reorder buffer
+  if (query_.loop.semantics == TimeSemantics::kEvent) spec_dirty_ = true;
+}
+
+void OnlineWindowRunner::IngestBatch(SourceId source, const TupleBatch& batch) {
+  const size_t n = batch.size();
+  if (n > 0 && batch.columnar_only()) {
+    const ColumnStore& cols = *batch.columns();
+    keep_.assign(n, 1);
+    CheckTimestamps(source, cols.timestamps(), n, keep_.data());
+    const Admission& adm = AdmissionFor(cols.schema()->sources());
+    AdmitLanes(adm, cols, n, keep_.data());
+    for (size_t i = 0; i < n; ++i) {
+      if (keep_[i] == 0) continue;
+      Tuple t = cols.MaterializeRow(i);
+      if (adm.RowsAdmit(t)) Buffer(source, t);
+    }
+  } else {
+    for (const Tuple& t : batch) Ingest(source, t);
+  }
+  // Control lane applies after the rows (the lane's contract).
+  for (const Punctuation& p : batch.punctuations()) OnPunctuation(p);
 }
 
 void OnlineWindowRunner::Ingest(SourceId source, const Tuple& tuple) {
@@ -165,27 +293,12 @@ void OnlineWindowRunner::Ingest(SourceId source, const Tuple& tuple) {
     OnPunctuation(tuple.AsPunctuation());
     return;
   }
-  if (query_.loop.semantics == TimeSemantics::kEvent) {
-    // A watermark of W promises no future tuple with ts < W; one arriving
-    // anyway exceeded its source's disorder bound. Dropping it (counted,
-    // typed) keeps fired windows immutable rather than silently wrong.
-    if (tuple.timestamp() < watermarks_.WatermarkOf(source)) {
-      ++late_beyond_bound_;
-      return;
-    }
-    if (auto it = prune_floor_.find(source);
-        it != prune_floor_.end() && tuple.timestamp() < it->second) {
-      // In time, but below every remaining window's left end: it can never
-      // be read again, so don't buffer it.
-      ++late_behind_loop_;
-      return;
-    }
-    history_[source].Append(tuple);  // the deque IS the reorder buffer
-    spec_dirty_ = true;
-    return;
+  const Timestamp ts = tuple.timestamp();
+  uint8_t keep = 1;
+  CheckTimestamps(source, &ts, 1, &keep);
+  if (keep != 0 && AdmissionFor(tuple.sources()).Admits(tuple)) {
+    Buffer(source, tuple);
   }
-  history_[source].Append(tuple);
-  watermarks_.Update(source, tuple.timestamp());
 }
 
 void OnlineWindowRunner::OnPunctuation(const Punctuation& p) {

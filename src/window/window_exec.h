@@ -19,8 +19,10 @@
 #include <vector>
 
 #include "operators/aggregate.h"
+#include "operators/grouped_filter.h"
 #include "operators/predicate.h"
 #include "storage/checkpoint.h"
+#include "tuple/tuple_batch.h"
 #include "window/time.h"
 #include "window/window_spec.h"
 
@@ -97,6 +99,12 @@ std::vector<WindowResult> RunOverHistory(
 /// (kMaxTimestamp). Right ends are inclusive, so rows with ts == r may still
 /// arrive while a watermark equals r.
 ///
+/// Admission (DESIGN.md §12): every row's timestamp is checked first (late
+/// rows counted, watermarks advanced), then the history buffers only the
+/// rows that pass the predicates a lone row of their source covers — the
+/// rule InstanceJoin's prefilter applies at fire time, so no window reads a
+/// row this step rejects.
+///
 /// Opt-in speculation (Options::speculate, kEvent only): Poll additionally
 /// emits early results for the head window as data arrives — kSpeculative
 /// additions and kRetraction withdrawals — and seals it with a kFinal delta
@@ -121,9 +129,16 @@ class OnlineWindowRunner : public Checkpointable {
       : OnlineWindowRunner(std::move(query), Options()) {}
   OnlineWindowRunner(WindowedQuery query, Options opts);
 
-  /// Buffers a tuple (and, in kArrival mode, advances its stream's
-  /// watermark). Control tuples are diverted to OnPunctuation; late data
-  /// tuples (kEvent mode) are counted and dropped.
+  /// Ingests one batch of `source`: checks every row's timestamp (kEvent:
+  /// late rows are counted and dropped; kArrival: each row advances the
+  /// watermark, admitted or not), buffers the admitted rows, then applies
+  /// the batch's control lane. A columnar batch is filtered on its lanes and
+  /// only its admitted rows are materialized; a row-form batch takes the
+  /// one-row path per row.
+  void IngestBatch(SourceId source, const TupleBatch& batch);
+
+  /// The one-row case of IngestBatch. Control tuples are diverted to
+  /// OnPunctuation.
   void Ingest(SourceId source, const Tuple& tuple);
 
   /// Applies a source punctuation to the watermark tracker (regressions are
@@ -141,6 +156,7 @@ class OnlineWindowRunner : public Checkpointable {
   /// True once the loop is exhausted AND every instance has fired.
   bool Done() const { return !pending_.has_value(); }
 
+  /// Rows held in the history: admitted rows only.
   size_t buffered_tuples() const;
   uint64_t late_dropped(LateDrop reason) const {
     return reason == LateDrop::kBeyondBound ? late_beyond_bound_
@@ -169,6 +185,34 @@ class OnlineWindowRunner : public Checkpointable {
   /// (aggregates, negation) and is pinned down via this peer.
   friend struct WindowRunnerTestPeer;
 
+  /// The predicates a lone row spanning `span` covers (InstanceJoin's
+  /// prefilter rule). CompareConst factors are grouped per attribute so a
+  /// batch evaluates them on the lanes; every other shape runs per row.
+  struct Admission {
+    struct Lane {
+      AttrRef attr;
+      GroupedFilter filter;  ///< the attribute's factors, as query 0
+      std::vector<const CompareConst*> factors;
+    };
+    std::vector<Lane> lanes;
+    std::vector<const Predicate*> rows;
+
+    /// Every covered predicate holds on `t` (Predicate::Eval throughout).
+    bool Admits(const Tuple& t) const;
+    /// The predicates outside `lanes` hold on `t`.
+    bool RowsAdmit(const Tuple& t) const;
+  };
+  const Admission& AdmissionFor(SourceSet span);
+
+  /// Step 1 of admission over a timestamp lane. kEvent: counts each late
+  /// row and clears its `keep` byte; kArrival: advances the watermark.
+  void CheckTimestamps(SourceId source, const Timestamp* ts, size_t n,
+                       uint8_t* keep);
+  /// Clears the `keep` byte of every row a lane factor rejects.
+  void AdmitLanes(const Admission& adm, const ColumnStore& cols, size_t n,
+                  uint8_t* keep);
+  void Buffer(SourceId source, const Tuple& tuple);
+
   void MaybePrune();
   /// Diffs the head window's current content against what speculation
   /// already emitted; issues kRetraction / `kind` results for the delta.
@@ -182,6 +226,9 @@ class OnlineWindowRunner : public Checkpointable {
   WatermarkTracker watermarks_;
   std::map<SourceId, StreamHistory> history_;
   std::map<SourceId, Timestamp> prune_floor_;
+  std::map<SourceSet, Admission> admission_;  ///< built per span, once
+  std::vector<uint8_t> keep_;                 ///< per-batch selection scratch
+  std::vector<QuerySet> matched_;             ///< MatchBatch scratch
   uint64_t late_beyond_bound_ = 0;
   uint64_t late_behind_loop_ = 0;
   uint64_t retractions_ = 0;

@@ -86,6 +86,43 @@ TEST(TraceTest, SpansOrderedWithinBatchThroughTheServer) {
   EXPECT_GT(server.tracer()->batches_sampled(), 0u);
 }
 
+TEST(TraceTest, WindowedStepsRecordWindowFireSpans) {
+  // Window work is traced as its own stage: a windowed DU step with a
+  // sampled batch records one kWindowFire span over its ingest and fires.
+  TelegraphCQ::Options opts;
+  opts.trace.enabled = true;
+  opts.trace.sample_period = 1;  // every batch
+  TelegraphCQ server(opts);
+  ASSERT_TRUE(server.DefineStream("ClosingStockPrices", StockFields()).ok());
+  auto handle = server.Submit(
+      "SELECT * FROM ClosingStockPrices WHERE closingPrice > 0.0 "
+      "for (t = 3; t <= 20; t += 1) "
+      "{ WindowIs(ClosingStockPrices, t - 2, t); }");
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  ASSERT_NE(handle->windows, nullptr);
+  server.Start();
+  PushStocks(&server, 1, 25);
+  ASSERT_TRUE(server.Drain().ok());
+  size_t fired = 0;
+  WindowResult wr;
+  while (handle->windows->Poll(&wr)) ++fired;
+  server.Stop();
+  EXPECT_EQ(fired, 18u);  // arrival time: day 25 seals windows ending 3..20
+
+  size_t spans = 0;
+  for (const obs::Span& s : server.DumpFlightRecorder()) {
+    if (s.kind != obs::SpanKind::kWindowFire) continue;
+    ++spans;
+    EXPECT_GE(s.dur_us, 0);
+  }
+  EXPECT_GT(spans, 0u) << "no window-fire span";
+  MetricsSnapshot snap = server.metrics()->Snapshot();
+  const auto* h =
+      snap.FindHistogram("tcq_trace_span_us{stage=\"window_fire\"}");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, spans);
+}
+
 TEST(TraceTest, SamplingIsDeterministicForAGivenSeed) {
   obs::TraceOptions opts;
   opts.enabled = true;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -964,6 +966,392 @@ TEST(TupleKindTest, PunctuationAndRetractionRoundTrip) {
   EXPECT_EQ(r.timestamp(), d.timestamp());
   EXPECT_EQ(r.values(), d.values());
   EXPECT_NE(r.ToString(), d.ToString());  // visibly tagged
+}
+
+// --- Batch admission (DESIGN.md §12) ----------------------------------------
+
+// A columnar batch of `rows` (all of one schema) under `source`.
+TupleBatch Columnar(SourceId source, const std::vector<Tuple>& rows) {
+  ColumnStore::Ref cols = ColumnStore::FromRows(rows.data(), rows.size());
+  EXPECT_NE(cols, nullptr);
+  return TupleBatch(source, cols);
+}
+
+// Feeds one batch through the chosen ingest path: the columnar batch path,
+// the row-form batch path, or one Ingest per tuple plus the lane.
+enum class Path { kColumnar, kRowBatch, kPerTuple };
+
+void Feed(OnlineWindowRunner* runner, Path path, SourceId source,
+          const std::vector<Tuple>& rows,
+          const std::vector<Punctuation>& lane = {}) {
+  if (path == Path::kPerTuple) {
+    for (const Tuple& t : rows) runner->Ingest(source, t);
+    for (const Punctuation& p : lane) runner->OnPunctuation(p);
+    return;
+  }
+  TupleBatch b = path == Path::kColumnar ? Columnar(source, rows)
+                                         : TupleBatch(source);
+  if (path == Path::kRowBatch) {
+    for (const Tuple& t : rows) b.push_back(t);
+  }
+  ASSERT_EQ(b.columnar_only(), path == Path::kColumnar);
+  for (const Punctuation& p : lane) b.AddPunctuation(p);
+  runner->IngestBatch(source, b);
+}
+
+const Path kPaths[] = {Path::kColumnar, Path::kRowBatch, Path::kPerTuple};
+
+// MSFT rows under one schema object (a columnar batch needs one).
+std::vector<Tuple> Stocks(
+    SourceId source, const std::vector<std::pair<Timestamp, double>>& rows) {
+  SchemaRef schema = StockSchema(source);
+  std::vector<Tuple> out;
+  for (const auto& [ts, price] : rows) {
+    out.push_back(Tuple::Make(schema,
+                              {Value::TimestampVal(ts), Value::String("MSFT"),
+                               Value::Double(price)},
+                              ts));
+  }
+  return out;
+}
+
+std::vector<Tuple> CheapAndDear(SourceId source, Timestamp from,
+                                Timestamp to) {
+  // Even days are dear (price 150), odd days cheap (price 10).
+  std::vector<std::pair<Timestamp, double>> rows;
+  for (Timestamp d = from; d <= to; ++d) {
+    rows.push_back({d, d % 2 == 0 ? 150.0 : 10.0});
+  }
+  return Stocks(source, rows);
+}
+
+PredicateRef DearOnly() {
+  return MakeCompareConst({0, "closingPrice"}, CmpOp::kGt, Value::Double(100));
+}
+
+TEST(WindowAdmissionTest, ArrivalRejectedRowStillFiresWindows) {
+  // kArrival: a row the filter rejects still advances its stream's
+  // watermark, so it alone can complete a window.
+  for (Path path : kPaths) {
+    WindowedQuery q;
+    q.loop = ForLoopSpec::Sliding({0}, 3, 3, 9);
+    q.predicates = {DearOnly()};
+    OnlineWindowRunner runner(q);
+    std::vector<WindowResult> fired;
+    auto cb = [&](const WindowResult& r) { fired.push_back(r); };
+    Feed(&runner, path, 0, CheapAndDear(0, 1, 3));
+    runner.Poll(cb);
+    EXPECT_TRUE(fired.empty());  // W == 3: the window ending at 3 waits
+    Feed(&runner, path, 0, {Stock(0, 5, "MSFT", 10.0)});  // rejected
+    runner.Poll(cb);
+    ASSERT_EQ(fired.size(), 2u);  // windows ending at 3 and 4
+    EXPECT_EQ(fired[0].t, 3);
+    ASSERT_EQ(fired[0].tuples.size(), 1u);  // day 2 is the only dear day
+    EXPECT_EQ(fired[0].tuples[0].timestamp(), 2);
+    EXPECT_EQ(fired[1].t, 4);
+    EXPECT_EQ(runner.watermarks().WatermarkOf(0), 5);
+  }
+}
+
+TEST(WindowAdmissionTest, EventRejectedLateRowsStillCount) {
+  // kEvent: lateness is decided on the timestamp lane before admission, so
+  // rows the filter rejects count under both late reasons exactly as
+  // admitted rows do.
+  for (Path path : kPaths) {
+    WindowedQuery q;
+    q.loop = ForLoopSpec::Sliding({0}, 2, 2, 100, 4);  // [1,2], [5,6], ...
+    q.loop.semantics = TimeSemantics::kEvent;
+    q.predicates = {DearOnly()};
+    OnlineWindowRunner runner(q);
+    size_t fired = 0;
+    Feed(&runner, path, 0, CheapAndDear(0, 1, 2), {Punctuation{0, 3}});
+    runner.Poll([&](const WindowResult&) { ++fired; });
+    EXPECT_EQ(fired, 1u);  // [1,2] sealed; prune floor 5
+    // ts 1 and 2 are below the watermark (3), ts 3 and 4 below the prune
+    // floor; day 1 and 3 are cheap, days 2 and 4 dear.
+    Feed(&runner, path, 0,
+         Stocks(0, {{1, 10.0}, {2, 150.0}, {3, 10.0}, {4, 150.0}}));
+    using LateDrop = OnlineWindowRunner::LateDrop;
+    EXPECT_EQ(runner.late_dropped(LateDrop::kBeyondBound), 2u);
+    EXPECT_EQ(runner.late_dropped(LateDrop::kBehindLoop), 2u);
+    EXPECT_EQ(runner.buffered_tuples(), 0u);
+  }
+}
+
+TEST(WindowAdmissionTest, BufferedTuplesCountsAdmittedRowsOnly) {
+  for (Path path : kPaths) {
+    for (TimeSemantics sem : {TimeSemantics::kArrival, TimeSemantics::kEvent}) {
+      WindowedQuery q;
+      q.loop = ForLoopSpec::Landmark(0, 1, 1, 100000);
+      q.loop.semantics = sem;
+      q.predicates = {DearOnly()};
+      OnlineWindowRunner runner(q);
+      Feed(&runner, path, 0, CheapAndDear(0, 1, 10));
+      EXPECT_EQ(runner.buffered_tuples(), 5u);  // the dear even days
+    }
+  }
+}
+
+// --- Equivalence grid: IngestBatch vs Ingest vs RunOverHistory ---------------
+
+SchemaRef GridSchema(SourceId source) {
+  return Schema::Make({{"k", ValueType::kInt64, source},
+                       {"i", ValueType::kInt64, source},
+                       {"d", ValueType::kDouble, source},
+                       {"big", ValueType::kInt64, source},
+                       {"at", ValueType::kTimestamp, source},
+                       {"name", ValueType::kString, source}});
+}
+
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+// Values of one grid row: sparse nulls and NaNs, so some 8-row batches
+// reach the vectorized kernels and others take the exact per-cell path.
+std::vector<Value> GridValues(Rng* rng, Timestamp ts) {
+  auto maybe_null = [&](Value v) {
+    return rng->Bernoulli(1.0 / 24) ? Value::Null() : std::move(v);
+  };
+  Value d = Value::Double(static_cast<double>(rng->UniformInt(0, 80)) / 10);
+  if (rng->Bernoulli(1.0 / 24)) {
+    d = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  }
+  static const char* kNames[] = {"a", "b", "c"};
+  return {Value::Int64(rng->UniformInt(0, 3)),
+          maybe_null(Value::Int64(rng->UniformInt(0, 40))),
+          maybe_null(std::move(d)),
+          Value::Int64(kTwo53 + rng->UniformInt(-3, 3)),
+          Value::TimestampVal(ts + rng->UniformInt(-4, 4)),
+          maybe_null(Value::String(kNames[rng->UniformInt(0, 2)]))};
+}
+
+struct GridCase {
+  std::string name;
+  std::vector<SourceId> sources;  // two sources: a self-join of one stream
+  std::vector<PredicateRef> predicates;
+};
+
+std::vector<GridCase> GridCases() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto c = [](SourceId s, const char* attr, CmpOp op, Value v) {
+    return MakeCompareConst({s, attr}, op, std::move(v));
+  };
+  return {
+      {"int64_and_double_lanes",
+       {0},
+       {c(0, "i", CmpOp::kLt, Value::Int64(30)),
+        c(0, "d", CmpOp::kGe, Value::Double(2.5))}},
+      {"double_literal_on_int64_lane",
+       {0},
+       {c(0, "i", CmpOp::kLe, Value::Double(20.5)),
+        c(0, "i", CmpOp::kNe, Value::Int64(7))}},
+      {"beyond_2_pow_53",
+       {0},
+       {c(0, "big", CmpOp::kEq, Value::Double(static_cast<double>(kTwo53))),
+        c(0, "i", CmpOp::kGe, Value::Int64(5))}},
+      {"beyond_2_pow_53_bounds",
+       {0},
+       {c(0, "big", CmpOp::kGt, Value::Int64(kTwo53 - 2)),
+        c(0, "big", CmpOp::kLt,
+          Value::Double(static_cast<double>(kTwo53 + 2)))}},
+      {"nan_literal",
+       {0},
+       {c(0, "d", CmpOp::kEq, Value::Double(nan)),
+        c(0, "i", CmpOp::kLt, Value::Int64(35))}},
+      {"timestamp_and_string_columns",
+       {0},
+       {c(0, "at", CmpOp::kGe, Value::TimestampVal(20)),
+        c(0, "at", CmpOp::kLt, Value::Int64(50)),
+        c(0, "name", CmpOp::kNe, Value::String("b"))}},
+      {"or_not_and_same_source_attrs",
+       {0},
+       {MakeOr({c(0, "i", CmpOp::kLt, Value::Int64(10)),
+                c(0, "name", CmpOp::kEq, Value::String("c"))}),
+        MakeNot(c(0, "d", CmpOp::kGt, Value::Double(5.0))),
+        MakeCompareAttrs({0, "i"}, CmpOp::kGt, {0, "k"})}},
+      {"self_join_filters_on_both_aliases",
+       {0, 1},
+       {MakeCompareAttrs({0, "k"}, CmpOp::kEq, {1, "k"}),
+        c(0, "i", CmpOp::kLt, Value::Int64(25)),
+        c(1, "d", CmpOp::kGe, Value::Double(1.0)),
+        c(1, "name", CmpOp::kNe, Value::String("a"))}},
+  };
+}
+
+// Every window rendered in order, kind and revision included.
+std::vector<std::string> Render(const std::vector<WindowResult>& results) {
+  std::vector<std::string> out;
+  for (const WindowResult& r : results) {
+    std::string line = std::to_string(r.t) + "/" +
+                       std::to_string(static_cast<int>(r.kind)) + "/" +
+                       std::to_string(r.revision) + ":";
+    for (const Tuple& t : r.tuples) line += " [" + Ordered(t) + "]";
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+struct GridRun {
+  std::vector<WindowResult> fired;
+  uint64_t late = 0;  // both reasons
+};
+
+// One online run: 8-row batches in timestamp order, each aliased source fed
+// the same rows under its own schema; kEvent batches also carry one late row
+// each (after the first) and a punctuation at the newest timestamp.
+GridRun RunGrid(const WindowedQuery& q, bool speculate, Path path,
+                const std::vector<std::vector<Value>>& values,
+                const std::vector<Timestamp>& stamps) {
+  OnlineWindowRunner::Options opts;
+  opts.speculate = speculate;
+  OnlineWindowRunner runner(q, opts);
+  GridRun run;
+  auto cb = [&](const WindowResult& r) { run.fired.push_back(r); };
+  const bool event = q.loop.semantics == TimeSemantics::kEvent;
+  std::vector<SourceId> sources;
+  for (const WindowIs& w : q.loop.windows) sources.push_back(w.source);
+  Timestamp watermark = kMinTimestamp;
+  for (size_t b = 0; b < values.size(); b += 8) {
+    const size_t end = std::min(values.size(), b + 8);
+    for (SourceId s : sources) {
+      SchemaRef schema = GridSchema(s);
+      std::vector<Tuple> rows;
+      for (size_t i = b; i < end; ++i) {
+        rows.push_back(Tuple::Make(schema, values[i], stamps[i]));
+      }
+      if (event && watermark != kMinTimestamp) {
+        rows.insert(rows.begin() + 3,
+                    Tuple::Make(schema, values[b], watermark - 1));
+      }
+      std::vector<Punctuation> lane;
+      if (event) lane.push_back(Punctuation{s, stamps[end - 1]});
+      Feed(&runner, path, s, rows, lane);
+    }
+    if (event) watermark = stamps[end - 1];
+    runner.Poll(cb);
+  }
+  for (SourceId s : sources) {
+    if (event) {
+      runner.OnPunctuation(Punctuation{s, kMaxTimestamp});
+    } else {
+      runner.AdvanceWatermark(s, kMaxTimestamp);
+    }
+  }
+  runner.Poll(cb);
+  EXPECT_TRUE(runner.Done());
+  using LateDrop = OnlineWindowRunner::LateDrop;
+  run.late = runner.late_dropped(LateDrop::kBeyondBound) +
+             runner.late_dropped(LateDrop::kBehindLoop);
+  return run;
+}
+
+TEST(WindowAdmissionTest, BatchTupleAndOfflineResultsAreIdentical) {
+  for (const GridCase& gc : GridCases()) {
+    Rng rng(std::hash<std::string>{}(gc.name));
+    std::vector<std::vector<Value>> values;
+    std::vector<Timestamp> stamps;
+    for (Timestamp ts = 1; ts <= 60; ++ts) {
+      for (int64_t j = rng.UniformInt(1, 5); j > 0; --j) {
+        values.push_back(GridValues(&rng, ts));
+        stamps.push_back(ts);
+      }
+    }
+    std::map<SourceId, StreamHistory> history;
+    for (SourceId s : gc.sources) {
+      for (size_t i = 0; i < values.size(); ++i) {
+        history[s].Append(Tuple::Make(GridSchema(s), values[i], stamps[i]));
+      }
+    }
+    for (TimeSemantics sem : {TimeSemantics::kArrival, TimeSemantics::kEvent}) {
+      for (bool speculate : {false, true}) {
+        if (speculate && sem == TimeSemantics::kArrival) continue;
+        SCOPED_TRACE(gc.name + (sem == TimeSemantics::kEvent ? " event"
+                                                             : " arrival") +
+                     (speculate ? " speculative" : ""));
+        WindowedQuery q;
+        q.loop = ForLoopSpec::Sliding(gc.sources, 6, 6, 60, 3);
+        q.loop.semantics = sem;
+        q.predicates = gc.predicates;
+        const std::vector<WindowResult> reference = RunOverHistory(q, history);
+        size_t nonempty = 0;
+        for (const WindowResult& r : reference) nonempty += !r.tuples.empty();
+        EXPECT_GT(nonempty, 0u);  // the filters must leave something
+
+        GridRun columnar =
+            RunGrid(q, speculate, Path::kColumnar, values, stamps);
+        for (Path path : {Path::kRowBatch, Path::kPerTuple}) {
+          GridRun rows = RunGrid(q, speculate, path, values, stamps);
+          EXPECT_EQ(Render(columnar.fired), Render(rows.fired));
+          EXPECT_EQ(columnar.late, rows.late);
+        }
+        // One late row per source per batch after the first.
+        const uint64_t batches = (values.size() + 7) / 8;
+        EXPECT_EQ(columnar.late, sem == TimeSemantics::kEvent
+                                     ? (batches - 1) * gc.sources.size()
+                                     : 0u);
+        if (!speculate) {
+          EXPECT_EQ(Render(columnar.fired), Render(reference));
+          continue;
+        }
+        // Speculation: per window, additions minus retractions accumulate
+        // to the reference content.
+        std::map<Timestamp, std::map<std::string, int>> acc;
+        for (const WindowResult& r : columnar.fired) {
+          int delta = r.kind == WindowResultKind::kRetraction ? -1 : 1;
+          for (const Tuple& t : r.tuples) acc[r.t][DataKey(t)] += delta;
+        }
+        for (const WindowResult& ref : reference) {
+          std::map<std::string, int> want;
+          for (const Tuple& t : ref.tuples) ++want[DataKey(t)];
+          std::erase_if(acc[ref.t],
+                        [](const auto& kv) { return kv.second == 0; });
+          EXPECT_EQ(acc[ref.t], want) << "window t=" << ref.t;
+        }
+      }
+    }
+  }
+}
+
+TEST(WindowAdmissionTest, LaneAdmissionMatchesPredicateEval) {
+  // The history holds exactly the rows every predicate a lone row covers
+  // accepts under Predicate::Eval: a never-firing loop keeps them all.
+  for (const GridCase& gc : GridCases()) {
+    SCOPED_TRACE(gc.name);
+    Rng rng(std::hash<std::string>{}(gc.name) + 1);
+    WindowedQuery q;
+    q.loop = ForLoopSpec::Landmark(gc.sources.front(), 1, 1000, 2000);
+    for (const SourceId s : gc.sources) {
+      if (s != gc.sources.front()) {
+        q.loop.windows.push_back({s, WindowBound::Constant(1),
+                                  WindowBound::AtT()});
+      }
+    }
+    q.predicates = gc.predicates;
+    OnlineWindowRunner columnar(q), per_tuple(q);
+    size_t want = 0;
+    for (Timestamp ts = 1; ts <= 400; ts += 8) {
+      for (SourceId s : gc.sources) {
+        SchemaRef schema = GridSchema(s);
+        std::vector<Tuple> rows;
+        for (Timestamp j = 0; j < 8; ++j) {
+          rows.push_back(
+              Tuple::Make(schema, GridValues(&rng, ts + j), ts + j));
+          bool admitted = true;
+          for (const PredicateRef& p : gc.predicates) {
+            if (p->CanEval(rows.back()) && !p->Eval(rows.back())) {
+              admitted = false;
+            }
+          }
+          want += admitted;
+        }
+        Feed(&columnar, Path::kColumnar, s, rows);
+        Feed(&per_tuple, Path::kPerTuple, s, rows);
+      }
+    }
+    EXPECT_EQ(columnar.buffered_tuples(), want);
+    EXPECT_EQ(per_tuple.buffered_tuples(), want);
+    EXPECT_LT(want, 400 * gc.sources.size());  // something was rejected
+    EXPECT_GT(want, 0u);
+  }
 }
 
 }  // namespace
