@@ -17,19 +17,24 @@
 #      including shard failover racing a concurrent pusher — fjords, cacq,
 #      obs, window,
 #      recovery, batch — its MPMC queue and fjord segment tests — ingress —
-#      wrapper threads produce into fjords — egress — a shard's result run
-#      enters PushEgress::OfferBatch under the query's merge mutex, and a
-#      kBlock OfferBatch blocks there until a client makes room or Close()
-#      wakes it — plus the whole server suite:
+#      wrapper threads produce into fjords — egress — the shards of a query
+#      enter PushEgress::OfferBatch concurrently, with no lock between
+#      them, while clients pop from the egress's other side; a kBlock
+#      OfferBatch blocks until a client makes room or Close() wakes it —
+#      plus the whole server suite (a 4-shard join projects on every
+#      shard's EO at once):
 #      windowed DUs share the executor's EO threads with class DUs, and a
 #      pusher races windowed submit/cancel — aliased self-joins included —
 #      and Checkpoint's detach/re-attach, all changing the executor's one
 #      per-source routing table under live ingest) — must be TSan-clean
-#   4. UBSan build running the trace/queue/routing/window suites (the
-#      seqlock ring and histogram interpolation are the prime UB suspects);
-#      the routing suite (eddy_test) runs the production SharedEddy under
-#      every routing policy; window_test drives the windowed runner's lane
-#      admission over null masks and typed lanes
+#   4. UBSan build running the trace/queue/routing/window/batch/sharding
+#      suites (the seqlock ring and histogram interpolation are the prime
+#      UB suspects); the routing suite (eddy_test) runs the production
+#      SharedEddy under every routing policy; window_test drives the
+#      windowed runner's lane admission over null masks and typed lanes;
+#      batch_test and exec_sharding_test drive ColumnStore::Gather, which
+#      indexes lanes and null masks through a selection, and the shard
+#      partition that reads key lanes
 #   5. bench smoke: batched-vs-per-tuple comparison -> BENCH_batching.json,
 #      class lifecycle (merge/GC/rebalance) -> BENCH_exec_lifecycle.json,
 #      tracing overhead -> BENCH_tracing.json,
@@ -120,9 +125,11 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # detaches and re-attaches those DUs on every checkpoint while the EO
   # threads run; batch_test and ingress_test move
   # whole batch segments between producer and consumer threads;
-  # egress_test: a shard's result run reaches PushEgress::OfferBatch under
-  # the query's merge mutex, and under kBlock OfferBatch blocks there until
-  # a client's Poll/Receive makes room or Close() wakes it.
+  # egress_test: producers offer runs on one side of PushEgress while
+  # Poll/Receive pop from the other and swap the sides over; under kBlock
+  # OfferBatch blocks until a client's pop makes room or Close() wakes it.
+  # exec_sharding_test and server_test: a sharded query's shards call its
+  # sink concurrently from their EOs (no merge lock).
   for t in exec_test exec_lifecycle_test exec_sharding_test fjords_test \
            cacq_test obs_test window_test server_test recovery_test \
            batch_test ingress_test egress_test; do
@@ -132,11 +139,12 @@ if [[ "$RUN_TSAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then
-  echo "== ubsan: configure + build + trace/queue/routing/window suites =="
+  echo "== ubsan: configure + build + trace/queue/routing/window/batch/sharding suites =="
   cmake -B build-ubsan -S . -DTCQ_SANITIZE=undefined
   cmake --build build-ubsan -j --target obs_test fjords_test eddy_test \
-    window_test
-  for t in obs_test fjords_test eddy_test window_test; do
+    window_test batch_test exec_sharding_test
+  for t in obs_test fjords_test eddy_test window_test batch_test \
+           exec_sharding_test; do
     echo "-- ubsan: $t"
     UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/"$t"
   done

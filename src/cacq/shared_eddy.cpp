@@ -52,7 +52,11 @@ ModuleAction SharedSteMProbe::Process(SharedEnvelope* env,
     const Value* key = ResolveAttr(env->tuple, probe_key_);
     assert(key != nullptr && "probe key attribute missing");
     scratch_.clear();
-    stem_->ProbeEq(build_key_.name, *key, env->seq_max, &scratch_);
+    // An equi-join edge compares as EvalCmp does: a null key equals
+    // nothing, not even a stored null.
+    if (!key->is_null()) {
+      stem_->ProbeEq(build_key_.name, *key, env->seq_max, &scratch_);
+    }
     if (!scratch_.empty()) {
       SchemaRef out_schema = ConcatSchemaFor(env->tuple.schema());
       for (const StemEntry* e : scratch_) {

@@ -50,36 +50,57 @@ size_t PushEgress::OfferBatch(std::span<Delivery> run) {
   int64_t t0 = traced ? NowMicros() : 0;
   std::vector<uint64_t> traced_ids;  // accepted deliveries' queries
   size_t accepted = 0;
-  size_t unpublished = 0;  // accepted, not yet counted or signalled
+  size_t pending = 0;  // accepted, not yet in size_, counted or signalled
   uint64_t punctuations = 0;
   uint64_t retractions = 0;
-  std::unique_lock<std::mutex> lock(mu_);
+  // kDropOldest may have to shed a delivery that already moved to the
+  // consumer side. A run that can overflow takes both locks up front, so it
+  // does not have to let go of mu_ (and its contiguity) half way.
+  std::unique_lock<std::mutex> out_lock(out_mu_, std::defer_lock);
+  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+  if (opts_.shed == ShedPolicy::kDropOldest &&
+      size_.load() + run.size() > opts_.capacity) {
+    std::lock(out_lock, lock);
+  } else {
+    lock.lock();
+  }
   auto publish = [&] {
-    if (unpublished == 0) return;
-    delivered_->Inc(unpublished);
+    if (pending == 0) return;
+    size_t now = size_.fetch_add(pending) + pending;
+    delivered_->Inc(pending);
     if (punctuations > 0) punctuations_->Inc(punctuations);
     if (retractions > 0) retractions_->Inc(retractions);
-    unpublished = punctuations = retractions = 0;
-    buffered_gauge_->Set(static_cast<int64_t>(queue_.size()));
+    pending = punctuations = retractions = 0;
+    buffered_gauge_->Set(static_cast<int64_t>(now));
     if (empty_waiters_ > 0) not_empty_.notify_all();
   };
   for (Delivery& delivery : run) {
     if (closed_) break;
-    if (queue_.size() >= opts_.capacity) {
+    if (size_.load() + pending >= opts_.capacity) {
       if (opts_.shed == ShedPolicy::kDropNewest) {
         shed_->Inc();
         continue;
       }
+      publish();
       if (opts_.shed == ShedPolicy::kDropOldest) {
-        queue_.pop_front();
-        shed_->Inc();
+        if (!out_lock.owns_lock() && !out_lock.try_lock()) {
+          // A consumer holds out_mu_ and may be waiting for mu_ to refill
+          // its side: let go, then take both in order.
+          lock.unlock();
+          std::lock(out_lock, lock);
+          if (closed_) break;
+        }
+        // With both locks held the occupancy cannot move under us.
+        if (size_.load() >= opts_.capacity) {
+          DropOldestLocked();
+          shed_->Inc();
+        }
       } else {  // kBlock
-        // What this run already queued must be visible (and countable) to
-        // the client whose polls will make room.
-        publish();
+        // What this run already queued is published above, so the client
+        // whose polls will make room can see (and count) it.
         ++full_waiters_;
         not_full_.wait(
-            lock, [&] { return closed_ || queue_.size() < opts_.capacity; });
+            lock, [&] { return closed_ || size_.load() < opts_.capacity; });
         --full_waiters_;
         if (closed_) break;
       }
@@ -89,12 +110,13 @@ size_t PushEgress::OfferBatch(std::span<Delivery> run) {
       if (delivery.tuple.IsRetraction()) ++retractions;
     }
     if (traced) traced_ids.push_back(delivery.query_id);
-    queue_.push_back(std::move(delivery));
+    in_.push_back(std::move(delivery));
     ++accepted;
-    ++unpublished;
+    ++pending;
   }
   publish();
   lock.unlock();
+  if (out_lock.owns_lock()) out_lock.unlock();
   if (traced && accepted > 0) {
     int64_t now = NowMicros();
     tc.tracer->Record(obs::SpanKind::kEgressEmit, 0, traced_ids.front(), t0,
@@ -113,29 +135,62 @@ bool PushEgress::Offer(const Delivery& delivery) {
   return OfferBatch(std::span<Delivery>(&copy, 1)) == 1;
 }
 
+void PushEgress::DropOldestLocked() {
+  // The consumer side holds the older deliveries (it is refilled only
+  // when empty, with everything the producer side had).
+  std::deque<Delivery>& q = out_.empty() ? in_ : out_;
+  if (q.empty()) return;
+  q.pop_front();
+  --size_;
+}
+
+bool PushEgress::PopLocked(Delivery* out) {
+  if (out_.empty()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (in_.empty()) return false;
+    out_.swap(in_);
+  }
+  *out = std::move(out_.front());
+  out_.pop_front();
+  buffered_gauge_->Set(static_cast<int64_t>(size_.fetch_sub(1) - 1));
+  return true;
+}
+
+void PushEgress::NotifyRoom() {
+  // A kBlock producer registers as a waiter and then checks for room, both
+  // under mu_, before it parks. The pop lowered size_ before this load, so
+  // either the producer sees the room, or this sees the waiter and, by
+  // taking mu_, notifies only once the producer has parked.
+  if (full_waiters_.load() == 0) return;
+  { std::lock_guard<std::mutex> lock(mu_); }
+  not_full_.notify_all();
+}
+
 bool PushEgress::Poll(Delivery* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  buffered_gauge_->Set(static_cast<int64_t>(queue_.size()));
-  if (full_waiters_ > 0) not_full_.notify_all();
+  if (size_.load() == 0) return false;
+  std::lock_guard<std::mutex> out_lock(out_mu_);
+  if (!PopLocked(out)) return false;
+  NotifyRoom();
   return true;
 }
 
 bool PushEgress::Receive(Delivery* out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!closed_ && queue_.empty()) {
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> out_lock(out_mu_);
+      if (PopLocked(out)) {
+        NotifyRoom();
+        return true;
+      }
+    }
+    // Wait under mu_ alone: a producer shedding the oldest delivery may
+    // need out_mu_ to make progress.
+    std::unique_lock<std::mutex> lock(mu_);
+    if (closed_ && size_.load() == 0) return false;
     ++empty_waiters_;
-    not_empty_.wait(lock, [&] { return closed_ || !queue_.empty(); });
+    not_empty_.wait(lock, [&] { return closed_ || size_.load() > 0; });
     --empty_waiters_;
   }
-  if (queue_.empty()) return false;
-  *out = std::move(queue_.front());
-  queue_.pop_front();
-  buffered_gauge_->Set(static_cast<int64_t>(queue_.size()));
-  if (full_waiters_ > 0) not_full_.notify_all();
-  return true;
 }
 
 void PushEgress::Close() {
@@ -157,10 +212,7 @@ uint64_t PushEgress::retractions_delivered() const {
   return retractions_->Value();
 }
 
-size_t PushEgress::buffered() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
+size_t PushEgress::buffered() const { return size_.load(); }
 
 void PullEgress::Log(const Delivery& delivery) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -37,7 +38,17 @@ enum class ShedPolicy {
 const char* ShedPolicyName(ShedPolicy p);
 
 /// Push egress: a bounded, thread-safe buffer the engine pushes into and a
-/// streaming client drains.
+/// streaming client drains. It has two sides, so a client's polls do not
+/// contend with the shard EOs offering runs:
+///   - the producer side (`in_` under `mu_`), where OfferBatch appends runs;
+///   - the consumer side (`out_` under `out_mu_`), which Poll and Receive
+///     pop from. When it runs dry the consumer takes `mu_` once and swaps
+///     the producer side in, so one producer-lock acquisition moves a whole
+///     backlog. Lock order: `out_mu_`, then `mu_`.
+/// Everything on the consumer side is older than everything on the producer
+/// side, so popping `out_` then `in_` is FIFO. Capacity, kDropOldest and
+/// buffered() count both sides through the atomic `size_`, which also lets
+/// an empty egress answer Poll without taking a lock.
 class PushEgress {
  public:
   struct Options {
@@ -52,19 +63,21 @@ class PushEgress {
   explicit PushEgress(Options opts, MetricsRegistryRef metrics = nullptr,
                       std::string label = "");
 
-  /// Engine side: offers a run of deliveries under one lock, applying the
-  /// shed policy to each in order exactly as that many Offer calls would.
-  /// Accepted deliveries are moved out of `run`. Returns how many were
-  /// accepted: a kDropNewest shed skips one delivery, and Close() ends the
-  /// run (a kBlock producer waiting for room wakes and pushes nothing
-  /// more). One kEgressEmit span covers the run; the end-to-end sample is
-  /// recorded per accepted delivery.
+  /// Engine side: offers a run of deliveries under one producer-lock hold,
+  /// applying the shed policy to each in order exactly as that many Offer
+  /// calls would. Accepted deliveries are moved out of `run`. Returns how
+  /// many were accepted: a kDropNewest shed skips one delivery, and Close()
+  /// ends the run (a kBlock producer waiting for room wakes and pushes
+  /// nothing more). A run's deliveries stay contiguous unless a kBlock
+  /// producer has to wait for room. One kEgressEmit span covers the run;
+  /// the end-to-end sample is recorded per accepted delivery.
   size_t OfferBatch(std::span<Delivery> run);
 
   /// A run of one. Returns false if the delivery was shed.
   bool Offer(const Delivery& delivery);
 
-  /// Client side: non-blocking poll.
+  /// Client side: non-blocking poll. An empty egress answers without
+  /// taking a lock.
   bool Poll(Delivery* out);
 
   /// Client side: blocking receive; false once closed and drained.
@@ -83,16 +96,34 @@ class PushEgress {
   const MetricsRegistryRef& metrics() const { return metrics_; }
 
  private:
+  /// Pops the oldest delivery into `out` (caller holds out_mu_), refilling
+  /// the consumer side from the producer side when it is empty. False when
+  /// both sides are empty.
+  bool PopLocked(Delivery* out);
+  /// Drops the globally oldest delivery to make room (caller holds both
+  /// locks).
+  void DropOldestLocked();
+  /// Wakes kBlock producers after a pop made room (caller holds out_mu_).
+  void NotifyRoom();
+
   Options opts_;
+  /// Producer side: `in_`, `closed_`, and the not_empty_ waiter count.
   mutable std::mutex mu_;
-  /// Each condition has its own waiter count (guarded by mu_), so the hot
-  /// paths notify only when someone actually waits: not_full_ wakes kBlock
-  /// producers as Poll/Receive make room, not_empty_ wakes Receive.
+  /// Consumer side: `out_`. Taken before `mu_` when both are needed.
+  mutable std::mutex out_mu_;
+  /// not_full_ wakes kBlock producers as Poll/Receive make room, not_empty_
+  /// wakes Receive; both wait under mu_. Each has a waiter count so the hot
+  /// paths notify only when someone waits. full_waiters_ is atomic because
+  /// consumers read it without mu_ (see NotifyRoom).
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  size_t full_waiters_ = 0;
+  std::atomic<size_t> full_waiters_{0};
   size_t empty_waiters_ = 0;
-  std::deque<Delivery> queue_;
+  std::deque<Delivery> in_;
+  std::deque<Delivery> out_;
+  /// in_.size() + out_.size(). Only producers raise it (under mu_), so a
+  /// producer's read under mu_ can only overstate the occupancy.
+  std::atomic<size_t> size_{0};
   bool closed_ = false;
   MetricsRegistryRef metrics_;
   Counter* delivered_;

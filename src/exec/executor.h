@@ -87,8 +87,17 @@ class Executor {
   };
 
   /// Receives a query's results as a run (global id, result tuples in
-  /// emission order); called from EO threads. Each shard hands over one run
-  /// per ingested batch, and a punctuation is a run of one.
+  /// emission order); called from EO threads. The contract:
+  ///   - each call delivers one whole run: one shard's results for one
+  ///     ingested batch, or a punctuation as a run of one;
+  ///   - different shards of a class may call the sink concurrently, from
+  ///     their own EO threads, so a sink must be thread-safe;
+  ///   - one shard's calls are sequential and keep the order in which its
+  ///     eddy emitted them;
+  ///   - a punctuation reaches the sink only after every run whose rows it
+  ///     covers (each shard flushes before reporting it).
+  /// Each shard holds its own copy of the sink, so by-value state inside it
+  /// is per shard.
   using Sink =
       std::function<void(GlobalQueryId, const std::vector<Tuple>&)>;
 
@@ -144,8 +153,8 @@ class Executor {
   /// Submits a continuous query; blocks until the owning class's DUs admit
   /// it (milliseconds). A footprint bridging several classes first merges
   /// them (also blocking, at quantum boundaries). Deliveries go to `sink`;
-  /// with shards > 1 they arrive from several EO threads, serialized
-  /// per query but not across queries.
+  /// with shards > 1 they arrive concurrently from several EO threads
+  /// (see Sink).
   Result<GlobalQueryId> SubmitQuery(const CQSpec& spec, Sink sink);
 
   /// Hosts the DU `build(id)` returns (called once, under the executor lock)

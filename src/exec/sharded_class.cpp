@@ -33,11 +33,10 @@ struct AdmissionGate {
   }
 };
 
-/// Partition key of a tuple: int64 values hash directly (equal keys across
+/// Partition key of a value: int64 values hash directly (equal keys across
 /// streams must bucket identically for co-partitioning), everything else
 /// through the Value hash.
-int64_t KeyOf(const Tuple& t, size_t field) {
-  const Value& v = t.at(field);
+int64_t KeyOf(const Value& v) {
   return v.type() == ValueType::kInt64 ? v.AsInt64()
                                        : static_cast<int64_t>(v.Hash());
 }
@@ -199,16 +198,11 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
                 {}, remap, /*attach_after=*/false);
   }
 
-  // Per-query merge stage: shards deliver concurrently from their own EO
-  // threads; the mutex serializes any ONE query's runs, preserving the
-  // executor's sink contract. A run keeps its shard's emission order.
-  auto merge_mu = std::make_shared<std::mutex>();
-  auto wrapped = [merge_mu, sink = std::move(sink)](
-                     uint64_t g, const std::vector<Tuple>& run) {
-    std::lock_guard<std::mutex> lock(*merge_mu);
-    sink(g, run);
-  };
-
+  // Each shard hands its runs to the sink from its own EO thread, with no
+  // lock between shards (the Executor::Sink contract). Every shard's DU
+  // gets its own copy of `sink` below, so state a sink carries by value
+  // (the server's Projection and its single-threaded schema cache) is per
+  // shard.
   // Broadcast admission. Tasks are enqueued in the same order on every
   // shard's FIFO plan queue and every replica has seen the identical task
   // sequence since birth, so the local ids they assign are identical.
@@ -217,10 +211,10 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
   for (Shard& sh : shards_) {
     auto gate = std::make_shared<AdmissionGate>();
     gates.push_back(gate);
-    sh.du->SubmitTask([du = sh.du.get(), gid, wrapped, spec,
+    sh.du->SubmitTask([du = sh.du.get(), gid, sink, spec,
                        gate](SharedEddy* eddy) mutable {
       Result<QueryId> r = eddy->AddQuery(std::move(spec));
-      if (r.ok()) du->BindSink(*r, gid, std::move(wrapped));
+      if (r.ok()) du->BindSink(*r, gid, std::move(sink));
       gate->Set(std::move(r));
     });
   }
@@ -239,7 +233,7 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
   if (first.ok()) {
     specs_[*first] = spec;
     std::lock_guard<std::mutex> lock(punct_mu_);
-    punct_sinks_[*first] = {gid, wrapped};
+    punct_sinks_[*first] = {gid, std::move(sink)};
   }
   return first;
 }
@@ -617,6 +611,7 @@ void ShardedClass::Repartition(size_t new_count,
       assert(sit != sinks.end() && "re-admitted query without a sink");
       if (sit == sinks.end()) return;
       remap_map[sit->second.first] = nid;
+      // One copy per shard: a sink's by-value state stays per shard.
       for (Shard& sh : shards_) {
         sh.du->BindSink(nid, sit->second.first, sit->second.second);
       }
@@ -721,30 +716,62 @@ ShardedClass::RouteResult ShardedClass::RouteBatchLocked(Route* r,
                : RouteResult::kWouldBlock;
   }
 
-  // Split per tuple. Keyed routes hash the partition key through the Flux
-  // bucket map (counting per-bucket traffic for later LPT re-partitions);
-  // keyless routes round-robin (stateless single-source queries only).
+  // Partition. One pass picks every row's shard: a keyed route hashes the
+  // partition key through the Flux bucket map, a keyless one round-robins
+  // (stateless single-source queries only). A columnar batch is read on
+  // its key lane and each shard's rows are gathered into a ColumnStore of
+  // their own, so no row is materialized on the pushing thread; a row
+  // batch moves its rows. Bucket traffic (for later LPT re-partitions) is
+  // counted locally and flushed once per batch.
   static thread_local std::vector<TupleBatch> scratch;
+  static thread_local std::vector<std::vector<uint32_t>> picks;
+  static thread_local std::vector<uint64_t> counts;
   if (scratch.size() < n) scratch.resize(n);
+  if (picks.size() < n) picks.resize(n);
+  for (size_t k = 0; k < n; ++k) picks[k].clear();
+  const size_t rows = batch->size();
+  const ColumnStore::Ref cols =
+      batch->columnar_only() ? batch->columns() : nullptr;
+  Tuple* data = cols == nullptr ? batch->data() : nullptr;
+  if (!r->key_attr.empty()) {
+    counts.assign(parts_.num_buckets(), 0);
+    auto pick = [&](uint32_t i, int64_t key) {
+      size_t b = parts_.BucketOf(key);
+      ++counts[b];
+      picks[parts_.OwnerOf(b)].push_back(i);
+    };
+    if (cols == nullptr) {
+      for (uint32_t i = 0; i < rows; ++i) {
+        pick(i, KeyOf(data[i].at(r->key_field)));
+      }
+    } else if (const Column& key = cols->column(r->key_field);
+               key.rep == ColumnRep::kInt64 && !key.is_timestamp &&
+               !key.has_nulls()) {
+      for (uint32_t i = 0; i < rows; ++i) pick(i, key.i64[i]);
+    } else {
+      for (uint32_t i = 0; i < rows; ++i) pick(i, KeyOf(key.ValueAt(i)));
+    }
+    for (size_t b = 0; b < counts.size(); ++b) {
+      if (counts[b] > 0) {
+        bucket_counts_[b].fetch_add(counts[b], std::memory_order_relaxed);
+      }
+    }
+  } else {
+    uint64_t next = rr_next_.fetch_add(rows, std::memory_order_relaxed);
+    for (uint32_t i = 0; i < rows; ++i) picks[(next + i) % n].push_back(i);
+  }
   for (size_t k = 0; k < n; ++k) {
+    const std::vector<uint32_t>& mine = picks[k];
     scratch[k].clear();
     scratch[k].set_source(batch->source());
-    // A delivered partition leaves with its row storage (one fjord slot),
-    // so size the next one once instead of growing it row by row.
-    scratch[k].reserve(2 * batch->size() / n + 1);
-  }
-  const bool keyed = !r->key_attr.empty();
-  Tuple* data = batch->data();
-  for (size_t i = 0; i < batch->size(); ++i) {
-    size_t k;
-    if (keyed) {
-      size_t b = parts_.BucketOf(KeyOf(data[i], r->key_field));
-      bucket_counts_[b].fetch_add(1, std::memory_order_relaxed);
-      k = parts_.OwnerOf(b);
-    } else {
-      k = rr_next_.fetch_add(1, std::memory_order_relaxed) % n;
+    if (mine.empty()) continue;
+    if (cols != nullptr) {
+      scratch[k] = TupleBatch(batch->source(),
+                              cols->Gather(mine.data(), mine.size()));
+      continue;
     }
-    scratch[k].push_back(std::move(data[i]));
+    scratch[k].reserve(mine.size());
+    for (uint32_t i : mine) scratch[k].push_back(std::move(data[i]));
   }
   // Control broadcast: data rows PARTITION, punctuations go to EVERY shard
   // (each replica needs the watermark; the merge below min-combines their
@@ -791,7 +818,7 @@ ShardedClass::RouteResult ShardedClass::RouteBatchLocked(Route* r,
 
 size_t ShardedClass::ShardOf(const Route& r, const Tuple& t) const {
   if (r.key_attr.empty() || shards_.size() < 2) return 0;
-  return parts_.OwnerOf(parts_.BucketOf(KeyOf(t, r.key_field)));
+  return parts_.OwnerOf(parts_.BucketOf(KeyOf(t.at(r.key_field))));
 }
 
 QueueOp ShardedClass::ProduceShadowed(const Route& r, size_t k,
@@ -799,8 +826,10 @@ QueueOp ShardedClass::ProduceShadowed(const Route& r, size_t k,
   Shadow& s = *r.shadows[k];
   std::lock_guard<std::mutex> lock(s.mu);
   // ProduceBatch moves rows out, and what goes in is a prefix: copy first,
-  // keep the copies of what went in.
-  std::vector<Tuple> copy(part->begin(), part->end());
+  // keep the copies of what went in. Read through a const view, so a
+  // gathered partition keeps its columns beside the materialized rows.
+  const TupleBatch& view = *part;
+  std::vector<Tuple> copy(view.begin(), view.end());
   QueueOp op = r.producers[k]->ProduceBatch(part);
   size_t pushed = copy.size() - part->size();
   for (size_t i = 0; i < pushed; ++i) s.rows.push_back(std::move(copy[i]));
@@ -860,9 +889,9 @@ void ShardedClass::SeedShadow(const Route& r, size_t k, const Tuple& t) {
 
 void ShardedClass::OnShardPunctuation(size_t shard, const Punctuation& p) {
   // EO-thread context (during a shard eddy's IngestBatch). Deliveries stay
-  // under punct_mu_ so every sink observes a monotone punctuation sequence;
-  // the per-query merge mutex nests inside (punct_mu_ -> merge_mu, the same
-  // order everywhere).
+  // under punct_mu_ so every sink observes a monotone punctuation sequence.
+  // Every shard flushed its runs before reporting (the DU's control sink),
+  // so no result of a row the merged watermark covers can trail it.
   std::lock_guard<std::mutex> lock(punct_mu_);
   std::optional<Timestamp> merged = merged_wm_.Observe(shard, p);
   if (!merged.has_value()) return;

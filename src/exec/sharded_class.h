@@ -3,10 +3,11 @@
 // SharedEddy — own SteMs, routing state, decision cache — behind its own
 // SharedCQDispatchUnit, so shards pump in parallel on separate Execution
 // Objects with zero shared mutable dataflow state. Ingested batches are
-// split per tuple by Partitioner::BucketOf over the class's derived join
-// keys (round-robin for keyless streams); results from all shards fan back
-// through a per-query merge mutex into the existing egress sinks, one
-// locked run per shard per ingested batch.
+// split per row by Partitioner::BucketOf over the class's derived join
+// keys (round-robin for keyless streams) — a columnar batch on its key lane,
+// gathered into one ColumnStore per shard; each shard hands its results to
+// the query's sink from its own EO thread, one run per ingested batch, with
+// no lock between the shards (the Executor::Sink contract).
 //
 // Correctness argument: partition keys are derived from the UNION of every
 // member query's equality-join edges, with a conflict (one stream needing
@@ -123,8 +124,8 @@ class ShardedClass {
   /// First re-derives partition keys including the new spec's join edges and
   /// re-partitions when the layout must change — with the admission tasks
   /// queued ahead of re-attachment, so the new query sees every carried-over
-  /// tuple. `sink` is wrapped with a per-query mutex, taken once per run:
-  /// shards deliver concurrently, but any one query's runs stay serialized.
+  /// tuple. Every shard gets its own copy of `sink` and calls it from its
+  /// EO thread, concurrently with the other shards (Executor::Sink).
   Result<QueryId> AdmitQuery(const CQSpec& spec, uint64_t gid, Sink sink,
                              bool started, const RemapFn& remap);
 
@@ -185,8 +186,9 @@ class ShardedClass {
   // --- Data path (thread-safe, called WITHOUT the executor mutex) ------------
 
   /// Partitions the batch's tuples across shards and pushes each slice into
-  /// that shard's fjord. Tuples that did not fit are left in `*batch`
-  /// (per-shard order preserved) for the caller to retry or count.
+  /// that shard's fjord; a columnar batch's slices stay columnar. Tuples
+  /// that did not fit are left in `*batch` as rows (per-shard order
+  /// preserved) for the caller to retry or count.
   RouteResult RouteBatch(TupleBatch* batch);
 
   // --- Per-shard scheduling surface (executor rebalance pass) ----------------
@@ -316,8 +318,8 @@ class ShardedClass {
   /// serializes the fan-out so sinks see monotone punctuation sequences.
   std::mutex punct_mu_;
   ShardMergedWatermark merged_wm_;
-  /// Member queries' wrapped sinks under their local ids (the same wrapped
-  /// sinks BindSink installs), for control fan-out.
+  /// Member queries' sinks under their local ids (copies of the sinks
+  /// BindSink installs), for control fan-out.
   std::map<QueryId, std::pair<uint64_t, Sink>> punct_sinks_;
 
   Counter* repartitions_;

@@ -49,6 +49,10 @@ int64_t IntegralOf(const Value& v) {
 void GroupedFilter::AddFactor(QueryId q, CmpOp op, Value literal) {
   // Re-registering a removed query must not resurrect its old factors.
   if (dead_.Contains(q)) Compact();
+  if (literal.is_null()) {
+    AddUnsatisfiable(q);
+    return;
+  }
   switch (op) {
     case CmpOp::kEq:
       eq_[std::move(literal)].push_back(q);
@@ -83,10 +87,25 @@ void GroupedFilter::AddFactor(QueryId q, CmpOp op, Value literal) {
 void GroupedFilter::AddRange(QueryId q, Value lo, bool lo_incl, Value hi,
                              bool hi_incl) {
   if (dead_.Contains(q)) Compact();
+  if (lo.is_null() || hi.is_null()) {
+    AddUnsatisfiable(q);
+    return;
+  }
   IntervalIndex::Interval iv{std::move(lo), lo_incl, std::move(hi), hi_incl,
                              q};
   range_list_.push_back(iv);
   ranges_.Add(std::move(iv));
+  ++factor_count_[q];
+  ++num_factors_;
+  interested_.Add(q);
+  dead_.Remove(q);
+  ++revision_;
+}
+
+void GroupedFilter::AddUnsatisfiable(QueryId q) {
+  // Counted, never indexed: no probe bumps it, so q never reaches its
+  // factor count, on the scalar path and in the compiled kernels alike.
+  unsatisfiable_.push_back(q);
   ++factor_count_[q];
   ++num_factors_;
   interested_.Add(q);
@@ -116,8 +135,10 @@ void GroupedFilter::Compact() {
                 [&](const IntervalIndex::Interval& iv) {
                   return is_dead(iv.query);
                 });
+  std::erase_if(unsatisfiable_, is_dead);
   ranges_.Compact();
-  num_factors_ = ne_.size() + lower_.size() + upper_.size() + ranges_.size();
+  num_factors_ = ne_.size() + lower_.size() + upper_.size() + ranges_.size() +
+                 unsatisfiable_.size();
   for (const auto& [v, qs] : eq_) num_factors_ += qs.size();
   for (auto it = factor_count_.begin(); it != factor_count_.end();) {
     it = is_dead(it->first) ? factor_count_.erase(it) : std::next(it);
@@ -159,6 +180,9 @@ void GroupedFilter::Match(const Value& v, QuerySet* out) const {
 
   ++epoch_;
   touched_.clear();
+  // SQL semantics, as EvalCmp: a null satisfies no factor (null literals
+  // are never indexed, see AddUnsatisfiable).
+  if (v.is_null()) return;
 
   // Equality: one hash lookup.
   if (auto it = eq_.find(v); it != eq_.end()) {

@@ -45,7 +45,8 @@ class GroupedFilter {
   void Compact();
 
   /// Adds to `out` every registered query all of whose factors are
-  /// satisfied by `v`.
+  /// satisfied by `v`. As in EvalCmp, a null value or a null literal
+  /// satisfies no factor.
   void Match(const Value& v, QuerySet* out) const;
 
   /// Batch probe: for every row r of the column, adds to out[r] exactly the
@@ -58,8 +59,9 @@ class GroupedFilter {
 
   /// True when MatchBatch over this column sweeps the compiled kernels. Its
   /// answer then equals EvalCmp of every factor on every row; the scalar
-  /// path it otherwise takes follows the index's own rules instead (a null
-  /// value satisfies an upper bound, equality goes through Value hashing).
+  /// path it otherwise takes follows the index's own rules instead
+  /// (equality goes through Value hashing, so NaN and int64/double keys
+  /// beyond 2^53 can differ from EvalCmp).
   bool MatchBatchUsesKernels(const Column& col, size_t n) const;
 
   /// All queries with at least one factor here (live only).
@@ -116,6 +118,8 @@ class GroupedFilter {
     std::unordered_map<double, std::vector<uint32_t>> eq_all_d;
   };
 
+  /// Registers a factor with a null literal, which no value satisfies.
+  void AddUnsatisfiable(QueryId q);
   void BumpMatch(QueryId q, std::vector<QueryId>* touched) const;
   void Compile() const;
   void MatchBatchKernel(const Column& col, size_t n, QuerySet* out) const;
@@ -138,6 +142,8 @@ class GroupedFilter {
   // API and the batch compiler needs one.
   IntervalIndex ranges_;
   std::vector<IntervalIndex::Interval> range_list_;
+  // Queries with a null-literal factor (one entry per factor).
+  std::vector<QueryId> unsatisfiable_;
 
   // Factors required per query; a probe matches a query when its per-probe
   // counter reaches this.

@@ -387,7 +387,10 @@ std::shared_ptr<PushEgress> TelegraphCQ::NewEgressLocked() {
 namespace {
 
 /// A continuous client's delivery sink: projects a run of data tuples and
-/// offers it to `egress` in one call.
+/// offers it to `egress` in one call. The shards of a query call their own
+/// copies of it concurrently: each copy projects on its shard's EO thread
+/// with its own Projection (whose schema cache is single-threaded), and
+/// PushEgress is thread-safe.
 Executor::Sink EgressSink(std::shared_ptr<PushEgress> egress,
                           std::optional<Projection> projection) {
   return [egress, projection](GlobalQueryId id,

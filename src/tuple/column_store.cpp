@@ -9,7 +9,7 @@ namespace tcq {
 
 void* Arena::Allocate(size_t bytes) {
   if (bytes == 0) bytes = kAlignment;
-  size_t need = (bytes + kAlignment - 1) & ~(kAlignment - 1);
+  size_t need = Footprint(bytes);
   Chunk* chunk = chunks_.empty() ? nullptr : &chunks_.back();
   if (chunk == nullptr || chunk->capacity - chunk->used < need) {
     Chunk fresh;
@@ -29,6 +29,20 @@ void* Arena::Allocate(size_t bytes) {
   chunk->used += pad + bytes;
   bytes_ += pad + bytes;
   return reinterpret_cast<void*>(aligned);
+}
+
+void Arena::Reserve(size_t bytes) {
+  Chunk fresh;
+  // Slack to align the first allocation; later ones start aligned.
+  fresh.capacity = bytes + kAlignment;
+  fresh.data.reset(new std::byte[fresh.capacity]);
+  chunks_.push_back(std::move(fresh));
+}
+
+size_t Arena::capacity() const {
+  size_t total = 0;
+  for (const Chunk& c : chunks_) total += c.capacity;
+  return total;
 }
 
 // --- Column ------------------------------------------------------------------
@@ -221,6 +235,92 @@ Tuple ColumnStore::MaterializeRow(size_t row) const {
   for (const Column& col : cols_) values.push_back(col.ValueAt(row));
   return Tuple::Make(schema_, std::move(values),
                      static_cast<Timestamp>(stamps_[row]));
+}
+
+namespace {
+
+template <typename T>
+const T* GatherLane(Arena* arena, const T* src, const uint32_t* rows,
+                    size_t n) {
+  T* lane = arena->AllocateArray<T>(n);
+  for (size_t i = 0; i < n; ++i) lane[i] = src[rows[i]];
+  return lane;
+}
+
+size_t LaneWidth(ColumnRep rep) {
+  switch (rep) {
+    case ColumnRep::kInt64:
+      return sizeof(int64_t);
+    case ColumnRep::kDouble:
+      return sizeof(double);
+    case ColumnRep::kBool:
+      return sizeof(uint8_t);
+    default:
+      return 0;  // not in the arena
+  }
+}
+
+}  // namespace
+
+ColumnStore::Ref ColumnStore::Gather(const uint32_t* rows, size_t n) const {
+  assert(n > 0);
+  auto store = std::shared_ptr<ColumnStore>(new ColumnStore());
+  store->schema_ = schema_;
+  store->rows_ = n;
+  store->cols_.resize(cols_.size());
+
+  std::vector<bool> keep_nulls(cols_.size(), false);
+  size_t bytes = Arena::Footprint(n * sizeof(int64_t));
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    const Column& col = cols_[c];
+    if (size_t w = LaneWidth(col.rep); w > 0) bytes += Arena::Footprint(n * w);
+    if (col.has_nulls()) {
+      for (size_t i = 0; i < n && !keep_nulls[c]; ++i) {
+        keep_nulls[c] = col.nulls[rows[i]] != 0;
+      }
+      if (keep_nulls[c]) bytes += Arena::Footprint(n);
+    }
+  }
+  Arena& arena = store->arena_;
+  arena.Reserve(bytes);
+
+  store->stamps_ = GatherLane(&arena, stamps_, rows, n);
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    const Column& from = cols_[c];
+    Column& col = store->cols_[c];
+    col.declared = from.declared;
+    col.rep = from.rep;
+    col.is_timestamp = from.is_timestamp;
+    if (keep_nulls[c]) col.nulls = GatherLane(&arena, from.nulls, rows, n);
+    switch (from.rep) {
+      case ColumnRep::kInt64:
+        col.i64 = GatherLane(&arena, from.i64, rows, n);
+        break;
+      case ColumnRep::kDouble:
+        col.f64 = GatherLane(&arena, from.f64, rows, n);
+        break;
+      case ColumnRep::kBool:
+        col.b8 = GatherLane(&arena, from.b8, rows, n);
+        break;
+      case ColumnRep::kString: {
+        auto lane = std::make_unique<std::vector<std::string>>();
+        lane->reserve(n);
+        for (size_t i = 0; i < n; ++i) lane->push_back(from.str[rows[i]]);
+        col.str = lane->data();
+        store->string_lanes_.push_back(std::move(lane));
+        break;
+      }
+      case ColumnRep::kGeneric: {
+        auto lane = std::make_unique<std::vector<Value>>();
+        lane->reserve(n);
+        for (size_t i = 0; i < n; ++i) lane->push_back(from.generic[rows[i]]);
+        col.generic = lane->data();
+        store->generic_lanes_.push_back(std::move(lane));
+        break;
+      }
+    }
+  }
+  return store;
 }
 
 // --- ColumnStoreBuilder ------------------------------------------------------

@@ -39,6 +39,19 @@ class Arena {
   /// Allocates `bytes` (kAlignment-aligned). Never returns nullptr.
   void* Allocate(size_t bytes);
 
+  /// Rounds an allocation the way Allocate does, for Reserve.
+  static size_t Footprint(size_t bytes) {
+    if (bytes == 0) bytes = kAlignment;
+    return (bytes + kAlignment - 1) & ~(kAlignment - 1);
+  }
+
+  /// Adds one chunk that holds exactly the allocations whose Footprints sum
+  /// to `bytes`, instead of the 4 KiB minimum chunk Allocate would start.
+  void Reserve(size_t bytes);
+
+  /// Bytes of chunk storage held (allocated or not).
+  size_t capacity() const;
+
   template <typename T>
   T* AllocateArray(size_t n) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -156,7 +169,15 @@ class ColumnStore {
   /// Materializes one row as a Tuple under this store's schema.
   Tuple MaterializeRow(size_t row) const;
 
+  /// The rows `rows[0..n)` (n > 0, each < num_rows()), in that order, as a
+  /// new store under the same schema: every lane and the timestamps are
+  /// gathered through the selection, keeping each column's representation;
+  /// a null mask survives only where a gathered row is null. The arena is
+  /// sized exactly for the gathered lanes.
+  Ref Gather(const uint32_t* rows, size_t n) const;
+
   size_t arena_bytes() const { return arena_.bytes_allocated(); }
+  size_t arena_capacity() const { return arena_.capacity(); }
 
  private:
   friend class ColumnStoreBuilder;

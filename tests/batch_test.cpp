@@ -670,6 +670,78 @@ TEST(ColumnarBatchTest, ColumnarConstructedBatchReadsBackBuilderInput) {
   }
 }
 
+TEST(ColumnarBatchTest, GatherRoundTripsEveryRepresentation) {
+  // One column per ColumnRep: int64 (nulls), timestamp-typed int64, double
+  // (nulls), bool, string (nulls), and generic (int64 mixed with
+  // timestamps). A gather through any selection materializes exactly the
+  // source's rows; a null mask survives only where a gathered row is null.
+  SchemaRef schema = Schema::Make({
+      {"i", ValueType::kInt64, 0},
+      {"t", ValueType::kTimestamp, 0},
+      {"d", ValueType::kDouble, 0},
+      {"b", ValueType::kBool, 0},
+      {"s", ValueType::kString, 0},
+      {"g", ValueType::kInt64, 0},
+  });
+  constexpr int64_t kRows = 40;
+  ColumnStoreBuilder builder(schema);
+  for (int64_t r = 0; r < kRows; ++r) {
+    builder.AppendTimestamp(100 + r);
+    ASSERT_TRUE(builder.Append(
+        0, r % 5 == 0 ? Value::Null() : Value::Int64(r * 3 - 50)));
+    ASSERT_TRUE(builder.Append(1, Value::TimestampVal(r * 1000)));
+    ASSERT_TRUE(builder.Append(
+        2, r % 7 == 3 ? Value::Null() : Value::Double(r * 0.5)));
+    ASSERT_TRUE(builder.Append(3, Value::Bool(r % 3 == 0)));
+    ASSERT_TRUE(builder.Append(
+        4, r % 4 == 1 ? Value::Null() : Value::String("s" + std::to_string(r))));
+    ASSERT_TRUE(builder.Append(5, r % 2 == 0 ? Value::Int64(r)
+                                             : Value::TimestampVal(r)));
+  }
+  ColumnStore::Ref src = builder.Finish();
+  ASSERT_NE(src, nullptr);
+  const ColumnRep want[] = {ColumnRep::kInt64,  ColumnRep::kInt64,
+                            ColumnRep::kDouble, ColumnRep::kBool,
+                            ColumnRep::kString, ColumnRep::kGeneric};
+  for (size_t c = 0; c < 6; ++c) ASSERT_EQ(src->column(c).rep, want[c]);
+
+  const std::vector<std::vector<uint32_t>> selections = {
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
+       20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37,
+       38, 39},
+      {39, 0, 17, 17, 5},  // any order, repeats
+      {2, 4, 6, 8},        // no null i, d or s among these
+      {10},
+  };
+  for (const std::vector<uint32_t>& sel : selections) {
+    ColumnStore::Ref g = src->Gather(sel.data(), sel.size());
+    ASSERT_EQ(g->num_rows(), sel.size());
+    EXPECT_EQ(g->schema().get(), schema.get());
+    for (size_t c = 0; c < 6; ++c) {
+      const Column& col = g->column(c);
+      EXPECT_EQ(col.rep, want[c]);
+      EXPECT_EQ(col.is_timestamp, src->column(c).is_timestamp);
+      bool any_null = false;
+      for (uint32_t r : sel) any_null |= src->column(c).IsNull(r);
+      EXPECT_EQ(col.has_nulls(), any_null && col.rep != ColumnRep::kGeneric)
+          << "column " << c;
+    }
+    for (size_t i = 0; i < sel.size(); ++i) {
+      Tuple got = g->MaterializeRow(i);
+      Tuple expect = src->MaterializeRow(sel[i]);
+      EXPECT_EQ(got.timestamp(), expect.timestamp());
+      for (size_t c = 0; c < 6; ++c) {
+        EXPECT_EQ(got.at(c).type(), expect.at(c).type()) << i << "," << c;
+        EXPECT_EQ(got.at(c), expect.at(c)) << i << "," << c;
+      }
+    }
+    // Sized exactly: the lanes, their alignment and one alignment's slack,
+    // not the 4 KiB chunk an unsized arena starts with.
+    EXPECT_LE(g->arena_bytes(), g->arena_capacity());
+    EXPECT_LT(g->arena_capacity(), 4096u);
+  }
+}
+
 // A PushBuilt-shaped batch: n rows (k = i % 16, v = i, ts = i) as columns.
 ColumnStore::Ref KvColumns(int64_t n) {
   ColumnStoreBuilder builder(Sch(0));
@@ -904,6 +976,63 @@ TEST(GroupedFilterBatchTest, MatchBatchFallsBackOnNullAndNaNLanes) {
       EXPECT_EQ(batch_out[r], expect) << what << " row " << r;
     }
   }
+}
+
+TEST(GroupedFilterBatchTest, NullsSatisfyNoFactorAsInEvalCmp) {
+  // A null value, or a null literal, satisfies no factor — EvalCmp's rule —
+  // on the scalar path and in the compiled kernels.
+  struct Factor {
+    CmpOp op;
+    Value literal;
+  };
+  const std::vector<std::vector<Factor>> queries = {
+      {{CmpOp::kLt, Value::Int64(5)}},
+      {{CmpOp::kNe, Value::Int64(3)}},
+      {{CmpOp::kLe, Value::Int64(100)}, {CmpOp::kGe, Value::Int64(-100)}},
+      {{CmpOp::kGt, Value::Null()}},
+      {{CmpOp::kNe, Value::Null()}},
+      {{CmpOp::kLt, Value::Int64(5)}, {CmpOp::kEq, Value::Null()}},
+  };
+  GroupedFilter gf({0, "x"});
+  for (QueryId q = 0; q < queries.size(); ++q) {
+    for (const Factor& f : queries[q]) gf.AddFactor(q, f.op, f.literal);
+  }
+  // Query 6: a two-sided range with a null end.
+  gf.AddRange(6, Value::Null(), true, Value::Int64(10), true);
+  auto expected = [&](const Value& v) {
+    QuerySet out;
+    for (QueryId q = 0; q < queries.size(); ++q) {
+      bool all = true;
+      for (const Factor& f : queries[q]) all &= EvalCmp(v, f.op, f.literal);
+      if (all) out.Add(q);
+    }
+    return out;  // query 6 never matches
+  };
+
+  SchemaRef sch = Schema::Make({{"x", ValueType::kInt64, 0}});
+  for (bool with_nulls : {false, true}) {
+    ColumnStoreBuilder b(sch);
+    for (int i = 0; i < 12; ++i) {
+      b.AppendTimestamp(i);
+      ASSERT_TRUE(b.Append(0, with_nulls && i % 3 == 0 ? Value::Null()
+                                                       : Value::Int64(i - 2)));
+    }
+    ColumnStore::Ref cols = b.Finish();
+    ASSERT_NE(cols, nullptr);
+    const Column& col = cols->column(0);
+    EXPECT_EQ(gf.MatchBatchUsesKernels(col, 12), !with_nulls);
+    std::vector<QuerySet> batch_out(12);
+    gf.MatchBatch(col, 12, batch_out.data());
+    for (size_t r = 0; r < 12; ++r) {
+      QuerySet one;
+      gf.Match(col.ValueAt(r), &one);
+      EXPECT_EQ(one, expected(col.ValueAt(r))) << with_nulls << " row " << r;
+      EXPECT_EQ(batch_out[r], one) << with_nulls << " row " << r;
+    }
+  }
+  QuerySet none;
+  gf.Match(Value::Null(), &none);
+  EXPECT_TRUE(none.Empty());
 }
 
 TEST(BatchEquivalenceTest, EddyColumnarPrefilterMatchesPerTuple) {

@@ -1,10 +1,15 @@
 // Egress tests: push egress shedding policies, blocking semantics, batched
-// offers (one OfferBatch == that many Offers), and the pull egress "what
-// happened since I left" cursor.
+// offers (one OfferBatch == that many Offers), the two-sided egress under
+// concurrent producers and consumers (exactly once, runs whole, per-producer
+// FIFO; shedding, blocking and buffered() across both sides), and the pull
+// egress "what happened since I left" cursor.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -206,6 +211,160 @@ TEST(OfferBatchTest, RunWakesABlockedReceiver) {
   EXPECT_EQ(egress.OfferBatch(run), 3u);
   client.join();
   EXPECT_EQ(got, (std::vector<int64_t>{1, 2, 3}));
+}
+
+// --- Two sides: producers append to one, consumers pop from the other -----
+
+/// Delivery `seq` (< 10^4) of producer `p`, in run `run` (< 10^4): v packs
+/// all three, increasing with the producer's offer order.
+Delivery Tagged(int p, int run, int seq) {
+  int64_t v = int64_t{p} * 100'000'000 + int64_t{run} * 10'000 + seq;
+  return D(static_cast<uint64_t>(p), v, seq);
+}
+int ProducerOf(int64_t v) { return static_cast<int>(v / 100'000'000); }
+int RunOf(int64_t v) { return static_cast<int>(v / 10'000 % 10'000); }
+
+TEST(TwoSidedEgressTest, ConcurrentProducersAndConsumersDeliverRunsWhole) {
+  constexpr int kProducers = 4;
+  constexpr int kRuns = 300;
+  // Run r of every producer holds 1 + r % 7 deliveries.
+  int total = 0;
+  for (int r = 0; r < kRuns; ++r) total += kProducers * (1 + r % 7);
+  // `serialized`: the consumers take turns under a test mutex and log one
+  // global pop order, which shows each run contiguous. Free consumers race
+  // each other on the consumer side; each still sees every producer's
+  // deliveries in order.
+  for (bool serialized : {true, false}) {
+    SCOPED_TRACE(serialized ? "serialized consumers" : "free consumers");
+    // A kBlock wait splits a run, so the serialized pass never fills up;
+    // the free pass fills up, and blocked producers wait on consumer pops.
+    PushEgress egress({.capacity = serialized ? static_cast<size_t>(total) : 16,
+                       .shed = ShedPolicy::kBlock});
+    std::mutex order_mu;
+    std::vector<int64_t> order;  // serialized: the global pop order
+    std::vector<int64_t> got[2];
+    std::atomic<int> consumed{0};
+    std::vector<std::thread> threads;
+    for (int p = 0; p < kProducers; ++p) {
+      threads.emplace_back([&, p] {
+        int seq = 0;
+        for (int r = 0; r < kRuns; ++r) {
+          std::vector<Delivery> run;
+          for (int i = 0; i <= r % 7; ++i) run.push_back(Tagged(p, r, seq++));
+          EXPECT_EQ(egress.OfferBatch(run), run.size());
+        }
+      });
+    }
+    for (int c = 0; c < 2; ++c) {
+      threads.emplace_back([&, c] {
+        Delivery d;
+        for (int i = 0; consumed.load() < total; ++i) {
+          std::unique_lock<std::mutex> lock(order_mu, std::defer_lock);
+          if (serialized) lock.lock();
+          // Receive only when a delivery is sure to come: consumed counts
+          // pops, so fewer than `total` means one is buffered or on its way.
+          bool ok = i % 3 == 0 ? egress.Receive(&d) : egress.Poll(&d);
+          if (!ok) continue;
+          int64_t v = d.tuple.Get("v").AsInt64();
+          got[c].push_back(v);
+          if (serialized) order.push_back(v);
+          ++consumed;
+        }
+      });
+    }
+    // The last pops may leave the other consumer in Receive: once every
+    // delivery is out, Close wakes it.
+    while (consumed.load() < total) std::this_thread::yield();
+    egress.Close();
+    for (std::thread& t : threads) t.join();
+
+    // Exactly once.
+    std::vector<int64_t> all = got[0];
+    all.insert(all.end(), got[1].begin(), got[1].end());
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(all.size(), static_cast<size_t>(total));
+    EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+    // Each consumer sees each producer's deliveries in offer order.
+    for (const std::vector<int64_t>& seen : got) {
+      std::map<int, int64_t> last;
+      for (int64_t v : seen) {
+        auto [it, fresh] = last.try_emplace(ProducerOf(v), v);
+        if (!fresh) {
+          EXPECT_LT(it->second, v);
+          it->second = v;
+        }
+      }
+    }
+    // A run is contiguous in the global order.
+    if (serialized) {
+      std::map<std::pair<int, int>, int> runs_seen;
+      for (size_t i = 0; i < order.size();) {
+        int p = ProducerOf(order[i]), r = RunOf(order[i]);
+        size_t len = 0;
+        while (i < order.size() && ProducerOf(order[i]) == p &&
+               RunOf(order[i]) == r) {
+          ++i;
+          ++len;
+        }
+        EXPECT_EQ(len, static_cast<size_t>(1 + r % 7)) << p << "/" << r;
+        int& seen = runs_seen[std::make_pair(p, r)];
+        EXPECT_EQ(++seen, 1) << "run " << p << "/" << r << " was split";
+      }
+    }
+    EXPECT_EQ(egress.delivered(), static_cast<uint64_t>(total));
+    EXPECT_EQ(egress.buffered(), 0u);
+  }
+}
+
+TEST(TwoSidedEgressTest, DropOldestShedsFromTheConsumerSide) {
+  PushEgress egress({.capacity = 3, .shed = ShedPolicy::kDropOldest});
+  for (int64_t v : {1, 2, 3}) ASSERT_TRUE(egress.Offer(D(1, v, v)));
+  Delivery d;
+  // The poll refills the consumer side with 2 and 3.
+  ASSERT_TRUE(egress.Poll(&d));
+  EXPECT_EQ(d.tuple.Get("v").AsInt64(), 1);
+  ASSERT_TRUE(egress.Offer(D(1, 4, 4)));  // producer side: 4
+  ASSERT_TRUE(egress.Offer(D(1, 5, 5)));  // full: sheds 2, the stalest
+  EXPECT_EQ(egress.shed(), 1u);
+  std::vector<int64_t> got;
+  while (egress.Poll(&d)) got.push_back(d.tuple.Get("v").AsInt64());
+  EXPECT_EQ(got, (std::vector<int64_t>{3, 4, 5}));
+}
+
+TEST(TwoSidedEgressTest, ConsumerSidePollWakesABlockedRun) {
+  PushEgress egress({.capacity = 3, .shed = ShedPolicy::kBlock});
+  for (int64_t v : {1, 2, 3}) ASSERT_TRUE(egress.Offer(D(1, v, v)));
+  Delivery d;
+  ASSERT_TRUE(egress.Poll(&d));  // consumer side now holds 2 and 3
+  ASSERT_TRUE(egress.Offer(D(1, 4, 4)));
+  std::vector<Delivery> run = MakeRun(1, 5);
+  size_t accepted = 0;
+  std::thread producer([&] { accepted = egress.OfferBatch(run); });
+  // Paces the poll: the producer should be blocked for room by then.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Pops 2 off the consumer side without touching the producer side; the
+  // room it makes must still wake the run (a lost wakeup hangs the join).
+  ASSERT_TRUE(egress.Poll(&d));
+  EXPECT_EQ(d.tuple.Get("v").AsInt64(), 2);
+  producer.join();
+  EXPECT_EQ(accepted, 1u);
+  std::vector<int64_t> got;
+  while (egress.Poll(&d)) got.push_back(d.tuple.Get("v").AsInt64());
+  EXPECT_EQ(got, (std::vector<int64_t>{3, 4, 5}));
+}
+
+TEST(TwoSidedEgressTest, BufferedCountsBothSides) {
+  PushEgress egress;
+  for (int64_t v : {1, 2, 3}) ASSERT_TRUE(egress.Offer(D(1, v, v)));
+  Delivery d;
+  ASSERT_TRUE(egress.Poll(&d));  // consumer side: 2, 3
+  for (int64_t v : {4, 5}) ASSERT_TRUE(egress.Offer(D(1, v, v)));
+  EXPECT_EQ(egress.buffered(), 4u);
+  ASSERT_TRUE(egress.Poll(&d));
+  EXPECT_EQ(egress.buffered(), 3u);
+  while (egress.Poll(&d)) {
+  }
+  EXPECT_EQ(egress.buffered(), 0u);
 }
 
 TEST(PullEgressTest, FetchSinceCursor) {

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
@@ -30,6 +32,7 @@
 #include "operators/predicate.h"
 #include "reference/drain.h"
 #include "reference/reference.h"
+#include "tuple/column_store.h"
 
 namespace tcq {
 namespace {
@@ -1426,6 +1429,268 @@ TEST(FluxTest, FailoverRacesConcurrentIngest) {
   EXPECT_EQ(CanonicalMultiset(got.Take("join")),
             CanonicalMultiset(NaiveJoin(
                 {s0, s1}, {MakeCompareAttrs({0, "k"}, CmpOp::kEq, {1, "k"})})));
+}
+
+// --- Columnar partition: a columnar batch is split on its key lane ---------
+
+/// The partition key's lane, as ColumnStore::FromRows lays it out.
+enum class KeyLane { kInt64, kInt64Nulls, kTimestamp, kDouble, kString,
+                     kGeneric };
+
+const char* KeyLaneName(KeyLane lane) {
+  switch (lane) {
+    case KeyLane::kInt64: return "int64";
+    case KeyLane::kInt64Nulls: return "int64_nulls";
+    case KeyLane::kTimestamp: return "timestamp";
+    case KeyLane::kDouble: return "double";
+    case KeyLane::kString: return "string";
+    case KeyLane::kGeneric: return "generic";
+  }
+  return "?";
+}
+
+SchemaRef KeyedSch(SourceId source, KeyLane lane) {
+  ValueType key = lane == KeyLane::kTimestamp ? ValueType::kTimestamp
+                  : lane == KeyLane::kDouble  ? ValueType::kDouble
+                  : lane == KeyLane::kString  ? ValueType::kString
+                                              : ValueType::kInt64;
+  return Schema::Make({{"k", key, source}, {"v", ValueType::kInt64, source}});
+}
+
+/// Key `k` as the lane stores it. Generic mixes int64 and timestamp values
+/// per key (equal keys keep one type, so they still co-partition).
+Value KeyValue(KeyLane lane, int64_t k) {
+  switch (lane) {
+    case KeyLane::kInt64: return Value::Int64(k);
+    case KeyLane::kInt64Nulls:
+      return k % 5 == 0 ? Value::Null() : Value::Int64(k);
+    case KeyLane::kTimestamp: return Value::TimestampVal(k);
+    case KeyLane::kDouble: return Value::Double(static_cast<double>(k) + 0.5);
+    case KeyLane::kString: return Value::String("key" + std::to_string(k));
+    case KeyLane::kGeneric:
+      return k % 2 == 0 ? Value::Int64(k) : Value::TimestampVal(k);
+  }
+  return Value::Null();
+}
+
+/// Rows [from, to) of one stream (sharing one schema object) as a
+/// columnar-only batch, the shape PushBuilt ingests.
+TupleBatch ColumnarBatch(SourceId source, const std::vector<Tuple>& rows,
+                         size_t from, size_t to) {
+  ColumnStore::Ref cols = ColumnStore::FromRows(&rows[from], to - from);
+  EXPECT_NE(cols, nullptr);
+  return TupleBatch(source, std::move(cols));
+}
+
+TupleBatch RowBatch(SourceId source, const std::vector<Tuple>& rows,
+                    size_t from, size_t to) {
+  TupleBatch batch(source);
+  for (size_t i = from; i < to; ++i) batch.push_back(rows[i]);
+  return batch;
+}
+
+/// Ingests both streams in interleaved batches of `per_batch` rows.
+void IngestBoth(Executor* exec, const std::vector<Tuple> (&rows)[2],
+                bool columnar, size_t per_batch) {
+  size_t n = std::max(rows[0].size(), rows[1].size());
+  for (size_t from = 0; from < n; from += per_batch) {
+    for (SourceId s : {SourceId{0}, SourceId{1}}) {
+      size_t to = std::min(rows[s].size(), from + per_batch);
+      if (from >= to) continue;
+      TupleBatch batch = columnar ? ColumnarBatch(s, rows[s], from, to)
+                                  : RowBatch(s, rows[s], from, to);
+      ASSERT_EQ(batch.columnar_only(), columnar);
+      ASSERT_TRUE(exec->IngestBatch(std::move(batch)).ok());
+    }
+  }
+}
+
+std::vector<Tuple> RunKeyedJoin(const std::vector<Tuple> (&rows)[2],
+                                size_t shards, bool columnar,
+                                std::vector<uint64_t>* shard_ingest) {
+  Collector got;
+  Executor exec({.num_eos = 2, .quantum = 16, .shards = shards});
+  EXPECT_TRUE(exec.RegisterStream(0, rows[0][0].schema()).ok());
+  EXPECT_TRUE(exec.RegisterStream(1, rows[1][0].schema()).ok());
+  EXPECT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+  EXPECT_EQ(exec.Topology()[0].shards, shards);
+  exec.Start();
+  IngestBoth(&exec, rows, columnar, 13);
+  EXPECT_TRUE(exec.CloseStream(0).ok());
+  EXPECT_TRUE(exec.CloseStream(1).ok());
+  EXPECT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+  for (size_t k = 0; k < shards; ++k) {
+    shard_ingest->push_back(ShardIngest(&exec, k));
+  }
+  return got.Take("join");
+}
+
+TEST(ColumnarPartitionTest, EveryKeyLaneMatchesRowsOneShardAndReference) {
+  for (KeyLane lane : {KeyLane::kInt64, KeyLane::kInt64Nulls,
+                       KeyLane::kTimestamp, KeyLane::kDouble, KeyLane::kString,
+                       KeyLane::kGeneric}) {
+    SCOPED_TRACE(KeyLaneName(lane));
+    std::vector<Tuple> rows[2];
+    Rng rng(29);
+    Timestamp ts = 1;
+    for (SourceId s : {SourceId{0}, SourceId{1}}) {
+      SchemaRef schema = KeyedSch(s, lane);
+      for (int i = 0; i < 200; ++i) {
+        rows[s].push_back(Tuple::Make(
+            schema,
+            {KeyValue(lane, rng.UniformInt(0, 39)),
+             Value::Int64(rng.UniformInt(0, 99))},
+            ts++));
+      }
+    }
+    // The batches carry the lane under test.
+    ColumnStore::Ref probe = ColumnStore::FromRows(rows[0].data(), 13);
+    ASSERT_NE(probe, nullptr);
+    const Column& key = probe->column(0);
+    EXPECT_EQ(key.rep == ColumnRep::kGeneric, lane == KeyLane::kGeneric);
+    EXPECT_EQ(key.is_timestamp, lane == KeyLane::kTimestamp);
+
+    auto expected = CanonicalMultiset(NaiveJoin(
+        {rows[0], rows[1]}, {MakeCompareAttrs({0, "k"}, CmpOp::kEq,
+                                              {1, "k"})}));
+    ASSERT_FALSE(expected.empty());
+    std::vector<uint64_t> col_ingest, row_ingest, one_ingest;
+    EXPECT_EQ(CanonicalMultiset(RunKeyedJoin(rows, 4, true, &col_ingest)),
+              expected);
+    EXPECT_EQ(CanonicalMultiset(RunKeyedJoin(rows, 4, false, &row_ingest)),
+              expected);
+    EXPECT_EQ(CanonicalMultiset(RunKeyedJoin(rows, 1, true, &one_ingest)),
+              expected);
+    // Both representations put every row on the same shard, and the
+    // columnar split really spreads the rows.
+    EXPECT_EQ(col_ingest, row_ingest);
+    for (uint64_t n : col_ingest) EXPECT_GT(n, 0u);
+  }
+}
+
+/// The bucket -> shard map, read back by pushing one stream-0 row per
+/// bucket and watching which shard's ingest counter moves.
+std::vector<size_t> ProbeOwners(Executor* exec, SchemaRef schema) {
+  Partitioner buckets(64, 1);
+  std::vector<size_t> owners(64, SIZE_MAX);
+  int64_t key = 1'000'000;
+  for (size_t found = 0; found < 64; ++key) {
+    size_t b = buckets.BucketOf(key);
+    if (owners[b] != SIZE_MAX) continue;
+    std::vector<uint64_t> before(4);
+    for (size_t k = 0; k < 4; ++k) before[k] = ShardIngest(exec, k);
+    EXPECT_TRUE(exec->IngestTuple(0, Tuple::Make(schema, {Value::Int64(key),
+                                                          Value::Int64(0)},
+                                                 1))
+                    .ok());
+    for (size_t k = 0; k < 4; ++k) {
+      if (ShardIngest(exec, k) != before[k]) owners[b] = k;
+    }
+    EXPECT_NE(owners[b], SIZE_MAX);
+    ++found;
+  }
+  return owners;
+}
+
+TEST(ColumnarPartitionTest, SkewPassSeesTheSameBucketCounts) {
+  // The LPT skew pass reads the per-bucket counts the partition kept; the
+  // same rows ingested as columns or as rows must yield one owner map.
+  SchemaRef schema = Sch(0);
+  std::vector<Tuple> rows;
+  Rng rng(31);
+  for (int i = 0; i < 64 * 64; ++i) {
+    rows.push_back(Tuple::Make(
+        schema,
+        {Value::Int64(static_cast<int64_t>(rng.Zipf(2000, 1.1))),
+         Value::Int64(i)},
+        i + 1));
+  }
+  std::vector<size_t> owners[2];
+  for (bool columnar : {true, false}) {
+    Collector got;
+    Executor exec({.num_eos = 2,
+                   .quantum = 16,
+                   .shards = 4,
+                   .shard_skew_threshold = 1.2,
+                   .shard_min_skew_volume = 64});
+    ASSERT_TRUE(exec.RegisterStream(0, schema).ok());
+    ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+    ASSERT_TRUE(
+        exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join")).ok());
+    exec.Start();
+    for (size_t from = 0; from < rows.size(); from += 64) {
+      ASSERT_TRUE(exec.IngestBatch(columnar
+                                       ? ColumnarBatch(0, rows, from, from + 64)
+                                       : RowBatch(0, rows, from, from + 64))
+                      .ok());
+    }
+    ASSERT_TRUE(Drain(&exec).ok());
+    ASSERT_TRUE(exec.RepartitionSkewedOnce());
+    owners[columnar] = ProbeOwners(&exec, schema);
+    ASSERT_TRUE(Drain(&exec).ok());
+    exec.Stop();
+  }
+  EXPECT_EQ(owners[true], owners[false]);
+  std::vector<size_t> round_robin(64);
+  for (size_t b = 0; b < 64; ++b) round_robin[b] = b % 4;
+  EXPECT_NE(owners[true], round_robin) << "the skew pass must move buckets";
+}
+
+TEST(ColumnarPartitionTest, ReplicatedFailoverIsExactUnderColumnarIngest) {
+  // RunFailover's three phases (consumed before the crash, queued at it,
+  // pushed after it), fed as columnar batches.
+  FailoverRun run;
+  Executor exec({.num_eos = 2,
+                 .quantum = 16,
+                 .shards = 4,
+                 .shard_replication = true});
+  SubmitFailoverQueries(&exec, &run.got);
+  SchemaRef schemas[2] = {Sch(0), Sch(1)};
+  Rng rng(37);
+  Timestamp ts = 1;
+  auto phase = [&] {
+    std::vector<Tuple> rows[2];
+    for (int i = 0; i < 150; ++i) {
+      for (SourceId s : {SourceId{0}, SourceId{1}}) {
+        rows[s].push_back(Tuple::Make(
+            schemas[s],
+            {Value::Int64(rng.UniformInt(0, 22)),
+             Value::Int64(rng.UniformInt(0, 99))},
+            ts++));
+      }
+    }
+    IngestBoth(&exec, rows, /*columnar=*/true, 10);
+    run.s0.insert(run.s0.end(), rows[0].begin(), rows[0].end());
+    run.s1.insert(run.s1.end(), rows[1].begin(), rows[1].end());
+  };
+  phase();
+  if (HasFatalFailure()) return;
+  ASSERT_TRUE(Drain(&exec).ok());  // no EO runs: drains inline
+  phase();
+  if (HasFatalFailure()) return;
+  ASSERT_GT(exec.metrics()->Snapshot().GaugeValue(
+                "tcq_shard_occupancy{shard=\"class0/s" +
+                std::to_string(kFailed) + "\"}"),
+            0)
+      << "the crash must catch rows queued";
+  ASSERT_TRUE(exec.FailShard(0, kFailed).ok());
+  exec.Start();
+  phase();
+  if (HasFatalFailure()) return;
+  ASSERT_TRUE(exec.CloseStream(0).ok());
+  ASSERT_TRUE(exec.CloseStream(1).ok());
+  ASSERT_TRUE(Drain(&exec).ok());
+  exec.Stop();
+  EXPECT_EQ(exec.metrics()->Snapshot().CounterValue(
+                "tcq_shard_failover_lost_total{class=\"class0\"}"),
+            0u);
+  for (const char* key : {"join", "f0", "f1"}) {
+    EXPECT_EQ(CanonicalMultiset(run.got.Take(key)),
+              ExpectedFailoverResults(run, key))
+        << key;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 
 #include "common/rng.h"
 #include "ingress/generators.h"
+#include "operators/predicate.h"
 #include "reference/push.h"
 #include "server/telegraphcq.h"
 
@@ -556,6 +558,117 @@ TEST(ServerTest, IntrospectSeesEveryLayerAfterEndToEndRun) {
   EXPECT_NE(text.find("tcq_server_tuples_ingested_total 20"),
             std::string::npos);
   EXPECT_NE(text.find("tcq_queue_wait_us"), std::string::npos);
+}
+
+TEST(ServerTest, ShardedProjectedJoinDeliversTheReferenceMultiset) {
+  // A 4-shard join whose sink projects on every shard's EO at once: the
+  // shards call their own copies of the sink with no lock between them
+  // (each copy with its own Projection), into one thread-safe egress.
+  TelegraphCQ::Options opts;
+  opts.executor.num_eos = 4;
+  opts.executor.shards = 4;
+  opts.egress_capacity = 1 << 16;
+  TelegraphCQ server(opts);
+  for (const char* name : {"L", "R"}) {
+    ASSERT_TRUE(server
+                    .DefineStream(name, {{"k", ValueType::kInt64, 0},
+                                         {"x", ValueType::kInt64, 0}})
+                    .ok());
+  }
+  auto join =
+      server.Submit("SELECT l.x, r.x FROM L l, R r WHERE l.k = r.k");
+  ASSERT_TRUE(join.ok()) << join.status();
+  ASSERT_EQ(server.executor().Topology().size(), 1u);
+  EXPECT_EQ(server.executor().Topology()[0].shards, 4u);
+  server.Start();
+
+  Rng rng(41);
+  std::vector<std::pair<int64_t, int64_t>> rows[2];  // (k, x)
+  Timestamp ts = 1;
+  for (int b = 0; b < 40; ++b) {
+    for (int s = 0; s < 2; ++s) {
+      std::vector<testref::PushRow> batch;
+      for (int i = 0; i < 32; ++i) {
+        int64_t k = rng.UniformInt(0, 63);
+        int64_t x = static_cast<int64_t>(rows[s].size()) * 2 + s;
+        rows[s].emplace_back(k, x);
+        batch.push_back({ts++, {Value::Int64(k), Value::Int64(x)}});
+      }
+      ASSERT_TRUE(
+          testref::PushRows(&server, s == 0 ? "L" : "R", std::move(batch))
+              .ok());
+    }
+  }
+  ASSERT_TRUE(server.Drain().ok());
+  std::multiset<std::pair<int64_t, int64_t>> got;
+  Delivery d;
+  while (join->results->Poll(&d)) {
+    if (!d.tuple.IsData()) continue;
+    ASSERT_EQ(d.tuple.num_fields(), 2u);
+    got.emplace(d.tuple.at(0).AsInt64(), d.tuple.at(1).AsInt64());
+  }
+  server.Stop();
+  std::multiset<std::pair<int64_t, int64_t>> expected;
+  for (const auto& [lk, lx] : rows[0]) {
+    for (const auto& [rk, rx] : rows[1]) {
+      if (lk == rk) expected.emplace(lx, rx);
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(got, expected);
+}
+
+TEST(ServerTest, ContinuousFiltersRejectNullsAsCompareConstDoes) {
+  // `v < 5` and `v != 3` over columnar batches with null v (one of them a
+  // one-row batch): each query gets exactly the rows CompareConst accepts,
+  // never a null.
+  TelegraphCQ server;
+  auto source = server.DefineStream(
+      "N", {{"v", ValueType::kInt64, 0}, {"id", ValueType::kInt64, 0}});
+  ASSERT_TRUE(source.ok());
+  auto lt = server.Submit("SELECT * FROM N WHERE v < 5");
+  auto ne = server.Submit("SELECT * FROM N WHERE v != 3");
+  ASSERT_TRUE(lt.ok() && ne.ok());
+  server.Start();
+
+  const std::vector<std::vector<std::optional<int64_t>>> batches = {
+      {std::nullopt},
+      {1, std::nullopt, 3, std::nullopt, 5, std::nullopt, 7, std::nullopt},
+      {3},
+  };
+  SchemaRef schema = Schema::Make(
+      {{"v", ValueType::kInt64, *source}, {"id", ValueType::kInt64, *source}});
+  auto pred_lt = MakeCompareConst({*source, "v"}, CmpOp::kLt, Value::Int64(5));
+  auto pred_ne = MakeCompareConst({*source, "v"}, CmpOp::kNe, Value::Int64(3));
+  std::multiset<int64_t> want_lt, want_ne;
+  int64_t id = 0;
+  Timestamp ts = 1;
+  for (const auto& batch : batches) {
+    std::vector<testref::PushRow> rows;
+    for (const std::optional<int64_t>& v : batch) {
+      Value val = v.has_value() ? Value::Int64(*v) : Value::Null();
+      Tuple t = Tuple::Make(schema, {val, Value::Int64(id)}, ts);
+      if (pred_lt->Eval(t)) want_lt.insert(id);
+      if (pred_ne->Eval(t)) want_ne.insert(id);
+      rows.push_back({ts++, {val, Value::Int64(id++)}});
+    }
+    ASSERT_TRUE(testref::PushRows(&server, "N", std::move(rows)).ok());
+  }
+  ASSERT_TRUE(server.Drain().ok());
+  auto ids = [](PushEgress* egress) {
+    std::multiset<int64_t> out;
+    Delivery d;
+    while (egress->Poll(&d)) {
+      if (d.tuple.IsData()) out.insert(d.tuple.Get("id").AsInt64());
+    }
+    return out;
+  };
+  std::multiset<int64_t> got_lt = ids(lt->results.get());
+  std::multiset<int64_t> got_ne = ids(ne->results.get());
+  server.Stop();
+  EXPECT_EQ(want_lt, (std::multiset<int64_t>{1, 3, 9}));  // v = 1, 3, 3
+  EXPECT_EQ(got_lt, want_lt);
+  EXPECT_EQ(got_ne, want_ne);
 }
 
 TEST(ServerTest, ErrorPaths) {
