@@ -24,17 +24,20 @@
 #      plus the whole server suite (a 4-shard join projects on every
 #      shard's EO at once):
 #      windowed DUs share the executor's EO threads with class DUs, and a
-#      pusher races windowed submit/cancel — aliased self-joins included —
-#      and Checkpoint's detach/re-attach, all changing the executor's one
-#      per-source routing table under live ingest) — must be TSan-clean
-#   4. UBSan build running the trace/queue/routing/window/batch/sharding
-#      suites (the seqlock ring and histogram interpolation are the prime
-#      UB suspects); the routing suite (eddy_test) runs the production
+#      pusher races windowed submit/cancel — aliased self-joins included,
+#      whose cancels hand their alias ids back and make the executor forget
+#      them — and the executor's checkpoint detach/re-attach of every
+#      windowed DU, all changing its one per-source routing table under
+#      live ingest) — must be TSan-clean
+#   4. UBSan build running the trace/queue/routing/window/batch/sharding/
+#      recovery suites (the seqlock ring and histogram interpolation are the
+#      prime UB suspects); the routing suite (eddy_test) runs the production
 #      SharedEddy under every routing policy; window_test drives the
 #      windowed runner's lane admission over null masks and typed lanes;
 #      batch_test and exec_sharding_test drive ColumnStore::Gather, which
 #      indexes lanes and null masks through a selection, and the shard
-#      partition that reads key lanes
+#      partition that reads key lanes; recovery_test drives the checkpoint
+#      reader, which decodes bytes from disk, and restore's re-submission
 #   5. bench smoke: batched-vs-per-tuple comparison -> BENCH_batching.json,
 #      class lifecycle (merge/GC/rebalance) -> BENCH_exec_lifecycle.json,
 #      tracing overhead -> BENCH_tracing.json,
@@ -122,7 +125,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # EOs, and PushRacesWindowedSubmitCancelAndCheckpoint pushes while
   # windowed queries are hosted, removed and detached/re-attached (the
   # executor's routing table changes under IngestBatch); recovery_test
-  # detaches and re-attaches those DUs on every checkpoint while the EO
+  # has Executor::CheckpointTo detach and re-attach those DUs while the EO
   # threads run; batch_test and ingress_test move
   # whole batch segments between producer and consumer threads;
   # egress_test: producers offer runs on one side of PushEgress while
@@ -139,12 +142,13 @@ if [[ "$RUN_TSAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then
-  echo "== ubsan: configure + build + trace/queue/routing/window/batch/sharding suites =="
+  echo "== ubsan: configure + build + trace/queue/routing/window/batch/" \
+       "sharding/recovery suites =="
   cmake -B build-ubsan -S . -DTCQ_SANITIZE=undefined
   cmake --build build-ubsan -j --target obs_test fjords_test eddy_test \
-    window_test batch_test exec_sharding_test
+    window_test batch_test exec_sharding_test recovery_test
   for t in obs_test fjords_test eddy_test window_test batch_test \
-           exec_sharding_test; do
+           exec_sharding_test recovery_test; do
     echo "-- ubsan: $t"
     UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/"$t"
   done

@@ -8,8 +8,6 @@
 #include <set>
 #include <thread>
 
-#include "cacq/spec_codec.h"
-
 namespace tcq {
 
 Executor::Executor(Options opts, MetricsRegistryRef metrics,
@@ -50,16 +48,42 @@ Status Executor::RegisterStream(SourceId source, SchemaRef schema,
   info.dropped = metrics_->GetCounter(MetricName(
       "tcq_executor_stream_dropped_total", "stream",
       "s" + std::to_string(source)));
+  info.dropped_base = info.dropped->Value();
   streams_.emplace(source, std::move(info));
   return Status::OK();
 }
 
-size_t Executor::CountLiveClasses() const {
-  size_t n = 0;
-  for (const QueryClass& qc : classes_) {
-    if (qc.live) ++n;
+Result<uint64_t> Executor::UnregisterStream(SourceId source) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = streams_.find(source);
+  if (it == streams_.end()) {
+    return Status::NotFound("stream s" + std::to_string(source) +
+                            " is not registered");
   }
-  return n;
+  StreamInfo& info = it->second;
+  if (!info.inputs.empty()) {
+    return Status::FailedPrecondition("a hosted query reads stream s" +
+                                      std::to_string(source));
+  }
+  if (info.owner != nullptr) {
+    TCQ_RETURN_IF_ERROR(info.owner->DropStream(
+        source, [&](const ShardedClass::RemapMap& m) { ApplyRemap(m); }));
+    classes_[info.owner_class].streams &= ~SourceBit(source);
+  }
+  const uint64_t dropped = info.dropped->Value() - info.dropped_base;
+  streams_.erase(it);
+  return dropped;
+}
+
+size_t Executor::CountLiveClasses() const {
+  return std::count_if(classes_.begin(), classes_.end(),
+                       [](const QueryClass& qc) { return qc.live; });
+}
+
+size_t Executor::QueriesIn(size_t cls) const {
+  return std::count_if(queries_.begin(), queries_.end(), [cls](const auto& q) {
+    return q.second.query_class == cls;
+  });
 }
 
 void Executor::ApplyRemap(const ShardedClass::RemapMap& remap) {
@@ -151,7 +175,6 @@ size_t Executor::ClassFor(const CQSpec& spec) {
     sc_opts.shards = opts_.shards;
     sc_opts.quantum = opts_.quantum;
     sc_opts.queue_capacity = opts_.queue_capacity;
-    sc_opts.buckets = opts_.shard_buckets;
     sc_opts.skew_threshold = opts_.shard_skew_threshold;
     sc_opts.min_skew_volume = opts_.shard_min_skew_volume;
     sc_opts.replication = opts_.shard_replication;
@@ -197,7 +220,26 @@ size_t Executor::ClassFor(const CQSpec& spec) {
   return class_idx;
 }
 
-Result<GlobalQueryId> Executor::SubmitQuery(const CQSpec& spec, Sink sink) {
+Status Executor::Claim(SourceSet sources, GlobalQueryId* id) {
+  Status unknown = Status::OK();
+  ForEachSource(sources, [&](SourceId s) {
+    if (unknown.ok() && !streams_.contains(s)) {
+      unknown = Status::NotFound("stream s" + std::to_string(s) +
+                                 " is not registered");
+    }
+  });
+  if (!unknown.ok()) return unknown;
+  if (*id == 0) *id = next_query_id_;
+  if (queries_.contains(*id)) {
+    return Status::AlreadyExists("query id " + std::to_string(*id) +
+                                 " is taken");
+  }
+  next_query_id_ = std::max(next_query_id_, *id + 1);
+  return Status::OK();
+}
+
+Result<GlobalQueryId> Executor::SubmitQuery(const CQSpec& spec, Sink sink,
+                                            GlobalQueryId gid) {
   SourceSet footprint = spec.Footprint();
   if (footprint == 0) {
     return Status::InvalidArgument("query has an empty footprint");
@@ -207,16 +249,8 @@ Result<GlobalQueryId> Executor::SubmitQuery(const CQSpec& spec, Sink sink) {
   // mu_ — so a concurrent merge/GC cannot remap the class between the eddy
   // admitting the query and queries_ recording its (class, local id).
   std::lock_guard<std::mutex> lock(mu_);
-  Status unknown = Status::OK();
-  ForEachSource(footprint, [&](SourceId s) {
-    if (unknown.ok() && !streams_.contains(s)) {
-      unknown = Status::NotFound("stream s" + std::to_string(s) +
-                                 " is not registered");
-    }
-  });
-  if (!unknown.ok()) return unknown;
+  TCQ_RETURN_IF_ERROR(Claim(footprint, &gid));
   size_t class_idx = ClassFor(spec);
-  GlobalQueryId gid = next_query_id_++;
 
   Result<QueryId> local = classes_[class_idx].sc->AdmitQuery(
       spec, gid, std::move(sink), started_,
@@ -224,14 +258,9 @@ Result<GlobalQueryId> Executor::SubmitQuery(const CQSpec& spec, Sink sink) {
   if (!local.ok()) {
     // If admission left the class without any query (e.g. a class freshly
     // created for this footprint), reclaim it right away.
-    bool any = false;
-    for (const auto& [g, qi] : queries_) {
-      if (qi.query_class == class_idx) {
-        any = true;
-        break;
-      }
+    if (QueriesIn(class_idx) == 0 && classes_[class_idx].live) {
+      GcClass(class_idx);
     }
-    if (!any && classes_[class_idx].live) GcClass(class_idx);
     return local.status();
   }
   queries_[gid] = QueryInfo{class_idx, *local, nullptr};
@@ -242,18 +271,9 @@ Result<GlobalQueryId> Executor::HostQuery(const DuFactory& build,
                                           const std::vector<SourceId>& inputs,
                                           GlobalQueryId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (id == 0) id = next_query_id_;
-  if (queries_.contains(id)) {
-    return Status::AlreadyExists("query id " + std::to_string(id) +
-                                 " is taken");
-  }
-  for (SourceId s : inputs) {
-    if (!streams_.contains(s)) {
-      return Status::NotFound("stream s" + std::to_string(s) +
-                              " is not registered");
-    }
-  }
-  next_query_id_ = std::max(next_query_id_, id + 1);
+  SourceSet sources = 0;
+  for (SourceId s : inputs) sources |= SourceBit(s);
+  TCQ_RETURN_IF_ERROR(Claim(sources, &id));
   std::shared_ptr<WindowedQueryDispatchUnit> du = build(id);
   du->set_tracer(tracer_);
   Counter* dropped = metrics_->GetCounter(MetricName(
@@ -303,27 +323,6 @@ Status Executor::BackfillQuery(GlobalQueryId id, TupleBatch batch) {
   }
 }
 
-Status Executor::WithQueryDetached(
-    GlobalQueryId id,
-    const std::function<Status(WindowedQueryDispatchUnit*)>& fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = queries_.find(id);
-  if (it == queries_.end() || it->second.du == nullptr) {
-    return Status::NotFound("no hosted query " + std::to_string(id));
-  }
-  const std::shared_ptr<WindowedQueryDispatchUnit>& du = it->second.du;
-  ExecutionObject* host = nullptr;
-  for (auto& eo : eos_) {
-    if (eo->RemoveDispatchUnit(du)) {
-      host = eo.get();
-      break;
-    }
-  }
-  Status st = fn(du.get());
-  if (host != nullptr) host->AddDispatchUnit(du);
-  return st;
-}
-
 Status Executor::RemoveQuery(GlobalQueryId id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = queries_.find(id);
@@ -351,14 +350,7 @@ Status Executor::RemoveQuery(GlobalQueryId id) {
   size_t cls = it->second.query_class;
   QueryId local = it->second.local_id;
   queries_.erase(it);
-  bool last = true;
-  for (const auto& [gid, qi] : queries_) {
-    if (qi.query_class == cls) {
-      last = false;
-      break;
-    }
-  }
-  if (!last) {
+  if (QueriesIn(cls) > 0) {
     classes_[cls].sc->RemoveQuery(local);
     return Status::OK();
   }
@@ -437,7 +429,8 @@ Status Executor::IngestBatch(TupleBatch batch) {
       // current owner (the merge survivor) and route there.
       {
         std::lock_guard<std::mutex> lock(mu_);
-        sc = streams_.at(source).owner;
+        auto it = streams_.find(source);
+        sc = it != streams_.end() ? it->second.owner : nullptr;
       }
       if (sc == nullptr) return unrouted();
       continue;
@@ -458,7 +451,7 @@ uint64_t Executor::stream_tuples_dropped(SourceId source) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = streams_.find(source);
   if (it == streams_.end()) return 0;
-  return it->second.dropped->Value();
+  return it->second.dropped->Value() - it->second.dropped_base;
 }
 
 Timestamp Executor::stream_watermark(SourceId source) const {
@@ -520,9 +513,11 @@ bool Executor::RebalanceLocked() {
     }
   }
   if (max_eo == min_eo || hosted[max_eo] < 2) return false;
+  // Migrate only when the most-loaded EO's recent progress exceeds twice
+  // the least-loaded EO's.
+  constexpr double kImbalance = 2.0;
   double floor = static_cast<double>(std::max<uint64_t>(load[min_eo], 1));
-  if (static_cast<double>(load[max_eo]) <=
-      opts_.rebalance_imbalance_threshold * floor) {
+  if (static_cast<double>(load[max_eo]) <= kImbalance * floor) {
     return false;
   }
   if (started_ && !eos_[min_eo]->running()) return false;  // EO retired
@@ -626,6 +621,25 @@ Status Executor::WaitQuiescent(std::chrono::steady_clock::time_point deadline) {
       "egress back-pressure?)");
 }
 
+Status Executor::ForEachHostedDetached(
+    const std::function<Status(WindowedQueryDispatchUnit*)>& fn) {
+  for (auto& [id, qi] : queries_) {
+    if (qi.du == nullptr) continue;
+    // A DU that retired (kDone) is hosted nowhere: every EO says no.
+    ExecutionObject* host = nullptr;
+    for (auto& eo : eos_) {
+      if (eo->RemoveDispatchUnit(qi.du)) {
+        host = eo.get();
+        break;
+      }
+    }
+    Status st = fn(qi.du.get());
+    if (host != nullptr) host->AddDispatchUnit(qi.du);
+    TCQ_RETURN_IF_ERROR(st);
+  }
+  return Status::OK();
+}
+
 Status Executor::CheckpointTo(CheckpointWriter* w) {
   // Queued tuples sit BELOW the spool's recorded replay position, so a
   // snapshot taken while any is queued would lose it: drain first. Ingest
@@ -633,88 +647,53 @@ Status Executor::CheckpointTo(CheckpointWriter* w) {
   TCQ_RETURN_IF_ERROR(WaitQuiescent(std::chrono::steady_clock::now() +
                                     std::chrono::seconds(10)));
   std::lock_guard<std::mutex> lock(mu_);
-  w->BeginSection("executor", 1);
+  w->BeginSection("executor", 2);
   w->PutU32(static_cast<uint32_t>(CountLiveClasses()));
+  w->PutU32(static_cast<uint32_t>(QueriesIn(SIZE_MAX)));
   w->EndSection();
   for (QueryClass& qc : classes_) {
     if (!qc.live) continue;
     TCQ_RETURN_IF_ERROR(qc.sc->CheckpointTo(w));
   }
-  return Status::OK();
+  return ForEachHostedDetached([w](WindowedQueryDispatchUnit* du) {
+    WriteCheckpointSection(w, du->runner());
+    return Status::OK();
+  });
 }
 
-Status Executor::RestoreClass(CheckpointReader* r, const SinkFactory& sinks,
-                              uint64_t* replayed) {
+Status Executor::RestoreClass(CheckpointReader* r, uint64_t* replayed) {
   TCQ_ASSIGN_OR_RETURN(CheckpointReader::Section sec, r->BeginSection());
-  if (sec.tag != "class") {
-    return Status::IOError("expected a 'class' checkpoint section, found '" +
-                           sec.tag + "'");
+  if (sec.tag != "class" || sec.version != 2) {
+    return Status::IOError("expected a v2 'class' checkpoint section, found '" +
+                           sec.tag + "' v" + std::to_string(sec.version));
   }
-  if (sec.version > 1) {
-    return Status::IOError("class section version " +
-                           std::to_string(sec.version) + " is newer than "
-                           "this binary supports");
-  }
-
-  // Re-drive every recorded admission, in admission order, under its
-  // ORIGINAL global id. Footprint grouping is deterministic, so the same
-  // query sequence reproduces the same class shapes — except when a query
-  // that once bridged two footprints was removed before the checkpoint, in
-  // which case one recorded class legitimately restores as several. All
-  // later steps therefore resolve classes through the stream catalog
-  // instead of assuming one section == one class.
-  std::set<size_t> restored;  // class indices this section's queries landed in
-  uint32_t nqueries = 0;
-  TCQ_ASSIGN_OR_RETURN(nqueries, r->GetU32());
-  for (uint32_t i = 0; i < nqueries; ++i) {
-    uint64_t gid = 0;
-    TCQ_ASSIGN_OR_RETURN(gid, r->GetU64());
-    TCQ_ASSIGN_OR_RETURN(CQSpec spec, GetCQSpec(r));
-    SourceSet footprint = spec.Footprint();
-    if (footprint == 0) {
-      return Status::IOError("checkpointed query " + std::to_string(gid) +
-                             " has an empty footprint");
-    }
-    Status missing = Status::OK();
-    ForEachSource(footprint, [&](SourceId s) {
-      if (missing.ok() && !streams_.contains(s)) {
-        missing = Status::FailedPrecondition(
-            "checkpointed query " + std::to_string(gid) + " needs stream s" +
-            std::to_string(s) + ", which was not re-registered");
-      }
-    });
-    if (!missing.ok()) return missing;
-    if (queries_.contains(gid)) {
-      return Status::IOError("duplicate query id " + std::to_string(gid) +
-                             " in checkpoint");
-    }
-    size_t cls = ClassFor(spec);
-    next_query_id_ = std::max(next_query_id_, gid + 1);
-    Sink sink = sinks ? sinks(gid) : Sink{};
-    if (!sink) sink = [](GlobalQueryId, const std::vector<Tuple>&) {};
-    Result<QueryId> local = classes_[cls].sc->AdmitQuery(
-        spec, gid, std::move(sink), started_,
-        [&](const ShardedClass::RemapMap& m) { ApplyRemap(m); });
-    if (!local.ok()) return local.status();
-    queries_[gid] = QueryInfo{cls, *local, nullptr};
-    restored.insert(cls);
-  }
-
-  // The recorded bucket map, SteM entries and seq horizon go to every class
-  // the section restored into; each places the entries of streams it routes
-  // (a stream no class re-claimed drops its entries from the replay total).
   uint32_t nbuckets = 0;
   TCQ_ASSIGN_OR_RETURN(nbuckets, r->GetU32());
+  if (nbuckets != ShardedClass::kBuckets) {
+    return Status::IOError("class section maps " + std::to_string(nbuckets) +
+                           " buckets, not " +
+                           std::to_string(ShardedClass::kBuckets));
+  }
   std::vector<uint32_t> owners(nbuckets);
   for (uint32_t b = 0; b < nbuckets; ++b) {
     TCQ_ASSIGN_OR_RETURN(owners[b], r->GetU32());
   }
+  // The section's state goes to every class that now owns one of its route
+  // sources: re-submitting the live queries reproduces the recorded class
+  // unless a bridging query was cancelled before the checkpoint, in which
+  // case it restores as several. Each places the entries of the streams it
+  // routes (a stream no class re-claimed drops its entries).
   ShardedClass::StemEntries entries;
+  std::set<size_t> owning;
   uint32_t nroutes = 0;
   TCQ_ASSIGN_OR_RETURN(nroutes, r->GetU32());
   for (uint32_t i = 0; i < nroutes; ++i) {
     uint32_t source = 0;
     TCQ_ASSIGN_OR_RETURN(source, r->GetU32());
+    if (auto it = streams_.find(source);
+        it != streams_.end() && it->second.owner != nullptr) {
+      owning.insert(it->second.owner_class);
+    }
     uint64_t n = 0;
     TCQ_ASSIGN_OR_RETURN(n, r->GetU64());
     std::vector<StemEntry>& list = entries[static_cast<SourceId>(source)];
@@ -726,31 +705,39 @@ Status Executor::RestoreClass(CheckpointReader* r, const SinkFactory& sinks,
   }
   Timestamp horizon = 0;
   TCQ_ASSIGN_OR_RETURN(horizon, r->GetTimestamp());
-  for (size_t cls : restored) {
+  for (size_t cls : owning) {
     *replayed += classes_[cls].sc->Restore(owners, entries, horizon);
   }
   return r->EndSection();
 }
 
-Result<uint64_t> Executor::RestoreFrom(CheckpointReader* r,
-                                       const SinkFactory& sinks) {
+Result<uint64_t> Executor::RestoreFrom(CheckpointReader* r) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!queries_.empty()) {
-    return Status::FailedPrecondition(
-        "restore requires a freshly constructed executor");
-  }
   TCQ_ASSIGN_OR_RETURN(CheckpointReader::Section sec, r->BeginSection());
-  if (sec.tag != "executor") {
-    return Status::IOError("expected an 'executor' checkpoint section, "
-                           "found '" + sec.tag + "'");
+  if (sec.tag != "executor" || sec.version != 2) {
+    return Status::IOError("expected a v2 'executor' checkpoint section, "
+                           "found '" + sec.tag + "' v" +
+                           std::to_string(sec.version));
   }
   uint32_t nclasses = 0;
   TCQ_ASSIGN_OR_RETURN(nclasses, r->GetU32());
+  uint32_t nhosted = 0;
+  TCQ_ASSIGN_OR_RETURN(nhosted, r->GetU32());
   TCQ_RETURN_IF_ERROR(r->EndSection());
+  if (nhosted != QueriesIn(SIZE_MAX)) {
+    return Status::IOError("the checkpoint holds " + std::to_string(nhosted) +
+                           " windowed runners, but " +
+                           std::to_string(QueriesIn(SIZE_MAX)) +
+                           " windowed queries were re-submitted");
+  }
   uint64_t replayed = 0;
   for (uint32_t c = 0; c < nclasses; ++c) {
-    TCQ_RETURN_IF_ERROR(RestoreClass(r, sinks, &replayed));
+    TCQ_RETURN_IF_ERROR(RestoreClass(r, &replayed));
   }
+  TCQ_RETURN_IF_ERROR(ForEachHostedDetached(
+      [r](WindowedQueryDispatchUnit* du) {
+        return ReadCheckpointSection(r, du->mutable_runner());
+      }));
   return replayed;
 }
 
@@ -808,9 +795,7 @@ std::vector<Executor::ClassInfo> Executor::Topology() const {
     info.eo = qc.sc->shard_eo(0);
     info.streams = qc.streams;
     info.shards = qc.sc->num_shards();
-    for (const auto& [gid, qi] : queries_) {
-      if (qi.query_class == c) ++info.num_queries;
-    }
+    info.num_queries = QueriesIn(c);
     out.push_back(std::move(info));
   }
   return out;

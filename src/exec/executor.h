@@ -66,15 +66,10 @@ class Executor {
     /// Run the background rebalance pass (class migration across EOs).
     bool rebalance = false;
     uint64_t rebalance_interval_ms = 100;
-    /// Migrate when the most-loaded EO's recent progress exceeds this
-    /// multiple of the least-loaded EO's (and it hosts >= 2 DUs).
-    double rebalance_imbalance_threshold = 2.0;
     /// Shard replicas per query class (1 = classic single-eddy classes).
     /// A class only actually fans out when its queries' join edges can be
     /// consistently co-partitioned; see exec/sharded_class.h.
     size_t shards = 1;
-    /// Flux bucket count per sharded class (unit of load balancing).
-    size_t shard_buckets = 64;
     /// Skew re-partition trigger: busiest shard's recent ingest exceeds
     /// this multiple of the least-busy shard's (rebalance pass must run).
     double shard_skew_threshold = 4.0;
@@ -125,6 +120,12 @@ class Executor {
   Status RegisterStream(SourceId source, SchemaRef schema,
                         StemOptions stem_opts = StemOptions{});
 
+  /// Forgets a stream no live query reads (a released self-join alias): its
+  /// class drops the route in one re-partition and the id may be registered
+  /// again. Returns the tuples dropped on it. kFailedPrecondition while a
+  /// live query reads it.
+  Result<uint64_t> UnregisterStream(SourceId source);
+
   /// Thread-safe ingestion of one tuple: a batch of one (see IngestBatch).
   Status IngestTuple(SourceId source, const Tuple& tuple);
 
@@ -154,15 +155,16 @@ class Executor {
   /// it (milliseconds). A footprint bridging several classes first merges
   /// them (also blocking, at quantum boundaries). Deliveries go to `sink`;
   /// with shards > 1 they arrive concurrently from several EO threads
-  /// (see Sink).
-  Result<GlobalQueryId> SubmitQuery(const CQSpec& spec, Sink sink);
+  /// (see Sink). `id` 0 takes the next free query id; a restore passes the
+  /// recorded one (kAlreadyExists when live).
+  Result<GlobalQueryId> SubmitQuery(const CQSpec& spec, Sink sink,
+                                    GlobalQueryId id = 0);
 
   /// Hosts the DU `build(id)` returns (called once, under the executor lock)
   /// as one query outside the class system, on the least-loaded EO, fed by
   /// one push fjord (queue_capacity rows) per registered stream in `inputs`.
-  /// `id` 0 takes the next id from SubmitQuery's space; restore passes a
-  /// recorded id (kAlreadyExists when live). A DU that reports kDone
-  /// retires from its EO but keeps its id until RemoveQuery.
+  /// `id` as for SubmitQuery, whose id space it shares. A DU that reports
+  /// kDone retires from its EO but keeps its id until RemoveQuery.
   using DuFactory =
       std::function<std::shared_ptr<WindowedQueryDispatchUnit>(GlobalQueryId)>;
   Result<GlobalQueryId> HostQuery(const DuFactory& build,
@@ -174,13 +176,6 @@ class Executor {
   /// before Start() the DUs are stepped inline). OK when the DU finished
   /// first; kResourceExhausted when the input stayed full.
   Status BackfillQuery(GlobalQueryId id, TupleBatch batch);
-
-  /// Detaches hosted query `id`'s DU from its EO at a quantum boundary, runs
-  /// `fn` on it and re-attaches it to the same EO, inputs (and what they
-  /// queued) intact. Returns fn's status.
-  Status WithQueryDetached(
-      GlobalQueryId id,
-      const std::function<Status(WindowedQueryDispatchUnit*)>& fn);
 
   /// Removes a query at the next quantum boundary; a hosted DU detaches from
   /// its EO, blocking until its in-flight quantum ends, and its inputs are
@@ -218,25 +213,20 @@ class Executor {
   /// kBlock egress never parks). Blocks without polling; thread-safe.
   Status WaitQuiescent(std::chrono::steady_clock::time_point deadline);
 
-  /// Snapshots every live query class into the writer: one "executor"
-  /// section (the class count) followed by one "class" section per class
-  /// (queries + partition map + SteM state, via ShardedClass::CheckpointTo).
-  /// The caller must have blocked ingestion for the duration; the class
-  /// fjords drain first (WaitQuiescent, kTimedOut after 10s).
+  /// Snapshots query state, not queries (the caller records and re-submits
+  /// those): an "executor" section (class and hosted-DU counts), a "class"
+  /// section per live class (ShardedClass::CheckpointTo), then each hosted
+  /// DU's runner section in id order, the DU detached from its EO at a
+  /// quantum boundary meanwhile. The caller blocks ingestion; the fjords
+  /// drain first (WaitQuiescent, kTimedOut after 10s).
   Status CheckpointTo(CheckpointWriter* w);
 
-  /// Builds the delivery sink for one restored query, from its recorded
-  /// global id.
-  using SinkFactory = std::function<Sink(GlobalQueryId)>;
-
-  /// Rebuilds the query classes from a checkpoint: re-drives each recorded
-  /// admission under its ORIGINAL global id (deterministic footprint
-  /// grouping reproduces the class shapes), then hands each class its
-  /// recorded Flux bucket map, SteM entries (original seqs) and seq horizon
-  /// in one ShardedClass::Restore. Streams must already be re-registered. The
-  /// executor must be freshly constructed (no queries admitted). Returns
-  /// the number of SteM entries replayed.
-  Result<uint64_t> RestoreFrom(CheckpointReader* r, const SinkFactory& sinks);
+  /// Loads CheckpointTo's state into the queries the caller re-submitted
+  /// under their recorded ids, before any ingest: each class section goes
+  /// to every class now owning one of its route sources (ShardedClass::
+  /// Restore), each runner section to the hosted DU of its rank in id
+  /// order. Returns the SteM entries replayed.
+  Result<uint64_t> RestoreFrom(CheckpointReader* r);
 
   void Start();
   void Stop();
@@ -255,8 +245,8 @@ class Executor {
   uint64_t tuples_dropped_backpressure() const {
     return dropped_backpressure_->Value();
   }
-  /// Tuples dropped on one stream (unrouted, closed, back-pressured past
-  /// the retry budget, or refused by a hosted input). 0 for unknown ones.
+  /// Tuples dropped on one stream since it was registered (unrouted, closed,
+  /// back-pressured, or refused by a hosted input); 0 for unknown ones.
   uint64_t stream_tuples_dropped(SourceId source) const;
   /// The owning class's merged (min across shard replicas) event-time
   /// watermark of `source`; kMinTimestamp for unknown/unpunctuated streams.
@@ -285,8 +275,10 @@ class Executor {
     std::shared_ptr<ShardedClass> owner;
     size_t owner_class = SIZE_MAX;
     std::vector<HostedInput> inputs;  ///< hosted DUs reading the stream
-    /// Drops on this stream: tcq_executor_stream_dropped_total{stream=...}.
+    /// Drops on this stream: tcq_executor_stream_dropped_total{stream=...}
+    /// (shared by a re-registered id) minus its value at registration.
     Counter* dropped = nullptr;
+    uint64_t dropped_base = 0;
   };
 
   struct QueryClass {
@@ -301,6 +293,9 @@ class Executor {
     std::shared_ptr<WindowedQueryDispatchUnit> du;  ///< HostQuery only
   };
 
+  /// Takes query id `*id` (0: the next free one) for a query reading
+  /// `sources`: kNotFound / kAlreadyExists as for SubmitQuery (mu_ held).
+  Status Claim(SourceSet sources, GlobalQueryId* id);
   /// Finds or creates the class covering `spec`'s footprint, merging every
   /// touched class into one when the footprint bridges them (caller holds
   /// mu_; `spec` must be admitted to the returned class next).
@@ -314,11 +309,14 @@ class Executor {
   /// Rewrites queries_ local ids after a shard re-partition re-admitted
   /// them, by global id (caller holds mu_).
   void ApplyRemap(const ShardedClass::RemapMap& remap);
-  /// Restores one "class" checkpoint section: re-admission + bucket map +
-  /// SteM replay (caller holds mu_). Adds replayed-entry count to *replayed.
-  Status RestoreClass(CheckpointReader* r, const SinkFactory& sinks,
-                      uint64_t* replayed);
+  /// Loads one "class" section (see RestoreFrom); caller holds mu_.
+  Status RestoreClass(CheckpointReader* r, uint64_t* replayed);
+  /// Runs `fn` on every hosted DU in id order, each detached from its EO
+  /// meanwhile (caller holds mu_).
+  Status ForEachHostedDetached(
+      const std::function<Status(WindowedQueryDispatchUnit*)>& fn);
   size_t CountLiveClasses() const;  // caller holds mu_
+  size_t QueriesIn(size_t cls) const;  // caller holds mu_; SIZE_MAX: DUs
   size_t LeastLoadedEo() const;     // EO hosting the fewest DUs
   bool RebalanceLocked();           // caller holds mu_
   bool SkewLocked();                // caller holds mu_

@@ -6,7 +6,6 @@
 #include <set>
 #include <utility>
 
-#include "cacq/spec_codec.h"
 #include "eddy/routing_policy.h"
 
 namespace tcq {
@@ -55,14 +54,8 @@ ShardedClass::ShardedClass(std::string label, Options opts,
       eos_(std::move(eos)),
       metrics_(OrPrivateRegistry(std::move(metrics))),
       tracer_(std::move(tracer)),
-      parts_(opts.buckets == 0 ? 1 : opts.buckets, 1) {
+      parts_(kBuckets, 1) {
   if (opts_.shards == 0) opts_.shards = 1;
-  if (opts_.buckets == 0) opts_.buckets = 1;
-  bucket_counts_ =
-      std::make_unique<std::atomic<uint64_t>[]>(opts_.buckets);
-  for (size_t b = 0; b < opts_.buckets; ++b) {
-    bucket_counts_[b].store(0, std::memory_order_relaxed);
-  }
   repartitions_ = metrics_->GetCounter(
       MetricName("tcq_shard_repartitions_total", "class", label_));
   pause_us_ = metrics_->GetHistogram(
@@ -280,15 +273,15 @@ bool ShardedClass::MaybeRepartitionForSkew(const RemapFn& remap) {
   // LPT greedy: heaviest buckets first, each to the currently least-loaded
   // shard. Deterministic (stable sort, lowest-index tie-break).
   std::vector<std::pair<uint64_t, size_t>> weights;
-  weights.reserve(opts_.buckets);
-  for (size_t b = 0; b < opts_.buckets; ++b) {
+  weights.reserve(kBuckets);
+  for (size_t b = 0; b < kBuckets; ++b) {
     weights.emplace_back(bucket_counts_[b].load(std::memory_order_relaxed),
                          b);
   }
   std::stable_sort(weights.begin(), weights.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<uint64_t> load(shards_.size(), 0);
-  std::vector<size_t> owner(opts_.buckets, 0);
+  std::vector<size_t> owner(kBuckets, 0);
   for (const auto& [w, b] : weights) {
     size_t k = static_cast<size_t>(
         std::min_element(load.begin(), load.end()) - load.begin());
@@ -315,8 +308,8 @@ Status ShardedClass::FailShard(size_t shard, const RemapFn& remap) {
   }
   // The failed shard's buckets go to their standby; the shards above it
   // shift down one place.
-  std::vector<size_t> owner(opts_.buckets);
-  for (size_t b = 0; b < opts_.buckets; ++b) {
+  std::vector<size_t> owner(kBuckets);
+  for (size_t b = 0; b < kBuckets; ++b) {
     size_t o = parts_.OwnerOf(b);
     if (o == shard) o = (shard + 1) % n;
     owner[b] = o > shard ? o - 1 : o;
@@ -334,14 +327,47 @@ void ShardedClass::Absorb(const std::vector<ShardedClass*>& srcs,
     for (const auto& [id, spec] : src->specs_) extra.push_back(&spec);
   }
   extra.push_back(&bridging);
+  Rederive(extra, remap, /*attach_after=*/false, srcs);
+}
+
+void ShardedClass::Rederive(const std::vector<const CQSpec*>& extra,
+                            const RemapFn& remap, bool attach_after,
+                            const std::vector<ShardedClass*>& absorbed) {
   auto keys = DeriveKeys(extra);
   size_t count = keys.has_value() ? opts_.shards : 1;
-  // The survivor's owners stand when its shard count does, so its SteMs
-  // (and any source's with matching owners) move by reference.
+  // The current owners stand when the shard count does, so this class's
+  // SteMs (and any source's with matching owners) move by reference.
   std::vector<size_t> owner;
   if (count == shards_.size()) owner = parts_.owners();
   Repartition(count, keys.value_or(std::map<SourceId, std::string>{}),
-              std::move(owner), remap, /*attach_after=*/false, kNoShard, srcs);
+              std::move(owner), remap, attach_after, kNoShard, absorbed);
+}
+
+Status ShardedClass::DropStream(SourceId source, const RemapFn& remap) {
+  for (const auto& [local, spec] : specs_) {
+    if (spec.Footprint() & SourceBit(source)) {
+      return Status::FailedPrecondition("a live query reads s" +
+                                        std::to_string(source));
+    }
+  }
+  {
+    std::unique_lock<std::shared_mutex> lock(route_mu_);
+    auto it = routes_.find(source);
+    assert(it != routes_.end() && "dropping a stream the class never claimed");
+    for (auto& p : it->second.producers) p->Close();
+    routes_.erase(it);
+  }
+  // The rebuilt replicas register only the remaining routes; what the
+  // dropped one queued or held in SteMs goes with its old replicas.
+  Rederive({}, remap, /*attach_after=*/true);
+  return Status::OK();
+}
+
+void ShardedClass::PauseShards(std::vector<Shard>* shards) {
+  for (Shard& sh : *shards) {
+    eos_[sh.eo % eos_.size()]->RemoveDispatchUnit(sh.du);
+    sh.du->Quiesce();
+  }
 }
 
 void ShardedClass::AttachShards() {
@@ -409,12 +435,7 @@ void ShardedClass::Repartition(size_t new_count,
 
   // 1. Pause: quiesce every shard at a quantum boundary. After this no EO
   //    thread steps them and the replicas are drained to quiescence.
-  for (Mover& m : movers) {
-    for (Shard& sh : m.shards) {
-      eos_[sh.eo % eos_.size()]->RemoveDispatchUnit(sh.du);
-      sh.du->Quiesce();
-    }
-  }
+  for (Mover& m : movers) PauseShards(&m.shards);
 
   // 2. Drain queued-but-unprocessed tuples into a per-source carryover
   //    (old-shard-major; per-shard per-source order preserved). They are
@@ -484,11 +505,11 @@ void ShardedClass::Repartition(size_t new_count,
 
   // 4. Fresh bucket map. Bucket counts restart so the next skew decision
   //    reflects the new layout.
-  parts_ = Partitioner(opts_.buckets, new_count);
-  for (size_t b = 0; b < owner.size() && b < opts_.buckets; ++b) {
+  parts_ = Partitioner(kBuckets, new_count);
+  for (size_t b = 0; b < owner.size() && b < kBuckets; ++b) {
     parts_.Reassign(b, owner[b] % new_count);
   }
-  for (size_t b = 0; b < opts_.buckets; ++b) {
+  for (size_t b = 0; b < kBuckets; ++b) {
     bucket_counts_[b].store(0, std::memory_order_relaxed);
   }
 
@@ -673,10 +694,7 @@ void ShardedClass::Repartition(size_t new_count,
 }
 
 void ShardedClass::Shutdown() {
-  for (Shard& sh : shards_) {
-    eos_[sh.eo % eos_.size()]->RemoveDispatchUnit(sh.du);
-    sh.du->Quiesce();
-  }
+  PauseShards(&shards_);
   std::unique_lock<std::shared_mutex> lock(route_mu_);
   for (auto& [source, r] : routes_) {
     r.closed = true;
@@ -927,34 +945,13 @@ uint64_t ShardedClass::TakeProgressDelta(size_t shard) {
 }
 
 Status ShardedClass::CheckpointTo(CheckpointWriter* w) {
-  // The executor drained the shard fjords first (WaitQuiescent): tuples
-  // still queued would sit below the spool's recorded replay position and
-  // be lost to the snapshot.
+  // The executor drained the shard fjords first (tuples still queued would
+  // sit below the spool's recorded replay position and be lost), so with
+  // ingest blocked the paused replicas are fully quiescent.
   std::unique_lock<std::shared_mutex> lock(route_mu_);
-  // Pause: quiesce every shard at a quantum boundary. With ingest blocked
-  // and the fjords empty, the replicas are fully quiescent afterwards.
-  for (Shard& sh : shards_) {
-    eos_[sh.eo % eos_.size()]->RemoveDispatchUnit(sh.du);
-    sh.du->Quiesce();
-  }
-
-  w->BeginSection("class", 1);
-  // Member queries in admission order (local ids are dense-FIFO, so key
-  // order IS admission order) with their executor-global ids. The restorer
-  // re-drives these through normal admission, which reproduces the class
-  // deterministically.
-  w->PutU32(static_cast<uint32_t>(specs_.size()));
-  for (const auto& [local, spec] : specs_) {
-    uint64_t gid = 0;
-    {
-      std::lock_guard<std::mutex> plock(punct_mu_);
-      if (auto it = punct_sinks_.find(local); it != punct_sinks_.end()) {
-        gid = it->second.first;
-      }
-    }
-    w->PutU64(gid);
-    PutCQSpec(w, spec);
-  }
+  PauseShards(&shards_);
+  // State only: a restore re-submits the member queries before loading it.
+  w->BeginSection("class", 2);
   // The Flux partition map (bucket -> shard).
   w->PutU32(static_cast<uint32_t>(parts_.num_buckets()));
   for (size_t b = 0; b < parts_.num_buckets(); ++b) {
@@ -987,9 +984,7 @@ Status ShardedClass::CheckpointTo(CheckpointWriter* w) {
   }
   w->PutTimestamp(horizon);
   w->EndSection();
-
   lock.unlock();
-  // Resume: re-attach the shard DUs to their EOs.
   AttachShards();
   return Status::OK();
 }

@@ -43,6 +43,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -72,9 +73,6 @@ class ShardedClass {
     size_t shards = 1;
     size_t quantum = 64;
     size_t queue_capacity = 4096;
-    /// Flux bucket count: the unit of load balancing (keys hash to buckets,
-    /// buckets map to shards, re-partition moves buckets).
-    size_t buckets = 64;
     /// Re-partition when the busiest shard's recent ingest exceeds this
     /// multiple of the least-busy shard's.
     double skew_threshold = 4.0;
@@ -105,6 +103,10 @@ class ShardedClass {
   ShardedClass(std::string label, Options opts,
                std::vector<ExecutionObject*> eos, MetricsRegistryRef metrics,
                obs::TracerRef tracer);
+
+  /// Flux bucket count: the unit of load balancing (keys hash to buckets,
+  /// buckets map to shards, re-partition moves buckets).
+  static constexpr size_t kBuckets = 64;
 
   const std::string& label() const { return label_; }
   size_t num_shards() const { return shards_.size(); }
@@ -146,6 +148,12 @@ class ShardedClass {
   void Absorb(const std::vector<ShardedClass*>& srcs, const CQSpec& bridging,
               const RemapFn& remap);
 
+  /// Drops the route of a stream no member query reads (a released
+  /// self-join alias): one re-partition over the remaining routes, at the
+  /// layout the member specs derive. kFailedPrecondition while a member
+  /// query reads it.
+  Status DropStream(SourceId source, const RemapFn& remap);
+
   /// Fault injection (Flux failover): crashes shard `shard` at a quantum
   /// boundary — its eddy, SteMs and queued input are discarded — and
   /// re-partitions to N-1 shards with its buckets on their standby
@@ -162,9 +170,10 @@ class ShardedClass {
 
   // --- Durable state (DESIGN.md §13; serialized by the executor's mutex) -----
 
-  /// Snapshots the class as one "class" checkpoint section: member queries
-  /// (gid + spec, admission order), the Flux bucket->shard map, every
-  /// shard's SteM entries with original seqs, and the max seq horizon.
+  /// Snapshots the class's state as one "class" checkpoint section: the
+  /// Flux bucket->shard map, every route's source with every shard's SteM
+  /// entries for it (original seqs), and the max seq horizon. The member
+  /// queries are not recorded: a restore re-submits them first.
   /// Rides the quiesce protocol: the caller must have blocked ingest and
   /// drained the shard fjords (Executor::WaitQuiescent); this detaches and
   /// quiesces each shard DU, serializes, and re-attaches. Event-time merge
@@ -176,7 +185,7 @@ class ShardedClass {
   /// Checkpointed SteM entries (original seqs) per stream.
   using StemEntries = std::map<SourceId, std::vector<StemEntry>>;
 
-  /// Restore path, on a FRESH class (queries re-admitted, no data ingested
+  /// Restore path, on a FRESH class (queries re-submitted, no data ingested
   /// yet): adopts the recorded bucket->shard map (modulo the current shard
   /// count), replays the entries of the streams routed here as Repartition
   /// does, and jumps every replica's seq horizon. Returns entries placed.
@@ -260,6 +269,12 @@ class ShardedClass {
                    std::vector<size_t> owner, const RemapFn& remap,
                    bool attach_after, size_t failed = kNoShard,
                    const std::vector<ShardedClass*>& absorbed = {});
+  /// Re-partitions at the layout the member specs plus `extra` derive,
+  /// keeping the bucket owners when the shard count stands; `absorbed`
+  /// and `attach_after` as for Repartition.
+  void Rederive(const std::vector<const CQSpec*>& extra, const RemapFn& remap,
+                bool attach_after,
+                const std::vector<ShardedClass*>& absorbed = {});
   /// The one new shard every entry of old shard `j` (of `old_count` shards,
   /// bucket map `old_parts`, route key `old_key`) lands on under route `r`'s
   /// new key and the current map; kNoShard when they spread.
@@ -268,6 +283,9 @@ class ShardedClass {
   /// Replay step: builds an entry into its owner shard's SteM and shadow.
   void ReplayEntry(const Route& r, SourceId source, const Tuple& t,
                    Timestamp seq);
+  /// Detaches `shards` from their EOs at a quantum boundary and quiesces
+  /// them; AttachShards undoes it for the current replicas.
+  void PauseShards(std::vector<Shard>* shards);
   void AttachShards();
   RouteResult RouteBatchLocked(Route* r, TupleBatch* batch);
   /// Shard a row of route `r` belongs to under the current bucket map.
@@ -304,7 +322,7 @@ class ShardedClass {
   bool detached_ = false;  ///< rebuilt replicas wait for AdmitQuery
 
   Partitioner parts_;
-  std::unique_ptr<std::atomic<uint64_t>[]> bucket_counts_;
+  std::array<std::atomic<uint64_t>, kBuckets> bucket_counts_{};
   std::atomic<uint64_t> rr_next_{0};
 
   /// Member specs under their CURRENT local ids (mirrors the replicas'

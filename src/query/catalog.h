@@ -23,33 +23,38 @@ class Catalog {
     SchemaRef schema;  // fields carry `source` as their SourceId
   };
 
-  /// Defines a stream; assigns and returns its SourceId. Field templates
-  /// are rewritten so every field's source matches the assigned id.
+  /// Defines a stream; assigns and returns its SourceId — the lowest free
+  /// id, or `at` (a checkpoint restore re-creates the recorded layout;
+  /// kAlreadyExists when taken). Field templates are rewritten so every
+  /// field's source matches the assigned id.
   Result<SourceId> DefineStream(const std::string& name,
-                                const std::vector<Field>& fields);
+                                const std::vector<Field>& fields,
+                                std::optional<SourceId> at = std::nullopt);
 
   /// Allocates an additional logical source id backed by `name`'s stream
-  /// (for self-join aliases). Returns the alias entry.
-  Result<StreamEntry> InstantiateAlias(const std::string& name);
+  /// (for self-join aliases), the lowest free one or `at`. Returns the
+  /// alias entry.
+  Result<StreamEntry> InstantiateAlias(
+      const std::string& name, std::optional<SourceId> at = std::nullopt);
+
+  /// Frees an alias id for reuse. kInvalidArgument for a canonical or
+  /// unknown id.
+  Status ReleaseAlias(SourceId source);
 
   Result<StreamEntry> Lookup(const std::string& name) const;
   const StreamEntry* LookupBySource(SourceId source) const;
 
   size_t num_streams() const { return by_name_.size(); }
 
-  /// One past the largest assigned source id. With LookupBySource this lets
-  /// a checkpoint record every entry in assignment order, so a restore can
-  /// replay DefineStream / InstantiateAlias calls and reproduce the exact
-  /// id layout (alias ids are allocated at plan time, so the layout depends
-  /// on the original interleaving of definitions and submissions).
-  SourceId next_source() const { return next_source_; }
+  /// Every entry (canonical and alias) in id order. Ids can have holes
+  /// (released aliases), so a checkpoint records each entry with its id.
+  const std::map<SourceId, StreamEntry>& entries() const { return by_source_; }
 
  private:
-  Result<SourceId> NextSource();
+  Result<SourceId> NextSource(std::optional<SourceId> at);
 
   std::map<std::string, StreamEntry> by_name_;
   std::map<SourceId, StreamEntry> by_source_;
-  SourceId next_source_ = 0;
 };
 
 }  // namespace tcq

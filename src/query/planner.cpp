@@ -60,11 +60,10 @@ CmpOp Flip(CmpOp op) {
   }
 }
 
-}  // namespace
-
-Result<PlannedQuery> PlanQuery(
-    const ast::SelectStatement& stmt, Catalog* catalog,
-    const std::map<std::string, SourceId>* pinned_aliases) {
+/// PlanQuery's body; records the alias ids it allocates in `allocated`.
+Result<PlannedQuery> Plan(const ast::SelectStatement& stmt, Catalog* catalog,
+                          const std::map<std::string, SourceId>* pinned_aliases,
+                          std::vector<SourceId>* allocated) {
   PlannedQuery pq;
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM clause is empty");
@@ -98,6 +97,7 @@ Result<PlannedQuery> PlanQuery(
       entry = *pinned;
     } else {
       TCQ_ASSIGN_OR_RETURN(entry, catalog->InstantiateAlias(ref.stream));
+      allocated->push_back(entry.source);
     }
     pq.bindings.emplace_back(alias, std::move(entry));
   }
@@ -170,6 +170,20 @@ Result<PlannedQuery> PlanQuery(
     pq.window_loop = std::move(spec);
   }
 
+  return pq;
+}
+
+}  // namespace
+
+Result<PlannedQuery> PlanQuery(
+    const ast::SelectStatement& stmt, Catalog* catalog,
+    const std::map<std::string, SourceId>* pinned_aliases) {
+  std::vector<SourceId> allocated;
+  Result<PlannedQuery> pq = Plan(stmt, catalog, pinned_aliases, &allocated);
+  // A failed plan hands back the alias ids it allocated.
+  if (!pq.ok()) {
+    for (SourceId s : allocated) (void)catalog->ReleaseAlias(s);
+  }
   return pq;
 }
 

@@ -42,7 +42,9 @@ struct PlannedQuery {
 };
 
 /// Plans a statement against the catalog. Self-join aliases allocate fresh
-/// logical source ids via Catalog::InstantiateAlias — unless `pinned_aliases`
+/// logical source ids via Catalog::InstantiateAlias (a failed plan releases
+/// them again; a planned query's owner releases them with Catalog::
+/// ReleaseAlias when the query ends) — unless `pinned_aliases`
 /// maps the binding's effective alias to a source id, in which case that
 /// existing catalog entry is reused instead of allocating. Checkpoint restore
 /// re-plans recorded statements with their recorded binding ids pinned, so a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <set>
 
 namespace tcq {
 
@@ -82,9 +83,7 @@ TelegraphCQ::TelegraphCQ(Options opts, MetricsRegistryRef metrics)
       metrics_(OrPrivateRegistry(std::move(metrics))),
       tracer_(std::make_shared<obs::Tracer>(opts.trace, metrics_)),
       executor_(opts.executor, metrics_, tracer_),
-      wrapper_(opts.wrapper, metrics_, tracer_),
-      spool_pool_(BufferPool::Options{opts.spool_buffer_pages,
-                                      ReplacementPolicy::kLru}) {
+      wrapper_(opts.wrapper, metrics_, tracer_) {
   ingested_ = metrics_->GetCounter("tcq_server_tuples_ingested_total");
   ckpt_epochs_ = metrics_->GetCounter("tcq_checkpoint_epochs_total");
   ckpt_bytes_ = metrics_->GetCounter("tcq_checkpoint_bytes");
@@ -148,9 +147,10 @@ Result<SourceId> TelegraphCQ::DefineStream(const std::string& name,
 
 Result<SourceId> TelegraphCQ::DefineStreamInternal(
     const std::string& name, const std::vector<Field>& fields,
-    bool reopen_spool) {
+    std::optional<SourceId> restore_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  TCQ_ASSIGN_OR_RETURN(SourceId source, catalog_.DefineStream(name, fields));
+  TCQ_ASSIGN_OR_RETURN(SourceId source,
+                       catalog_.DefineStream(name, fields, restore_id));
   TCQ_ASSIGN_OR_RETURN(Catalog::StreamEntry entry, catalog_.Lookup(name));
   PhysicalStream stream;
   stream.name = name;
@@ -162,7 +162,7 @@ Result<SourceId> TelegraphCQ::DefineStreamInternal(
       MetricName("tcq_server_spool_append_failed_total", "stream", name));
   if (!opts_.spool_dir.empty()) {
     const std::string path = opts_.spool_dir + "/" + name + ".log";
-    if (reopen_spool) {
+    if (restore_id.has_value()) {
       // Restore path: keep the archived history and append past it. A
       // missing file (stream spooled for the first time) falls back to
       // a fresh store.
@@ -364,16 +364,39 @@ void TelegraphCQ::ReleaseLocked(const ClientInfo& client) {
   }
 }
 
+void TelegraphCQ::ReleaseAliases(const ClientInfo& client,
+                                 std::unique_lock<std::mutex>* lock) {
+  std::vector<Result<uint64_t>> dropped;
+  for (SourceId alias : client.aliases) {
+    dropped.push_back(executor_.UnregisterStream(alias));
+  }
+  if (!lock->owns_lock()) lock->lock();
+  for (size_t i = 0; i < client.aliases.size(); ++i) {
+    const SourceId alias = client.aliases[i];
+    if (dropped[i].ok()) {
+      streams_[catalog_.LookupBySource(alias)->name].released_dropped +=
+          *dropped[i];
+    } else if (dropped[i].status().code() != StatusCode::kNotFound) {
+      continue;  // NotFound: the admission failed before registering it
+    }
+    (void)catalog_.ReleaseAlias(alias);
+  }
+}
+
 void TelegraphCQ::ClientInfo::Record(const std::string& query_sql,
-                                     const PlannedQuery& plan) {
+                                     const PlannedQuery& plan,
+                                     bool speculate_windows) {
   sql = query_sql;
+  speculate = speculate_windows;
   for (const auto& [alias, entry] : plan.bindings) {
     bindings.emplace_back(alias, entry.source);
-    // Self-joins bind one physical stream under several aliases; count it
-    // once per query.
+    // Self-joins bind one physical stream under several aliases: its first
+    // binding is the canonical source, the later ones alias ids.
     if (std::find(streams.begin(), streams.end(), entry.name) ==
         streams.end()) {
       streams.push_back(entry.name);
+    } else {
+      aliases.push_back(entry.source);
     }
   }
 }
@@ -435,83 +458,56 @@ Result<PlannedQuery> Replan(Catalog* catalog, GlobalQueryId id,
 Result<TelegraphCQ::ClientHandle> TelegraphCQ::Submit(const std::string& sql,
                                                       SubmitOptions sub_opts) {
   TCQ_ASSIGN_OR_RETURN(ast::SelectStatement stmt, ParseQuery(sql));
-
   std::unique_lock<std::mutex> lock(mu_);
   TCQ_ASSIGN_OR_RETURN(PlannedQuery plan, PlanQuery(stmt, &catalog_));
+  return AdmitLocked(&lock, sql, plan, sub_opts, 0);
+}
 
-  // Map each binding back to its physical stream.
-  for (const auto& [alias, entry] : plan.bindings) {
-    if (!streams_.contains(entry.name)) {
-      return Status::NotFound("stream '" + entry.name +
-                              "' is not backed by a physical stream");
-    }
-  }
-
-  ClientHandle handle;
-
-  if (plan.window_loop.has_value()) {
-    if (sub_opts.history_reach != 0) {
-      // Validate spooling up front so a failed backfill can only mean an
-      // I/O or back-pressure fault, not a predictable misuse.
-      for (const auto& [alias, entry] : plan.bindings) {
-        if (streams_[entry.name].spool == nullptr) {
-          return Status::FailedPrecondition(
-              "history_reach requires spooled streams (set "
-              "Options::spool_dir); stream '" +
-              entry.name + "' is not spooled");
-        }
-      }
-    }
-    TCQ_ASSIGN_OR_RETURN(handle, AdmitWindowedLocked(plan, sql, sub_opts, 0));
-    const ClientInfo& client = clients_[handle.id];
-    if (sub_opts.history_reach != 0) {
-      Status backfill =
-          BackfillWindowedLocked(handle.id, client, sub_opts.history_reach);
-      if (!backfill.ok()) {
-        // Roll the admission back: a failed backfill must not leave a
-        // half-primed query running.
-        ReleaseLocked(client);
-        clients_.erase(handle.id);
-        (void)executor_.RemoveQuery(handle.id);
-        return backfill;
-      }
-    }
-    // A stream that closed before this query existed will never deliver
-    // end-of-stream to it: close those inputs now — after the backfill, so
-    // a finished, spooled stream fires over its archive and then finishes.
-    for (const std::string& name : client.streams) {
-      if (streams_[name].closed) CloseLogicalLocked(streams_[name]);
-    }
-    return handle;
-  }
-  if (sub_opts.history_reach != 0) {
-    return Status::InvalidArgument(
-        "history_reach applies to windowed queries only (continuous queries "
-        "have no windows to backfill)");
-  }
-
-  // Continuous query through the shared executor.
+Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitLocked(
+    std::unique_lock<std::mutex>* lock, const std::string& sql,
+    const PlannedQuery& plan, const SubmitOptions& sub_opts,
+    GlobalQueryId id) {
   ClientInfo client;
-  client.Record(sql, plan);
-  client.egress = NewEgressLocked();
-  RetainLocked(client);
-  Executor::Sink sink = EgressSink(client.egress, plan.projection);
-  lock.unlock();  // SubmitQuery blocks on admission; don't hold the mutex
-  Result<GlobalQueryId> id = executor_.SubmitQuery(plan.spec, std::move(sink));
-  lock.lock();
-  if (!id.ok()) {
-    ReleaseLocked(client);
-    return id.status();
+  client.Record(sql, plan, sub_opts.speculate);
+  Result<GlobalQueryId> admitted = Status::InvalidArgument(
+      "history_reach applies to windowed queries only (continuous queries "
+      "have no windows to backfill)");
+  if (plan.window_loop.has_value()) {
+    admitted = AdmitWindowedLocked(plan, &client, sub_opts, id);
+  } else if (sub_opts.history_reach == 0) {
+    // Continuous query through the shared executor.
+    client.egress = NewEgressLocked();
+    RetainLocked(client);
+    Executor::Sink sink = EgressSink(client.egress, plan.projection);
+    lock->unlock();  // SubmitQuery blocks on admission; don't hold the mutex
+    admitted = executor_.SubmitQuery(plan.spec, std::move(sink), id);
+    lock->lock();
+    if (!admitted.ok()) ReleaseLocked(client);
   }
-  handle.id = *id;
-  handle.results = client.egress;
-  clients_[*id] = std::move(client);
+  if (!admitted.ok()) {
+    ReleaseAliases(client, lock);
+    return admitted.status();
+  }
+  ClientHandle handle{*admitted, client.egress, client.windows};
+  clients_[*admitted] = std::move(client);
   return handle;
 }
 
-Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
-    const PlannedQuery& plan, const std::string& sql,
+Result<GlobalQueryId> TelegraphCQ::AdmitWindowedLocked(
+    const PlannedQuery& plan, ClientInfo* client,
     const SubmitOptions& sub_opts, GlobalQueryId id) {
+  if (sub_opts.history_reach != 0) {
+    // Validate spooling up front so a failed backfill can only mean an
+    // I/O or back-pressure fault, not a predictable misuse.
+    for (const std::string& name : client->streams) {
+      if (streams_[name].spool == nullptr) {
+        return Status::FailedPrecondition(
+            "history_reach requires spooled streams (set "
+            "Options::spool_dir); stream '" +
+            name + "' is not spooled");
+      }
+    }
+  }
   auto buffer = std::make_shared<WindowResultBuffer>();
   auto projection = plan.projection;
   WindowedQuery wq;
@@ -522,8 +518,8 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
   // mattering (up to each stream's disorder bound). A non-punctuating
   // stream has no watermark, so mixing would stall the loop forever.
   bool all_punctuate = true;
-  for (const auto& [alias, entry] : plan.bindings) {
-    if (!streams_[entry.name].event_time.punctuate) all_punctuate = false;
+  for (const std::string& name : client->streams) {
+    if (!streams_[name].event_time.punctuate) all_punctuate = false;
   }
   if (all_punctuate) wq.loop.semantics = TimeSemantics::kEvent;
   OnlineWindowRunner::Options runner_opts;
@@ -532,12 +528,9 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
   // One DU, hosted on the executor's EOs under an id from its query id
   // space; the executor feeds it one input per binding. Everything is wired
   // before the DU is hosted: once on an EO it is stepped concurrently.
-  ClientInfo client;
-  client.Record(sql, plan);
-  client.windows = buffer;
-  client.speculate = sub_opts.speculate;
+  client->windows = buffer;
   std::vector<SourceId> inputs;
-  for (const auto& [alias, source] : client.bindings) inputs.push_back(source);
+  for (const auto& [alias, source] : client->bindings) inputs.push_back(source);
   auto build = [&](GlobalQueryId wid) {
     std::string qlabel = "q" + std::to_string(wid);
     buffer->AttachMetrics(
@@ -573,17 +566,30 @@ Result<TelegraphCQ::ClientHandle> TelegraphCQ::AdmitWindowedLocked(
     du->set_on_done([buffer] { buffer->MarkFinished(); });
     return du;
   };
-  RetainLocked(client);
+  RetainLocked(*client);
   Result<GlobalQueryId> wid = executor_.HostQuery(build, inputs, id);
   if (!wid.ok()) {
-    ReleaseLocked(client);
+    ReleaseLocked(*client);
     return wid.status();
   }
-  ClientHandle handle;
-  handle.id = *wid;
-  handle.windows = buffer;
-  clients_[*wid] = std::move(client);
-  return handle;
+  if (sub_opts.history_reach != 0) {
+    Status backfill =
+        BackfillWindowedLocked(*wid, *client, sub_opts.history_reach);
+    if (!backfill.ok()) {
+      // Roll the admission back: a failed backfill must not leave a
+      // half-primed query running.
+      ReleaseLocked(*client);
+      (void)executor_.RemoveQuery(*wid);
+      return backfill;
+    }
+  }
+  // A stream that closed before this query existed will never deliver
+  // end-of-stream to it: close those inputs now — after the backfill, so
+  // a finished, spooled stream fires over its archive and then finishes.
+  for (const std::string& name : client->streams) {
+    if (streams_[name].closed) CloseLogicalLocked(streams_[name]);
+  }
+  return wid;
 }
 
 Result<std::vector<Tuple>> TelegraphCQ::ScanHistory(const std::string& name,
@@ -719,22 +725,27 @@ Result<uint64_t> TelegraphCQ::Checkpoint() {
       std::chrono::steady_clock::now() + std::chrono::seconds(10)));
 
   CheckpointWriter w(epoch);
-  w.BeginSection("server", 1);
+  w.BeginSection("server", 2);
   w.PutU64(system_streams_ != nullptr ? system_streams_->ticks() : 0);
-  // The catalog, recorded in id order for verbatim replay: id assignment
-  // depends on the original interleaving of stream definitions and
-  // self-join submissions, and every snapshot below keys state by these
-  // ids, so a restore must reproduce the layout exactly.
-  const SourceId ncat = catalog_.next_source();
-  w.PutU32(static_cast<uint32_t>(ncat));
-  for (SourceId id = 0; id < ncat; ++id) {
-    const Catalog::StreamEntry* entry = catalog_.LookupBySource(id);
-    if (entry == nullptr) {
-      return Status::Internal("catalog source id " + std::to_string(id) +
-                              " has no entry (ids should be dense)");
+  // The catalog, each entry under its id: every snapshot below keys state
+  // by these ids, and alias ids depend on the original interleaving of
+  // stream definitions and self-join submissions, so a restore re-creates
+  // them verbatim. An alias no recorded query owns (its query is being
+  // admitted or cancelled outside mu_) is left out.
+  std::set<SourceId> owned;
+  for (const auto& [id, client] : clients_) {
+    owned.insert(client.aliases.begin(), client.aliases.end());
+  }
+  std::vector<const Catalog::StreamEntry*> entries;
+  for (const auto& [id, entry] : catalog_.entries()) {
+    if (id == streams_.at(entry.name).canonical || owned.contains(id)) {
+      entries.push_back(&entry);
     }
-    Result<Catalog::StreamEntry> canonical = catalog_.Lookup(entry->name);
-    const bool is_alias = canonical.ok() && canonical->source != id;
+  }
+  w.PutU32(static_cast<uint32_t>(entries.size()));
+  for (const Catalog::StreamEntry* entry : entries) {
+    const bool is_alias = streams_.at(entry->name).canonical != entry->source;
+    w.PutU32(entry->source);
     w.PutString(entry->name);
     w.PutBool(is_alias);
     if (!is_alias) w.PutSchema(*entry->schema);
@@ -749,20 +760,10 @@ Result<uint64_t> TelegraphCQ::Checkpoint() {
     w.PutBool(stream.closed);
     w.PutU64(stream.spool != nullptr ? stream.spool->tuples_appended() : 0);
   }
-  uint32_t ncont = 0, nwin = 0;
+  // Every live query, of either kind, in id order: what a restore
+  // re-submits. Whether it is windowed comes from re-planning its SQL.
+  w.PutU32(static_cast<uint32_t>(clients_.size()));
   for (const auto& [id, client] : clients_) {
-    (client.windowed() ? nwin : ncont) += 1;
-  }
-  w.PutU32(ncont);
-  for (const auto& [id, client] : clients_) {
-    if (client.windowed()) continue;
-    w.PutU64(id);
-    w.PutString(client.sql);
-    PutBindings(&w, client.bindings);
-  }
-  w.PutU32(nwin);
-  for (const auto& [id, client] : clients_) {
-    if (!client.windowed()) continue;
     w.PutU64(id);
     w.PutString(client.sql);
     w.PutBool(client.speculate);
@@ -770,21 +771,9 @@ Result<uint64_t> TelegraphCQ::Checkpoint() {
   }
   w.EndSection();
 
-  // Continuous state: the executor exports every query class (specs,
-  // partition maps, SteM logs, seq horizons) behind its own quiesce.
+  // The queries' state: classes and windowed runners, behind the
+  // executor's own quiesce.
   TCQ_RETURN_IF_ERROR(executor_.CheckpointTo(&w));
-
-  // Windowed runners, in query-id order (restore reads them back in the
-  // same order). Each DU detaches from its EO at a quantum boundary, its
-  // runner exports, and it re-attaches with its inputs intact.
-  for (const auto& [id, client] : clients_) {
-    if (!client.windowed()) continue;
-    TCQ_RETURN_IF_ERROR(executor_.WithQueryDetached(
-        id, [&w](WindowedQueryDispatchUnit* du) {
-          WriteCheckpointSection(&w, du->runner());
-          return Status::OK();
-        }));
-  }
 
   const std::string path =
       opts_.checkpoint_dir + "/ckpt-" + std::to_string(epoch);
@@ -855,8 +844,8 @@ Result<uint64_t> TelegraphCQ::Restore() {
   TCQ_ASSIGN_OR_RETURN(std::unique_ptr<CheckpointReader> r,
                        CheckpointReader::Open(path, &spool_pool_));
   TCQ_ASSIGN_OR_RETURN(CheckpointReader::Section sec, r->BeginSection());
-  if (sec.tag != "server" || sec.version != 1) {
-    return Status::IOError("checkpoint does not start with a v1 server "
+  if (sec.tag != "server" || sec.version != 2) {
+    return Status::IOError("checkpoint does not start with a v2 server "
                            "section (found '" +
                            sec.tag + "' v" + std::to_string(sec.version) +
                            ")");
@@ -864,10 +853,10 @@ Result<uint64_t> TelegraphCQ::Restore() {
   TCQ_ASSIGN_OR_RETURN(uint64_t tick, r->GetU64());
   if (system_streams_ != nullptr) system_streams_->AdvanceTicksTo(tick);
 
-  // 1. Catalog replay in id order: re-drive the original DefineStream /
-  // InstantiateAlias calls so every recorded source id comes back exactly.
+  // 1. The catalog, every entry under its recorded id.
   TCQ_ASSIGN_OR_RETURN(uint32_t ncat, r->GetU32());
-  for (uint32_t id = 0; id < ncat; ++id) {
+  for (uint32_t i = 0; i < ncat; ++i) {
+    TCQ_ASSIGN_OR_RETURN(uint32_t id, r->GetU32());
     TCQ_ASSIGN_OR_RETURN(std::string name, r->GetString());
     TCQ_ASSIGN_OR_RETURN(bool is_alias, r->GetBool());
     SchemaRef schema;
@@ -875,38 +864,24 @@ Result<uint64_t> TelegraphCQ::Restore() {
       TCQ_ASSIGN_OR_RETURN(schema, r->GetSchema());
     }
     const Catalog::StreamEntry* existing = catalog_.LookupBySource(id);
-    if (existing != nullptr) {
-      // Pre-defined at construction (tcq$ introspection streams).
-      if (existing->name != name) {
-        return Status::IOError(
-            "checkpoint catalog id " + std::to_string(id) + " names '" +
-            name + "' but this server already assigned it to '" +
-            existing->name + "' (constructed with different Options?)");
-      }
-      continue;
+    if (existing != nullptr && existing->name == name) {
+      continue;  // pre-defined at construction (tcq$ introspection streams)
     }
-    if (is_alias) {
-      TCQ_ASSIGN_OR_RETURN(Catalog::StreamEntry entry,
-                           catalog_.InstantiateAlias(name));
-      if (entry.source != id) {
-        return Status::IOError("catalog replay assigned alias of '" + name +
-                               "' id " + std::to_string(entry.source) +
-                               ", checkpoint recorded " + std::to_string(id));
-      }
-    } else {
-      TCQ_ASSIGN_OR_RETURN(
-          SourceId got,
-          DefineStreamInternal(name, schema->fields(), /*reopen_spool=*/true));
-      if (got != id) {
-        return Status::IOError("catalog replay assigned stream '" + name +
-                               "' id " + std::to_string(got) +
-                               ", checkpoint recorded " + std::to_string(id));
-      }
+    Status replayed =
+        is_alias ? catalog_.InstantiateAlias(name, id).status()
+                 : DefineStreamInternal(name, schema->fields(), id).status();
+    if (!replayed.ok()) {
+      return Status::IOError("checkpoint catalog id " + std::to_string(id) +
+                             " ('" + name + "') cannot be re-created: " +
+                             replayed.ToString() +
+                             " (constructed with different Options?)");
     }
   }
 
-  // 2. Per-stream event-time marks and spool replay positions.
+  // 2. Per-stream event-time marks and spool replay positions. A closed
+  // stream closes after the replay below, which must still reach it.
   std::vector<std::pair<std::string, uint64_t>> replay;
+  std::vector<std::string> closed;
   TCQ_ASSIGN_OR_RETURN(uint32_t nstreams, r->GetU32());
   for (uint32_t i = 0; i < nstreams; ++i) {
     TCQ_ASSIGN_OR_RETURN(std::string name, r->GetString());
@@ -914,7 +889,7 @@ Result<uint64_t> TelegraphCQ::Restore() {
     TCQ_ASSIGN_OR_RETURN(Timestamp disorder, r->GetTimestamp());
     TCQ_ASSIGN_OR_RETURN(Timestamp max_ts, r->GetTimestamp());
     TCQ_ASSIGN_OR_RETURN(Timestamp last_punct, r->GetTimestamp());
-    TCQ_ASSIGN_OR_RETURN(bool closed, r->GetBool());
+    TCQ_ASSIGN_OR_RETURN(bool is_closed, r->GetBool());
     TCQ_ASSIGN_OR_RETURN(uint64_t pos, r->GetU64());
     std::lock_guard<std::mutex> lock(mu_);
     auto it = streams_.find(name);
@@ -931,79 +906,37 @@ Result<uint64_t> TelegraphCQ::Restore() {
     }
     stream.max_ts = max_ts;
     stream.last_punct = last_punct;
-    stream.closed = closed;
+    if (is_closed) closed.push_back(name);
     replay.emplace_back(name, pos);
   }
 
-  // 3. Continuous clients: recreate egress plumbing and bindings under the
-  // recorded ids; the executor re-admits the queries itself below.
-  std::map<GlobalQueryId, Executor::Sink> sinks;
-  TCQ_ASSIGN_OR_RETURN(uint32_t ncont, r->GetU32());
-  for (uint32_t i = 0; i < ncont; ++i) {
-    TCQ_ASSIGN_OR_RETURN(uint64_t gid, r->GetU64());
+  // 3. Restore is re-submission: every recorded query, in id order, goes
+  // through Submit's admission under its recorded id, with its recorded
+  // alias bindings pinned, which replays the original admissions and
+  // class merges.
+  TCQ_ASSIGN_OR_RETURN(uint32_t nqueries, r->GetU32());
+  for (uint32_t i = 0; i < nqueries; ++i) {
+    TCQ_ASSIGN_OR_RETURN(uint64_t id, r->GetU64());
     TCQ_ASSIGN_OR_RETURN(std::string sql, r->GetString());
+    TCQ_ASSIGN_OR_RETURN(bool speculate, r->GetBool());
     TCQ_ASSIGN_OR_RETURN(auto pinned, GetBindings(r.get()));
-    std::lock_guard<std::mutex> lock(mu_);
-    TCQ_ASSIGN_OR_RETURN(PlannedQuery plan, Replan(&catalog_, gid, sql, pinned));
-    ClientInfo& client = clients_[gid];
-    client.Record(sql, plan);
-    client.egress = NewEgressLocked();
-    RetainLocked(client);
-    sinks[gid] = EgressSink(client.egress, plan.projection);
-  }
-
-  // 4. Windowed client metadata (their runner sections come after the
-  // executor's, in file order).
-  struct WinRec {
-    uint64_t wid = 0;
-    std::string sql;
-    bool speculate = false;
-    std::map<std::string, SourceId> pinned;
-  };
-  std::vector<WinRec> wins;
-  TCQ_ASSIGN_OR_RETURN(uint32_t nwin, r->GetU32());
-  for (uint32_t i = 0; i < nwin; ++i) {
-    WinRec rec;
-    TCQ_ASSIGN_OR_RETURN(rec.wid, r->GetU64());
-    TCQ_ASSIGN_OR_RETURN(rec.sql, r->GetString());
-    TCQ_ASSIGN_OR_RETURN(rec.speculate, r->GetBool());
-    TCQ_ASSIGN_OR_RETURN(rec.pinned, GetBindings(r.get()));
-    wins.push_back(std::move(rec));
+    std::unique_lock<std::mutex> lock(mu_);
+    TCQ_ASSIGN_OR_RETURN(PlannedQuery plan, Replan(&catalog_, id, sql, pinned));
+    TCQ_RETURN_IF_ERROR(
+        AdmitLocked(&lock, sql, plan, {.speculate = speculate}, id).status());
   }
   TCQ_RETURN_IF_ERROR(r->EndSection());
 
-  // 5. Executor state: query classes re-admitted under their original
-  // global ids, SteM logs and seq horizons imported.
-  TCQ_ASSIGN_OR_RETURN(
-      uint64_t restored_queries,
-      executor_.RestoreFrom(r.get(), [&sinks](GlobalQueryId qid) {
-        auto it = sinks.find(qid);
-        return it != sinks.end() ? it->second : Executor::Sink();
-      }));
-  (void)restored_queries;
+  // 4. The queries' state: class bucket maps, SteM logs and seq horizons,
+  // windowed runners.
+  TCQ_RETURN_IF_ERROR(executor_.RestoreFrom(r.get()).status());
 
-  // 6. Windowed queries: re-admit under recorded ids (pinned re-planning),
-  // then import each runner's snapshot.
-  for (WinRec& rec : wins) {
-    std::lock_guard<std::mutex> lock(mu_);
-    TCQ_ASSIGN_OR_RETURN(PlannedQuery plan,
-                         Replan(&catalog_, rec.wid, rec.sql, rec.pinned));
-    TCQ_ASSIGN_OR_RETURN(
-        ClientHandle handle,
-        AdmitWindowedLocked(plan, rec.sql, {.speculate = rec.speculate},
-                            rec.wid));
-    TCQ_RETURN_IF_ERROR(executor_.WithQueryDetached(
-        handle.id, [&r](WindowedQueryDispatchUnit* du) {
-          return ReadCheckpointSection(r.get(), du->mutable_runner());
-        }));
-  }
-
-  // 7. Bring the dataflow up for the replay (the fjords must drain or the
+  // 5. Bring the dataflow up for the replay (the fjords must drain or the
   // chunks below would overflow them). Start() later re-invokes it —
   // idempotent.
   executor_.Start();
 
-  // 8. Replay each stream's archived suffix past its snapshot high-water
+  // 6. Replay each stream's archived suffix past its snapshot high-water
   // mark, spool-bypassing (the tuples are already archived). The fjords
   // drain after each chunk so they never overflow. A drain that stalls (a
   // kBlock egress no client can poll yet) is not fatal: the replay stops
@@ -1034,12 +967,13 @@ Result<uint64_t> TelegraphCQ::Restore() {
     }
   }
 
-  // 9. Re-deliver end-of-stream for streams that closed before the crash:
+  // 7. Re-deliver end-of-stream for streams that closed before the crash:
   // the restored queries never saw the original CloseStream.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, stream] : streams_) {
-      if (stream.closed) CloseLogicalLocked(stream);
+    for (const std::string& name : closed) {
+      streams_[name].closed = true;
+      CloseLogicalLocked(streams_[name]);
     }
     last_epoch_ = epoch;
   }
@@ -1073,20 +1007,24 @@ void TelegraphCQ::CheckpointLoop(std::stop_token stop) {
 }
 
 Status TelegraphCQ::Cancel(GlobalQueryId id) {
-  std::shared_ptr<WindowResultBuffer> windows;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = clients_.find(id);
-    if (it == clients_.end()) {
-      return Status::NotFound("no query " + std::to_string(id));
-    }
-    windows = it->second.windows;
-    ReleaseLocked(it->second);
-    clients_.erase(it);
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = clients_.find(id);
+  if (it == clients_.end()) {
+    return Status::NotFound("no query " + std::to_string(id));
   }
-  // Outside mu_: removal waits out the query's in-flight quantum.
+  ClientInfo client = std::move(it->second);
+  clients_.erase(it);
+  ReleaseLocked(client);
+  // A windowed DU leaves under mu_, so a checkpoint never finds its runner
+  // without its record; its quantum only fills a buffer. A continuous
+  // query leaves outside mu_, as it was admitted: removal may wait out a
+  // class quantum blocked on a kBlock egress whose client must take mu_ to
+  // push before it polls. Its aliases keep their catalog ids meanwhile, so
+  // no other query can take them.
+  if (!client.windowed()) lock.unlock();
   Status removed = executor_.RemoveQuery(id);
-  if (windows != nullptr) windows->MarkFinished();
+  if (client.windows != nullptr) client.windows->MarkFinished();
+  ReleaseAliases(client, &lock);
   return removed;
 }
 
@@ -1120,13 +1058,11 @@ TelegraphCQ::Introspection TelegraphCQ::Introspect() const {
     ss.source = stream.canonical;
     ss.tuples_in = stream.ingested->Value();
     // Executor-side drops accrue against each logical source the physical
-    // stream has fanned out to: the canonical id plus every alias the
-    // catalog ever allocated for it (released ones keep their counts).
-    for (SourceId id = 0; id < catalog_.next_source(); ++id) {
-      const Catalog::StreamEntry* entry = catalog_.LookupBySource(id);
-      if (entry != nullptr && entry->name == name) {
-        ss.dropped += executor_.stream_tuples_dropped(id);
-      }
+    // stream has fanned out to: the canonical id, its live aliases, and
+    // the aliases released so far.
+    ss.dropped = stream.released_dropped;
+    for (const auto& [id, entry] : catalog_.entries()) {
+      if (entry.name == name) ss.dropped += executor_.stream_tuples_dropped(id);
     }
     if (stream.late != nullptr) ss.late_tuples = stream.late->Value();
     out.streams.push_back(std::move(ss));

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stop_token>
 #include <thread>
 
@@ -75,9 +76,10 @@ class WindowResultBuffer {
 //                            reserved "tcq$" stream name;
 //   * kFailedPrecondition  — the request is well-formed but the engine is in
 //                            the wrong state for it (stream closed, sources
-//                            attached after Start(), tuples pushed to a
-//                            stream no query consumes, unspooled history
-//                            scan);
+//                            attached after Start(), unspooled history
+//                            scan). Tuples pushed to a stream no query
+//                            consumes are not an error: they are counted as
+//                            ingested (and spooled) and routed nowhere;
 //   * kResourceExhausted   — back-pressure outlasted the retry budget;
 //   * kIOError             — a checkpoint file is missing, torn, fails its
 //                            checksum, or names state the current engine
@@ -99,7 +101,6 @@ class TelegraphCQ {
     /// must be processed on-the-fly as it arrives and can be spooled to
     /// disk only in the background"), making history scannable.
     std::string spool_dir;
-    size_t spool_buffer_pages = 64;
     /// Sampled dataflow tracing (DESIGN.md §9). Disabled by default;
     /// enabling it costs one relaxed atomic load per batch plus the sampled
     /// fraction's span recording.
@@ -183,9 +184,10 @@ class TelegraphCQ {
     /// Tuples routed into the fabric on this stream.
     uint64_t tuples_in = 0;
     /// Executor-side drops across the stream's logical sources (canonical
-    /// and self-join aliases): unrouted (a source whose class is gone),
-    /// back-pressure, closed-stream, and windowed-input overload drops. A
-    /// stream no live query binds is routed nowhere and counted nowhere.
+    /// and self-join aliases, released ones included): unrouted (a source
+    /// whose class is gone), back-pressure, closed-stream, and
+    /// windowed-input overload drops. A stream no live query binds is
+    /// routed nowhere and counted nowhere.
     uint64_t dropped = 0;
     /// Tuples that arrived older than the stream's promised watermark
     /// (punctuating streams only; 0 otherwise).
@@ -324,9 +326,11 @@ class TelegraphCQ {
   /// a spool replay of everything archived past each stream's snapshot
   /// high-water mark. Must run on a freshly constructed server (same
   /// Options) before Start(), AttachSource, or any ingest: streams are
-  /// re-defined, recorded queries re-planned under their original source
-  /// ids and query ids, snapshot state imported, and the spool suffix
-  /// re-routed (spool-bypassing, so the archive is not re-appended).
+  /// re-defined under their recorded source ids, every recorded query is
+  /// re-submitted in id order through Submit's admission under its
+  /// recorded query id and alias ids, snapshot state is loaded into them,
+  /// and the spool suffix re-routed (spool-bypassing, so the archive is not
+  /// re-appended).
   /// Returns the restored epoch. kNotFound when no checkpoint exists;
   /// kFailedPrecondition on a non-fresh server or without checkpoint_dir.
   Result<uint64_t> Restore();
@@ -349,9 +353,10 @@ class TelegraphCQ {
                    std::chrono::steady_clock::now() + std::chrono::seconds(10));
 
   /// Cancels a query — continuous or windowed — on one path: its bindings
-  /// are released (a source no live query binds, e.g. a self-join alias, is
-  /// no longer routed), the executor removes it, and a windowed client's
-  /// buffer is marked finished. kNotFound for an id no live query owns.
+  /// are released (a source no live query binds is no longer routed), the
+  /// executor removes it, a windowed client's buffer is marked finished,
+  /// and its self-join alias ids return to the catalog for reuse.
+  /// kNotFound for an id no live query owns.
   Status Cancel(GlobalQueryId id);
 
   void Start();
@@ -396,23 +401,29 @@ class TelegraphCQ {
     Timestamp max_ts = kMinTimestamp;
     Timestamp last_punct = kMinTimestamp;
     Counter* late = nullptr;
+    /// Executor drops on this stream's self-join aliases released so far.
+    uint64_t released_dropped = 0;
   };
-  /// What Introspect() and Cancel() need to remember about a submitted
-  /// query.
+  /// The one record of a live query, of either kind: what Introspect() and
+  /// Cancel() need, and what Checkpoint() writes for a restore to
+  /// re-submit.
   struct ClientInfo {
     bool windowed() const { return windows != nullptr; }
     std::vector<std::string> streams;  // physical stream names it reads
     std::shared_ptr<PushEgress> egress;
     std::shared_ptr<WindowResultBuffer> windows;
-    /// Checkpoint record: the submitted SQL plus the (alias -> source id)
-    /// bindings its plan resolved, so a restore can re-plan with the ids
-    /// pinned (self-join aliases are allocated at plan time and would
-    /// otherwise come back different).
+    /// The submitted SQL and SubmitOptions::speculate, plus the (alias ->
+    /// source id) bindings its plan resolved, so a restore can re-plan
+    /// with the ids pinned (self-join aliases are allocated at plan time
+    /// and would otherwise come back different).
     std::string sql;
     bool speculate = false;
     std::vector<std::pair<std::string, SourceId>> bindings;
-    /// Records sql, bindings and streams from the query's plan.
-    void Record(const std::string& query_sql, const PlannedQuery& plan);
+    /// The self-join alias ids among `bindings`, which the query owns.
+    std::vector<SourceId> aliases;
+    /// Records sql, speculate, bindings, streams and aliases.
+    void Record(const std::string& query_sql, const PlannedQuery& plan,
+                bool speculate_windows);
   };
 
   /// Routes a whole physical batch: one Executor::IngestBatch per bound
@@ -422,27 +433,43 @@ class TelegraphCQ {
   void RouteBatch(PhysicalStream* stream, const TupleBatch& batch,
                   bool spool = true);
   /// DefineStream minus the tcq$ reservation check — the path the engine
-  /// itself uses to register the reserved introspection streams. With
-  /// `reopen_spool` an existing spool file is opened and appended to
-  /// (restore) instead of truncated (fresh definition).
-  Result<SourceId> DefineStreamInternal(const std::string& name,
-                                        const std::vector<Field>& fields,
-                                        bool reopen_spool = false);
+  /// itself uses to register the reserved introspection streams. A restore
+  /// passes the recorded `restore_id`; the stream's existing spool file is
+  /// then opened and appended to instead of truncated.
+  Result<SourceId> DefineStreamInternal(
+      const std::string& name, const std::vector<Field>& fields,
+      std::optional<SourceId> restore_id = std::nullopt);
   /// A new continuous client's egress. Caller holds mu_.
   std::shared_ptr<PushEgress> NewEgressLocked();
   /// Counts `client`'s bindings into PhysicalStream::logical (registering
   /// aliases with the executor), or releases them. Caller holds mu_.
   void RetainLocked(const ClientInfo& client);
   void ReleaseLocked(const ClientInfo& client);
+  /// Hands `client`'s alias ids back to the catalog once the executor has
+  /// forgotten them (their drops stay counted on the stream). Call after
+  /// ReleaseLocked and, for an admitted query, RemoveQuery; `*lock` (on
+  /// mu_) may be held or not, and is held on return.
+  void ReleaseAliases(const ClientInfo& client,
+                      std::unique_lock<std::mutex>* lock);
   /// Executor::CloseStream for each bound logical source. Caller holds mu_.
   void CloseLogicalLocked(const PhysicalStream& stream);
-  /// The windowed half of Submit(): hosts the query's DU on the executor
-  /// under `id` (0 = next free; restore passes recorded ids). Caller holds
-  /// mu_.
-  Result<ClientHandle> AdmitWindowedLocked(const PlannedQuery& plan,
-                                           const std::string& sql,
-                                           const SubmitOptions& sub_opts,
-                                           GlobalQueryId id);
+  /// The one admission path, shared by Submit() and Restore(): admits
+  /// planned query `sql` under `id` (0 = next free; a restore passes the
+  /// recorded one) and records its client. A failed admission returns the
+  /// plan's alias ids. Caller holds `*lock` on mu_; a continuous admission
+  /// releases it while the executor admits.
+  Result<ClientHandle> AdmitLocked(std::unique_lock<std::mutex>* lock,
+                                   const std::string& sql,
+                                   const PlannedQuery& plan,
+                                   const SubmitOptions& sub_opts,
+                                   GlobalQueryId id);
+  /// AdmitLocked's windowed branch: hosts the query's DU on the executor,
+  /// backfills it (SubmitOptions::history_reach) and closes its inputs on
+  /// streams already closed. Caller holds mu_.
+  Result<GlobalQueryId> AdmitWindowedLocked(const PlannedQuery& plan,
+                                            ClientInfo* client,
+                                            const SubmitOptions& sub_opts,
+                                            GlobalQueryId id);
   /// Primes freshly admitted windowed query `id`'s inputs with the
   /// archived suffix reaching `reach` back (SubmitOptions::history_reach).
   /// Caller holds mu_, so live routing is blocked and the splice is exact.

@@ -19,12 +19,6 @@
 
 namespace tcq {
 
-/// Notions of time a stream can be windowed by (§4.1.2).
-enum class TimeDomain {
-  kLogical,   ///< tuple sequence number: window memory needs known a priori
-  kPhysical,  ///< wall-clock: memory depends on arrival-rate fluctuations
-};
-
 /// Which timeline drives window completion (DESIGN.md §12).
 enum class TimeSemantics {
   /// Legacy: watermarks advance from observed DATA timestamps; correct only

@@ -1257,10 +1257,13 @@ TEST(FluxTest, FailoverIsExactAfterSkewRepartitionAndRestore) {
   Executor exec(opts);
   ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
   ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
+  // Restore is re-submission: the join comes back under its recorded id,
+  // then the checkpoint loads its state.
+  ASSERT_TRUE(
+      exec.SubmitQuery(JoinSpec(0, "k", 1, "k"), got.SinkFor("join"), 1).ok());
   auto reader = CheckpointReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  auto replayed = exec.RestoreFrom(
-      reader->get(), [&](GlobalQueryId) { return got.SinkFor("join"); });
+  auto replayed = exec.RestoreFrom(reader->get());
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   EXPECT_EQ(*replayed, s0.size() + s1.size());
   ASSERT_EQ(exec.Topology()[0].shards, 4u);

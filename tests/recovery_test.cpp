@@ -21,6 +21,7 @@
 
 #include "psoup/psoup.h"
 #include "reference/push.h"
+#include "reference/reference.h"
 #include "server/telegraphcq.h"
 #include "storage/checkpoint.h"
 
@@ -157,6 +158,170 @@ TEST(RecoveryTest, ShardedClassExactMultisetAcrossCrash) {
   TelegraphCQ::Options opts = dirs.Options();
   opts.executor.shards = 2;  // Flux-partitioned class: maps must survive too
   RunJoinCrashSim(opts, "sharded");
+}
+
+/// Drains the server, then appends every data delivery `egress` holds.
+void CollectTuples(TelegraphCQ* server, PushEgress* egress,
+                   std::vector<Tuple>* got) {
+  ASSERT_TRUE(server->Drain().ok());
+  Delivery d;
+  while (egress->Poll(&d)) {
+    if (!d.tuple.IsPunctuation()) got->push_back(d.tuple);
+  }
+}
+
+/// Pushes rows `from`..`to` (ts = i, k = i % 5) into each named stream and
+/// logs each under `schema_of(stream)` for the reference join.
+void PushLogged(TelegraphCQ* server, const std::vector<std::string>& streams,
+                int64_t from, int64_t to,
+                std::map<std::string, std::vector<Tuple>>* log) {
+  for (int64_t i = from; i <= to; ++i) {
+    for (const std::string& name : streams) {
+      const std::string tag = name + std::to_string(i);
+      ASSERT_TRUE(PushKeyed(server, name, i % 5, tag, i).ok());
+      (*log)[name].push_back(Tuple::Make(
+          server->catalog().Lookup(name)->schema,
+          {Value::TimestampVal(i), Value::Int64(i % 5), Value::String(tag)},
+          i));
+    }
+  }
+}
+
+/// The reference join of `left` and `right` on k, with `right`'s rows
+/// re-tagged under `right_schema` (a self-join's alias).
+std::map<std::string, int> ReferenceJoin(const std::vector<Tuple>& left,
+                                         const std::vector<Tuple>& right,
+                                         const SchemaRef& right_schema) {
+  std::vector<Tuple> retagged;
+  for (const Tuple& t : right) {
+    retagged.push_back(Tuple::Make(right_schema, t.values(), t.timestamp()));
+  }
+  const SourceId l = left.front().schema()->field(0).source;
+  const SourceId r = right_schema->field(0).source;
+  return testref::CanonicalMultiset(testref::NaiveJoin(
+      {left, retagged}, {MakeCompareAttrs({l, "k"}, CmpOp::kEq, {r, "k"})}));
+}
+
+TEST(RecoveryTest, CancelledSelfJoinsReuseAliasIdsAcrossRestore) {
+  // Each self-join plans a fresh alias id and the catalog holds 32: the
+  // ids must come back on Cancel, and a live self-join's alias must survive
+  // a checkpoint under its recorded id. The standing filter shares the
+  // self-joins' class, so each cancel drops the alias route — and the rows
+  // its SteM held — from a live class before the id is reused.
+  for (size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    DurableDirs dirs("rec_alias" + std::to_string(shards));
+    TelegraphCQ::Options opts = dirs.Options();
+    opts.executor.shards = shards;
+    const std::string self_join = "SELECT * FROM S c1, S c2 WHERE c1.k = c2.k";
+    std::map<std::string, std::vector<Tuple>> log, early;
+    std::vector<Tuple> joined, filtered;
+    SchemaRef alias_schema;
+    {
+      TelegraphCQ server(opts);
+      ASSERT_TRUE(server.DefineStream("S", KeyedFields()).ok());
+      auto filter = server.Submit("SELECT * FROM S WHERE k >= 0");
+      ASSERT_TRUE(filter.ok()) << filter.status();
+      server.Start();
+      for (int i = 0; i < 40; ++i) {  // a failed plan hands its alias back
+        ASSERT_FALSE(
+            server.Submit("SELECT * FROM S c1, S c2 WHERE c1.k = c2.no").ok());
+      }
+      for (int cycle = 1; cycle <= 100; ++cycle) {
+        auto h = server.Submit(self_join);
+        ASSERT_TRUE(h.ok()) << "cycle " << cycle << ": " << h.status();
+        PushLogged(&server, {"S"}, cycle, cycle, &early);
+        ASSERT_TRUE(server.Drain().ok());
+        ASSERT_TRUE(server.Cancel(h->id).ok());
+      }
+      auto h = server.Submit(self_join);
+      ASSERT_TRUE(h.ok()) << h.status();
+      ASSERT_EQ(server.catalog().entries().size(), 2u);
+      alias_schema = server.catalog().entries().rbegin()->second.schema;
+      PushLogged(&server, {"S"}, 101, 110, &log);
+      CollectTuples(&server, h->results.get(), &joined);
+      CollectTuples(&server, filter->results.get(), &filtered);
+      ASSERT_TRUE(server.Checkpoint().ok());
+      PushLogged(&server, {"S"}, 111, 120, &log);  // results die in the crash
+      ASSERT_TRUE(server.FlushSpools().ok());
+      server.Stop();
+    }
+    TelegraphCQ server(opts);
+    auto epoch = server.Restore();
+    ASSERT_TRUE(epoch.ok()) << epoch.status();
+    ASSERT_EQ(server.catalog().entries().size(), 2u);
+    EXPECT_EQ(server.catalog().entries().rbegin()->second.source,
+              alias_schema->field(0).source);
+    auto handles = server.Handles();
+    ASSERT_EQ(handles.size(), 2u);
+    server.Start();
+    PushLogged(&server, {"S"}, 121, 125, &log);
+    CollectTuples(&server, handles[1].results.get(), &joined);
+    CollectTuples(&server, handles[0].results.get(), &filtered);
+    server.Stop();
+    // The class's shared SteM on S holds every row since the first
+    // self-join, so the live self-join also pairs earlier S rows with its
+    // own alias rows; the alias SteM starts empty with each reuse.
+    std::vector<Tuple> all = early["S"];
+    all.insert(all.end(), log["S"].begin(), log["S"].end());
+    EXPECT_EQ(testref::CanonicalMultiset(joined),
+              ReferenceJoin(all, log["S"], alias_schema));
+    EXPECT_EQ(testref::CanonicalMultiset(filtered),
+              testref::CanonicalMultiset(all));
+  }
+}
+
+TEST(RecoveryTest, CancelledBridgeRestoresAsSeparateClasses) {
+  // A bridging join merges the classes of A join B and C join D into one;
+  // cancelling the bridge leaves the merged class, and the checkpoint
+  // records it as one class section. Re-submitting the two joins makes two
+  // classes again, each taking its streams' state from that section.
+  for (size_t shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    DurableDirs dirs("rec_bridge" + std::to_string(shards));
+    TelegraphCQ::Options opts = dirs.Options();
+    opts.executor.shards = shards;
+    const std::vector<std::string> names = {"A", "B", "C", "D"};
+    std::map<std::string, std::vector<Tuple>> log;
+    std::vector<Tuple> ab, cd;
+    {
+      TelegraphCQ server(opts);
+      for (const std::string& name : names) {
+        ASSERT_TRUE(server.DefineStream(name, KeyedFields()).ok());
+      }
+      auto j1 = server.Submit("SELECT * FROM A a, B b WHERE a.k = b.k");
+      auto j2 = server.Submit("SELECT * FROM C c, D d WHERE c.k = d.k");
+      auto bridge = server.Submit("SELECT * FROM B b, C c WHERE b.k = c.k");
+      ASSERT_TRUE(j1.ok() && j2.ok() && bridge.ok());
+      ASSERT_EQ(server.Introspect().classes.size(), 1u);
+      server.Start();
+      PushLogged(&server, names, 1, 10, &log);
+      ASSERT_TRUE(server.Cancel(bridge->id).ok());
+      PushLogged(&server, names, 11, 15, &log);
+      CollectTuples(&server, j1->results.get(), &ab);
+      CollectTuples(&server, j2->results.get(), &cd);
+      ASSERT_EQ(server.Introspect().classes.size(), 1u);
+      ASSERT_TRUE(server.Checkpoint().ok());
+      PushLogged(&server, names, 16, 25, &log);  // results die in the crash
+      ASSERT_TRUE(server.FlushSpools().ok());
+      server.Stop();
+    }
+    TelegraphCQ server(opts);
+    auto epoch = server.Restore();
+    ASSERT_TRUE(epoch.ok()) << epoch.status();
+    auto handles = server.Handles();
+    ASSERT_EQ(handles.size(), 2u);
+    EXPECT_EQ(server.Introspect().classes.size(), 2u);
+    server.Start();
+    PushLogged(&server, names, 26, 35, &log);
+    CollectTuples(&server, handles[0].results.get(), &ab);
+    CollectTuples(&server, handles[1].results.get(), &cd);
+    server.Stop();
+    EXPECT_EQ(testref::CanonicalMultiset(ab),
+              ReferenceJoin(log["A"], log["B"], log["B"].front().schema()));
+    EXPECT_EQ(testref::CanonicalMultiset(cd),
+              ReferenceJoin(log["C"], log["D"], log["D"].front().schema()));
+  }
 }
 
 TEST(RecoveryTest, SpeculatingWindowedQueryConvergesAcrossCrash) {

@@ -139,11 +139,8 @@ std::vector<SourceId> AliasesOf(const TelegraphCQ& server,
                                 const std::string& stream) {
   std::vector<SourceId> out;
   const SourceId canonical = server.catalog().Lookup(stream)->source;
-  for (SourceId id = 0; id < server.catalog().next_source(); ++id) {
-    const Catalog::StreamEntry* entry = server.catalog().LookupBySource(id);
-    if (entry != nullptr && entry->name == stream && id != canonical) {
-      out.push_back(id);
-    }
+  for (const auto& [id, entry] : server.catalog().entries()) {
+    if (entry.name == stream && id != canonical) out.push_back(id);
   }
   return out;
 }
@@ -161,16 +158,20 @@ TEST(ServerTest, CancelledSelfJoinStopsRoutingItsAlias) {
       "for (t = 5; t <= 10; t += 1) { WindowIs(ClosingStockPrices, t-4, t); }");
   ASSERT_TRUE(standing.ok()) << standing.status();
   server.Start();
+  std::vector<SourceId> aliases;
   for (int i = 0; i < 3; ++i) {
     auto joined = server.Submit(
         "SELECT c2.stockSymbol FROM ClosingStockPrices c1, "
         "ClosingStockPrices c2 WHERE c1.stockSymbol = c2.stockSymbol");
     ASSERT_TRUE(joined.ok()) << joined.status();
+    for (SourceId alias : AliasesOf(server, "ClosingStockPrices")) {
+      aliases.push_back(alias);
+    }
     ASSERT_TRUE(server.Cancel(joined->id).ok());
   }
-  const std::vector<SourceId> aliases =
-      AliasesOf(server, "ClosingStockPrices");
   ASSERT_EQ(aliases.size(), 3u);
+  // Cancelling each self-join returned its alias id to the catalog.
+  ASSERT_EQ(AliasesOf(server, "ClosingStockPrices").size(), 0u);
   PushStocks(&server, 10);
   ASSERT_TRUE(server.Drain().ok());
   // Arrival time: day 10 seals the windows ending at 5..9.
