@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification gate:
+#   0. sleeps: src/ may call sleep_for/sleep_until only where the wrapper
+#      paces a source's arrivals; producers wait on a fjord's not-full
+#      condition and consumers park on wake targets, never on a timer
 #   0. vectorize: compile scripts/vectorize_probe.cpp with
 #      -O3 -march=x86-64-v3 -fopt-info-vec-optimized and fail if any filter
 #      kernel family (operators/filter_kernels.h) stops auto-vectorizing
@@ -28,7 +31,9 @@
 #      whose cancels hand their alias ids back and make the executor forget
 #      them — and the executor's checkpoint detach/re-attach of every
 #      windowed DU, all changing its one per-source routing table under
-#      live ingest) — must be TSan-clean
+#      live ingest — and admission_test: two pushers race whole-or-nothing
+#      admission into one join class, at 1 and 4 shards, while refusals
+#      wait on the fjords' not-full conditions) — must be TSan-clean
 #   4. UBSan build running the trace/queue/routing/window/batch/sharding/
 #      recovery suites (the seqlock ring and histogram interpolation are the
 #      prime UB suspects); the routing suite (eddy_test) runs the production
@@ -37,7 +42,8 @@
 #      batch_test and exec_sharding_test drive ColumnStore::Gather, which
 #      indexes lanes and null masks through a selection, and the shard
 #      partition that reads key lanes; recovery_test drives the checkpoint
-#      reader, which decodes bytes from disk, and restore's re-submission
+#      reader, which decodes bytes from disk, and restore's re-submission;
+#      admission_test drives the partition/room-check/produce admission
 #   5. bench smoke: batched-vs-per-tuple comparison -> BENCH_batching.json,
 #      class lifecycle (merge/GC/rebalance) -> BENCH_exec_lifecycle.json,
 #      tracing overhead -> BENCH_tracing.json,
@@ -70,6 +76,17 @@ for arg in "$@"; do
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
 done
+
+echo "== sleeps: only the wrapper's arrival pacing may sleep in src/ =="
+SLEEPS="$(grep -rn 'sleep_for\|sleep_until' src \
+  | grep -v '^src/ingress/wrapper\.cpp:[0-9]*: *std::this_thread::sleep_for(std::chrono::microseconds(gap_us));$' \
+  || true)"
+if [[ -n "$SLEEPS" ]]; then
+  echo "$SLEEPS" >&2
+  echo "sleep gate FAILED: wait on a condition (a fjord's not-full," \
+       "a wake target) instead of sleeping" >&2
+  exit 1
+fi
 
 if [[ "$(uname -m)" == "x86_64" ]]; then
   echo "== vectorize: filter kernels must auto-vectorize =="
@@ -119,7 +136,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake --build build-tsan -j --target \
     exec_test exec_lifecycle_test exec_sharding_test fjords_test cacq_test \
     obs_test window_test server_test recovery_test batch_test ingress_test \
-    egress_test
+    egress_test admission_test
   # server_test: punctuations flow source -> fjord -> class -> window ->
   # egress across threads, windowed DUs run beside class DUs on the shared
   # EOs, and PushRacesWindowedSubmitCancelAndCheckpoint pushes while
@@ -135,7 +152,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # sink concurrently from their EOs (no merge lock).
   for t in exec_test exec_lifecycle_test exec_sharding_test fjords_test \
            cacq_test obs_test window_test server_test recovery_test \
-           batch_test ingress_test egress_test; do
+           batch_test ingress_test egress_test admission_test; do
     echo "-- tsan: $t"
     ./build-tsan/tests/"$t"
   done
@@ -143,12 +160,12 @@ fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then
   echo "== ubsan: configure + build + trace/queue/routing/window/batch/" \
-       "sharding/recovery suites =="
+       "sharding/recovery/admission suites =="
   cmake -B build-ubsan -S . -DTCQ_SANITIZE=undefined
   cmake --build build-ubsan -j --target obs_test fjords_test eddy_test \
-    window_test batch_test exec_sharding_test recovery_test
+    window_test batch_test exec_sharding_test recovery_test admission_test
   for t in obs_test fjords_test eddy_test window_test batch_test \
-           exec_sharding_test recovery_test; do
+           exec_sharding_test recovery_test admission_test; do
     echo "-- ubsan: $t"
     UBSAN_OPTIONS=halt_on_error=1 ./build-ubsan/tests/"$t"
   done

@@ -10,6 +10,14 @@
 
 namespace tcq {
 
+namespace {
+
+/// How long a push waits for room before it is refused; a client that
+/// keeps pushes in flight sizes its cap so the queues never fill this long.
+constexpr auto kAdmitWait = std::chrono::milliseconds(20);
+
+}  // namespace
+
 Executor::Executor(Options opts, MetricsRegistryRef metrics,
                    obs::TracerRef tracer)
     : opts_(opts),
@@ -129,9 +137,8 @@ void Executor::MergeClassesInto(size_t dst, const std::vector<size_t>& srcs,
 void Executor::GcClass(size_t cls) {
   QueryClass& qc = classes_[cls];
   assert(qc.live);
-  // Shutdown detaches every shard DU, closes all stream producers (a
-  // concurrent IngestBatch holding the shared class ref sees kClosed and
-  // counts the drop), and drops the replicas.
+  // Shutdown detaches every shard DU, closes all stream producers, and
+  // drops the replicas.
   qc.sc->Shutdown();
   ForEachSource(qc.streams, [&](SourceId stream) {
     auto it = streams_.find(stream);
@@ -291,36 +298,10 @@ Result<GlobalQueryId> Executor::HostQuery(const DuFactory& build,
 }
 
 Status Executor::BackfillQuery(GlobalQueryId id, TupleBatch batch) {
-  std::optional<HostedInput> in;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = streams_.find(batch.source());
-    if (it != streams_.end()) {
-      for (const HostedInput& h : it->second.inputs) {
-        if (h.query == id) in = h;
-      }
-    }
-  }
-  const std::string what = "query " + std::to_string(id) + " input";
-  if (!in.has_value()) return Status::NotFound("no " + what);
-  // The unconsumed suffix (rows, then punctuations) stays in the batch
-  // across attempts by the ProduceBatch contract.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  for (;;) {
-    const bool eo_running = running();
-    QueueOp op = eo_running ? in->producer.ProduceBatchUntil(&batch, deadline)
-                            : in->producer.ProduceBatch(&batch);
-    if (batch.empty() && batch.punctuations().empty()) return Status::OK();
-    if (in->du->done()) return Status::OK();
-    if (op == QueueOp::kClosed) {
-      return Status::FailedPrecondition(what + " closed during backfill");
-    }
-    if (eo_running || std::chrono::steady_clock::now() > deadline) {
-      return Status::ResourceExhausted(what + " stayed full during backfill");
-    }
-    TCQ_RETURN_IF_ERROR(WaitQuiescent(deadline));
-  }
+  std::vector<TupleBatch> push;
+  push.push_back(std::move(batch));
+  return Admit(std::move(push), id,
+               std::chrono::steady_clock::now() + std::chrono::seconds(10));
 }
 
 Status Executor::RemoveQuery(GlobalQueryId id) {
@@ -367,84 +348,135 @@ Status Executor::IngestTuple(SourceId source, const Tuple& tuple) {
 }
 
 Status Executor::IngestBatch(TupleBatch batch) {
-  if (batch.empty() && batch.punctuations().empty()) return Status::OK();
-  SourceId source = batch.source();
-  // Hold the class by shared_ptr: a concurrent GC may release the stream
-  // (closing its fjords) while this batch is in flight.
-  std::shared_ptr<ShardedClass> sc;
-  Counter* dropped = nullptr;
-  auto unrouted = [&]() {
-    // Nothing consumes this stream: drop loudly, not silently.
-    dropped_unrouted_->Inc(batch.size());
-    dropped->Inc(batch.size());
-    return Status::FailedPrecondition(
-        "stream s" + std::to_string(source) +
-        " is not consumed by any active query class; " +
-        std::to_string(batch.size()) + " tuple(s) dropped");
-  };
-  {
+  std::vector<TupleBatch> push;
+  push.push_back(std::move(batch));
+  return IngestBatch(std::move(push));
+}
+
+Status Executor::IngestBatch(std::vector<TupleBatch> push) {
+  return Admit(std::move(push), 0,
+               std::chrono::steady_clock::now() + kAdmitWait);
+}
+
+Status Executor::Admit(std::vector<TupleBatch> push, GlobalQueryId only,
+                       std::chrono::steady_clock::time_point deadline) {
+  std::erase_if(push, [](const TupleBatch& b) {
+    return b.empty() && b.punctuations().empty();
+  });
+  if (push.empty()) return Status::OK();
+  // Producer-side enqueue span: timed across the wait for room, so its
+  // duration shows blocked producers (the consumer-side wait is kQueueWait).
+  const bool sampled = tracer_ != nullptr && tracer_->ShouldSample();
+  const int64_t t0 = sampled ? NowMicros() : 0;
+  const SourceId traced = push.front().source();
+  Refusal refusal;
+  do {
+    refusal = Refusal();
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = streams_.find(source);
+    Status st = AdmitLocked(&push, only, &refusal);
+    if (refusal.fjord.has_value()) continue;
+    if (st.ok() && sampled) {
+      tracer_->Record(obs::SpanKind::kQueueEnqueue, traced, 0, t0,
+                      NowMicros() - t0);
+    }
+    return st;
+  } while (running() ? refusal.fjord->AwaitRoom(refusal.weight, deadline)
+                     // Before Start() only a backfill's inline steps drain.
+                     : only != 0 &&
+                           std::chrono::steady_clock::now() < deadline &&
+                           WaitQuiescent(deadline).ok());
+  const size_t rows = push.front().size();
+  refusal.stream_dropped->Inc(rows);
+  refusal.counter->Inc(rows);
+  return Status::ResourceExhausted(
+      "push of " + std::to_string(rows) + " tuple(s) into s" +
+      std::to_string(push.front().source()) + " refused: " + refusal.who +
+      " had no room");
+}
+
+Status Executor::AdmitLocked(std::vector<TupleBatch>* push,
+                             GlobalQueryId only, Refusal* refusal) {
+  // 1. Resolve. A source nothing consumes drops its batch, loudly.
+  auto targeted = [only](const HostedInput& in) {
+    return only == 0 || in.query == only;
+  };
+  std::vector<StreamInfo*> infos;
+  Status unrouted = Status::OK();
+  for (auto b = push->begin(); b != push->end();) {
+    auto it = streams_.find(b->source());
     if (it == streams_.end()) {
-      return Status::NotFound("stream s" + std::to_string(source) +
+      return Status::NotFound("stream s" + std::to_string(b->source()) +
                               " is not registered");
     }
     StreamInfo& info = it->second;
-    sc = info.owner;
-    dropped = info.dropped;
-    if (sc == nullptr && info.inputs.empty()) return unrouted();
-    // Offered under mu_, which RemoveQuery holds to unlist and close an
-    // input. What a full input refuses is dropped (windowed clients are
-    // best-effort), unless its DU finished reading.
-    for (HostedInput& in : info.inputs) {
-      TupleBatch offered = batch;
-      (void)in.producer.ProduceBatch(&offered);
-      if (!offered.empty() && !in.du->done()) {
-        in.dropped->Inc(offered.size());
-        dropped->Inc(offered.size());
-      }
+    const bool hosted = std::any_of(info.inputs.begin(), info.inputs.end(),
+                                    targeted);
+    if (only != 0 && !hosted) {
+      return Status::NotFound("no query " + std::to_string(only) +
+                              " input on s" + std::to_string(b->source()));
     }
-  }
-  if (sc == nullptr) return Status::OK();
-  // Producer-side enqueue span: timed across back-pressure retries, so its
-  // duration shows blocked producers (the consumer-side wait is kQueueWait).
-  bool sampled = tracer_ != nullptr && tracer_->ShouldSample();
-  int64_t t0 = sampled ? NowMicros() : 0;
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    ShardedClass::RouteResult r = sc->RouteBatch(&batch);
-    if (batch.empty() && batch.punctuations().empty()) {
-      if (sampled) {
-        tracer_->Record(obs::SpanKind::kQueueEnqueue, source, 0, t0,
-                        NowMicros() - t0);
-      }
-      return Status::OK();
-    }
-    if (r == ShardedClass::RouteResult::kClosed) {
-      dropped->Inc(batch.size());
-      return Status::FailedPrecondition("stream s" + std::to_string(source) +
-                                        " is closed");
-    }
-    if (r == ShardedClass::RouteResult::kRetired) {
-      // The class was merged away mid-flight: re-resolve the stream's
-      // current owner (the merge survivor) and route there.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = streams_.find(source);
-        sc = it != streams_.end() ? it->second.owner : nullptr;
-      }
-      if (sc == nullptr) return unrouted();
+    if (info.owner == nullptr && !hosted) {
+      dropped_unrouted_->Inc(b->size());
+      info.dropped->Inc(b->size());
+      unrouted = Status::FailedPrecondition(
+          "stream s" + std::to_string(b->source()) +
+          " is not consumed by any active query class; " +
+          std::to_string(b->size()) + " tuple(s) dropped");
+      b = push->erase(b);
       continue;
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    infos.push_back(&info);
+    ++b;
   }
-  // Routed but back-pressured past the retry budget: counted separately
-  // from unrouted drops (a consumer exists; it just can't keep up).
-  dropped_backpressure_->Inc(batch.size());
-  dropped->Inc(batch.size());
-  return Status::ResourceExhausted("stream s" + std::to_string(source) +
-                                   " back-pressured; " +
-                                   std::to_string(batch.size()) +
-                                   " tuple(s) dropped");
+  if (push->empty()) return unrouted;
+
+  // 2. Room in every target. Every producer of these fjords and every
+  //    structural change of the classes runs under mu_, so the room found
+  //    here only grows until step 3. A finished DU's input is no target.
+  auto live = [&](const HostedInput& in) {
+    return targeted(in) && !in.du->done();
+  };
+  Counter* stream_dropped = infos.front()->dropped;
+  for (size_t i = 0; i < push->size(); ++i) {
+    const TupleBatch& b = (*push)[i];
+    StreamInfo& info = *infos[i];
+    if (only == 0 && info.owner != nullptr) {
+      ShardedClass::Full full;
+      QueueOp op = info.owner->Check(b, &full);
+      if (op == QueueOp::kClosed) {
+        info.dropped->Inc(b.size());
+        return Status::FailedPrecondition(
+            "stream s" + std::to_string(b.source()) + " is closed");
+      }
+      if (op == QueueOp::kWouldBlock) {
+        *refusal = Refusal{*full.fjord, full.weight, dropped_backpressure_,
+                           stream_dropped,
+                           "shard " + std::to_string(full.shard) + " of " +
+                               info.owner->label()};
+        return Status::OK();
+      }
+    }
+    const size_t weight = b.size() + b.punctuations().size();
+    for (HostedInput& in : info.inputs) {  // a closed one takes nothing
+      if (live(in) && in.producer.CheckRoom(weight) == QueueOp::kWouldBlock) {
+        *refusal = Refusal{in.producer, weight, in.dropped, stream_dropped,
+                           "query " + std::to_string(in.query) + "'s input"};
+        return Status::OK();
+      }
+    }
+  }
+
+  // 3. Produce: copies to the hosted inputs, the batch to the class.
+  for (size_t i = 0; i < push->size(); ++i) {
+    TupleBatch& b = (*push)[i];
+    for (HostedInput& in : infos[i]->inputs) {
+      if (!live(in)) continue;
+      TupleBatch copy = b;
+      (void)in.producer.ProduceBatch(&copy);
+    }
+    if (only == 0 && infos[i]->owner != nullptr) infos[i]->owner->Produce(&b);
+  }
+  return Status::OK();
 }
 
 uint64_t Executor::stream_tuples_dropped(SourceId source) const {

@@ -10,8 +10,8 @@
 // executor gives classes a full dynamic lifecycle:
 //   * MERGE: a query whose footprint bridges existing classes is admitted by
 //     merging the touched classes into one: ONE online re-partition of their
-//     union (Flux pause/drain/move/resume; see exec/sharded_class.h). An
-//     in-flight batch on a merged-away class re-routes to the survivor.
+//     union (Flux pause/drain/move/resume; see exec/sharded_class.h). A
+//     push lands wholly before the merge (and is carried over) or after.
 //   * GC: removing a class's last query retires the class — its DU detaches,
 //     fjords close, and stream ownership is released for later queries.
 //   * MIGRATE: a background rebalance pass watches per-DU progress counters
@@ -129,24 +129,29 @@ class Executor {
   /// Thread-safe ingestion of one tuple: a batch of one (see IngestBatch).
   Status IngestTuple(SourceId source, const Tuple& tuple);
 
-  /// Thread-safe batch ingestion: routes the whole batch to the query class
-  /// consuming its stream in ONE catalog lookup; the class partitions it
-  /// across its shard replicas and moves each slice in whole-batch pushes.
-  /// Each hosted DU reading the stream gets one non-blocking push; what a
-  /// full input refuses (unless its DU finished) is dropped and counted on
-  /// tcq_window_input_dropped_total{query} and the stream's drop counter.
-  /// Returns:
-  ///   * kNotFound            — the stream was never registered;
-  ///   * kFailedPrecondition  — neither a query class nor a hosted DU
-  ///                            consumes the stream (the batch is dropped and
-  ///                            counted, per-stream and globally), or the
-  ///                            stream is closed;
-  ///   * kResourceExhausted   — back-pressure outlasted the retry budget; the
-  ///                            undelivered suffix is dropped and counted
-  ///                            (per-stream and under the dedicated
-  ///                            back-pressure counter — these tuples WERE
-  ///                            routed, unlike the unrouted drops above).
+  /// A push of one logical source: a push of one batch (see below).
   Status IngestBatch(TupleBatch batch);
+
+  /// Thread-safe ingestion of ONE physical push: a batch per logical
+  /// source it feeds (a stream and its self-join aliases, the same rows
+  /// under each tag), admitted whole or not at all. Every target — each
+  /// shard's part of a source's class, each hosted input on it but a
+  /// finished DU's — must have room before any gets a row. While one has
+  /// none the push waits on its not-full condition, holding no lock, up to
+  /// 20ms after Start() (not before it, nor for a part heavier than its
+  /// fjord). Returns:
+  ///   * kNotFound            — a source was never registered;
+  ///   * kFailedPrecondition  — a source is closed (refused, counted on its
+  ///                            drop counter), or none has a consumer (a
+  ///                            source without one has its batch dropped and
+  ///                            counted, per-stream and globally);
+  ///   * kResourceExhausted   — a target stayed full, named in the message.
+  ///                            The rows count once on the first source's
+  ///                            drop counter and once on the refuser's:
+  ///                            ..._dropped_backpressure_total for a class
+  ///                            shard, tcq_window_input_dropped_total{query}
+  ///                            for a hosted input.
+  Status IngestBatch(std::vector<TupleBatch> push);
 
   /// Closes a stream for its class and every hosted DU reading it.
   Status CloseStream(SourceId source);
@@ -171,10 +176,9 @@ class Executor {
                                   const std::vector<SourceId>& inputs,
                                   GlobalQueryId id = 0);
 
-  /// Pushes `batch` into hosted query `id`'s input on `batch.source()`,
-  /// waiting up to 10s for room instead of dropping (history backfill;
-  /// before Start() the DUs are stepped inline). OK when the DU finished
-  /// first; kResourceExhausted when the input stayed full.
+  /// IngestBatch into hosted query `id`'s input on `batch.source()` only,
+  /// with a 10s deadline (history backfill; before Start() the DUs are
+  /// stepped inline between attempts). OK when the DU finished first.
   Status BackfillQuery(GlobalQueryId id, TupleBatch batch);
 
   /// Removes a query at the next quantum boundary; a hosted DU detaches from
@@ -269,9 +273,8 @@ class Executor {
   struct StreamInfo {
     SchemaRef schema;
     StemOptions stem_opts;
-    /// Owning class (null until claimed). Shared so a concurrent
-    /// IngestBatch keeps the class alive while a GC pass releases the
-    /// stream or a merge retires the class.
+    /// Owning class (null until claimed). Shared so stream_watermark can
+    /// read it outside mu_.
     std::shared_ptr<ShardedClass> owner;
     size_t owner_class = SIZE_MAX;
     std::vector<HostedInput> inputs;  ///< hosted DUs reading the stream
@@ -293,6 +296,24 @@ class Executor {
     std::shared_ptr<WindowedQueryDispatchUnit> du;  ///< HostQuery only
   };
 
+  /// What refused a push: the fjord to wait on, the weight that must fit
+  /// it, the counters the refusal lands on, and the refuser's name.
+  struct Refusal {
+    std::optional<FjordProducer> fjord;
+    size_t weight = 0;
+    Counter* counter = nullptr;
+    Counter* stream_dropped = nullptr;
+    std::string who;
+  };
+
+  /// IngestBatch's loop; `only` (0: every consumer) restricts the targets
+  /// to one hosted query's input, as BackfillQuery does.
+  Status Admit(std::vector<TupleBatch> push, GlobalQueryId only,
+               std::chrono::steady_clock::time_point deadline);
+  /// One attempt (mu_ held): produces into every target or, filling
+  /// `*refusal` when one has no room, into none.
+  Status AdmitLocked(std::vector<TupleBatch>* push, GlobalQueryId only,
+                     Refusal* refusal);
   /// Takes query id `*id` (0: the next free one) for a query reading
   /// `sources`: kNotFound / kAlreadyExists as for SubmitQuery (mu_ held).
   Status Claim(SourceSet sources, GlobalQueryId* id);

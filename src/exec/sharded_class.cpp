@@ -111,7 +111,6 @@ std::string ShardedClass::FjordName(SourceId source, size_t shard,
 
 void ShardedClass::ClaimStream(SourceId source, SchemaRef schema,
                                StemOptions stem_opts) {
-  std::unique_lock<std::shared_mutex> lock(route_mu_);
   Route r;
   r.schema = schema;
   r.stem_opts = stem_opts;
@@ -133,7 +132,6 @@ void ShardedClass::ClaimStream(SourceId source, SchemaRef schema,
 }
 
 bool ShardedClass::CloseStream(SourceId source) {
-  std::unique_lock<std::shared_mutex> lock(route_mu_);
   auto it = routes_.find(source);
   if (it == routes_.end()) return false;
   it->second.closed = true;
@@ -173,7 +171,6 @@ Result<QueryId> ShardedClass::AdmitQuery(const CQSpec& spec, uint64_t gid,
   size_t desired = keys.has_value() ? opts_.shards : 1;
   bool reshape = desired != shards_.size();
   if (!reshape && desired > 1) {
-    std::shared_lock<std::shared_mutex> lock(route_mu_);
     for (const auto& [source, r] : routes_) {
       std::string want;
       if (auto it = keys->find(source); it != keys->end()) want = it->second;
@@ -248,11 +245,8 @@ void ShardedClass::RemoveQuery(QueryId local) {
 bool ShardedClass::MaybeRepartitionForSkew(const RemapFn& remap) {
   if (shards_.size() < 2) return false;
   bool keyed = false;
-  {
-    std::shared_lock<std::shared_mutex> lock(route_mu_);
-    for (const auto& [source, r] : routes_) {
-      if (!r.key_attr.empty() && !r.closed) keyed = true;
-    }
+  for (const auto& [source, r] : routes_) {
+    if (!r.key_attr.empty() && !r.closed) keyed = true;
   }
   if (!keyed) return false;  // round-robin routes are balanced by design
   uint64_t mx = 0;
@@ -350,13 +344,10 @@ Status ShardedClass::DropStream(SourceId source, const RemapFn& remap) {
                                         std::to_string(source));
     }
   }
-  {
-    std::unique_lock<std::shared_mutex> lock(route_mu_);
-    auto it = routes_.find(source);
-    assert(it != routes_.end() && "dropping a stream the class never claimed");
-    for (auto& p : it->second.producers) p->Close();
-    routes_.erase(it);
-  }
+  auto it = routes_.find(source);
+  assert(it != routes_.end() && "dropping a stream the class never claimed");
+  for (auto& p : it->second.producers) p->Close();
+  routes_.erase(it);
   // The rebuilt replicas register only the remaining routes; what the
   // dropped one queued or held in SteMs goes with its old replicas.
   Rederive({}, remap, /*attach_after=*/true);
@@ -410,12 +401,11 @@ void ShardedClass::Repartition(size_t new_count,
   assert((failed == kNoShard || absorbed.empty()) &&
          "a failover absorbs no other class");
   int64_t t0 = NowMicros();
-  std::unique_lock<std::shared_mutex> lock(route_mu_);
 
   // 0. The classes whose state moves: this one, then each absorbed one,
-  //    which hands over its routes and is retired under its route lock, so
-  //    an in-flight RouteBatch on it either finished into the fjords drained
-  //    below or gets kRetired and re-resolves to this class.
+  //    which hands over its routes. The executor's mutex keeps every push
+  //    out meanwhile: one admitted before is in the fjords drained below,
+  //    one admitted after routes to this class.
   struct Mover {
     std::vector<Shard> shards;
     Partitioner parts;  ///< the old bucket -> shard map
@@ -426,10 +416,8 @@ void ShardedClass::Repartition(size_t new_count,
   movers.push_back({std::move(shards_), parts_, nullptr});
   shards_.clear();
   for (ShardedClass* src : absorbed) {
-    std::unique_lock<std::shared_mutex> src_lock(src->route_mu_);
     routes_.merge(src->routes_);
     assert(src->routes_.empty() && "merged classes share a stream");
-    src->retired_ = true;
     movers.push_back({std::move(src->shards_), src->parts_, nullptr});
   }
 
@@ -672,10 +660,11 @@ void ShardedClass::Repartition(size_t new_count,
   //     consumable, matching BoundedQueue close semantics).
   for (auto& [source, batch] : carry) {
     if (batch.empty() && batch.punctuations().empty()) continue;
-    auto rit = routes_.find(source);
-    if (rit == routes_.end()) continue;
-    (void)RouteBatchLocked(&rit->second, &batch);
-    assert(batch.empty() && "carryover overflowed the resized fjords");
+    if (!routes_.contains(source)) continue;
+    Full full;
+    const bool fits = Check(batch, &full) == QueueOp::kOk;
+    assert(fits && "carryover overflowed the resized fjords");
+    if (fits) Produce(&batch);
   }
   for (auto& [source, r] : routes_) {
     if (!r.closed) continue;
@@ -687,7 +676,6 @@ void ShardedClass::Repartition(size_t new_count,
   int64_t paused = NowMicros() - t0;
   pause_us_->Observe(paused > 0 ? static_cast<uint64_t>(paused) : 0);
   detached_ = !attach_after;
-  lock.unlock();
 
   if (remap) remap(remap_map);
   if (attach_after) AttachShards();
@@ -695,7 +683,6 @@ void ShardedClass::Repartition(size_t new_count,
 
 void ShardedClass::Shutdown() {
   PauseShards(&shards_);
-  std::unique_lock<std::shared_mutex> lock(route_mu_);
   for (auto& [source, r] : routes_) {
     r.closed = true;
     for (auto& p : r.producers) p->Close();
@@ -707,157 +694,123 @@ void ShardedClass::Shutdown() {
   shards_.clear();
 }
 
-ShardedClass::RouteResult ShardedClass::RouteBatch(TupleBatch* batch) {
-  if (batch->empty() && batch->punctuations().empty()) {
-    return RouteResult::kOk;
+QueueOp ShardedClass::Check(const TupleBatch& batch, Full* full) {
+  Route& r = routes_.at(batch.source());
+  const size_t n = shards_.size();
+  const size_t lane = batch.punctuations().size();
+  // Partition. One pass picks every row's shard: a keyed route hashes the
+  // partition key (a columnar batch's key lane) through the Flux bucket
+  // map, a keyless one round-robins (single-source queries only). Bucket
+  // traffic (for LPT re-partitions) counts when Produce admits the batch.
+  const size_t rows = batch.size();
+  if (n > 1) {
+    r.picks.resize(n);
+    for (size_t k = 0; k < n; ++k) r.picks[k].clear();
+    const ColumnStore::Ref cols =
+        batch.columnar_only() ? batch.columns() : nullptr;
+    if (!r.key_attr.empty()) {
+      r.bucket_rows.assign(parts_.num_buckets(), 0);
+      auto pick = [&](uint32_t i, int64_t key) {
+        size_t b = parts_.BucketOf(key);
+        ++r.bucket_rows[b];
+        r.picks[parts_.OwnerOf(b)].push_back(i);
+      };
+      if (cols == nullptr) {
+        const Tuple* data = batch.data();
+        for (uint32_t i = 0; i < rows; ++i) {
+          pick(i, KeyOf(data[i].at(r.key_field)));
+        }
+      } else if (const Column& key = cols->column(r.key_field);
+                 key.rep == ColumnRep::kInt64 && !key.is_timestamp &&
+                 !key.has_nulls()) {
+        for (uint32_t i = 0; i < rows; ++i) pick(i, key.i64[i]);
+      } else {
+        for (uint32_t i = 0; i < rows; ++i) pick(i, KeyOf(key.ValueAt(i)));
+      }
+    } else {
+      r.bucket_rows.clear();
+      uint64_t next = rr_next_.fetch_add(rows, std::memory_order_relaxed);
+      for (uint32_t i = 0; i < rows; ++i) r.picks[(next + i) % n].push_back(i);
+    }
   }
-  std::shared_lock<std::shared_mutex> lock(route_mu_);
-  if (retired_) return RouteResult::kRetired;
-  auto it = routes_.find(batch->source());
-  if (it == routes_.end()) return RouteResult::kRetired;
-  if (it->second.closed) return RouteResult::kClosed;
-  return RouteBatchLocked(&it->second, batch);
+  // Room: every shard's part (its rows plus the whole control lane, which
+  // is broadcast) must fit its fjord.
+  for (size_t k = 0; k < n; ++k) {
+    const size_t weight = (n == 1 ? rows : r.picks[k].size()) + lane;
+    if (weight == 0) continue;
+    QueueOp op = r.producers[k]->CheckRoom(weight);
+    if (op != QueueOp::kOk) {
+      *full = Full{k, r.producers[k], weight};
+      return op;
+    }
+  }
+  return QueueOp::kOk;
 }
 
-ShardedClass::RouteResult ShardedClass::RouteBatchLocked(Route* r,
-                                                         TupleBatch* batch) {
-  size_t n = shards_.size();
+void ShardedClass::Produce(TupleBatch* batch) {
+  Route& r = routes_.at(batch->source());
+  const size_t n = shards_.size();
   if (n == 1) {
-    size_t before = batch->size();
-    QueueOp op = r->producers[0]->ProduceBatch(batch);
-    size_t pushed = before - batch->size();
-    if (pushed > 0) shards_[0].ingest->Inc(pushed);
+    ProduceTo(&r, 0, batch);
     UpdateOccupancy();
-    if (op == QueueOp::kClosed) return RouteResult::kClosed;
-    return batch->empty() && batch->punctuations().empty()
-               ? RouteResult::kOk
-               : RouteResult::kWouldBlock;
+    return;
   }
-
-  // Partition. One pass picks every row's shard: a keyed route hashes the
-  // partition key through the Flux bucket map, a keyless one round-robins
-  // (stateless single-source queries only). A columnar batch is read on
-  // its key lane and each shard's rows are gathered into a ColumnStore of
-  // their own, so no row is materialized on the pushing thread; a row
-  // batch moves its rows. Bucket traffic (for later LPT re-partitions) is
-  // counted locally and flushed once per batch.
-  static thread_local std::vector<TupleBatch> scratch;
-  static thread_local std::vector<std::vector<uint32_t>> picks;
-  static thread_local std::vector<uint64_t> counts;
-  if (scratch.size() < n) scratch.resize(n);
-  if (picks.size() < n) picks.resize(n);
-  for (size_t k = 0; k < n; ++k) picks[k].clear();
-  const size_t rows = batch->size();
+  for (size_t b = 0; b < r.bucket_rows.size(); ++b) {
+    if (r.bucket_rows[b] > 0) {
+      bucket_counts_[b].fetch_add(r.bucket_rows[b], std::memory_order_relaxed);
+    }
+  }
+  // Each shard's rows of a columnar batch are gathered into a ColumnStore
+  // of their own, so no row is materialized on the pushing thread; a row
+  // batch moves its rows. Control broadcast: data rows PARTITION,
+  // punctuations go to EVERY shard (each replica needs the watermark; the
+  // merge min-combines their reports, so a shard missing the broadcast
+  // would pin the class watermark at kMinTimestamp forever). Duplicate
+  // deliveries are idempotent — watermarks are monotone maxes.
   const ColumnStore::Ref cols =
       batch->columnar_only() ? batch->columns() : nullptr;
   Tuple* data = cols == nullptr ? batch->data() : nullptr;
-  if (!r->key_attr.empty()) {
-    counts.assign(parts_.num_buckets(), 0);
-    auto pick = [&](uint32_t i, int64_t key) {
-      size_t b = parts_.BucketOf(key);
-      ++counts[b];
-      picks[parts_.OwnerOf(b)].push_back(i);
-    };
-    if (cols == nullptr) {
-      for (uint32_t i = 0; i < rows; ++i) {
-        pick(i, KeyOf(data[i].at(r->key_field)));
-      }
-    } else if (const Column& key = cols->column(r->key_field);
-               key.rep == ColumnRep::kInt64 && !key.is_timestamp &&
-               !key.has_nulls()) {
-      for (uint32_t i = 0; i < rows; ++i) pick(i, key.i64[i]);
-    } else {
-      for (uint32_t i = 0; i < rows; ++i) pick(i, KeyOf(key.ValueAt(i)));
-    }
-    for (size_t b = 0; b < counts.size(); ++b) {
-      if (counts[b] > 0) {
-        bucket_counts_[b].fetch_add(counts[b], std::memory_order_relaxed);
-      }
-    }
-  } else {
-    uint64_t next = rr_next_.fetch_add(rows, std::memory_order_relaxed);
-    for (uint32_t i = 0; i < rows; ++i) picks[(next + i) % n].push_back(i);
-  }
   for (size_t k = 0; k < n; ++k) {
-    const std::vector<uint32_t>& mine = picks[k];
-    scratch[k].clear();
-    scratch[k].set_source(batch->source());
-    if (mine.empty()) continue;
-    if (cols != nullptr) {
-      scratch[k] = TupleBatch(batch->source(),
-                              cols->Gather(mine.data(), mine.size()));
-      continue;
+    const std::vector<uint32_t>& mine = r.picks[k];
+    TupleBatch part(batch->source());
+    if (cols != nullptr && !mine.empty()) {
+      part = TupleBatch(batch->source(),
+                        cols->Gather(mine.data(), mine.size()));
+    } else {
+      part.reserve(mine.size());
+      for (uint32_t i : mine) part.push_back(std::move(data[i]));
     }
-    scratch[k].reserve(mine.size());
-    for (uint32_t i : mine) scratch[k].push_back(std::move(data[i]));
-  }
-  // Control broadcast: data rows PARTITION, punctuations go to EVERY shard
-  // (each replica needs the watermark; the merge below min-combines their
-  // reports, so a shard missing the broadcast would pin the class watermark
-  // at kMinTimestamp forever). Duplicate deliveries are idempotent —
-  // watermarks are monotone maxes.
-  for (const Punctuation& p : batch->punctuations()) {
-    for (size_t k = 0; k < n; ++k) scratch[k].AddPunctuation(p);
+    for (const Punctuation& p : batch->punctuations()) part.AddPunctuation(p);
+    if (!part.empty() || !part.punctuations().empty()) ProduceTo(&r, k, &part);
   }
   batch->clear();
-
-  bool closed = false;
-  std::map<SourceId, Timestamp> left_puncts;
-  for (size_t k = 0; k < n; ++k) {
-    if (scratch[k].empty() && scratch[k].punctuations().empty()) continue;
-    size_t before = scratch[k].size();
-    QueueOp op = r->shadows.empty()
-                     ? r->producers[k]->ProduceBatch(&scratch[k])
-                     : ProduceShadowed(*r, k, &scratch[k]);
-    size_t pushed = before - scratch[k].size();
-    if (pushed > 0) shards_[k].ingest->Inc(pushed);
-    if (op == QueueOp::kClosed) closed = true;
-    // Leftovers recombine in shard order: per-shard relative order is
-    // preserved, which is the guarantee shards rely on (cross-shard
-    // interleaving carries no meaning — shards are independent pipelines).
-    for (Tuple& t : scratch[k]) batch->push_back(std::move(t));
-    // Undelivered lane entries fold back per source (max per source: the
-    // retry re-broadcasts to every shard, where stale ones are idempotent).
-    for (const Punctuation& p : scratch[k].punctuations()) {
-      auto [it, inserted] = left_puncts.try_emplace(p.source, p.low_watermark);
-      if (!inserted) it->second = std::max(it->second, p.low_watermark);
-    }
-    scratch[k].clear();
-  }
-  for (const auto& [source, wm] : left_puncts) {
-    batch->AddPunctuation(Punctuation{source, wm});
-  }
   UpdateOccupancy();
-  if (batch->empty() && batch->punctuations().empty()) {
-    return RouteResult::kOk;
+}
+
+void ShardedClass::ProduceTo(Route* r, size_t k, TupleBatch* part) {
+  const size_t rows = part->size();
+  if (!r->shadows.empty()) {
+    // Shadow first: Check made room. A const view keeps a gathered part's
+    // columns beside the materialized rows.
+    Shadow& s = *r->shadows[k];
+    const TupleBatch& view = *part;
+    s.rows.insert(s.rows.end(), view.begin(), view.end());
+    shadow_rows_->Add(static_cast<int64_t>(rows));
+    s.since_trim += rows;
   }
-  return closed ? RouteResult::kClosed : RouteResult::kWouldBlock;
+  QueueOp op = r->producers[k]->ProduceBatch(part);
+  assert(op == QueueOp::kOk && "a checked part did not fit its fjord");
+  (void)op;
+  shards_[k].ingest->Inc(rows);
+  if (!r->shadows.empty() && r->shadows[k]->since_trim >= kShadowTrimEvery) {
+    r->shadows[k]->since_trim = 0;
+    TrimShadow(*r, k, r->shadows[k].get());
+  }
 }
 
 size_t ShardedClass::ShardOf(const Route& r, const Tuple& t) const {
   if (r.key_attr.empty() || shards_.size() < 2) return 0;
   return parts_.OwnerOf(parts_.BucketOf(KeyOf(t.at(r.key_field))));
-}
-
-QueueOp ShardedClass::ProduceShadowed(const Route& r, size_t k,
-                                      TupleBatch* part) {
-  Shadow& s = *r.shadows[k];
-  std::lock_guard<std::mutex> lock(s.mu);
-  // ProduceBatch moves rows out, and what goes in is a prefix: copy first,
-  // keep the copies of what went in. Read through a const view, so a
-  // gathered partition keeps its columns beside the materialized rows.
-  const TupleBatch& view = *part;
-  std::vector<Tuple> copy(view.begin(), view.end());
-  QueueOp op = r.producers[k]->ProduceBatch(part);
-  size_t pushed = copy.size() - part->size();
-  for (size_t i = 0; i < pushed; ++i) s.rows.push_back(std::move(copy[i]));
-  shadow_rows_->Add(static_cast<int64_t>(pushed));
-  s.since_trim += pushed;
-  if (s.since_trim >= kShadowTrimEvery) {
-    s.since_trim = 0;
-    TrimShadow(r, k, &s);
-  }
-  return op;
 }
 
 size_t ShardedClass::EvictedPrefix(const Route& r, size_t k,
@@ -948,7 +901,6 @@ Status ShardedClass::CheckpointTo(CheckpointWriter* w) {
   // The executor drained the shard fjords first (tuples still queued would
   // sit below the spool's recorded replay position and be lost), so with
   // ingest blocked the paused replicas are fully quiescent.
-  std::unique_lock<std::shared_mutex> lock(route_mu_);
   PauseShards(&shards_);
   // State only: a restore re-submits the member queries before loading it.
   w->BeginSection("class", 2);
@@ -984,7 +936,6 @@ Status ShardedClass::CheckpointTo(CheckpointWriter* w) {
   }
   w->PutTimestamp(horizon);
   w->EndSection();
-  lock.unlock();
   AttachShards();
   return Status::OK();
 }
@@ -992,7 +943,6 @@ Status ShardedClass::CheckpointTo(CheckpointWriter* w) {
 uint64_t ShardedClass::Restore(const std::vector<uint32_t>& owner,
                                const StemEntries& entries,
                                Timestamp horizon) {
-  std::unique_lock<std::shared_mutex> lock(route_mu_);
   size_t shards = shards_.size();
   for (size_t b = 0; b < owner.size() && b < parts_.num_buckets(); ++b) {
     parts_.Reassign(b, owner[b] % shards);

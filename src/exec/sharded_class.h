@@ -52,7 +52,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -86,9 +85,12 @@ class ShardedClass {
     bool replication = false;
   };
 
-  /// RouteBatch outcome. kRetired means this class was merged away — the
-  /// caller must re-resolve the stream's owner and retry there.
-  enum class RouteResult { kOk, kWouldBlock, kClosed, kRetired };
+  /// Where Check found no room: the shard, its fjord and its part's weight.
+  struct Full {
+    size_t shard = 0;
+    std::shared_ptr<FjordProducer> fjord;
+    size_t weight = 0;
+  };
 
   /// Receives one query's results as a run (see SharedCQDispatchUnit's
   /// GlobalSink); a punctuation is a run of one.
@@ -112,7 +114,11 @@ class ShardedClass {
   size_t num_shards() const { return shards_.size(); }
   uint64_t repartitions() const { return repartitions_->Value(); }
 
-  // --- Structural operations (serialized by the executor's mutex) ------------
+  // Every method below runs under the executor's mutex, which serializes
+  // the structural operations with the data path; only merged_watermark and
+  // the shard EOs' punctuation reports run beside them (under punct_mu_).
+
+  // --- Structural operations ---------------------------------------------------
 
   /// Adds a stream route: one fresh fjord per shard, stream registered on
   /// every replica. New claims start keyless (round-robin); the next
@@ -142,9 +148,9 @@ class ShardedClass {
   /// Merges `srcs` (live classes on other streams) into this one ahead of
   /// admitting `bridging`: ONE re-partition at the layout every member spec
   /// plus `bridging` derives, keeping this class's bucket owners. The
-  /// sources are retired (in-flight RouteBatch callers get kRetired and
-  /// re-resolve here); the replicas stay detached until `bridging`'s
-  /// AdmitQuery, next, has queued its admission.
+  /// sources hand over their routes and are dropped by the caller; the
+  /// replicas stay detached until `bridging`'s AdmitQuery, next, has queued
+  /// its admission.
   void Absorb(const std::vector<ShardedClass*>& srcs, const CQSpec& bridging,
               const RemapFn& remap);
 
@@ -164,11 +170,11 @@ class ShardedClass {
   /// shard, kFailedPrecondition for the last live one.
   Status FailShard(size_t shard, const RemapFn& remap);
 
-  /// GC: detaches every shard from its EO, closes all stream producers
-  /// (concurrent ingesters see kClosed), and drops the replicas.
+  /// GC: detaches every shard from its EO, closes all stream producers, and
+  /// drops the replicas.
   void Shutdown();
 
-  // --- Durable state (DESIGN.md §13; serialized by the executor's mutex) -----
+  // --- Durable state (DESIGN.md §13) ------------------------------------------
 
   /// Snapshots the class's state as one "class" checkpoint section: the
   /// Flux bucket->shard map, every route's source with every shard's SteM
@@ -192,13 +198,17 @@ class ShardedClass {
   uint64_t Restore(const std::vector<uint32_t>& owner,
                    const StemEntries& entries, Timestamp horizon);
 
-  // --- Data path (thread-safe, called WITHOUT the executor mutex) ------------
+  // --- Data path: a batch is admitted whole or not at all, in two steps ----
 
-  /// Partitions the batch's tuples across shards and pushes each slice into
-  /// that shard's fjord; a columnar batch's slices stay columnar. Tuples
-  /// that did not fit are left in `*batch` as rows (per-shard order
-  /// preserved) for the caller to retry or count.
-  RouteResult RouteBatch(TupleBatch* batch);
+  /// Step one: splits a routed stream's batch over the shards, keeping the
+  /// split on the route, and checks each shard's fjord has room for its
+  /// part (its rows plus the whole control lane). kOk, or kWouldBlock /
+  /// kClosed with `*full` naming the first shard that refused.
+  QueueOp Check(const TupleBatch& batch, Full* full);
+  /// Step two, after a kOk Check of the same batch (the room only grew
+  /// meanwhile: no other producer gets in): moves each part into its fjord
+  /// whole — a columnar batch's parts stay columnar — emptying `*batch`.
+  void Produce(TupleBatch* batch);
 
   // --- Per-shard scheduling surface (executor rebalance pass) ----------------
 
@@ -230,9 +240,7 @@ class ShardedClass {
   /// shard, in routing order, minus consumed rows its SteM no longer holds
   /// (same StemOptions eviction). The last rows, as many as the shard's fjord
   /// still queues, are the unconsumed suffix; the rest mirrors the SteM.
-  /// `mu` is held across append + enqueue so both orders agree.
   struct Shadow {
-    std::mutex mu;
     std::deque<Tuple> rows;
     size_t since_trim = 0;  ///< rows appended since the last trim
   };
@@ -250,6 +258,10 @@ class ShardedClass {
     std::vector<std::shared_ptr<Fjord>> fjords;
     /// One shadow per shard with replication at >= 2 shards, else empty.
     std::vector<std::unique_ptr<Shadow>> shadows;
+    /// Check's split of the batch being admitted: row indices per shard
+    /// (at >= 2 shards) and rows per Flux bucket (keyed routes).
+    std::vector<std::vector<uint32_t>> picks;
+    std::vector<uint64_t> bucket_rows;
   };
 
   Shard MakeShard(size_t k, size_t eo);
@@ -287,11 +299,10 @@ class ShardedClass {
   /// them; AttachShards undoes it for the current replicas.
   void PauseShards(std::vector<Shard>* shards);
   void AttachShards();
-  RouteResult RouteBatchLocked(Route* r, TupleBatch* batch);
   /// Shard a row of route `r` belongs to under the current bucket map.
   size_t ShardOf(const Route& r, const Tuple& t) const;
-  /// ProduceBatch into shard k's fjord, appending what went in to k's shadow.
-  QueueOp ProduceShadowed(const Route& r, size_t k, TupleBatch* part);
+  /// Produces a checked part into shard k's fjord (and its shadow).
+  void ProduceTo(Route* r, size_t k, TupleBatch* part);
   /// How many of the first `consumed` shadow rows shard k's SteM has
   /// evicted (all of them for a stream no join keeps).
   size_t EvictedPrefix(const Route& r, size_t k, const std::deque<Tuple>& rows,
@@ -313,12 +324,8 @@ class ShardedClass {
   MetricsRegistryRef metrics_;
   obs::TracerRef tracer_;
 
-  /// Guards routes_/shards_/parts_ against concurrent RouteBatch: the data
-  /// path holds it shared; every structural mutation holds it exclusive.
-  mutable std::shared_mutex route_mu_;
   std::map<SourceId, Route> routes_;
   std::vector<Shard> shards_;
-  bool retired_ = false;  ///< merged away; routes moved to the survivor
   bool detached_ = false;  ///< rebuilt replicas wait for AdmitQuery
 
   Partitioner parts_;

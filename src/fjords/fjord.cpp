@@ -39,26 +39,24 @@ QueueOp FjordProducer::Produce(Tuple t) {
 
 QueueOp FjordProducer::ProduceBatch(TupleBatch* batch) {
   if (batch->empty() && batch->punctuations().empty()) return QueueOp::kOk;
-  switch (fjord_->mode()) {
-    case FjordMode::kPull:
-      return fjord_->queue_.PushNBlocking(batch, 1) == 1 ? QueueOp::kOk
-                                                         : QueueOp::kClosed;
-    case FjordMode::kPush:
-    case FjordMode::kExchange: {
-      QueueOp op;
-      fjord_->queue_.TryPushN(batch, 1, &op);
-      return op;
-    }
-  }
-  return QueueOp::kClosed;
+  return fjord_->mode() == FjordMode::kPull
+             ? fjord_->queue_.PushUntil(batch, std::nullopt)
+             : fjord_->queue_.TryPush(batch);
 }
 
 QueueOp FjordProducer::ProduceBatchUntil(
     TupleBatch* batch, std::chrono::steady_clock::time_point deadline) {
   if (batch->empty() && batch->punctuations().empty()) return QueueOp::kOk;
-  QueueOp op;
-  fjord_->queue_.PushNUntil(batch, 1, deadline, &op);
-  return op;
+  return fjord_->queue_.PushUntil(batch, deadline);
+}
+
+QueueOp FjordProducer::CheckRoom(size_t weight) {
+  return fjord_->queue_.CheckRoom(weight);
+}
+
+bool FjordProducer::AwaitRoom(size_t weight,
+                              std::chrono::steady_clock::time_point deadline) {
+  return fjord_->queue_.AwaitRoom(weight, deadline);
 }
 
 void FjordProducer::Close() { fjord_->queue_.Close(); }

@@ -8,6 +8,8 @@
 // still counted in rows (plus one per lane entry). The per-tuple endpoints
 // are batch-of-one wrappers over the same transport.
 //
+// A producer hands a segment over whole or not at all: nothing is ever cut
+// on the way in, so a refused segment is the caller's to retry or count.
 // The enqueue never blocks in push mode; instead the consumer binds a wake
 // target (wake.h) that the fjord signals when it gains work or closes, so
 // an idle consumer parks until then rather than sleeping on a timer.
@@ -49,23 +51,29 @@ class FjordProducer {
   /// dropped on close.
   QueueOp Produce(Tuple t);
 
-  /// Offers a whole batch under ONE queue lock acquisition. When it fits it
-  /// moves into one slot unchanged (columns and lane included); otherwise
-  /// the prefix that fits goes in — rows first, the lane only once every
-  /// row is in, since the lane applies after the rows. What went in is
-  /// removed from `*batch`; the unconsumed suffix stays in the batch in
-  /// every mode — on kWouldBlock (push mode, queue filled up) for the
-  /// caller to retry, on kClosed for the caller to count or drop (the
-  /// queue never destroys batch items, so its dropped_on_close counter
-  /// uniformly means "items the queue itself destroyed", i.e. single-tuple
-  /// Produce on a closed queue).
+  /// Offers the whole batch under ONE queue lock acquisition: it moves into
+  /// one slot unchanged (columns and lane included) or not at all: kOk,
+  /// kWouldBlock (push/exchange: no room; pull mode waits for room unless
+  /// the batch is heavier than the capacity) or kClosed. A refused batch
+  /// stays with the caller, untouched and not counted as dropped on close
+  /// (that counts what the queue itself destroyed: a closed Produce).
   QueueOp ProduceBatch(TupleBatch* batch);
 
   /// ProduceBatch that waits on the queue's not-full condition, in any
-  /// mode, until the whole batch is in or `deadline` passes: kOk, kClosed,
-  /// or kWouldBlock on the deadline (the suffix stays in `*batch`).
+  /// mode, until the whole batch fits or `deadline` passes: kOk, kClosed, or
+  /// kWouldBlock on the deadline (at once for a batch heavier than the
+  /// capacity).
   QueueOp ProduceBatchUntil(TupleBatch* batch,
                             std::chrono::steady_clock::time_point deadline);
+
+  /// Whether a segment of `weight` (rows plus lane entries) fits now: kOk,
+  /// kWouldBlock (counted as a blocked enqueue) or kClosed — step one of a
+  /// caller that checks several fjords before producing into any.
+  QueueOp CheckRoom(size_t weight);
+
+  /// Waits until a segment of `weight` fits or the fjord closes (true), or
+  /// `deadline` passes (false; at once when `weight` exceeds the capacity).
+  bool AwaitRoom(size_t weight, std::chrono::steady_clock::time_point deadline);
 
   /// Signals end of stream.
   void Close();

@@ -7,7 +7,8 @@
 // Capacity is counted in weight units (QueueItemTraits): one per item by
 // default. A fjord queues whole TupleBatch "segments" whose weight is their
 // row count plus their control-lane entries, so one slot, one lock and one
-// set of metric updates move a whole batch — columns included.
+// set of metric updates move a whole batch — columns included. A push
+// admits an item whole or not at all; only a pop cuts one.
 //
 // A queue may carry its consumer's wake target (wake.h): it is signalled
 // when the queue goes from empty to non-empty and when it closes, so a
@@ -78,7 +79,8 @@ template <typename T>
 struct QueueItemTraits {
   static size_t Weight(const T&) { return 1; }
   /// Moves the leading `units` (0 < units < Weight(*item)) of *item into a
-  /// new item; the rest stays in *item. Unreachable for unit weights.
+  /// new item; the rest stays in *item (a pop's cut). Unreachable for unit
+  /// weights.
   static T TakeFront(T* item, size_t /*units*/) {
     assert(false && "unit-weight items are never cut");
     return std::move(*item);
@@ -95,10 +97,11 @@ struct QueueItemTraits {
 };
 
 /// A fjord segment: rows and control-lane entries weigh one unit each. A
-/// segment larger than the free room is cut rows first, its lane travelling
-/// with the last cut (the lane applies after the rows). A pop that has room
-/// for the head segment hands it over whole — a columnar one keeps its
-/// ColumnStore — and coalesces further row-shaped segments behind it.
+/// segment goes in whole or not at all. A pop that has room for the head
+/// segment hands it over whole — a columnar one keeps its ColumnStore — and
+/// coalesces further row-shaped segments behind it; a pop that has not cuts
+/// the head rows first, its lane travelling with the last cut (the lane
+/// applies after the rows).
 template <>
 struct QueueItemTraits<TupleBatch> {
   static size_t Weight(const TupleBatch& b) {
@@ -149,20 +152,7 @@ class BoundedQueue {
   /// does not fit the free room, kClosed after Close(). On kClosed the item
   /// is destroyed; its weight is counted in dropped_on_close_count().
   QueueOp TryEnqueue(T item) {
-    const size_t w = Traits::Weight(item);
-    std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) {
-      CountDroppedOnClose(w);
-      return QueueOp::kClosed;
-    }
-    if (w > RoomLocked()) {
-      CountEnqueueBlocked();
-      return QueueOp::kWouldBlock;
-    }
-    PushLocked(std::move(item), w);
-    not_empty_.notify_one();
-    UnlockAndSignal(lock);
-    return QueueOp::kOk;
+    return DropOnClose(&item, TryPush(&item));
   }
 
   /// Blocking enqueue of a whole item (which must fit the capacity);
@@ -170,17 +160,8 @@ class BoundedQueue {
   /// in-flight item was destroyed — the loss is counted in
   /// dropped_on_close_count() so callers (and the metrics layer) can see it.
   bool EnqueueBlocking(T item) {
-    const size_t w = Traits::Weight(item);
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return closed_ || w <= RoomLocked(); });
-    if (closed_) {
-      CountDroppedOnClose(w);
-      return false;
-    }
-    PushLocked(std::move(item), w);
-    not_empty_.notify_one();
-    UnlockAndSignal(lock);
-    return true;
+    return DropOnClose(&item, PushUntil(&item, std::nullopt)) ==
+           QueueOp::kOk;
   }
 
   /// Non-blocking dequeue of the whole head item.
@@ -188,7 +169,7 @@ class BoundedQueue {
     std::lock_guard<std::mutex> lock(mu_);
     if (items_.empty()) return EmptyOpLocked();
     *out = PopLocked();
-    not_full_.notify_one();
+    not_full_.notify_all();
     return QueueOp::kOk;
   }
 
@@ -198,76 +179,52 @@ class BoundedQueue {
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return false;
     *out = PopLocked();
-    not_full_.notify_one();
+    not_full_.notify_all();
     return true;
   }
 
-  // --- Batch operations (one lock acquisition per whole batch) --------------
+  // --- Whole-item pushes (the item stays with the caller unless kOk) --------
 
-  /// Non-blocking batch enqueue under ONE lock acquisition: moves
-  /// items[0..n) in order while each fits whole; the first one that does
-  /// not is cut, its leading part filling the free room and the rest
-  /// staying in place. Returns the count of items moved whole; `*op` is kOk
-  /// when everything fit, kWouldBlock on a partial/empty transfer (queue
-  /// filled up), kClosed after Close() (remaining items are left with the
-  /// caller, NOT destroyed — only the caller knows whether to drop or retry
-  /// them).
-  size_t TryPushN(T* items, size_t n, QueueOp* op) {
+  /// Non-blocking enqueue of the whole of `*item`: kOk (moved in),
+  /// kWouldBlock (no room) or kClosed. A refused item stays with the caller,
+  /// not counted as dropped: only the caller knows whether it is lost.
+  QueueOp TryPush(T* item) {
+    return PushUntil(item, std::chrono::steady_clock::time_point::min());
+  }
+
+  /// TryPush that first waits on the not-full condition until the item
+  /// fits, the queue closes, or `deadline` passes (nullopt: never); at once
+  /// kWouldBlock for an item heavier than the whole capacity.
+  QueueOp PushUntil(
+      T* item,
+      std::optional<std::chrono::steady_clock::time_point> deadline) {
+    const size_t w = Traits::Weight(*item);
     std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) {
-      *op = QueueOp::kClosed;
-      return 0;
-    }
-    size_t pushed = PushSomeLocked(items, n);
-    if (pushed < n) {
-      CountEnqueueBlocked();
-      *op = QueueOp::kWouldBlock;
-    } else {
-      *op = QueueOp::kOk;
-    }
+    QueueOp op = AwaitRoomLocked(&lock, w, deadline);
+    if (op == QueueOp::kWouldBlock) CountEnqueueBlocked();
+    if (op != QueueOp::kOk) return op;
+    PushLocked(std::move(*item), w);
+    not_empty_.notify_one();
     UnlockAndSignal(lock);
-    return pushed;
+    return QueueOp::kOk;
   }
 
-  /// Blocking batch enqueue: waits for room and moves (cutting as
-  /// TryPushN does) until all n items are enqueued or the queue closes.
-  /// Returns the count enqueued whole (< n only on close). The un-pushed
-  /// suffix items[pushed..n) is left with the caller, NOT destroyed and NOT
-  /// counted in dropped_on_close_count() — matching TryPushN. Only the
-  /// caller knows whether those items are lost or re-routable, so only the
-  /// caller can account for them; counting them here too double-counted
-  /// every batch drop a caller also tracked.
-  size_t PushNBlocking(T* items, size_t n) {
-    QueueOp op;
-    return PushNUntil(items, n, std::nullopt, &op);
+  /// Whether an item of weight `w` fits now: kOk, kWouldBlock (counted as
+  /// a blocked enqueue) or kClosed. The room only grows until the next push,
+  /// so a caller keeping other producers out may check before it pushes.
+  QueueOp CheckRoom(size_t w) {
+    std::unique_lock<std::mutex> lock(mu_);
+    QueueOp op = AwaitRoomLocked(&lock, w,
+                                 std::chrono::steady_clock::time_point::min());
+    if (op == QueueOp::kWouldBlock) CountEnqueueBlocked();
+    return op;
   }
 
-  /// PushNBlocking that gives up at `deadline` (nullopt: never). `*op` is
-  /// kOk when all n items went in, kClosed after Close(), kWouldBlock when
-  /// the deadline passed first; the un-pushed suffix stays with the caller
-  /// as in PushNBlocking.
-  size_t PushNUntil(T* items, size_t n,
-                    std::optional<std::chrono::steady_clock::time_point> deadline,
-                    QueueOp* op) {
-    size_t pushed = 0;
-    *op = QueueOp::kOk;
-    auto has_room = [&] { return closed_ || RoomLocked() > 0; };
-    while (pushed < n) {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!deadline.has_value()) {
-        not_full_.wait(lock, has_room);
-      } else if (!not_full_.wait_until(lock, *deadline, has_room)) {
-        *op = QueueOp::kWouldBlock;
-        return pushed;
-      }
-      if (closed_) {
-        *op = QueueOp::kClosed;
-        return pushed;
-      }
-      pushed += PushSomeLocked(items + pushed, n - pushed);
-      UnlockAndSignal(lock);
-    }
-    return pushed;
+  /// Waits until `w` units fit or the queue closes (true), or `deadline`
+  /// passes (false; at once when `w` exceeds the capacity). Reserves none.
+  bool AwaitRoom(size_t w, std::chrono::steady_clock::time_point deadline) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return AwaitRoomLocked(&lock, w, deadline) != QueueOp::kWouldBlock;
   }
 
   /// Non-blocking batch dequeue under ONE lock acquisition: appends the
@@ -374,21 +331,21 @@ class BoundedQueue {
     if (metrics_.enqueued != nullptr) metrics_.enqueued->Inc(w);
   }
 
-  /// TryPushN's transfer; wakes consumers when anything moved.
-  size_t PushSomeLocked(T* items, size_t n) {
-    const size_t before = used_;
-    size_t i = 0;
-    for (; i < n; ++i) {
-      const size_t w = Traits::Weight(items[i]);
-      const size_t room = RoomLocked();
-      if (w > room) {
-        if (room > 0) PushLocked(Traits::TakeFront(&items[i], room), room);
-        break;
+  /// Waits (nullopt: forever) until `w` units fit: kOk, kClosed, or
+  /// kWouldBlock at the deadline (at once when `w` exceeds the capacity).
+  QueueOp AwaitRoomLocked(
+      std::unique_lock<std::mutex>* lock, size_t w,
+      std::optional<std::chrono::steady_clock::time_point> deadline) {
+    auto fits = [&] { return closed_ || w <= RoomLocked(); };
+    if (w <= capacity_) {
+      if (!deadline.has_value()) {
+        not_full_.wait(*lock, fits);
+      } else {
+        not_full_.wait_until(*lock, *deadline, fits);
       }
-      PushLocked(std::move(items[i]), w);
     }
-    if (used_ != before) not_empty_.notify_all();
-    return i;
+    if (closed_) return QueueOp::kClosed;
+    return w <= RoomLocked() ? QueueOp::kOk : QueueOp::kWouldBlock;
   }
 
   /// Removes the head item; its wait is observed once, as it leaves.
@@ -456,9 +413,17 @@ class BoundedQueue {
     if (metrics_.enqueue_blocked != nullptr) metrics_.enqueue_blocked->Inc();
   }
 
-  void CountDroppedOnClose(size_t w) {
-    dropped_on_close_ += w;
-    if (metrics_.dropped_on_close != nullptr) metrics_.dropped_on_close->Inc(w);
+  /// The single-item calls destroy what a closed queue refused: counted.
+  QueueOp DropOnClose(const T* item, QueueOp op) {
+    if (op == QueueOp::kClosed) {
+      const size_t w = Traits::Weight(*item);
+      std::lock_guard<std::mutex> lock(mu_);
+      dropped_on_close_ += w;
+      if (metrics_.dropped_on_close != nullptr) {
+        metrics_.dropped_on_close->Inc(w);
+      }
+    }
+    return op;
   }
 
   const size_t capacity_;

@@ -10,7 +10,9 @@ Wrapper::Wrapper(Options opts, MetricsRegistryRef metrics,
     : opts_(opts),
       metrics_(OrPrivateRegistry(std::move(metrics))),
       tracer_(std::move(tracer)) {
-  opts_.batch_max_size = std::max<size_t>(opts_.batch_max_size, 1);
+  // A batch goes into its streamer whole, so it must fit one.
+  opts_.batch_max_size = std::min(std::max<size_t>(opts_.batch_max_size, 1),
+                                  std::max<size_t>(opts_.queue_capacity, 1));
   forwarded_ = metrics_->GetCounter("tcq_wrapper_tuples_forwarded_total");
   dropped_ = metrics_->GetCounter("tcq_wrapper_tuples_dropped_total");
   lost_on_close_ =
@@ -58,48 +60,42 @@ void Wrapper::RunPullTask(PullTask* task) {
   TupleBatch batch;
   int64_t oldest_us = 0;  // arrival of the oldest accumulated tuple
 
-  // Pushes the whole accumulated batch downstream (one queue lock per
-  // attempt), honoring drop_on_full. Returns false when the streamer was
-  // closed under us (the task is over).
+  // Hands the whole accumulated batch downstream under one queue lock: with
+  // drop_on_full a full streamer drops it (counted); otherwise the task
+  // waits on the streamer's not-full condition until it fits, or until
+  // Stop() closes the streamer. Returns false when the streamer was closed
+  // under us (the task is over).
   auto flush = [&](Counter* reason) -> bool {
     if (batch.empty() && batch.punctuations().empty()) return true;
     reason->Inc();
-    batch_size_->Observe(batch.size());
-    // Flush span: timed across full-queue retries, so blocked streamers
-    // show up as long kWrapperFlush durations.
+    const size_t rows = batch.size();
+    batch_size_->Observe(rows);
+    // Flush span: timed across the wait for room, so blocked streamers show
+    // up as long kWrapperFlush durations.
     bool sampled = tracer_ != nullptr && tracer_->ShouldSample();
     int64_t t0 = sampled ? NowMicros() : 0;
-    while (true) {
-      size_t before = batch.size();
-      QueueOp op = task->producer->ProduceBatch(&batch);
-      forwarded_->Inc(before - batch.size());
-      if (batch.empty() && batch.punctuations().empty()) {
-        if (sampled) {
-          tracer_->Record(obs::SpanKind::kWrapperFlush, batch.source(), 0, t0,
-                          NowMicros() - t0);
-        }
-        return true;
+    const SourceId source = batch.source();
+    QueueOp op = opts_.drop_on_full
+                     ? task->producer->ProduceBatch(&batch)
+                     : task->producer->ProduceBatchUntil(
+                           &batch, std::chrono::steady_clock::time_point::max());
+    if (op == QueueOp::kOk) {
+      forwarded_->Inc(rows);
+      if (sampled) {
+        tracer_->Record(obs::SpanKind::kWrapperFlush, source, 0, t0,
+                        NowMicros() - t0);
       }
-      if (op == QueueOp::kClosed) {
-        // The consumer closed the streamer under us: the tuples in hand are
-        // lost. Count them — silent data loss is a bug magnet.
-        lost_on_close_->Inc(batch.size());
-        batch.clear();
-        return false;
-      }
-      // Queue full: non-blocking semantics let us choose a policy.
-      if (opts_.drop_on_full) {
-        dropped_->Inc(batch.size());
-        batch.clear();
-        return true;
-      }
-      if (stop_.load(std::memory_order_relaxed)) {
-        dropped_->Inc(batch.size());
-        batch.clear();
-        return false;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      return true;
     }
+    batch.clear();
+    if (op == QueueOp::kClosed) {
+      // The streamer was closed under us: the tuples in hand are lost.
+      // Count them — silent data loss is a bug magnet.
+      lost_on_close_->Inc(rows);
+      return false;
+    }
+    dropped_->Inc(rows);  // a full streamer under drop_on_full
+    return true;
   };
 
   Tuple tuple;
@@ -128,11 +124,12 @@ void Wrapper::RunPullTask(PullTask* task) {
 
 void Wrapper::Stop() {
   stop_.store(true);
+  // Closing first wakes a task waiting for room in its streamer.
+  for (auto& task : tasks_) task->producer->Close();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
   threads_.clear();
-  for (auto& task : tasks_) task->producer->Close();
   started_.store(false);
 }
 

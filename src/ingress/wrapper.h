@@ -28,12 +28,13 @@ class Wrapper {
   struct Options {
     /// Capacity of each streamer queue (back-pressure bound).
     size_t queue_capacity = 4096;
-    /// When a streamer queue is full: true = drop the tuple (count it),
-    /// false = retry until space (throttling the source).
+    /// When a streamer queue is full: true = drop the batch (count it),
+    /// false = wait for room (throttling the source).
     bool drop_on_full = false;
     /// Flush policy: a pull task accumulates tuples into a batch and pushes
     /// the whole batch downstream under one queue lock when either bound
-    /// trips. batch_max_size = 1 degenerates to per-tuple forwarding.
+    /// trips. batch_max_size = 1 degenerates to per-tuple forwarding; it is
+    /// capped at queue_capacity, since a batch goes into a streamer whole.
     size_t batch_max_size = 64;
     /// Max time the oldest accumulated tuple may wait before the batch is
     /// flushed regardless of size (0 = no delay bound; flush on size or
@@ -67,7 +68,8 @@ class Wrapper {
   /// Starts the pull threads.
   void Start();
 
-  /// Stops all threads and closes all streamers.
+  /// Closes all streamers, waking a task that waits for room, and stops all
+  /// threads; the batch a task still holds counts in tuples_lost_on_close.
   void Stop();
 
   uint64_t tuples_forwarded() const { return forwarded_->Value(); }

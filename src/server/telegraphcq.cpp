@@ -204,20 +204,14 @@ Status TelegraphCQ::AttachSource(const std::string& stream_name,
   return Status::OK();
 }
 
-void TelegraphCQ::RouteBatch(PhysicalStream* stream, const TupleBatch& batch,
-                             bool spool) {
-  if (batch.empty() && batch.punctuations().empty()) return;
+Status TelegraphCQ::RouteBatch(PhysicalStream* stream,
+                               const TupleBatch& batch, bool spool) {
+  if (batch.empty() && batch.punctuations().empty()) return Status::OK();
   ingested_->Inc(batch.size());
   stream->ingested->Inc(batch.size());
-  if (spool && stream->spool != nullptr) {
-    // The spool is a row-shaped boundary: columnar batches materialize rows
-    // here (and only here / SteM inserts / egress, DESIGN.md §11).
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!stream->spool->Append(batch.RowAt(i)).ok()) {
-        stream->spool_failed->Inc();
-      }
-    }
-  }
+  // A refused push promised nothing: its watermark is derived again.
+  const Timestamp max_ts = stream->max_ts;
+  const Timestamp last_punct = stream->last_punct;
   // Columnarize once at the fabric entrance: every logical source below
   // (and the eddy prefilters downstream) shares this store by reference.
   const ColumnStore::Ref& cols = batch.columns();
@@ -254,6 +248,7 @@ void TelegraphCQ::RouteBatch(PhysicalStream* stream, const TupleBatch& batch,
       lane.push_back(p.low_watermark);
     }
   }
+  std::vector<TupleBatch> push;
   for (const auto& [logical, refs] : stream->logical) {
     // The canonical source takes a copy of the batch (cheap for columnar
     // batches: the store is shared by reference); a self-join alias takes
@@ -273,8 +268,25 @@ void TelegraphCQ::RouteBatch(PhysicalStream* stream, const TupleBatch& batch,
       }
     }
     for (Timestamp wm : lane) routed.AddPunctuation(Punctuation{logical, wm});
-    (void)executor_.IngestBatch(std::move(routed));
+    push.push_back(std::move(routed));
   }
+  Status st = push.empty() ? Status::OK()
+                           : executor_.IngestBatch(std::move(push));
+  if (!st.ok()) {
+    stream->max_ts = max_ts;
+    stream->last_punct = last_punct;
+    return Status(st.code(), "stream '" + stream->name + "': " + st.message());
+  }
+  if (spool && stream->spool != nullptr) {
+    // The spool is a row-shaped boundary: columnar batches materialize rows
+    // here (and only here / SteM inserts / egress, DESIGN.md §11).
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!stream->spool->Append(batch.RowAt(i)).ok()) {
+        stream->spool_failed->Inc();
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Status TelegraphCQ::BatchBuilder::Append(Timestamp timestamp,
@@ -323,9 +335,7 @@ Status TelegraphCQ::PushBuilt(BatchBuilder&& built) {
     return Status::FailedPrecondition("stream '" + built.stream_ +
                                       "' is closed");
   }
-  TupleBatch batch(stream.canonical, std::move(cols));
-  RouteBatch(&stream, batch);
-  return Status::OK();
+  return RouteBatch(&stream, TupleBatch(stream.canonical, std::move(cols)));
 }
 
 Status TelegraphCQ::CloseStream(const std::string& stream_name) {
@@ -680,11 +690,13 @@ Status TelegraphCQ::BackfillWindowedLocked(GlobalQueryId id,
     if (reach != kMaxTimestamp && latest > kMinTimestamp + reach) {
       lo = latest - reach + 1;
     }
+    // Each chunk fits the query's empty input whole.
+    const size_t chunk_rows = std::max<size_t>(opts_.executor.queue_capacity, 1);
     size_t i = 0;
     while (i < archive.size()) {
       TupleBatch chunk;
       chunk.set_source(source);
-      for (; i < archive.size() && chunk.size() < 256; ++i) {
+      for (; i < archive.size() && chunk.size() < chunk_rows; ++i) {
         const Tuple& t = archive[i];
         if (t.timestamp() < lo) continue;
         chunk.push_back(t.schema().get() == entry->schema.get()
@@ -937,10 +949,13 @@ Result<uint64_t> TelegraphCQ::Restore() {
   executor_.Start();
 
   // 6. Replay each stream's archived suffix past its snapshot high-water
-  // mark, spool-bypassing (the tuples are already archived). The fjords
-  // drain after each chunk so they never overflow. A drain that stalls (a
-  // kBlock egress no client can poll yet) is not fatal: the replay stops
-  // waiting, and overflow is then counted as drops.
+  // mark, spool-bypassing (the tuples are already archived). A chunk and
+  // its watermark entry fit an empty fjord, and the fjords drain after
+  // each chunk. A drain that stalls (a kBlock egress no client can poll
+  // yet) is not fatal: the replay stops waiting, and a chunk no consumer
+  // makes room for is refused and counted as dropped.
+  const size_t chunk_rows =
+      std::max<size_t>(opts_.executor.queue_capacity, 2) - 1;
   uint64_t replayed = 0;
   bool draining = true;
   for (const auto& [name, pos] : replay) {
@@ -954,11 +969,11 @@ Result<uint64_t> TelegraphCQ::Restore() {
     while (i < suffix.size()) {
       TupleBatch chunk;
       chunk.set_source(stream.canonical);
-      for (; i < suffix.size() && chunk.size() < 256; ++i) {
+      for (; i < suffix.size() && chunk.size() < chunk_rows; ++i) {
         chunk.push_back(suffix[i]);
       }
       replayed += chunk.size();
-      RouteBatch(&stream, chunk, /*spool=*/false);
+      (void)RouteBatch(&stream, chunk, /*spool=*/false);
       draining = draining &&
                  executor_
                      .WaitQuiescent(std::chrono::steady_clock::now() +
@@ -1114,7 +1129,7 @@ void TelegraphCQ::PumpLoop() {
           QueueOp op = QueueOp::kOk;
           size_t got = feed.ConsumeBatch(&batch, 64, &op);
           if (got > 0) {
-            RouteBatch(&stream, batch);
+            (void)RouteBatch(&stream, batch);  // a refusal is counted
             any = true;
           }
           if (op == QueueOp::kWouldBlock) all_closed = false;

@@ -80,7 +80,11 @@ class WindowResultBuffer {
 //                            scan). Tuples pushed to a stream no query
 //                            consumes are not an error: they are counted as
 //                            ingested (and spooled) and routed nowhere;
-//   * kResourceExhausted   — back-pressure outlasted the retry budget;
+//   * kResourceExhausted   — PushBuilt: a consumer (a query class's shard
+//                            or a windowed query's input) stayed full for
+//                            20ms, so none got the batch; the message names
+//                            it, and the rows count once in
+//                            StreamStats::dropped;
 //   * kIOError             — a checkpoint file is missing, torn, fails its
 //                            checksum, or names state the current engine
 //                            configuration cannot reproduce (Checkpoint /
@@ -280,11 +284,11 @@ class TelegraphCQ {
 
   /// Push-server ingestion: ingests a built batch under one
   /// lock/lookup, routed batch-at-a-time through the dataflow in columnar
-  /// form. Every row was validated by BatchBuilder::Append, so ingestion is
-  /// all-or-nothing by construction. Timestamps must be non-decreasing
-  /// across rows and calls. An empty builder is a no-op. kNotFound /
-  /// kFailedPrecondition as for NewBatch (the stream may have closed in
-  /// between).
+  /// form. Every row was validated by BatchBuilder::Append, and every
+  /// consumer admits the whole batch or none does, so ingestion is
+  /// all-or-nothing. Timestamps must be non-decreasing across rows and
+  /// calls. An empty builder is a no-op. kNotFound / kFailedPrecondition as
+  /// for NewBatch (the stream may have closed in between).
   Status PushBuilt(BatchBuilder&& batch);
 
   /// Declares a pushed stream finished (windowed queries over it can fire
@@ -426,12 +430,12 @@ class TelegraphCQ {
                 bool speculate_windows);
   };
 
-  /// Routes a whole physical batch: one Executor::IngestBatch per bound
-  /// logical source (re-tagged under self-join aliases). `spool` false
-  /// bypasses the background spool append — the restore replay path, which
-  /// re-routes tuples that are already archived.
-  void RouteBatch(PhysicalStream* stream, const TupleBatch& batch,
-                  bool spool = true);
+  /// Routes a whole physical batch as ONE Executor::IngestBatch of a copy
+  /// per bound logical source (re-tagged under self-join aliases) and
+  /// returns its Status. An admitted batch is spooled unless `spool` is
+  /// false — the restore replay, which re-routes archived tuples.
+  Status RouteBatch(PhysicalStream* stream, const TupleBatch& batch,
+                    bool spool = true);
   /// DefineStream minus the tcq$ reservation check — the path the engine
   /// itself uses to register the reserved introspection streams. A restore
   /// passes the recorded `restore_id`; the stream's existing spool file is

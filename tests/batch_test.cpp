@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "cacq/shared_eddy.h"
@@ -144,38 +146,61 @@ TEST(TupleBatchTest, CopyAndMovePreserveContentsAndSource) {
 // ---------------------------------------------------------------------------
 // Queue and fjord batch operations.
 
-TEST(QueueBatchTest, TryPushNFillsToCapacityAndReportsWouldBlock) {
-  BoundedQueue<int> q(4);
-  int items[6] = {1, 2, 3, 4, 5, 6};
-  QueueOp op;
-  EXPECT_EQ(q.TryPushN(items, 6, &op), 4u);
-  EXPECT_EQ(op, QueueOp::kWouldBlock);
-  int got;
-  for (int want = 1; want <= 4; ++want) {
-    ASSERT_EQ(q.TryDequeue(&got), QueueOp::kOk);
-    EXPECT_EQ(got, want);
-  }
+TEST(QueueBatchTest, TryPushTakesASegmentWholeOrNotAtAll) {
+  MetricsRegistry registry;
+  BoundedQueue<TupleBatch> q(4);
+  q.SetMetrics(QueueMetrics::For(&registry, "q"));
+  TupleBatch first(0);
+  for (int i = 0; i < 3; ++i) first.push_back(Row(0, i, 0, i));
+  ASSERT_EQ(q.TryPush(&first), QueueOp::kOk);
+  // One unit of room for a two-row segment: refused whole, kept intact,
+  // and counted as a blocked enqueue.
+  TupleBatch second(0);
+  for (int i = 3; i < 5; ++i) second.push_back(Row(0, i, 0, i));
+  EXPECT_EQ(q.TryPush(&second), QueueOp::kWouldBlock);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[0].Get("k").AsInt64(), 3);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.CheckRoom(2), QueueOp::kWouldBlock);
+  EXPECT_EQ(q.CheckRoom(1), QueueOp::kOk);
+  EXPECT_EQ(q.enqueue_blocked_count(), 2u);
+  EXPECT_EQ(registry.Snapshot().CounterValue(
+                "tcq_queue_enqueue_blocked_total{queue=\"q\"}"),
+            2u);
+  // A segment heavier than the whole capacity never fits: refused at once.
+  TupleBatch heavy(0);
+  for (int i = 0; i < 5; ++i) heavy.push_back(Row(0, i, 0, i));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(q.AwaitRoom(5, t0 + std::chrono::seconds(10)));
+  EXPECT_EQ(q.PushUntil(&heavy, t0 + std::chrono::seconds(10)),
+            QueueOp::kWouldBlock);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  EXPECT_EQ(heavy.size(), 5u);
+  // Once the first segment leaves, the second goes in whole.
+  TupleBatch out;
+  ASSERT_EQ(q.TryDequeue(&out), QueueOp::kOk);
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(q.TryPush(&second), QueueOp::kOk);
+  EXPECT_EQ(q.size(), 2u);
 }
 
-TEST(QueueBatchTest, TryPushNOnClosedQueueLeavesItemsWithCaller) {
+TEST(QueueBatchTest, TryPushOnClosedQueueLeavesItemWithCaller) {
   BoundedQueue<int> q(4);
   q.Close();
-  int items[3] = {7, 8, 9};
-  QueueOp op;
-  EXPECT_EQ(q.TryPushN(items, 3, &op), 0u);
-  EXPECT_EQ(op, QueueOp::kClosed);
-  EXPECT_EQ(items[0], 7);  // untouched, caller still owns them
+  int item = 7;
+  EXPECT_EQ(q.TryPush(&item), QueueOp::kClosed);
+  EXPECT_EQ(item, 7);  // untouched, the caller still owns it
+  EXPECT_EQ(q.CheckRoom(1), QueueOp::kClosed);
+  EXPECT_EQ(q.dropped_on_close_count(), 0u);
 }
 
 TEST(QueueBatchTest, BlockingBatchRoundTripAcrossThreads) {
   BoundedQueue<int> q(8);
   constexpr int kTotal = 1000;
   std::thread producer([&q] {
-    std::vector<int> chunk;
-    for (int i = 0; i < kTotal; i += 50) {
-      chunk.clear();
-      for (int j = i; j < i + 50; ++j) chunk.push_back(j);
-      EXPECT_EQ(q.PushNBlocking(chunk.data(), chunk.size()), 50u);
+    for (int i = 0; i < kTotal; ++i) {
+      int item = i;
+      EXPECT_EQ(q.PushUntil(&item, std::nullopt), QueueOp::kOk);
     }
     q.Close();
   });
@@ -204,27 +229,29 @@ TEST(QueueBatchTest, TryPopBatchDrainsThenReportsClosed) {
   EXPECT_EQ(op, QueueOp::kClosed);
 }
 
-TEST(FjordBatchTest, PushModeProduceBatchDropsDeliveredPrefix) {
+TEST(FjordBatchTest, PushModeProduceBatchIsWholeOrWouldBlock) {
   auto endpoints = Fjord::Make(FjordMode::kPush, /*capacity=*/4, "t");
   FjordProducer producer(endpoints.producer);
-  TupleBatch batch;
-  batch.set_source(0);
-  for (int i = 0; i < 6; ++i) batch.push_back(Row(0, i, 0, i));
+  TupleBatch first(0);
+  for (int i = 0; i < 3; ++i) first.push_back(Row(0, i, 0, i));
+  ASSERT_EQ(producer.ProduceBatch(&first), QueueOp::kOk);
+  TupleBatch batch(0);
+  for (int i = 3; i < 5; ++i) batch.push_back(Row(0, i, 0, i));
 
-  // Capacity 4: the first produce moves 4 and keeps the suffix in hand.
+  // One free slot: the two-row batch is refused whole and stays in hand.
   EXPECT_EQ(producer.ProduceBatch(&batch), QueueOp::kWouldBlock);
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].Get("k").AsInt64(), 4);
+  EXPECT_EQ(batch[0].Get("k").AsInt64(), 3);
 
   TupleBatch out;
   QueueOp op;
-  EXPECT_EQ(endpoints.consumer.ConsumeBatch(&out, 64, &op), 4u);
+  EXPECT_EQ(endpoints.consumer.ConsumeBatch(&out, 64, &op), 3u);
   EXPECT_EQ(producer.ProduceBatch(&batch), QueueOp::kOk);
   EXPECT_TRUE(batch.empty());
   producer.Close();
   out.clear();
   EXPECT_EQ(endpoints.consumer.ConsumeBatch(&out, 64, &op), 2u);
-  EXPECT_EQ(out[0].Get("k").AsInt64(), 4);
+  EXPECT_EQ(out[0].Get("k").AsInt64(), 3);
   out.clear();
   EXPECT_EQ(endpoints.consumer.ConsumeBatch(&out, 64, &op), 0u);
   EXPECT_EQ(op, QueueOp::kClosed);
@@ -807,7 +834,9 @@ TEST(ColumnarBatchTest, ColumnsComeOutOfAOneShardClassUnchanged) {
   ASSERT_EQ(sc.num_shards(), 1u);
   ColumnStore::Ref cols = KvColumns(64);
   TupleBatch batch(0, cols);
-  ASSERT_EQ(sc.RouteBatch(&batch), ShardedClass::RouteResult::kOk);
+  ShardedClass::Full full;
+  ASSERT_EQ(sc.Check(batch, &full), QueueOp::kOk);
+  sc.Produce(&batch);
 
   auto inputs = sc.shard_du(0)->DetachInputs();
   ASSERT_EQ(inputs.size(), 1u);

@@ -319,27 +319,28 @@ TEST(ExecLifecycleTest, MigrationLosesNoDeliveries) {
 
 TEST(ExecLifecycleTest, BackpressureDropsCountSeparately) {
   // Regression: back-pressure drops (a consumer exists but its fjord is
-  // full past the retry budget) were counted as "unrouted" — masking
+  // full past the admission wait) were counted as "unrouted" — masking
   // whether drops meant a missing query or an overloaded one.
   Executor exec({.num_eos = 1, .queue_capacity = 4});
   ASSERT_TRUE(exec.RegisterStream(0, Sch(0)).ok());
   ASSERT_TRUE(exec.RegisterStream(1, Sch(1)).ok());
   Collector got;
   ASSERT_TRUE(exec.SubmitQuery(FilterSpec(0, 100), got.SinkFor("q")).ok());
-  // Not started: nothing drains stream 0's 4-slot fjord.
+  // Not started: nothing drains stream 0's 4-slot fjord, and a 20-row
+  // batch never fits it: refused whole, counted once.
   TupleBatch big(0);
   for (int i = 0; i < 20; ++i) big.push_back(Row(0, 1, i, i + 1));
   EXPECT_TRUE(exec.IngestBatch(std::move(big)).IsResourceExhausted());
-  EXPECT_EQ(exec.tuples_dropped_backpressure(), 16u);  // 4 of 20 fit
+  EXPECT_EQ(exec.tuples_dropped_backpressure(), 20u);
   EXPECT_EQ(exec.tuples_dropped_unrouted(), 0u);
-  EXPECT_EQ(exec.stream_tuples_dropped(0), 16u);
+  EXPECT_EQ(exec.stream_tuples_dropped(0), 20u);
 
   // Unrouted drops (no class consumes the stream) stay on their own counter.
   TupleBatch orphan(1);
   for (int i = 0; i < 10; ++i) orphan.push_back(Row(1, 1, i, i + 1));
   EXPECT_TRUE(exec.IngestBatch(std::move(orphan)).IsFailedPrecondition());
   EXPECT_EQ(exec.tuples_dropped_unrouted(), 10u);
-  EXPECT_EQ(exec.tuples_dropped_backpressure(), 16u);
+  EXPECT_EQ(exec.tuples_dropped_backpressure(), 20u);
   EXPECT_EQ(exec.stream_tuples_dropped(1), 10u);
 }
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -140,36 +141,32 @@ TEST(BoundedQueueTest, MirrorsIntoRegistryInstruments) {
   EXPECT_EQ(wait->count, 1u);  // one enqueue->dequeue residence observed
 }
 
-TEST(BoundedQueueTest, PushNBlockingLeavesSuffixWithCallerOnClose) {
-  // Regression: the un-pushed suffix of a batch interrupted by Close() must
-  // stay with the caller — NOT destroyed and NOT counted in
-  // dropped_on_close_count(). Counting it here double-counted every batch
-  // drop the caller also tracked.
-  BoundedQueue<int> q(4);
-  ASSERT_EQ(q.TryEnqueue(100), QueueOp::kOk);
-  ASSERT_EQ(q.TryEnqueue(101), QueueOp::kOk);
+TEST(BoundedQueueTest, BlockingPushLeavesItemWithCallerOnClose) {
+  // A whole-item push interrupted by Close() leaves the item with the
+  // caller — NOT destroyed and NOT counted in dropped_on_close_count():
+  // only the caller knows whether it is lost.
+  BoundedQueue<TupleBatch> q(4);
+  TupleBatch queued(0);
+  for (int64_t v = 100; v < 103; ++v) queued.push_back(IntTuple(v));
+  ASSERT_EQ(q.TryPush(&queued), QueueOp::kOk);
   std::thread closer([&] {
     // Paces the close: the producer below should be blocked on the full
     // queue by then (if not, it sees the close first — same outcome).
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     q.Close();
   });
-  int items[8] = {0, 1, 2, 3, 4, 5, 6, 7};
-  // Room for 2, then the producer blocks until the close wakes it.
-  size_t pushed = q.PushNBlocking(items, 8);
+  TupleBatch batch(0);
+  for (int64_t v = 0; v < 2; ++v) batch.push_back(IntTuple(v));
+  // One unit of room for a two-row segment: the push waits for the close.
+  EXPECT_EQ(q.PushUntil(&batch, std::nullopt), QueueOp::kClosed);
   closer.join();
-  EXPECT_EQ(pushed, 2u);
   EXPECT_EQ(q.dropped_on_close_count(), 0u);
-  for (int i = 2; i < 8; ++i) EXPECT_EQ(items[i], i);  // suffix intact
-  // The items that DID make it in remain dequeuable after close.
-  int out = 0;
+  ASSERT_EQ(batch.size(), 2u);  // whole and intact
+  for (int64_t v = 0; v < 2; ++v) EXPECT_EQ(batch[v].at(0).AsInt64(), v);
+  // The segment that DID make it in remains dequeuable after close.
+  TupleBatch out;
   ASSERT_TRUE(q.DequeueBlocking(&out));
-  EXPECT_EQ(out, 100);
-  ASSERT_TRUE(q.DequeueBlocking(&out));
-  ASSERT_TRUE(q.DequeueBlocking(&out));
-  EXPECT_EQ(out, 0);
-  ASSERT_TRUE(q.DequeueBlocking(&out));
-  EXPECT_EQ(out, 1);
+  EXPECT_EQ(out.size(), 3u);
   EXPECT_FALSE(q.DequeueBlocking(&out));
   EXPECT_TRUE(q.exhausted());
 }
@@ -179,7 +176,8 @@ TEST(BoundedQueueTest, MpmcMixedBatchAndSingleConservesItems) {
   // Close() racing mid-stream. Conservation invariants:
   //   * every accepted item is consumed exactly once (counts AND value sums);
   //   * dropped_on_close_count() equals exactly the single-item offers that
-  //     hit the closed queue (batch suffixes are retained, never destroyed).
+  //     hit the closed queue (whole-item pushes keep a refused item with
+  //     the caller, never destroyed).
   constexpr int kPerProducer = 8000;
   BoundedQueue<int> q(64);
   std::atomic<uint64_t> accepted{0}, destroyed{0}, retained{0}, consumed{0};
@@ -212,29 +210,22 @@ TEST(BoundedQueueTest, MpmcMixedBatchAndSingleConservesItems) {
       std::vector<int> buf(static_cast<size_t>(n));
       for (int j = 0; j < n; ++j) buf[static_cast<size_t>(j)] =
           id * kPerProducer + sent + j;
-      size_t off = 0;
-      QueueOp op = QueueOp::kOk;
-      while (off < static_cast<size_t>(n)) {
-        size_t pushed;
+      // Each item goes in whole; a refused one stays with the caller.
+      for (size_t off = 0; off < static_cast<size_t>(n); ++off) {
+        QueueOp op;
         if (blocking) {
-          pushed = q.PushNBlocking(buf.data() + off,
-                                   static_cast<size_t>(n) - off);
-          op = pushed + off < static_cast<size_t>(n) ? QueueOp::kClosed
-                                                     : QueueOp::kOk;
+          op = q.PushUntil(&buf[off], std::nullopt);
         } else {
-          pushed = q.TryPushN(buf.data() + off,
-                              static_cast<size_t>(n) - off, &op);
+          while ((op = q.TryPush(&buf[off])) == QueueOp::kWouldBlock) {
+            std::this_thread::yield();
+          }
         }
-        accepted.fetch_add(pushed);
-        for (size_t j = off; j < off + pushed; ++j) {
-          sum_in.fetch_add(static_cast<uint64_t>(buf[j]));
-        }
-        off += pushed;
         if (op == QueueOp::kClosed) {
           retained.fetch_add(static_cast<size_t>(n) - off);
-          return;  // suffix stays ours; nothing destroyed, nothing counted
+          return;  // the rest stays ours; nothing destroyed, nothing counted
         }
-        if (op == QueueOp::kWouldBlock) std::this_thread::yield();
+        accepted.fetch_add(1);
+        sum_in.fetch_add(static_cast<uint64_t>(buf[off]));
       }
       sent += n;
     }
@@ -356,23 +347,30 @@ TEST(FjordTest, CloseEndsStreamForConsumer) {
 TEST(FjordTest, ConsumerCloseHangsUpAWaitingProducer) {
   // A consumer that will read nothing more closes its end: a producer
   // waiting for room returns kClosed at once instead of at its deadline,
-  // keeping the suffix that did not fit.
-  auto [producer, consumer, fjord] = Fjord::Make(FjordMode::kPush, 2);
+  // keeping the batch that did not fit.
+  auto [producer, consumer, fjord] = Fjord::Make(FjordMode::kPush, 3);
+  ASSERT_EQ(producer.Produce(IntTuple(0)), QueueOp::kOk);
   TupleBatch batch(0);
   for (int64_t v = 1; v <= 3; ++v) batch.push_back(IntTuple(v));
   EXPECT_EQ(producer.ProduceBatch(&batch), QueueOp::kWouldBlock);
-  consumer.Close();
+  std::thread closer([&consumer] {
+    // Paces the close: the produce below should be waiting by then.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    consumer.Close();
+  });
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_EQ(producer.ProduceBatchUntil(&batch, t0 + std::chrono::seconds(10)),
             QueueOp::kClosed);
+  closer.join();
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
-  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.size(), 3u);
+  EXPECT_EQ(fjord->size(), 1u);
 }
 
 TEST(FjordTest, PullModeProduceBatchRetainsSuffixOnClose) {
   // Regression: pull-mode ProduceBatch used to clear the whole batch on
   // close, so "before - batch.size()" callers counted close-dropped tuples
-  // as forwarded. The unconsumed suffix must survive in the batch.
+  // as forwarded. A batch the close interrupts must survive whole.
   MetricsRegistry registry;
   auto [producer, consumer, fjord] =
       Fjord::Make(FjordMode::kPull, 2, "pull", &registry);
@@ -382,23 +380,29 @@ TEST(FjordTest, PullModeProduceBatchRetainsSuffixOnClose) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     p.Close();
   });
+  ASSERT_EQ(producer.Produce(IntTuple(0)), QueueOp::kOk);
   TupleBatch batch;
-  for (int i = 0; i < 5; ++i) batch.push_back(IntTuple(i));
-  // Two fit; the blocking push then parks until the close releases it.
+  for (int i = 2; i < 5; ++i) batch.push_back(IntTuple(i));
+  // A batch heavier than the capacity is refused at once, even in pull mode.
+  EXPECT_EQ(producer.ProduceBatch(&batch), QueueOp::kWouldBlock);
+  batch.clear();
+  for (int i = 2; i < 4; ++i) batch.push_back(IntTuple(i));
+  // Two rows, one free slot: the blocking push parks until the close
+  // releases it.
   EXPECT_EQ(producer.ProduceBatch(&batch), QueueOp::kClosed);
   closer.join();
-  ASSERT_EQ(batch.size(), 3u);
+  ASSERT_EQ(batch.size(), 2u);
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch.data()[i].at(0).AsInt64(), static_cast<int64_t>(i) + 2);
   }
-  // Two rows queued, three retained: nothing destroyed or counted as lost.
-  EXPECT_EQ(fjord->size(), 2u);
+  // One row queued, two retained: nothing destroyed or counted as lost.
+  EXPECT_EQ(fjord->size(), 1u);
   EXPECT_EQ(registry.Snapshot().CounterValue(
                 "tcq_queue_dropped_on_close_total{queue=\"pull\"}"),
             0u);
-  // Re-offering the suffix after close keeps it with the caller too.
+  // Re-offering the batch after close keeps it with the caller too.
   EXPECT_EQ(producer.ProduceBatch(&batch), QueueOp::kClosed);
-  EXPECT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch.size(), 2u);
 }
 
 TEST(FjordTest, ControlLaneTravelsBehindRowsAndDivertsOnConsume) {
@@ -429,18 +433,19 @@ TEST(FjordTest, ControlLaneTravelsBehindRowsAndDivertsOnConsume) {
 }
 
 TEST(FjordTest, BackpressureRetainsLaneSuffixForRetry) {
-  auto [producer, consumer, fjord] = Fjord::Make(FjordMode::kPush, 3);
+  auto [producer, consumer, fjord] = Fjord::Make(FjordMode::kPush, 4);
+  ASSERT_EQ(producer.Produce(IntTuple(0)), QueueOp::kOk);
   TupleBatch batch;
   batch.push_back(IntTuple(1));
   batch.push_back(IntTuple(2));
   batch.AddPunctuation(Punctuation{0, 2});
   batch.AddPunctuation(Punctuation{0, 7});
-  // Capacity 3: both rows and the first punctuation land, the second stays
-  // on the lane for the caller's retry.
+  // Capacity 4 with one slot taken: the four-unit segment is refused whole,
+  // its rows and lane both kept for the caller's retry.
   EXPECT_EQ(producer.ProduceBatch(&batch), QueueOp::kWouldBlock);
-  EXPECT_TRUE(batch.empty());
-  ASSERT_EQ(batch.punctuations().size(), 1u);
-  EXPECT_EQ(batch.punctuations()[0].low_watermark, 7);
+  EXPECT_EQ(batch.size(), 2u);
+  ASSERT_EQ(batch.punctuations().size(), 2u);
+  EXPECT_EQ(batch.punctuations()[1].low_watermark, 7);
 
   Tuple t;
   ASSERT_EQ(consumer.Consume(&t), QueueOp::kOk);  // free one slot
@@ -449,7 +454,8 @@ TEST(FjordTest, BackpressureRetainsLaneSuffixForRetry) {
 
   TupleBatch out;
   QueueOp op = QueueOp::kOk;
-  EXPECT_EQ(consumer.ConsumeBatch(&out, 16, &op), 3u);
+  EXPECT_EQ(consumer.ConsumeBatch(&out, 16, &op), 4u);
+  ASSERT_EQ(out.size(), 2u);
   ASSERT_EQ(out.punctuations().size(), 2u);
   EXPECT_EQ(out.punctuations()[0].low_watermark, 2);
   EXPECT_EQ(out.punctuations()[1].low_watermark, 7);
@@ -461,11 +467,12 @@ TEST(FjordTest, LaneHeldBackWhileRowsRemain) {
   batch.push_back(IntTuple(1));
   batch.push_back(IntTuple(2));
   batch.AddPunctuation(Punctuation{0, 9});
-  // Only one row fits; the lane must NOT jump ahead of the stuck row
-  // (its contract is "applies after this batch's rows").
+  // The segment does not fit, so nothing goes in: the lane must NOT jump
+  // ahead of the rows (its contract is "applies after this batch's rows").
   EXPECT_EQ(producer.ProduceBatch(&batch), QueueOp::kWouldBlock);
-  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch.punctuations().size(), 1u);
+  EXPECT_EQ(fjord->size(), 0u);
 }
 
 TEST(FjordTest, LaneOnlyBatchCountsAsDelivery) {

@@ -191,9 +191,10 @@ TEST(ServerTest, CancelledSelfJoinStopsRoutingItsAlias) {
 }
 
 TEST(ServerTest, WindowedInputDropsReachStreamStats) {
-  // A windowed query's input refuses rows once full (nothing drains it
-  // before Start()): each refused row is one drop on the query's counter
-  // and on the stream's, so Introspect() sees where the rows went.
+  // A windowed query's input refuses pushes once full (nothing drains it
+  // before Start()): PushBuilt reports each refusal, and each refused row
+  // is one drop on the query's counter and on the stream's, so
+  // Introspect() sees where the rows went.
   TelegraphCQ::Options opts;
   opts.executor.queue_capacity = 4;
   opts.egress_capacity = 4;
@@ -206,16 +207,22 @@ TEST(ServerTest, WindowedInputDropsReachStreamStats) {
       "}");
   ASSERT_TRUE(h.ok()) << h.status();
   for (Timestamp ts = 1; ts <= 20; ++ts) {
-    ASSERT_TRUE(testref::PushRows(&server, "S",
-                                  {{ts, {Value::TimestampVal(ts),
-                                         Value::Int64(ts)}}})
-                    .ok());
+    Status st = testref::PushRows(
+        &server, "S", {{ts, {Value::TimestampVal(ts), Value::Int64(ts)}}});
+    if (ts <= 4) {
+      ASSERT_TRUE(st.ok()) << st;
+    } else {
+      ASSERT_TRUE(st.IsResourceExhausted()) << st;
+      EXPECT_NE(st.message().find("query " + std::to_string(h->id)),
+                std::string::npos)
+          << st;
+    }
   }
   TelegraphCQ::Introspection view = server.Introspect();
   const uint64_t window_dropped =
       view.metrics.CounterFamilySum("tcq_window_input_dropped_total");
   ASSERT_EQ(view.streams.size(), 1u);
-  EXPECT_GT(window_dropped, 0u);
+  EXPECT_EQ(window_dropped, 16u);
   EXPECT_EQ(view.streams[0].dropped, window_dropped);
   EXPECT_EQ(view.metrics.CounterValue(
                 "tcq_executor_tuples_dropped_unrouted_total"),
